@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import Sequence
@@ -31,7 +30,10 @@ from .moments import (
 from .smoothing import Bandwidth, Kernel, fit_mean
 from .supnorm import (
     SupQuantileRequest,
+    _check_level,
+    _quantile_stderr,
     default_path_count,
+    map_philox_chunks,
     order_statistic_quantile,
     sup_quantile,
 )
@@ -167,6 +169,66 @@ def normal_scb(
     )
 
 
+_BOOT_CHUNK = 512
+_BOOT_ATTEMPTS = 100
+# A resample whose (n-1) var* lies below this fraction of its centred sum of
+# squares at some point is rechecked directly: the count-matrix form of var*
+# carries a rounding error of a few ulps of that sum, so above this fraction
+# its relative error stays near 1e-14.
+_BOOT_VAR_RTOL = 1e-2
+
+
+def _resample_z(curves, mean, powers, idx):
+    """z* of each resample (row of ``idx``) and a mask of the degenerate ones,
+    where every resampled curve has the same value at some point."""
+    k, n = idx.shape
+    counts = np.bincount((idx + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
+    sums = counts.reshape(k, n).astype(float) @ powers
+    m = mean.size
+    dev = sums[:, :m] / n                            # mu* - mu_hat
+    ss = sums[:, m:] - sums[:, :m] * dev             # (n-1) var*
+    near = np.flatnonzero(np.any(ss <= _BOOT_VAR_RTOL * sums[:, m:], axis=1))
+    degenerate = np.zeros(k, dtype=bool)
+    if near.size:
+        boot = curves[idx[near]]
+        degenerate[near] = np.any(np.all(boot == boot[:, :1], axis=1), axis=1)
+        dev[near] = boot.mean(axis=1) - mean
+        ss[near] = boot.var(axis=1, ddof=1) * (n - 1)
+        ss[degenerate] = np.inf
+    z = sqrt(n) * np.max(np.abs(dev) / np.sqrt(ss / (n - 1)), axis=1)
+    return z, degenerate
+
+
+def _bootstrap_sup_stats(curves, mean, bootstraps, seed, threads=1):
+    """Bootstrap z* values and the number of degenerate-resample redraws.
+
+    Each chunk of at most 512 resamples draws its index rows in one call on
+    its Philox substream; degenerate rows are then redrawn, in row order,
+    from the same generator, up to 100 draws per resample in all."""
+    n = curves.shape[0]
+    dev = curves - mean[None, :]
+    powers = np.hstack([dev, dev * dev])           # [X, X^2], X centred at mu_hat
+
+    def draw(rng, k):
+        z, bad = _resample_z(curves, mean, powers, rng.integers(0, n, size=(k, n)))
+        rows = np.flatnonzero(bad)
+        redraws = 0
+        for _ in range(_BOOT_ATTEMPTS - 1):
+            if not rows.size:
+                break
+            redraws += rows.size
+            z[rows], bad = _resample_z(curves, mean, powers,
+                                       rng.integers(0, n, size=(rows.size, n)))
+            rows = rows[bad]
+        if rows.size:
+            raise DegenerateVarianceError(
+                f"bootstrap resample had zero variance {_BOOT_ATTEMPTS} times in a row")
+        return z, redraws
+
+    parts = map_philox_chunks(bootstraps, _BOOT_CHUNK, seed, threads, draw)
+    return np.concatenate([z for z, _ in parts]), sum(r for _, r in parts)
+
+
 def bootstrap_scb(
     sample: FunctionalSample,
     eval: EvalGrid,
@@ -178,7 +240,16 @@ def bootstrap_scb(
     threads: int = 1,
 ) -> BandResult:
     """Naive bootstrap band: resample the smoothed curves with replacement,
-    take the order-statistic quantile of z* = sqrt(n) || (mu* - mu_hat) / sigma* ||_inf."""
+    take the order-statistic quantile of z* = sqrt(n) || (mu* - mu_hat) / sigma* ||_inf.
+
+    Resamples are drawn in chunks of at most 512 on per-chunk Philox
+    substreams.  A chunk of k resamples becomes a k x n count matrix C, and
+    with X = curves - mu_hat, mu* - mu_hat = (C X)/n and
+    (n-1) var* = C X^2 - (C X)^2/n.  Resamples close to zero variance are
+    recomputed directly; those with an exactly constant point are redrawn.
+    ``details`` reports the threshold's standard error and the redraw count.
+    """
+    _check_level(gamma)
     if bootstraps < 1:
         raise FuncbandError("need at least one bootstrap resample")
     mean_fit = fit_mean(sample, eval, h, kernel)
@@ -189,38 +260,9 @@ def bootstrap_scb(
     if np.any(sigma2 <= 0):
         raise DegenerateVarianceError("zero variance in smoothed curves")
     sigma = np.sqrt(sigma2)
-    curves = mean_fit.curves
-
-    chunk = 512
-    bounds = [(s, min(s + chunk, bootstraps)) for s in range(0, bootstraps, chunk)]
-    children = np.random.SeedSequence(seed).spawn(len(bounds))
-
-    def run(args):
-        (start, stop), ss = args
-        rng = np.random.Generator(np.random.Philox(ss))
-        out = np.empty(stop - start)
-        for b in range(stop - start):
-            for attempt in range(100):
-                idx = rng.integers(0, n, size=n)
-                boot = curves[idx]
-                mu_star = boot.mean(axis=0)
-                var_star = boot.var(axis=0, ddof=1)
-                if np.all(var_star > 0):
-                    break
-            else:
-                raise DegenerateVarianceError(
-                    "bootstrap resample had zero variance 100 times in a row"
-                )
-            out[b] = sqrt(n) * np.max(np.abs((mu_star - mean_fit.mean) / np.sqrt(var_star)))
-        return out
-
-    jobs = list(zip(bounds, children))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(j) for j in jobs]
-    z_star = np.concatenate(parts)
+    z_star, redraws = _bootstrap_sup_stats(mean_fit.curves, mean_fit.mean, bootstraps,
+                                           seed, threads)
+    z_star.sort()
     c = order_statistic_quantile(z_star, gamma)
     return BandResult(
         grid=eval,
@@ -229,7 +271,9 @@ def bootstrap_scb(
         threshold=c,
         level=1.0 - gamma,
         method="bootstrap",
-        details=_provenance(h, kernel, seed, bootstraps=bootstraps),
+        details=_provenance(h, kernel, seed, bootstraps=bootstraps,
+                            threshold_stderr=_quantile_stderr(z_star, gamma),
+                            redraws=redraws),
     )
 
 
@@ -262,12 +306,14 @@ def two_sample_scb(
         h_b = h_a
     fits = []
     covs = []
+    lams = []
     for sample, h in ((sample_a, h_a), (sample_b, h_b)):
         mean_fit = fit_mean(sample, eval, h, kernel)
-        sigma, corr, _lam = _sigma_and_correlation(mean_fit, shrinkage)
+        sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
         cov = corr.table * np.outer(sigma, sigma) / sample.n_curves
         fits.append(mean_fit)
         covs.append(cov)
+        lams.append(lam)
     diff_cov = covs[0] + covs[1]
     sigma_diff = np.sqrt(np.diag(diff_cov))
     corr_diff = correlation_from_covariance(CovarianceField(grid=eval, table=diff_cov))
@@ -282,7 +328,8 @@ def two_sample_scb(
         level=1.0 - alpha,
         method="two-sample",
         details=_provenance((h_a, h_b), kernel, seed, paths=n_paths,
-                            clipped_mass=res.clipped_mass),
+                            shrinkage_lambda=tuple(lams), clipped_mass=res.clipped_mass,
+                            threshold_stderr=res.stderr),
     )
     reject = bool(np.any(np.abs(center) > band.half_width))
     return TwoSampleResult(band=band, reject=reject)

@@ -44,6 +44,15 @@ class CliError(Exception):
         self.code = code
 
 
+def _float_list(text: str) -> list[float]:
+    """Comma-separated numbers, e.g. '0.05,0.1'."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="funcband")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -53,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path prefix (writes PREFIX.csv and PREFIX.json)")
         p.add_argument(level_flag, dest="level", type=float, default=level_default)
         p.add_argument("--h", default="cv", help="bandwidth: a number, 'cv', or 'split'")
-        p.add_argument("--h-candidates", help="comma-separated candidate bandwidths")
+        p.add_argument("--h-candidates", type=_float_list,
+                       help="comma-separated candidate bandwidths")
         p.add_argument("--kernel", default="epanechnikov",
                        choices=["epanechnikov", "gauss"])
         p.add_argument("--grid-size", type=int, default=100)
@@ -110,7 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Override flags with the --config JSON, converting each value as the
+    subcommand's flag of the same name would."""
     if not getattr(args, "config", None):
         return
     try:
@@ -118,10 +130,23 @@ def _apply_config(args: argparse.Namespace) -> None:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config: {exc}", EXIT_PARSE) from None
+    if not isinstance(cfg, dict):
+        raise CliError("config must be a JSON object", EXIT_PARSE)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(dest)
+        if action is None or not hasattr(args, dest):
             raise CliError(f"unknown config key {key!r}", EXIT_PARSE)
+        if action.type is not None:
+            try:
+                value = action.type(value if isinstance(value, str) else json.dumps(value))
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                raise CliError(f"bad config value for {key!r}: {value!r}", EXIT_PARSE) from None
+        bad_flag = action.nargs == 0 and not isinstance(value, bool)
+        if bad_flag or (action.choices is not None and value not in action.choices):
+            raise CliError(f"bad config value for {key!r}: {value!r}", EXIT_PARSE)
         setattr(args, dest, value)
 
 
@@ -134,7 +159,7 @@ def _load_sample(path, label_column=False):
 
 def _candidates(args, sample):
     if getattr(args, "h_candidates", None):
-        return [float(v) for v in args.h_candidates.split(",")]
+        return args.h_candidates
     p = sample.n_points
     return [k / p for k in _DEFAULT_CANDIDATE_STEPS if k / p <= 0.5] or [2.0 / p]
 
@@ -326,7 +351,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        _apply_config(args)
+        _apply_config(parser, args)
         return _RUNNERS[args.command](args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -201,23 +201,30 @@ def psd_repair(table: np.ndarray, correlation: bool = False) -> tuple[np.ndarray
     For correlation tables the diagonal is renormalized back to one.
     Returns (repaired table, clipped eigenvalue mass fraction).
     """
+    repaired, mass, _eig = _psd_repair_eig(table, correlation)
+    return repaired, mass
+
+
+def _psd_repair_eig(table: np.ndarray, correlation: bool = False):
+    """``psd_repair`` plus the eigenpairs ``(vals, vecs)`` of the repaired
+    table when nothing was clipped (the table is then returned as is), or
+    None when the repair changed it."""
     table = _check_symmetric(table, "input")
     if not np.all(np.isfinite(table)):
         raise FuncbandError("non-finite entries in table")
     vals, vecs = np.linalg.eigh(table)
     total = float(np.abs(vals).sum())
     neg = float(np.abs(vals[vals < 0]).sum())
-    if neg == 0.0:
-        repaired = table
-    else:
-        clipped = np.maximum(vals, 0.0)
-        repaired = (vecs * clipped[None, :]) @ vecs.T
-        repaired = 0.5 * (repaired + repaired.T)
-        if correlation:
-            d = np.sqrt(np.maximum(np.diag(repaired), 0.0))
-            if np.any(d <= 0):
-                raise DegenerateVarianceError("repair zeroed a correlation diagonal entry")
-            repaired = repaired / np.outer(d, d)
-            np.fill_diagonal(repaired, 1.0)
     mass = neg / total if total > 0 else 0.0
-    return repaired, mass
+    if neg == 0.0:
+        return table, mass, (vals, vecs)
+    clipped = np.maximum(vals, 0.0)
+    repaired = (vecs * clipped[None, :]) @ vecs.T
+    repaired = 0.5 * (repaired + repaired.T)
+    if correlation:
+        d = np.sqrt(np.maximum(np.diag(repaired), 0.0))
+        if np.any(d <= 0):
+            raise DegenerateVarianceError("repair zeroed a correlation diagonal entry")
+        repaired = repaired / np.outer(d, d)
+        np.fill_diagonal(repaired, 1.0)
+    return repaired, mass, None

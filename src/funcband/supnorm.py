@@ -16,7 +16,7 @@ from math import ceil, sqrt
 import numpy as np
 
 from .errors import FactorizationError, FuncbandError
-from .moments import CorrelationField, psd_repair
+from .moments import CorrelationField, _psd_repair_eig
 
 __all__ = [
     "SupQuantileRequest",
@@ -28,6 +28,12 @@ __all__ = [
 ]
 
 _CHUNK = 2048
+
+
+def _check_level(gamma: float) -> None:
+    """Reject a tail probability outside the open interval (0,1)."""
+    if not 0.0 < gamma < 1.0:
+        raise FuncbandError(f"level (gamma) must lie in (0,1), got gamma={gamma!r}")
 
 
 def default_path_count(p: int) -> int:
@@ -48,8 +54,7 @@ class SupQuantileRequest:
     threads: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise FuncbandError("level (gamma) must lie in (0,1)")
+        _check_level(self.level)
         if self.paths < 100:
             raise FuncbandError("need at least 100 simulated paths")
 
@@ -67,8 +72,8 @@ class SupQuantileResult:
 
 
 def _sqrt_factor(table: np.ndarray) -> tuple[np.ndarray, float]:
-    repaired, mass = psd_repair(table, correlation=True)
-    vals, vecs = np.linalg.eigh(repaired)
+    repaired, mass, eig = _psd_repair_eig(table, correlation=True)
+    vals, vecs = eig if eig is not None else np.linalg.eigh(repaired)
     vals = np.maximum(vals, 0.0)
     factor = (vecs * np.sqrt(vals)[None, :]) @ vecs.T
     if not np.all(np.isfinite(factor)):
@@ -76,9 +81,22 @@ def _sqrt_factor(table: np.ndarray) -> tuple[np.ndarray, float]:
     return factor, mass
 
 
-def _chunk_bounds(n: int, chunk: int = _CHUNK):
-    starts = list(range(0, n, chunk))
-    return [(s, min(s + chunk, n)) for s in starts]
+def map_philox_chunks(total: int, chunk: int, seed: int, threads: int, draw) -> list:
+    """Apply ``draw(rng, k)`` to consecutive chunks of at most ``chunk`` of
+    ``total`` draws, each chunk with its own Philox substream spawned from
+    ``seed``.  Returns the per-chunk results in chunk order; they do not
+    depend on ``threads``, the number of chunks run at once."""
+    sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
+    jobs = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
+
+    def run(job):
+        k, stream = job
+        return draw(np.random.Generator(np.random.Philox(stream)), k)
+
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, jobs))
+    return [run(job) for job in jobs]
 
 
 def simulate_sup_norms(request: SupQuantileRequest) -> tuple[np.ndarray, float]:
@@ -86,21 +104,11 @@ def simulate_sup_norms(request: SupQuantileRequest) -> tuple[np.ndarray, float]:
     given the seed and independent of the thread count."""
     factor, mass = _sqrt_factor(request.table())
     m = factor.shape[0]
-    bounds = _chunk_bounds(request.paths)
-    children = np.random.SeedSequence(request.seed).spawn(len(bounds))
 
-    def run(args):
-        (start, stop), ss = args
-        rng = np.random.Generator(np.random.Philox(ss))
-        z = rng.standard_normal((stop - start, m))
-        return np.abs(z @ factor).max(axis=1)
+    def draw(rng, k):
+        return np.abs(rng.standard_normal((k, m)) @ factor).max(axis=1)
 
-    jobs = list(zip(bounds, children))
-    if request.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=request.threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(j) for j in jobs]
+    parts = map_philox_chunks(request.paths, _CHUNK, request.seed, request.threads, draw)
     return np.concatenate(parts), mass
 
 

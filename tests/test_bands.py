@@ -1,10 +1,13 @@
 """Normal, bootstrap, two-sample, and prediction bands."""
 
+from math import sqrt
+
 import numpy as np
 import pytest
 
 from funcband import (
     DegenerateVarianceError,
+    FuncbandError,
     FunctionalSample,
     GridError,
     band_covers,
@@ -16,7 +19,10 @@ from funcband import (
     two_sample_scb,
     uniform_design_grid,
 )
+from funcband.bands import _bootstrap_sup_stats
 from funcband.simlab import gen_model1, m1_mean
+from funcband.smoothing import fit_mean
+from funcband.supnorm import order_statistic_quantile
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +121,89 @@ class TestBootstrapScb:
         np.testing.assert_allclose(ratio, ratio[0], atol=1e-10)
 
 
+    def test_level_outside_unit_interval_errors(self, eval_grid):
+        sample = gen_model1(12, 30, seed_or_rng=203)
+        for bad in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(FuncbandError, match="level"):
+                bootstrap_scb(sample, eval_grid, 0.1, gamma=bad, bootstraps=10, seed=1)
+
+    def test_diagnostics(self, eval_grid):
+        sample = gen_model1(12, 30, seed_or_rng=204)
+        band = bootstrap_scb(sample, eval_grid, 0.1, bootstraps=800, seed=2)
+        assert band.details["redraws"] == 0
+        assert 0.0 < band.details["threshold_stderr"] < band.threshold
+
+
+def _reference_z_star(curves, mean, bootstraps, seed, chunk=512, attempts=100):
+    """z* one resample at a time, from the same Philox substreams and index
+    draws: each chunk draws all its index rows first, then redraws the
+    degenerate ones (some point where every resampled curve is equal) in row
+    order, round after round."""
+    n = curves.shape[0]
+    sizes = [min(chunk, bootstraps - start) for start in range(0, bootstraps, chunk)]
+    parts, redraws = [], 0
+    for k, stream in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        rng = np.random.Generator(np.random.Philox(stream))
+        rows = [rng.integers(0, n, size=n) for _ in range(k)]
+        z = np.full(k, np.nan)
+        pending = range(k)
+        for attempt in range(attempts):
+            if attempt:
+                redraws += len(pending)
+                for b in pending:
+                    rows[b] = rng.integers(0, n, size=n)
+            retry = []
+            for b in pending:
+                boot = curves[rows[b]]
+                if np.any(np.all(boot == boot[0], axis=0)):
+                    retry.append(b)
+                    continue
+                mu_star = boot.mean(axis=0)
+                var_star = boot.var(axis=0, ddof=1)
+                z[b] = sqrt(n) * np.max(np.abs(mu_star - mean) / np.sqrt(var_star))
+            pending = retry
+            if not pending:
+                break
+        assert not pending
+        parts.append(z)
+    return np.concatenate(parts), redraws
+
+
+class TestBootstrapOracle:
+    @pytest.mark.parametrize("n, bootstraps", [(20, 1100), (3, 700)])
+    def test_matches_per_resample_reference(self, eval_grid, n, bootstraps):
+        sample = gen_model1(n, 30, seed_or_rng=210 + n)
+        fit = fit_mean(sample, eval_grid, 0.1)
+        z, redraws = _bootstrap_sup_stats(fit.curves, fit.mean, bootstraps, seed=n)
+        z_ref, redraws_ref = _reference_z_star(fit.curves, fit.mean, bootstraps, seed=n)
+        assert np.all(np.isfinite(z))
+        # z* of a resample that is a permutation of the sample is 0; both
+        # sides give rounding noise of order 1e-15 there, hence the atol
+        np.testing.assert_allclose(z, z_ref, rtol=1e-12, atol=1e-12)
+        assert redraws == redraws_ref
+        if n == 3:
+            # all three indices equal with probability 1/9
+            assert redraws > bootstraps / 20
+        band = bootstrap_scb(sample, eval_grid, 0.1, bootstraps=bootstraps, seed=n)
+        assert band.threshold == pytest.approx(
+            order_statistic_quantile(z_ref, 0.05), rel=1e-12)
+        assert band.details["redraws"] == redraws
+
+    def test_persistent_degeneracy_errors(self, eval_grid):
+        # identical curves: every resample is constant at every point
+        curves = np.tile(np.sin(2 * np.pi * eval_grid.points), (2, 1))
+        with pytest.raises(DegenerateVarianceError, match="100 times"):
+            _bootstrap_sup_stats(curves, curves[0], 50, seed=3)
+
+
 class TestTwoSampleScb:
+    def test_diagnostics(self, sample50, eval_grid):
+        other = gen_model1(50, 50, seed_or_rng=13)
+        res = two_sample_scb(sample50, other, eval_grid, 0.05, 0.05, seed=10)
+        lams = res.band.details["shrinkage_lambda"]
+        assert len(lams) == 2 and all(0.0 <= lam <= 1.0 for lam in lams)
+        assert 0.0 < res.band.details["threshold_stderr"] < res.band.threshold
+
     def test_self_comparison_never_rejects(self, sample50, eval_grid):
         res = two_sample_scb(sample50, sample50, eval_grid, 0.05, 0.05, seed=10)
         np.testing.assert_allclose(res.band.center, 0.0, atol=1e-10)

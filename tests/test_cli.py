@@ -62,6 +62,20 @@ class TestScb:
         assert code == EXIT_OK
         assert stdout.startswith("scb[bootstrap]")
 
+    def test_bootstrap_level_out_of_range(self, curves_csv, capsys):
+        code, _, stderr = run(
+            capsys, "scb", "--in", curves_csv, "--method", "bootstrap", "--level", "1.5",
+            "--B", "50", "--h", "0.15", "--grid-size", "30", "--seed", "3")
+        assert code == EXIT_PARSE
+        assert "level" in stderr
+
+    def test_bad_h_candidates(self, curves_csv, capsys):
+        code, _, stderr = run(
+            capsys, "scb", "--in", curves_csv, "--h", "cv", "--h-candidates", "a,b",
+            "--grid-size", "30", "--seed", "4")
+        assert code == EXIT_PARSE
+        assert "--h-candidates" in stderr and "Traceback" not in stderr
+
     def test_cv_bandwidth_default(self, curves_csv, capsys):
         code, stdout, _ = run(
             capsys, "scb", "--in", curves_csv, "--grid-size", "30",
@@ -242,6 +256,30 @@ class TestConfig:
         assert code == EXIT_OK
         payload = json.loads(open(out + ".json").read())
         assert len(payload["center"]) == 25
+
+    def test_config_values_convert_like_flags(self, curves_csv, tmp_path, capsys):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({"threads": "2", "grid-size": "25", "paths": 2000,
+                                   "h-candidates": "0.1,0.2"}))
+        out = str(tmp_path / "typed")
+        code, _, _ = run(
+            capsys, "scb", "--in", curves_csv, "--out", out, "--seed", "23",
+            "--config", str(cfg))
+        assert code == EXIT_OK
+        payload = json.loads(open(out + ".json").read())
+        assert len(payload["center"]) == 25
+
+    @pytest.mark.parametrize("key, value", [
+        ("threads", "two"), ("grid-size", 2.5), ("h-candidates", "a,b"),
+        ("method", "jackknife"), ("level", True)])
+    def test_bad_config_value(self, curves_csv, tmp_path, capsys, key, value):
+        cfg = tmp_path / "badvalue.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, _, stderr = run(
+            capsys, "scb", "--in", curves_csv, "--h", "0.2", "--seed", "24",
+            "--config", str(cfg))
+        assert code == EXIT_PARSE
+        assert key in stderr
 
     def test_unknown_config_key(self, curves_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
