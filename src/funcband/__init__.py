@@ -6,6 +6,7 @@ from .errors import (
     FuncbandError,
     GridError,
     IllPosedBandwidthError,
+    IntegrationError,
     RankDeficiencyError,
     SampleValidationError,
     SingularDesignError,

@@ -31,3 +31,7 @@ class RankDeficiencyError(FuncbandError):
 
 class FactorizationError(FuncbandError):
     """Covariance factorization failed even after PSD repair."""
+
+
+class IntegrationError(FuncbandError):
+    """A numerical integral did not reach its error tolerance."""

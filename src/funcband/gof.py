@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bands import BandResult
+from .bands import BandResult, _provenance
 from .errors import DegenerateVarianceError, FuncbandError, RankDeficiencyError
 from .grids import EvalGrid, FunctionalSample
 from .moments import CovarianceField, ShrinkageSpec, empirical_data_covariance
@@ -301,8 +301,8 @@ def scb_gof_test(
         threshold=res.threshold,
         level=1.0 - alpha,
         method="gof-residual",
-        details={"h": h if np.isscalar(h) else tuple(np.atleast_1d(h).tolist()),
-                 "seed": seed, "paths": n_paths},
+        details=_provenance(h, kernel, seed, paths=n_paths, shrinkage_lambda=lam,
+                            clipped_mass=res.clipped_mass, threshold_stderr=res.stderr),
     )
     return GofReport(
         statistic=t_stat,

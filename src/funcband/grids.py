@@ -123,13 +123,15 @@ class DiscretizedCurve:
 
 @dataclass(frozen=True)
 class FunctionalSample:
-    """n discretized curves observed on a common design grid."""
+    """n discretized curves observed on a common design grid; construction
+    raises SampleValidationError unless ``validate_sample`` accepts it."""
 
     grid: DesignGrid
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
+        validate_sample(self)
 
     @property
     def n_curves(self) -> int:
@@ -260,7 +262,8 @@ def design_grid_from_points(points: np.ndarray) -> DesignGrid:
 
 
 def validate_sample(sample: FunctionalSample) -> FunctionalSample:
-    """Return the sample unchanged iff all structural invariants hold."""
+    """Return the sample unchanged iff all structural invariants hold:
+    2-d values, at least one curve, one value per design point, all finite."""
     values = sample.values
     if values.ndim != 2:
         raise SampleValidationError(f"values must be 2-d, got shape {values.shape}")
@@ -325,14 +328,11 @@ def read_curves_csv(path_or_file, label_column: bool = False):
         grid = design_grid_from_points(points)
         values = np.array(rows, dtype=float)
         if not label_column:
-            return validate_sample(FunctionalSample(grid=grid, values=values))
-        out = {}
+            return FunctionalSample(grid=grid, values=values)
         labels_arr = np.array(labels)
-        for lab in dict.fromkeys(labels):  # preserve first-seen order
-            out[lab] = validate_sample(
-                FunctionalSample(grid=grid, values=values[labels_arr == lab])
-            )
-        return out
+        # preserve first-seen order
+        return {lab: FunctionalSample(grid=grid, values=values[labels_arr == lab])
+                for lab in dict.fromkeys(labels)}
     finally:
         if close:
             fh.close()

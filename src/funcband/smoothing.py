@@ -8,6 +8,7 @@ linear functions exactly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -53,16 +54,11 @@ def _epa(u):
     return 0.75 * np.maximum(1.0 - u * u, 0.0)
 
 
-_GAUSS_NORM = None
+_GAUSS_NORM = math.erf(1.0 / math.sqrt(2.0))  # P(|Z| < 1) for Z ~ N(0, 1)
 
 
 def _tgauss(u):
     # standard normal density restricted to [-1,1], renormalized
-    global _GAUSS_NORM
-    if _GAUSS_NORM is None:
-        from scipy.stats import norm
-
-        _GAUSS_NORM = norm.cdf(1.0) - norm.cdf(-1.0)
     return np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * _GAUSS_NORM)
 
 

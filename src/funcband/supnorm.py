@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _CHUNK = 2048
+# Order statistics closer than this, relative to the quantile, count as tied:
+# bootstrap resamples that draw the same curves give z* equal up to rounding.
+_TIE_RTOL = 1e-8
 
 
 def _check_level(gamma: float) -> None:
@@ -122,15 +125,22 @@ def order_statistic_quantile(values: np.ndarray, gamma: float) -> float:
 
 def _quantile_stderr(sorted_vals: np.ndarray, gamma: float) -> float:
     """Binomial-quantile asymptotic standard error with a finite-difference
-    density estimate from nearby order statistics."""
+    density estimate from nearby order statistics.  The window of about
+    sqrt(N) order statistics doubles until its ends differ by more than
+    rounding, so ties at the quantile widen it instead of reading as an exact
+    threshold; 0 only when all N values tie."""
     n = sorted_vals.size
     k = min(max(ceil((1.0 - gamma) * n), 1), n)
     half = max(1, int(0.5 * sqrt(n)))
-    lo = max(k - half, 1)
-    hi = min(k + half, n)
-    spread = float(sorted_vals[hi - 1] - sorted_vals[lo - 1])
-    if spread <= 0:
-        return 0.0
+    while True:
+        lo = max(k - half, 1)
+        hi = min(k + half, n)
+        spread = float(sorted_vals[hi - 1] - sorted_vals[lo - 1])
+        if spread > _TIE_RTOL * abs(float(sorted_vals[k - 1])):
+            break
+        if lo == 1 and hi == n:
+            return 0.0
+        half *= 2
     density = (hi - lo) / n / spread
     return sqrt(gamma * (1.0 - gamma) / n) / density
 

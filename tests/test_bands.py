@@ -10,6 +10,7 @@ from funcband import (
     FuncbandError,
     FunctionalSample,
     GridError,
+    SampleValidationError,
     band_covers,
     bootstrap_scb,
     make_eval_grid,
@@ -132,6 +133,21 @@ class TestBootstrapScb:
         band = bootstrap_scb(sample, eval_grid, 0.1, bootstraps=800, seed=2)
         assert band.details["redraws"] == 0
         assert 0.0 < band.details["threshold_stderr"] < band.threshold
+
+    def test_threshold_stderr_positive_under_ties(self, eval_grid):
+        # at n=3 the 2500 z* values take 7 distinct values, so the order
+        # statistics around the quantile tie; that must not read as exact
+        sample = gen_model1(3, 30, seed_or_rng=1)
+        band = bootstrap_scb(sample, eval_grid, 0.1, seed=1)
+        assert 0.0 < band.details["threshold_stderr"] < band.threshold
+
+    def test_nan_sample_rejected(self, eval_grid):
+        sample = gen_model1(12, 30, seed_or_rng=1)
+        values = sample.values.copy()
+        values[4, 7] = np.nan
+        with pytest.raises(SampleValidationError, match=r"curve 4.*point 7"):
+            bootstrap_scb(FunctionalSample(grid=sample.grid, values=values),
+                          eval_grid, 0.1, bootstraps=300, seed=1)
 
 
 def _reference_z_star(curves, mean, bootstraps, seed, chunk=512, attempts=100):

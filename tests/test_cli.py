@@ -133,6 +133,7 @@ class TestGof:
         assert "plrt F=" in stdout
         plrt = json.loads(open(out + ".plrt.json").read())
         assert 0.0 <= plrt["p_value"] <= 1.0
+        assert 0.0 <= plrt["diagnostics"]["imhof_abserr"] <= 1e-12
 
     def test_tabulated_basis(self, curves_csv, tmp_path, capsys):
         xs = (np.arange(1, 31) - 0.5) / 30

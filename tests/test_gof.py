@@ -15,6 +15,7 @@ from funcband import (
     polynomial_basis,
     residual_process,
     scb_gof_test,
+    truncated_gaussian,
     uniform_design_grid,
 )
 from funcband.grids import eval_grid_from_points
@@ -225,3 +226,17 @@ class TestScbGofTest:
         payload = json.loads(report.to_json())
         assert set(payload) >= {"T", "c_alpha", "alpha", "reject", "band", "diagnostics"}
         assert set(payload["diagnostics"]) >= {"lambda", "clipped_mass"}
+
+    def test_band_details_match_normal_scb(self):
+        # the residual band carries the same provenance and sup-quantile
+        # diagnostics as normal_scb: normalised h, kernel name, seed
+        sample = gen_model3(10, 40, seed_or_rng=14)
+        report = scb_gof_test(sample, polynomial_basis(1), make_eval_grid(30), 0.1,
+                              kernel=truncated_gaussian(), paths=2000, seed=15)
+        details = report.band.details
+        assert details["h"] == (0.1,)
+        assert details["kernel"] == "gauss"
+        assert details["seed"] == 15 and details["paths"] == 2000
+        assert details["clipped_mass"] == report.diagnostics["clipped_mass"]
+        assert details["shrinkage_lambda"] == report.diagnostics["lambda"]
+        assert 0.0 < details["threshold_stderr"] < report.threshold

@@ -100,9 +100,8 @@ class TestValidateSample:
             validate_sample(self._sample(values))
 
     def test_rejects_row_length_mismatch(self):
-        s = FunctionalSample(grid=uniform_design_grid(5), values=np.ones((3, 4)))
         with pytest.raises(SampleValidationError, match="4"):
-            validate_sample(s)
+            validate_sample(FunctionalSample(grid=uniform_design_grid(5), values=np.ones((3, 4))))
 
 
 class TestCurvesCsv:

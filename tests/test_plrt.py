@@ -1,13 +1,23 @@
 """Pseudo-likelihood-ratio lack-of-fit benchmark: statistic, chi-square
 calibration, AR(1) covariance fit, and null-distribution sanity."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import kstest
 
+import funcband.plrt as plrt_module
 from funcband import (
     DegenerateVarianceError,
     FunctionalSample,
+    IntegrationError,
+    SampleValidationError,
     ar1_covariance_fit,
     plrt_pvalue,
     plrt_statistic,
@@ -62,6 +72,79 @@ class TestPvalueCalibration:
     def test_negative_definite_gives_zero(self):
         p, _, _, _ = plrt_pvalue(-np.eye(4), np.eye(4))
         assert p == pytest.approx(0.0, abs=1e-12)
+
+
+def _quad_positive_tail(lam):
+    """The Imhof p-value by scipy's QUADPACK on the unmapped integral."""
+    lam = lam / np.abs(lam).max()
+
+    def integrand(u):
+        theta = 0.5 * np.arctan(lam * u).sum()
+        return np.sin(theta) * np.exp(-0.25 * np.log1p((lam * u) ** 2).sum()) / u
+
+    val, _ = quad(integrand, 0.0, np.inf, limit=2000, epsabs=1e-13, epsrel=0.0)
+    return 0.5 + val / np.pi
+
+
+class TestImhofIntegral:
+    def test_matches_quadpack(self):
+        # random mixed-sign spectra, magnitudes spread over e^-6
+        rng = np.random.default_rng(20)
+        for _ in range(120):
+            k = int(rng.integers(2, 61))
+            lam = np.exp(-rng.uniform(0.0, 6.0, k)) * rng.choice([-1.0, 1.0], k)
+            lam[:2] = np.abs(lam[:2]) * (1.0, -1.0)
+            p, abserr = plrt_module._imhof_positive_tail(rng.uniform(0.1, 10.0) * lam)
+            assert p == pytest.approx(_quad_positive_tail(lam), abs=1e-11)
+            assert 0.0 <= abserr <= 1e-12
+
+    @pytest.mark.parametrize("ratio", [1.0, 1e-3, 1e-7, 1e-11, 1e-15])
+    def test_two_term_closed_form(self, ratio):
+        # [DERIVED] W1/W2 ~ F(1,1): P(W1 - r W2 > 0) = 1 - (2/pi) arctan(sqrt(r));
+        # the small ratios put the integrand's last feature near u = 1/r
+        exact = 1.0 - 2.0 / np.pi * np.arctan(np.sqrt(ratio))
+        p, _ = plrt_module._imhof_positive_tail(np.array([1.0, -ratio]))
+        assert p == pytest.approx(exact, abs=1e-11)
+        q, _ = plrt_module._imhof_positive_tail(np.array([-1.0, ratio]))
+        assert q == pytest.approx(1.0 - exact, abs=1e-11)
+
+    def test_refinement_budget_exhausted_errors(self, monkeypatch):
+        monkeypatch.setattr(plrt_module, "_IMHOF_ROUNDS", 1)
+        with pytest.raises(IntegrationError, match=r"error estimate .* above the tolerance"):
+            plrt_module._imhof_positive_tail(np.array([1.0, -1e-6]))
+
+    def test_report_carries_error_estimate(self):
+        sample = gen_model3(50, 50, seed_or_rng=3)
+        report = plrt_test(sample, polynomial_basis(1), 0.05)
+        assert 0.0 < report.pvalue < 1.0
+        assert 0.0 < report.diagnostics["imhof_abserr"] <= 1e-12
+        payload = json.loads(report.to_json())
+        assert payload["diagnostics"]["imhof_abserr"] == report.diagnostics["imhof_abserr"]
+
+    def test_same_sign_spectrum_is_exact(self):
+        info = {}
+        p, _, _, _ = plrt_pvalue(-np.eye(4), np.eye(4), info)
+        assert p == 0.0 and info["imhof_abserr"] == 0.0
+
+
+def test_runs_without_scipy():
+    # PLRT and the truncated-Gaussian kernel use numpy and the standard
+    # library only; scipy is a test dependency
+    code = (
+        "import sys\n"
+        "from funcband import fit_mean, make_eval_grid, plrt_test, polynomial_basis, "
+        "truncated_gaussian\n"
+        "from funcband.simlab import gen_model3\n"
+        "s = gen_model3(20, 30, seed_or_rng=1)\n"
+        "r = plrt_test(s, polynomial_basis(1), 0.1)\n"
+        "fit_mean(s, make_eval_grid(40), 0.1, truncated_gaussian())\n"
+        "assert 0.0 <= r.pvalue <= 1.0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(plrt_module.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestStatistic:
@@ -122,6 +205,15 @@ class TestAr1Fit:
         sample = FunctionalSample(grid=grid, values=np.ones((5, 10)))
         with pytest.raises(DegenerateVarianceError):
             ar1_covariance_fit(sample)
+
+
+def test_nan_sample_rejected():
+    sample = gen_model3(20, 30, seed_or_rng=5)
+    values = sample.values.copy()
+    values[2, 11] = np.nan
+    with pytest.raises(SampleValidationError, match=r"curve 2.*point 11"):
+        plrt_test(FunctionalSample(grid=sample.grid, values=values),
+                  polynomial_basis(1), 0.1)
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ from funcband import (
     simulate_sup_norms,
     sup_quantile,
 )
-from funcband.supnorm import order_statistic_quantile
+from funcband.supnorm import _quantile_stderr, order_statistic_quantile
 
 
 def _request(table, gamma=0.05, paths=20000, seed=0, threads=1):
@@ -59,6 +59,15 @@ class TestSimulateSupNorms:
         a, _ = simulate_sup_norms(_request(table, paths=9000, seed=5, threads=1))
         b, _ = simulate_sup_norms(_request(table, paths=9000, seed=5, threads=8))
         np.testing.assert_array_equal(a, b)
+
+
+class TestQuantileStderr:
+    def test_ties_widen_the_window(self):
+        # 2500 values on 7 atoms: the order statistics next to the 0.95
+        # quantile all tie, yet the quantile is not known exactly
+        vals = np.repeat(np.arange(7.0), [400, 300, 300, 400, 400, 350, 350])
+        assert _quantile_stderr(vals, 0.05) > 0.0
+        assert _quantile_stderr(np.full(100, 2.0), 0.05) == 0.0
 
 
 class TestSupQuantile:
