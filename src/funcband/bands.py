@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DegenerateVarianceError, FuncbandError, GridError
 from .grids import EvalGrid, FunctionalSample
 from .moments import (
-    CorrelationField,
     CovarianceField,
     ShrinkageSpec,
     empirical_correlation,
@@ -119,14 +118,19 @@ def band_covers(band: BandResult, values: np.ndarray) -> bool:
     return bool(np.all(dev <= band.half_width))
 
 
-def _sigma_and_correlation(mean_fit, shrinkage: ShrinkageSpec):
-    n = mean_fit.curves.shape[0]
-    if n < 2:
+def _checked_variance(mean_fit) -> np.ndarray:
+    """sigma_hat^2 of the smoothed curves; needs n >= 2 and no zero variance."""
+    if mean_fit.curves.shape[0] < 2:
         raise DegenerateVarianceError("band construction needs n >= 2 curves")
     sigma2 = empirical_variance(mean_fit.curves, mean_fit.mean)
     if np.any(sigma2 <= 0):
         j = int(np.argmin(sigma2))
         raise DegenerateVarianceError(f"zero variance at evaluation point index {j}")
+    return sigma2
+
+
+def _sigma_and_correlation(mean_fit, shrinkage: ShrinkageSpec):
+    sigma2 = _checked_variance(mean_fit)
     corr = empirical_correlation(mean_fit.curves, mean_fit.grid, mean_fit.mean, sigma2)
     shrunk, lam = shrink_correlation(corr, shrinkage, curves=mean_fit.curves)
     return np.sqrt(sigma2), shrunk, lam
@@ -138,6 +142,26 @@ def _provenance(h, kernel, seed, **extra) -> dict:
          "seed": seed}
     d.update(extra)
     return d
+
+
+def _gaussian_band(method, eval, center, sigma, corr, divisor, gamma, paths, p, seed,
+                   threads, h, kernel, lam) -> BandResult:
+    """The Gaussian band center +/- c sigma / divisor, with c the Monte-Carlo
+    sup-norm quantile of the Gaussian process with correlation ``corr``;
+    ``divisor`` is sqrt(n) for a mean band and 1.0 for a prediction band, and
+    ``paths`` defaults by the design size ``p``."""
+    n_paths = paths if paths is not None else default_path_count(p)
+    res = sup_quantile(SupQuantileRequest(corr, gamma, n_paths, seed, threads))
+    return BandResult(
+        grid=eval,
+        center=center,
+        half_width=res.threshold * sigma / divisor,
+        threshold=res.threshold,
+        level=1.0 - gamma,
+        method=method,
+        details=_provenance(h, kernel, seed, paths=n_paths, shrinkage_lambda=lam,
+                            clipped_mass=res.clipped_mass, threshold_stderr=res.stderr),
+    )
 
 
 def normal_scb(
@@ -154,19 +178,8 @@ def normal_scb(
     """Gaussian-limit simultaneous band for the mean curve."""
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
-    n_paths = paths if paths is not None else default_path_count(sample.n_points)
-    res = sup_quantile(SupQuantileRequest(corr, gamma, n_paths, seed, threads))
-    n = sample.n_curves
-    return BandResult(
-        grid=eval,
-        center=mean_fit.mean,
-        half_width=res.threshold * sigma / sqrt(n),
-        threshold=res.threshold,
-        level=1.0 - gamma,
-        method="normal",
-        details=_provenance(h, kernel, seed, paths=n_paths, shrinkage_lambda=lam,
-                            clipped_mass=res.clipped_mass, threshold_stderr=res.stderr),
-    )
+    return _gaussian_band("normal", eval, mean_fit.mean, sigma, corr, sqrt(sample.n_curves),
+                          gamma, paths, sample.n_points, seed, threads, h, kernel, lam)
 
 
 _BOOT_CHUNK = 512
@@ -253,13 +266,7 @@ def bootstrap_scb(
     if bootstraps < 1:
         raise FuncbandError("need at least one bootstrap resample")
     mean_fit = fit_mean(sample, eval, h, kernel)
-    n = sample.n_curves
-    if n < 2:
-        raise DegenerateVarianceError("bootstrap band needs n >= 2 curves")
-    sigma2 = empirical_variance(mean_fit.curves, mean_fit.mean)
-    if np.any(sigma2 <= 0):
-        raise DegenerateVarianceError("zero variance in smoothed curves")
-    sigma = np.sqrt(sigma2)
+    sigma = np.sqrt(_checked_variance(mean_fit))
     z_star, redraws = _bootstrap_sup_stats(mean_fit.curves, mean_fit.mean, bootstraps,
                                            seed, threads)
     z_star.sort()
@@ -267,7 +274,7 @@ def bootstrap_scb(
     return BandResult(
         grid=eval,
         center=mean_fit.mean,
-        half_width=c * sigma / sqrt(n),
+        half_width=c * sigma / sqrt(sample.n_curves),
         threshold=c,
         level=1.0 - gamma,
         method="bootstrap",
@@ -304,33 +311,19 @@ def two_sample_scb(
         raise GridError("the two samples must share a common design grid")
     if h_b is None:
         h_b = h_a
-    fits = []
-    covs = []
-    lams = []
+    fits, covs, lams = [], [], []
     for sample, h in ((sample_a, h_a), (sample_b, h_b)):
         mean_fit = fit_mean(sample, eval, h, kernel)
         sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
-        cov = corr.table * np.outer(sigma, sigma) / sample.n_curves
         fits.append(mean_fit)
-        covs.append(cov)
+        covs.append(corr.table * np.outer(sigma, sigma) / sample.n_curves)
         lams.append(lam)
     diff_cov = covs[0] + covs[1]
-    sigma_diff = np.sqrt(np.diag(diff_cov))
     corr_diff = correlation_from_covariance(CovarianceField(grid=eval, table=diff_cov))
-    n_paths = paths if paths is not None else default_path_count(sample_a.n_points)
-    res = sup_quantile(SupQuantileRequest(corr_diff, alpha, n_paths, seed, threads))
     center = fits[0].mean - fits[1].mean
-    band = BandResult(
-        grid=eval,
-        center=center,
-        half_width=res.threshold * sigma_diff,
-        threshold=res.threshold,
-        level=1.0 - alpha,
-        method="two-sample",
-        details=_provenance((h_a, h_b), kernel, seed, paths=n_paths,
-                            shrinkage_lambda=tuple(lams), clipped_mass=res.clipped_mass,
-                            threshold_stderr=res.stderr),
-    )
+    band = _gaussian_band("two-sample", eval, center, np.sqrt(np.diag(diff_cov)), corr_diff,
+                          1.0, alpha, paths, sample_a.n_points, seed, threads, (h_a, h_b),
+                          kernel, tuple(lams))
     reject = bool(np.any(np.abs(center) > band.half_width))
     return TwoSampleResult(band=band, reject=reject)
 
@@ -349,18 +342,8 @@ def prediction_band(
     """Band intended to contain a new curve: mu_hat +/- c sigma_hat (no sqrt(n))."""
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
-    n_paths = paths if paths is not None else default_path_count(sample.n_points)
-    res = sup_quantile(SupQuantileRequest(corr, gamma, n_paths, seed, threads))
-    return BandResult(
-        grid=eval,
-        center=mean_fit.mean,
-        half_width=res.threshold * sigma,
-        threshold=res.threshold,
-        level=1.0 - gamma,
-        method="prediction",
-        details=_provenance(h, kernel, seed, paths=n_paths, shrinkage_lambda=lam,
-                            clipped_mass=res.clipped_mass),
-    )
+    return _gaussian_band("prediction", eval, mean_fit.mean, sigma, corr, 1.0, gamma, paths,
+                          sample.n_points, seed, threads, h, kernel, lam)
 
 
 def split_half_bandwidth(

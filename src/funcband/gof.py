@@ -16,13 +16,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bands import BandResult, _provenance
-from .errors import DegenerateVarianceError, FuncbandError, RankDeficiencyError
+from .bands import BandResult, _gaussian_band
+from .errors import FuncbandError, RankDeficiencyError
 from .grids import EvalGrid, FunctionalSample
-from .moments import CovarianceField, ShrinkageSpec, empirical_data_covariance
+from .moments import (CovarianceField, ShrinkageSpec, correlation_from_covariance,
+                      empirical_data_covariance)
 from .smoothing import Kernel, weight_matrix
-from .supnorm import SupQuantileRequest, default_path_count, sup_quantile
-from .moments import CorrelationField
 
 __all__ = [
     "BasisModel",
@@ -284,32 +283,18 @@ def scb_gof_test(
     """Sup-norm test of the parametric model; T = sqrt(n) || r / sigma_Gamma ||_inf."""
     r = residual_process(sample, model, eval, h, kernel)
     gamma_hat, lam = gamma_n_plugin(sample, model, eval, h, kernel, shrinkage)
-    diag = np.diag(gamma_hat.table)
-    if np.any(diag <= 0):
-        j = int(np.argmin(diag))
-        raise DegenerateVarianceError(f"degenerate residual variance at grid index {j}")
-    sigma_gamma = np.sqrt(diag)
-    rho_gamma = CorrelationField(grid=eval, table=gamma_hat.table / np.outer(sigma_gamma, sigma_gamma))
+    rho_gamma = correlation_from_covariance(gamma_hat)
+    sigma_gamma = np.sqrt(np.diag(gamma_hat.table))
     n = sample.n_curves
     t_stat = sqrt(n) * float(np.max(np.abs(r / sigma_gamma)))
-    n_paths = paths if paths is not None else default_path_count(sample.n_points)
-    res = sup_quantile(SupQuantileRequest(rho_gamma, alpha, n_paths, seed, threads))
-    band = BandResult(
-        grid=eval,
-        center=r,
-        half_width=res.threshold * sigma_gamma / sqrt(n),
-        threshold=res.threshold,
-        level=1.0 - alpha,
-        method="gof-residual",
-        details=_provenance(h, kernel, seed, paths=n_paths, shrinkage_lambda=lam,
-                            clipped_mass=res.clipped_mass, threshold_stderr=res.stderr),
-    )
+    band = _gaussian_band("gof-residual", eval, r, sigma_gamma, rho_gamma, sqrt(n), alpha,
+                          paths, sample.n_points, seed, threads, h, kernel, lam)
     return GofReport(
         statistic=t_stat,
-        threshold=res.threshold,
+        threshold=band.threshold,
         alpha=alpha,
-        reject=t_stat > res.threshold,
+        reject=t_stat > band.threshold,
         band=band,
-        diagnostics={"lambda": lam, "clipped_mass": res.clipped_mass,
-                     "threshold_stderr": res.stderr},
+        diagnostics={"lambda": lam, "clipped_mass": band.details["clipped_mass"],
+                     "threshold_stderr": band.details["threshold_stderr"]},
     )

@@ -15,7 +15,9 @@ from funcband import (
     bootstrap_scb,
     make_eval_grid,
     normal_scb,
+    polynomial_basis,
     prediction_band,
+    scb_gof_test,
     split_half_bandwidth,
     two_sample_scb,
     uniform_design_grid,
@@ -254,6 +256,17 @@ class TestPredictionBand:
         clones = FunctionalSample(grid=grid, values=np.tile(row, (6, 1)))
         with pytest.raises(DegenerateVarianceError):
             prediction_band(clones, eval_grid, 0.15, seed=14)
+
+
+def test_gaussian_bands_share_details_keys(sample50, eval_grid):
+    other = gen_model1(50, 50, seed_or_rng=13)
+    bands = [normal_scb(sample50, eval_grid, 0.05, seed=1),
+             prediction_band(sample50, eval_grid, 0.05, seed=1),
+             two_sample_scb(sample50, other, eval_grid, 0.05, seed=1).band,
+             scb_gof_test(sample50, polynomial_basis(1), eval_grid, 0.05, seed=1).band]
+    keys = {"h", "kernel", "seed", "paths", "shrinkage_lambda", "clipped_mass",
+            "threshold_stderr"}
+    assert [set(b.details) for b in bands] == [keys] * 4
 
 
 class TestSplitHalfBandwidth:
