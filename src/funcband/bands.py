@@ -368,8 +368,7 @@ def split_half_bandwidth(
     half = n // 2
     build = FunctionalSample(grid=sample.grid, values=sample.values[:half])
     holdout = sample.values[half:]
-    grid = sample.grid
-    eval = EvalGrid(dim=grid.dim, points=grid.points, axes=grid.axes)
+    eval = sample.grid.as_eval()
     best = None
     best_gap = None
     coverages = {}

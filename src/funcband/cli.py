@@ -24,7 +24,7 @@ from .errors import (
     SingularDesignError,
 )
 from .gof import basis_model, polynomial_basis, scb_gof_test
-from .grids import EvalGrid, make_eval_grid, read_curves_csv
+from .grids import make_eval_grid, read_curves_csv
 from .moments import ShrinkageSpec
 from .plrt import plrt_test
 from .simlab import METHODS, ExperimentTable, ModelSpec, run_experiment
@@ -297,9 +297,7 @@ def _run_predict(args) -> int:
     if args.test:
         test = _load_sample(args.test)
         # score raw test curves against the band evaluated at the design points
-        design_eval = EvalGrid(dim=test.grid.dim, points=test.grid.points,
-                               axes=test.grid.axes)
-        design_band = prediction_band(sample, design_eval, h, kernel, gamma,
+        design_band = prediction_band(sample, test.grid.as_eval(), h, kernel, gamma,
                                       args.paths, args.seed, ShrinkageSpec(), args.threads)
         cov = float(np.mean([design_band.covers(row) for row in test.values]))
         extra["test_coverage"] = cov

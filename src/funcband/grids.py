@@ -9,7 +9,6 @@ d in {1, 2} are supported.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,8 @@ _BISECT_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    """A read-only C-contiguous float copy; the caller's array stays writeable."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 
@@ -77,6 +77,10 @@ class DesignGrid:
         pts = self.points
         return pts[:, None] if self.dim == 1 else pts
 
+    def as_eval(self) -> "EvalGrid":
+        """The design points as an evaluation grid."""
+        return EvalGrid(dim=self.dim, points=self.points, axes=self.axes)
+
 
 @dataclass(frozen=True)
 class EvalGrid:
@@ -102,6 +106,7 @@ class EvalGrid:
         return self.points.shape[0]
 
     def coords(self) -> np.ndarray:
+        """Points as a (m, dim) array regardless of dim."""
         pts = self.points
         return pts[:, None] if self.dim == 1 else pts
 
@@ -352,9 +357,3 @@ def write_curves_csv(path_or_file, sample: FunctionalSample) -> None:
     else:
         with open(path_or_file, "w", newline="") as fh:
             _write(fh)
-
-
-def curves_csv_text(sample: FunctionalSample) -> str:
-    buf = io.StringIO()
-    write_curves_csv(buf, sample)
-    return buf.getvalue()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateVarianceError, FuncbandError, IntegrationError
 from .gof import BasisModel, _design_matrix, _projector
-from .grids import EvalGrid, FunctionalSample
+from .grids import FunctionalSample
 from .moments import CovarianceField, empirical_data_covariance
 from .smoothing import Kernel, weight_matrix
 
@@ -60,13 +60,6 @@ class PlrtReport:
         return json.dumps(self.to_dict())
 
 
-def smoother_matrix(sample: FunctionalSample, h, kernel: Kernel | None = None) -> np.ndarray:
-    """Local linear smoother matrix at the design points (p x p)."""
-    grid = sample.grid
-    eval = EvalGrid(dim=grid.dim, points=grid.points, axes=grid.axes)
-    return weight_matrix(grid, eval, h, kernel)
-
-
 def plrt_statistic(
     sample: FunctionalSample, model: BasisModel, h, kernel: Kernel | None = None
 ) -> tuple[float, np.ndarray, dict]:
@@ -78,7 +71,7 @@ def plrt_statistic(
     """
     phi = _design_matrix(model, sample)
     p_mat = _projector(phi)
-    s_mat = smoother_matrix(sample, h, kernel)
+    s_mat = weight_matrix(sample.grid, sample.grid.as_eval(), h, kernel)
     ybar = sample.column_means()
     res0 = ybar - p_mat @ ybar
     res1 = ybar - s_mat @ ybar

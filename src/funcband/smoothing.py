@@ -117,33 +117,24 @@ class WeightVector:
         return out
 
 
-def _kernel_matrix(grid: DesignGrid, eval_pts: np.ndarray, h: Bandwidth, kernel: Kernel):
-    """Kernel values and per-axis offsets for all (eval, design) pairs."""
-    if grid.dim == 1:
-        diff = grid.points[None, :] - eval_pts[:, None]
-        k = kernel(diff / h.values[0])
-        return k, (diff,)
-    d1 = grid.points[None, :, 0] - eval_pts[:, None, 0]
-    d2 = grid.points[None, :, 1] - eval_pts[:, None, 1]
-    k = kernel(d1 / h.values[0]) * kernel(d2 / h.values[1])
-    return k, (d1, d2)
-
-
 def weight_matrix(
     grid: DesignGrid, eval: EvalGrid, h, kernel: Kernel | None = None
 ) -> np.ndarray:
     """Dense (m x p) matrix of local linear weights, rows = evaluation points.
 
-    Raises IllPosedBandwidthError if some evaluation point has fewer than
-    d+1 kernel-active design points, and SingularDesignError if the local
-    moment matrix is singular there.
+    Row i is the first row of S_i^-1 X_i' K_i, with X_i = [1, x_j - x_i] the
+    local design, K_i the product-kernel weights and S_i = X_i' K_i X_i the
+    (d+1) x (d+1) local moment matrix.  Raises IllPosedBandwidthError if some
+    evaluation point has fewer than d+1 kernel-active design points, and
+    SingularDesignError if the determinant of S_i with its diagonal scaled
+    to one is at most _DET_RTOL there (active points on a common hyperplane).
     """
     kernel = kernel or epanechnikov()
     if grid.dim != eval.dim:
         raise GridError("design and evaluation grids must share the dimension")
     h = Bandwidth.of(h, grid.dim)
-    p = grid.n_points
-    k, diffs = _kernel_matrix(grid, eval.points if grid.dim > 1 else eval.points, h, kernel)
+    diff = np.ascontiguousarray(grid.coords().T) - eval.coords()[:, :, None]   # (m, d, p)
+    k = math.prod(kernel(diff[:, a] / b) for a, b in enumerate(h.values))    # (m, p)
     active = (k > 0).sum(axis=1)
     need = grid.dim + 1
     if np.any(active < need):
@@ -152,45 +143,15 @@ def weight_matrix(
             f"only {int(active[i])} active design points at evaluation point index {i}; "
             f"need >= {need} (increase h)"
         )
-    if grid.dim == 1:
-        (d,) = diffs
-        ph = p * h.values[0]
-        s0 = k.sum(axis=1) / ph
-        s1 = (d * k).sum(axis=1) / ph
-        s2 = (d * d * k).sum(axis=1) / ph
-        det = s0 * s2 - s1 * s1
-        if np.any(det <= _DET_RTOL * (s0 * s2 + s1 * s1)):
-            raise SingularDesignError("singular local design (coincident active points)")
-        w = (s2[:, None] - d * s1[:, None]) * k / ph
-        return w / w.sum(axis=1, keepdims=True)
-    d1, d2 = diffs
-    ph = p * h.values[0] * h.values[1]
-    s00 = k.sum(axis=1) / ph
-    s01 = (d1 * k).sum(axis=1) / ph
-    s02 = (d2 * k).sum(axis=1) / ph
-    s11 = (d1 * d1 * k).sum(axis=1) / ph
-    s12 = (d1 * d2 * k).sum(axis=1) / ph
-    s22 = (d2 * d2 * k).sum(axis=1) / ph
-    # determinant of the 3x3 local moment matrix [[s00,s01,s02],[s01,s11,s12],[s02,s12,s22]]
-    det3 = (
-        s00 * (s11 * s22 - s12 * s12)
-        - s01 * (s01 * s22 - s12 * s02)
-        + s02 * (s01 * s12 - s11 * s02)
-    )
-    minor = s11 * s22 - s12 * s12
-    minor_scale = s11 * s22 + s12 * s12
-    det3_scale = (
-        s00 * minor_scale
-        + np.abs(s01) * (np.abs(s01) * s22 + np.abs(s12 * s02))
-        + np.abs(s02) * (np.abs(s01 * s12) + s11 * np.abs(s02))
-    )
-    if np.any(det3 <= _DET_RTOL * det3_scale) or np.any(minor <= _DET_RTOL * minor_scale):
-        raise SingularDesignError("singular local design (collinear active points)")
-    w = (
-        (s11 * s22 - s12 * s12)[:, None]
-        + (s02 * s12 - s01 * s22)[:, None] * d1
-        + (s01 * s12 - s02 * s11)[:, None] * d2
-    ) * k / ph
+    kd = k[:, None, :] * diff
+    s = np.empty((eval.n_points, need, need))
+    s[:, 0, 0] = k.sum(axis=1)
+    s[:, 0, 1:] = s[:, 1:, 0] = kd.sum(axis=2)
+    s[:, 1:, 1:] = kd @ diff.transpose(0, 2, 1)
+    if np.any(np.linalg.det(s) <= _DET_RTOL * np.prod(np.diagonal(s, axis1=1, axis2=2), axis=1)):
+        raise SingularDesignError("singular local design (active points on a hyperplane)")
+    row = np.linalg.inv(s)[:, :1, :]                                          # (m, 1, d+1)
+    w = k * (row[:, 0, :1] + (row[:, :, 1:] @ diff)[:, 0])
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -227,10 +188,6 @@ class MeanFit:
     curves: np.ndarray      # (n, m), row i = smooth of curve i
     weights: np.ndarray     # (m, p) weight matrix used
 
-    @property
-    def mean_curve(self) -> DiscretizedCurve:
-        return DiscretizedCurve(grid=self.grid, values=self.mean)
-
 
 def fit_mean(
     sample: FunctionalSample, eval: EvalGrid, h, kernel: Kernel | None = None
@@ -252,12 +209,7 @@ def cv_score(sample: FunctionalSample, h, kernel: Kernel | None = None) -> float
     n = sample.n_curves
     if n < 2:
         raise GridError("cross validation needs n >= 2")
-    grid = sample.grid
-    if grid.dim == 1:
-        eval = EvalGrid(dim=1, points=grid.points, axes=(grid.points,))
-    else:
-        eval = EvalGrid(dim=2, points=grid.points, axes=grid.axes)
-    s = weight_matrix(grid, eval, h, kernel)  # (p, p)
+    s = weight_matrix(sample.grid, sample.grid.as_eval(), h, kernel)  # (p, p)
     ybar = sample.column_means()
     smoothed_mean = s @ ybar
     smoothed_rows = sample.values @ s.T       # (n, p)

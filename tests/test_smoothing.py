@@ -121,6 +121,12 @@ class TestWeights2d:
         expected = oracle_weights_2d(grid.points, np.array([x1, x2]), (h1, h2))
         np.testing.assert_allclose(wv.dense(grid.n_points), expected, atol=1e-9)
 
+    def test_collinear_active_points_are_singular(self):
+        # at x1 = 0.125 with h1 = 0.2 only the grid column x1 = 0.125 is active
+        grid = make_design_grid(("uniform", "uniform"), (4, 4))
+        with pytest.raises(SingularDesignError):
+            local_linear_weights(grid, (0.125, 0.5), (0.2, 0.9))
+
     def test_normalization_and_planar_reproduction(self):
         grid = make_design_grid(("uniform", "uniform"), (9, 7))
         w = weight_matrix(grid, make_eval_grid(5, dim=2), (0.4, 0.45))
