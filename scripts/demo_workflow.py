@@ -2,9 +2,10 @@
 """End-to-end demo of the library workflow on synthetic functional data.
 
 Generates a sample of correlated curves, fits the mean with a local linear
-smoother, builds normal and bootstrap simultaneous confidence bands, runs the
-sup-norm lack-of-fit test against a straight-line model (with the
-pseudo-likelihood-ratio benchmark), and compares two independent samples.
+smoother, builds normal and bootstrap simultaneous confidence bands and a
+prediction band for a new curve, runs the sup-norm lack-of-fit test against a
+straight-line model (with the pseudo-likelihood-ratio benchmark), and
+compares two independent samples.
 Writes band CSVs next to --out (default: ./demo_output).
 """
 
@@ -20,6 +21,7 @@ from funcband import (
     normal_scb,
     plrt_test,
     polynomial_basis,
+    prediction_band,
     scb_gof_test,
     two_sample_scb,
 )
@@ -48,6 +50,10 @@ def main(argv=None) -> int:
     boot = bootstrap_scb(sample, eval, args.h, bootstraps=1000, seed=args.seed)
     boot.write_csv(os.path.join(args.out, "band_bootstrap.csv"))
     print(f"bootstrap band: c = {boot.threshold:.3f}")
+
+    pred = prediction_band(sample, eval, args.h, seed=args.seed)
+    pred.write_csv(os.path.join(args.out, "band_prediction.csv"))
+    print(f"prediction band: c = {pred.threshold:.3f}")
 
     lin = gen_model3(args.n, args.p, seed_or_rng=args.seed, hypothesis="hn")
     report = scb_gof_test(lin, polynomial_basis(1), eval, args.h, seed=args.seed)

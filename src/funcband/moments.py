@@ -30,6 +30,8 @@ def _check_symmetric(table: np.ndarray, what: str) -> np.ndarray:
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise FuncbandError(f"{what} table must be square")
+    if not np.all(np.isfinite(table)):
+        raise FuncbandError(f"{what} table has non-finite entries")
     scale = max(1.0, float(np.abs(table).max(initial=0.0)))
     if np.abs(table - table.T).max(initial=0.0) > _SYM_TOL * scale:
         raise FuncbandError(f"{what} table is not symmetric")
@@ -210,8 +212,6 @@ def _psd_repair_eig(table: np.ndarray, correlation: bool = False):
     table when nothing was clipped (the table is then returned as is), or
     None when the repair changed it."""
     table = _check_symmetric(table, "input")
-    if not np.all(np.isfinite(table)):
-        raise FuncbandError("non-finite entries in table")
     vals, vecs = np.linalg.eigh(table)
     total = float(np.abs(vals).sum())
     neg = float(np.abs(vals[vals < 0]).sum())

@@ -258,8 +258,8 @@ def plrt_test(
     if covariance_mode == "known":
         if known_covariance is None:
             raise FuncbandError("covariance_mode='known' requires known_covariance")
-        sigma = (known_covariance.table if isinstance(known_covariance, CovarianceField)
-                 else np.asarray(known_covariance, dtype=float))
+        table = getattr(known_covariance, "table", known_covariance)
+        sigma = CovarianceField(grid=sample.grid, table=table).table
     elif covariance_mode == "parametric-ar1":
         _s2, _rho, cov = ar1_covariance_fit(sample)
         sigma = cov.table

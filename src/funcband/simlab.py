@@ -26,7 +26,7 @@ from .grids import EvalGrid, FunctionalSample, make_eval_grid, uniform_design_gr
 from .moments import CorrelationField, ShrinkageSpec
 from .plrt import plrt_test
 from .smoothing import kernel_by_name, weight_matrix
-from .supnorm import SupQuantileRequest, default_path_count, sup_quantile
+from .supnorm import SupQuantileRequest, _sqrt_factor, default_path_count, sup_quantile
 
 __all__ = [
     "ModelSpec",
@@ -138,12 +138,10 @@ def m3_mean(x, n: int, hypothesis: str) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _ou_sqrt(p: int) -> np.ndarray:
     """Symmetric square root of the exponential covariance on the uniform
-    design grid of size p (exact Gaussian draws, no time discretization)."""
+    design grid of size p (exact Gaussian draws, no time discretization).
+    The covariance is positive definite, so no eigenvalue is clipped."""
     x = (np.arange(1, p + 1) - 0.5) / p
-    r = ou_covariance(x[:, None], x[None, :])
-    vals, vecs = np.linalg.eigh(r)
-    vals = np.maximum(vals, 0.0)
-    return (vecs * np.sqrt(vals)[None, :]) @ vecs.T
+    return _sqrt_factor(ou_covariance(x[:, None], x[None, :]))[0]
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -187,37 +185,35 @@ def gen_model3(n: int, p: int, seed_or_rng=0, hypothesis: str = "h0") -> Functio
     return FunctionalSample(grid=grid, values=values)
 
 
+# model name -> (generator(n, p, rng), mean(x, n), covariance(x, x')).  The
+# lambdas look the generators up when called, so rebinding them is seen.
+_MODELS = {
+    "m1": (lambda n, p, rng: gen_model1(n, p, rng), lambda x, n: m1_mean(x), ou_covariance),
+    "m2": (lambda n, p, rng: gen_model2(n, p, rng), lambda x, n: m2_mean(x), m2_covariance),
+    "m3-h0": (lambda n, p, rng: gen_model3(n, p, rng, "h0"),
+              lambda x, n: m3_mean(x, n, "h0"), ou_covariance),
+    "m3-hn": (lambda n, p, rng: gen_model3(n, p, rng, "hn"),
+              lambda x, n: m3_mean(x, n, "hn"), ou_covariance),
+}
+
+
+def _model(name: str) -> tuple:
+    if name not in _MODELS:
+        raise FuncbandError(f"unknown model {name!r}")
+    return _MODELS[name]
+
+
 def true_mean(model: str, x: np.ndarray, n: int) -> np.ndarray:
-    if model == "m1":
-        return m1_mean(x)
-    if model == "m2":
-        return m2_mean(x)
-    if model == "m3-h0":
-        return m3_mean(x, n, "h0")
-    if model == "m3-hn":
-        return m3_mean(x, n, "hn")
-    raise FuncbandError(f"unknown model {model!r}")
+    return _model(model)[1](x, n)
 
 
 def analytic_covariance(model: str):
     """Closed-form covariance of the curve process (measurement noise excluded)."""
-    if model in ("m1", "m3-h0", "m3-hn"):
-        return ou_covariance
-    if model == "m2":
-        return m2_covariance
-    raise FuncbandError(f"unknown model {model!r}")
+    return _model(model)[2]
 
 
 def generate(model: str, n: int, p: int, seed_or_rng=0) -> FunctionalSample:
-    if model == "m1":
-        return gen_model1(n, p, seed_or_rng)
-    if model == "m2":
-        return gen_model2(n, p, seed_or_rng)
-    if model == "m3-h0":
-        return gen_model3(n, p, seed_or_rng, "h0")
-    if model == "m3-hn":
-        return gen_model3(n, p, seed_or_rng, "hn")
-    raise FuncbandError(f"unknown model {model!r}")
+    return _model(model)[0](n, p, seed_or_rng)
 
 
 @dataclass(frozen=True)
@@ -236,8 +232,7 @@ class ModelSpec:
     shrinkage: ShrinkageSpec = field(default_factory=ShrinkageSpec)
 
     def __post_init__(self):
-        if self.model not in ("m1", "m2", "m3-h0", "m3-hn"):
-            raise FuncbandError(f"unknown model {self.model!r}")
+        _model(self.model)
         if self.n < 2 or self.p < 2:
             raise FuncbandError("need n >= 2 and p >= 2")
 

@@ -8,6 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from funcband import (
+    DesignGrid,
+    DiscretizedCurve,
+    EvalGrid,
     FunctionalSample,
     GridError,
     SampleValidationError,
@@ -82,6 +85,17 @@ class TestEvalGrid:
     def test_rejects_empty(self):
         with pytest.raises(GridError):
             make_eval_grid(0)
+
+
+def test_constructors_leave_caller_arrays_writeable():
+    v = np.linspace(0.1, 0.9, 5)
+    values = np.ones((3, 5))
+    grid = DesignGrid(dim=1, points=v, axes=(v,), sizes=(5,))
+    eval = EvalGrid(dim=1, points=v, axes=(v,))
+    FunctionalSample(grid=grid, values=values)
+    DiscretizedCurve(grid=eval, values=values[0])
+    assert v.flags.writeable and values.flags.writeable
+    assert not grid.points.flags.writeable and not eval.points.flags.writeable
 
 
 class TestValidateSample:

@@ -15,6 +15,7 @@ from scipy.stats import kstest
 import funcband.plrt as plrt_module
 from funcband import (
     DegenerateVarianceError,
+    FuncbandError,
     FunctionalSample,
     IntegrationError,
     SampleValidationError,
@@ -214,6 +215,20 @@ def test_nan_sample_rejected():
     with pytest.raises(SampleValidationError, match=r"curve 2.*point 11"):
         plrt_test(FunctionalSample(grid=sample.grid, values=values),
                   polynomial_basis(1), 0.1)
+
+
+@pytest.mark.parametrize("case", ["nan", "wrong-size"])
+def test_known_covariance_validated(case):
+    sample = gen_model3(20, 30, seed_or_rng=0)
+    x = sample.grid.points
+    sigma = ou_covariance(x[:, None], x[None, :])
+    if case == "nan":
+        sigma[3, 3] = np.nan
+    else:
+        sigma = sigma[:29, :29]
+    with pytest.raises(FuncbandError, match="non-finite" if case == "nan" else "size"):
+        plrt_test(sample, polynomial_basis(1), 0.1, covariance_mode="known",
+                  known_covariance=sigma)
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,25 @@
+"""Smoke test of the runnable scripts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import funcband
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_demo_workflow_runs(tmp_path):
+    src = str(Path(funcband.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "demo_workflow.py"),
+         "--n", "20", "--p", "20", "--h", "0.1", "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120, check=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "band_bootstrap.csv", "band_difference.csv", "band_normal.csv",
+        "band_prediction.csv"]
+    for tag in ("normal band", "bootstrap band", "prediction band", "lack-of-fit",
+                "plrt benchmark", "two-sample comparison"):
+        assert tag in out.stdout
