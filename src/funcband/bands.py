@@ -311,12 +311,15 @@ def two_sample_scb(
         raise GridError("the two samples must share a common design grid")
     if h_b is None:
         h_b = h_a
-    fits, covs, lams = [], [], []
+    fits = []
+    covs = []
+    lams = []
     for sample, h in ((sample_a, h_a), (sample_b, h_b)):
         mean_fit = fit_mean(sample, eval, h, kernel)
         sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
+        cov = corr.table * np.outer(sigma, sigma) / sample.n_curves
         fits.append(mean_fit)
-        covs.append(corr.table * np.outer(sigma, sigma) / sample.n_curves)
+        covs.append(cov)
         lams.append(lam)
     diff_cov = covs[0] + covs[1]
     corr_diff = correlation_from_covariance(CovarianceField(grid=eval, table=diff_cov))

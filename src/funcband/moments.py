@@ -183,18 +183,12 @@ def empirical_data_covariance(
     if n < 2:
         raise DegenerateVarianceError("covariance estimation needs n >= 2 curves")
     dev = y - y.mean(axis=0)[None, :]
-    cov = dev.T @ dev / (n - 1)
+    cov = CovarianceField(grid=sample.grid, table=dev.T @ dev / (n - 1))
     if spec is None:
-        return CovarianceField(grid=sample.grid, table=cov), 0.0
-    diag = np.diag(cov)
-    if np.any(diag <= 0):
-        j = int(np.argmin(diag))
-        raise DegenerateVarianceError(f"zero variance at design point index {j}")
-    sd = np.sqrt(diag)
-    corr = CorrelationField(grid=sample.grid, table=cov / np.outer(sd, sd))
-    shrunk, lam = shrink_correlation(corr, spec, curves=y)
-    table = shrunk.table * np.outer(sd, sd)
-    return CovarianceField(grid=sample.grid, table=table), lam
+        return cov, 0.0
+    shrunk, lam = shrink_correlation(correlation_from_covariance(cov), spec, curves=y)
+    sd = np.sqrt(np.diag(cov.table))
+    return CovarianceField(grid=sample.grid, table=shrunk.table * np.outer(sd, sd)), lam
 
 
 def psd_repair(table: np.ndarray, correlation: bool = False) -> tuple[np.ndarray, float]:

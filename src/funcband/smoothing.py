@@ -158,11 +158,8 @@ def weight_matrix(
 def local_linear_weights(grid: DesignGrid, x, h, kernel: Kernel | None = None) -> WeightVector:
     """Local linear weights at a single point, in sparse form."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if grid.dim == 1:
-        eval_grid = EvalGrid(dim=1, points=x_arr, axes=(x_arr,))
-    else:
-        pts = x_arr.reshape(1, 2)
-        eval_grid = EvalGrid(dim=2, points=pts, axes=(pts[:, 0], pts[:, 1]))
+    pts = x_arr if grid.dim == 1 else x_arr.reshape(1, -1)
+    eval_grid = EvalGrid(dim=grid.dim, points=pts, axes=tuple(x_arr[:, None]))
     row = weight_matrix(grid, eval_grid, h, kernel)[0]
     idx = np.nonzero(row)[0]
     return WeightVector(x=tuple(x_arr.tolist()), indices=idx, weights=row[idx])
