@@ -185,8 +185,8 @@ def gen_model3(n: int, p: int, seed_or_rng=0, hypothesis: str = "h0") -> Functio
     return FunctionalSample(grid=grid, values=values)
 
 
-# model name -> (generator(n, p, rng), mean(x, n), covariance(x, x')).  The
-# lambdas look the generators up when called, so rebinding them is seen.
+# model name -> (generator(n, p, rng), mean(x, n), covariance(x, x')); the
+# lambdas look the generators up at call time, so a wrapped generator runs.
 _MODELS = {
     "m1": (lambda n, p, rng: gen_model1(n, p, rng), lambda x, n: m1_mean(x), ou_covariance),
     "m2": (lambda n, p, rng: gen_model2(n, p, rng), lambda x, n: m2_mean(x), m2_covariance),
