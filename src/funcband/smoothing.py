@@ -124,8 +124,8 @@ def weight_matrix(
 
     Row i is the first row of S_i^-1 X_i' K_i, with X_i = [1, x_j - x_i] the
     local design, K_i the product-kernel weights and S_i = X_i' K_i X_i the
-    (d+1) x (d+1) local moment matrix; it sums to one up to rounding, and is
-    rescaled to sum to one.  Raises IllPosedBandwidthError if some
+    (d+1) x (d+1) local moment matrix, renormalised to sum to one (as it does
+    in exact arithmetic).  Raises IllPosedBandwidthError if some
     evaluation point has fewer than d+1 kernel-active design points, and
     SingularDesignError if the determinant of S_i with its diagonal scaled
     to one is at most _DET_RTOL there (active points on a common hyperplane).
@@ -151,7 +151,7 @@ def weight_matrix(
     s[:, 1:, 1:] = kd @ diff.transpose(0, 2, 1)
     if np.any(np.linalg.det(s) <= _DET_RTOL * np.prod(np.diagonal(s, axis1=1, axis2=2), axis=1)):
         raise SingularDesignError("singular local design (active points on a hyperplane)")
-    row = np.linalg.solve(s, np.eye(need)[0])        # (m, d+1): first row of S^-1
+    row = np.linalg.solve(s, np.eye(need)[0])   # (m, d+1): S^-1 e1, S^-1 is symmetric
     w = k * (row[:, :1] + np.einsum("ma,map->mp", row[:, 1:], diff))
     return w / w.sum(axis=1, keepdims=True)
 
