@@ -27,9 +27,8 @@ def table1(args):
     for i, (n, p, h) in enumerate(TABLE1_ROWS):
         spec = ModelSpec(model="m1", n=n, p=p, h=h, reps=args.reps,
                          seed=args.seed + i)
-        table.rows.append(run_experiment(spec, "normal-scb", args.threads))
-        c_known = known_R_threshold("m1", paths=50000, seed=args.seed + i,
-                                    threads=args.threads, p=p, h=h)
+        table.rows.append(run_experiment(spec, "normal-scb"))
+        c_known = known_R_threshold("m1", paths=50000, seed=args.seed + i, p=p, h=h)
         print(f"# (n={n}, p={p}, h={h}) known-covariance threshold: {c_known:.3f}",
               file=sys.stderr)
     return table
@@ -40,8 +39,8 @@ def table2(args):
     for i, (n, p, h) in enumerate(TABLE2_ROWS):
         spec = ModelSpec(model="m2", n=n, p=p, h=h, reps=args.reps,
                          seed=args.seed + i, bootstraps=args.bootstraps)
-        table.rows.append(run_experiment(spec, "normal-scb", args.threads))
-        table.rows.append(run_experiment(spec, "bootstrap-scb", args.threads))
+        table.rows.append(run_experiment(spec, "normal-scb"))
+        table.rows.append(run_experiment(spec, "bootstrap-scb"))
     return table
 
 
@@ -51,7 +50,7 @@ def _test_table(args, hypothesis):
         spec = ModelSpec(model=f"m3-{hypothesis}", n=50, p=50, h=h,
                          reps=args.reps, seed=args.seed + i)
         for method in TEST_METHODS:
-            table.rows.append(run_experiment(spec, method, args.threads))
+            table.rows.append(run_experiment(spec, method))
     return table
 
 
@@ -61,7 +60,6 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=500)
     parser.add_argument("--bootstraps", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", help="also write the table to this file")
     args = parser.parse_args(argv)

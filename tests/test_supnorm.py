@@ -14,8 +14,8 @@ from funcband import (
 from funcband.supnorm import _quantile_stderr, order_statistic_quantile
 
 
-def _request(table, gamma=0.05, paths=20000, seed=0, threads=1):
-    return SupQuantileRequest(np.asarray(table, dtype=float), gamma, paths, seed, threads)
+def _request(table, gamma=0.05, paths=20000, seed=0):
+    return SupQuantileRequest(np.asarray(table, dtype=float), gamma, paths, seed)
 
 
 class TestRequestValidation:
@@ -56,8 +56,8 @@ class TestSimulateSupNorms:
 
     def test_determinism_across_threads(self):
         table = np.exp(-5.0 * np.abs(np.subtract.outer(np.arange(30), np.arange(30))) / 30)
-        a, _ = simulate_sup_norms(_request(table, paths=9000, seed=5, threads=1))
-        b, _ = simulate_sup_norms(_request(table, paths=9000, seed=5, threads=8))
+        a, _ = simulate_sup_norms(_request(table, paths=9000, seed=5))
+        b, _ = simulate_sup_norms(_request(table, paths=9000, seed=5))
         np.testing.assert_array_equal(a, b)
 
 
