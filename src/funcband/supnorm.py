@@ -30,6 +30,9 @@ _CHUNK = 2048
 # Order statistics closer than this, relative to the quantile, count as tied:
 # bootstrap resamples that draw the same curves give z* equal up to rounding.
 _TIE_RTOL = 1e-8
+# Eigenvalues at or below this fraction of the largest are rounding noise of
+# a rank-deficient table; their square roots (about sqrt(eps)) are zeroed.
+_EIG_RTOL = 1e-12
 
 
 def _check_level(gamma: float) -> None:
@@ -75,7 +78,7 @@ class SupQuantileResult:
 def _sqrt_factor(table: np.ndarray) -> tuple[np.ndarray, float]:
     repaired, mass, eig = _psd_repair_eig(table, correlation=True)
     vals, vecs = eig if eig is not None else np.linalg.eigh(repaired)
-    vals = np.maximum(vals, 0.0)
+    vals = np.where(vals > _EIG_RTOL * vals.max(), vals, 0.0)
     factor = (vecs * np.sqrt(vals)[None, :]) @ vecs.T
     if not np.all(np.isfinite(factor)):
         raise FactorizationError("correlation square root contains non-finite entries")

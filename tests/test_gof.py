@@ -6,6 +6,7 @@ import pytest
 
 from funcband import (
     FunctionalSample,
+    SupQuantileRequest,
     RankDeficiencyError,
     basis_model,
     gamma_n_plugin,
@@ -15,10 +16,12 @@ from funcband import (
     polynomial_basis,
     residual_process,
     scb_gof_test,
+    sup_quantile,
     truncated_gaussian,
     uniform_design_grid,
 )
 from funcband.grids import eval_grid_from_points
+from funcband.moments import correlation_from_covariance
 from funcband.simlab import bump_function, gen_model3
 from funcband.smoothing import weight_matrix
 
@@ -240,3 +243,18 @@ class TestScbGofTest:
         assert details["clipped_mass"] == report.diagnostics["clipped_mass"]
         assert details["shrinkage_lambda"] == report.diagnostics["lambda"]
         assert 0.0 < details["threshold_stderr"] < report.threshold
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_threshold_stable_under_rounding_perturbation(self, seed):
+        # Gamma_n has rank at most p - L; its rounding-level eigenvalues are
+        # zeroed before the square root, so a 1e-15 symmetric change of the
+        # correlation moves the threshold only by rounding (about 1e-8 without)
+        sample = gen_model3(50, 50, seed_or_rng=seed, hypothesis="hn")
+        gamma_hat, _ = gamma_n_plugin(sample, polynomial_basis(1), make_eval_grid(100), 0.035)
+        corr = correlation_from_covariance(gamma_hat).table
+        noise = np.random.default_rng(seed).standard_normal(corr.shape)
+        noise = 0.5e-15 * (noise + noise.T)
+        np.fill_diagonal(noise, 0.0)
+        a = sup_quantile(SupQuantileRequest(corr, 0.05, 13000, seed)).threshold
+        b = sup_quantile(SupQuantileRequest(corr + noise, 0.05, 13000, seed)).threshold
+        assert abs(b - a) <= 1e-12 * a
