@@ -30,6 +30,7 @@ from .smoothing import Bandwidth, Kernel, fit_mean
 from .supnorm import (
     SupQuantileRequest,
     _check_level,
+    _check_seed,
     _quantile_stderr,
     default_path_count,
     map_philox_chunks,
@@ -261,6 +262,7 @@ def bootstrap_scb(
     ``details`` reports the threshold's standard error and the redraw count.
     """
     _check_level(gamma)
+    _check_seed(seed)
     if bootstraps < 1:
         raise FuncbandError("need at least one bootstrap resample")
     mean_fit = fit_mean(sample, eval, h, kernel)
@@ -356,6 +358,7 @@ def split_half_bandwidth(
     """Split the training curves in half, build a prediction band on the first
     half per candidate bandwidth, and return the candidate whose coverage of
     the second half is closest to the target level (ties to the smaller h)."""
+    _check_seed(seed)
     n = sample.n_curves
     if n < 4:
         raise FuncbandError("split-half selection needs n >= 4 curves")

@@ -179,14 +179,22 @@ def _resolve_h(args, sample, kernel):
         raise CliError(f"bad --h value {h!r}", EXIT_PARSE) from None
 
 
+def _write_out(path, write) -> None:
+    """Open ``path`` for writing and call ``write(fh)``; an OSError exits 2."""
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}", EXIT_PARSE) from None
+
+
 def _write_band(args, band, extra=None):
     payload = band.to_dict()
     if extra:
         payload.update(extra)
     if args.out:
-        band.write_csv(args.out + ".csv")
-        with open(args.out + ".json", "w") as fh:
-            json.dump(payload, fh)
+        _write_out(args.out + ".csv", band.write_csv)
+        _write_out(args.out + ".json", lambda fh: json.dump(payload, fh))
 
 
 def _band_summary(tag, sample, h, band):
@@ -240,16 +248,14 @@ def _run_gof(args) -> int:
     eval = make_eval_grid(args.grid_size)
     report = scb_gof_test(sample, basis, eval, h, kernel, args.level, args.paths, args.seed)
     if args.out:
-        with open(args.out + ".json", "w") as fh:
-            fh.write(report.to_json())
-        report.band.write_csv(args.out + ".csv")
+        _write_out(args.out + ".json", lambda fh: fh.write(report.to_json()))
+        _write_out(args.out + ".csv", report.band.write_csv)
     print(f"gof  T={report.statistic:.4f} c_alpha={report.threshold:.4f} "
           f"alpha={report.alpha:g} reject={report.reject}")
     if args.also_plrt:
         plrt = plrt_test(sample, basis, h, kernel, "nonparametric")
         if args.out:
-            with open(args.out + ".plrt.json", "w") as fh:
-                fh.write(plrt.to_json())
+            _write_out(args.out + ".plrt.json", lambda fh: fh.write(plrt.to_json()))
         print(f"plrt F={plrt.statistic:.4f} p={plrt.pvalue:.4g} "
               f"reject={plrt.pvalue < args.level}")
     return EXIT_OK
@@ -303,9 +309,7 @@ def _run_predict(args) -> int:
 
 
 def _run_simulate(args) -> int:
-    model = {"1": "m1", "2": "m2"}.get(args.model)
-    if model is None:
-        model = "m3-" + args.hypothesis
+    model = {"1": "m1", "2": "m2"}.get(args.model, "m3-" + args.hypothesis)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
@@ -318,10 +322,8 @@ def _run_simulate(args) -> int:
     for m in methods:
         table.rows.append(run_experiment(spec, m))
     if args.out:
-        with open(args.out + ".csv", "w", newline="") as fh:
-            fh.write(table.to_csv())
-        with open(args.out + ".json", "w") as fh:
-            fh.write(table.to_json())
+        _write_out(args.out + ".csv", lambda fh: fh.write(table.to_csv()))
+        _write_out(args.out + ".json", lambda fh: fh.write(table.to_json()))
     print(table.to_csv() if args.format == "csv" else table.to_json(), end="")
     return EXIT_OK
 

@@ -25,8 +25,9 @@ from .gof import polynomial_basis, scb_gof_test
 from .grids import EvalGrid, FunctionalSample, make_eval_grid, uniform_design_grid
 from .moments import CorrelationField, ShrinkageSpec
 from .plrt import plrt_test
-from .smoothing import kernel_by_name, weight_matrix
-from .supnorm import SupQuantileRequest, _sqrt_factor, default_path_count, sup_quantile
+from .smoothing import Bandwidth, kernel_by_name, weight_matrix
+from .supnorm import (SupQuantileRequest, _check_level, _check_seed, _sqrt_factor,
+                      default_path_count, sup_quantile)
 
 __all__ = [
     "ModelSpec",
@@ -147,6 +148,7 @@ def _ou_sqrt(p: int) -> np.ndarray:
 def _as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
+    _check_seed(seed_or_rng)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_or_rng)))
 
 
@@ -233,8 +235,15 @@ class ModelSpec:
 
     def __post_init__(self):
         _model(self.model)
-        if self.n < 2 or self.p < 2:
-            raise FuncbandError("need n >= 2 and p >= 2")
+        kernel_by_name(self.kernel)
+        _check_level(self.level)
+        _check_seed(self.seed)
+        Bandwidth.of(self.h)
+        for name, low in (("n", 2), ("p", 2), ("reps", 0), ("grid_size", 1), ("bootstraps", 1)):
+            if getattr(self, name) < low:
+                raise FuncbandError(f"{name} must be >= {low}, got {name}={getattr(self, name)!r}")
+        if self.paths is not None and self.paths < 100:
+            raise FuncbandError(f"paths must be None or >= 100, got paths={self.paths!r}")
 
 
 @dataclass(frozen=True)
@@ -294,12 +303,12 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
     hits = 0
     failures = 0
     thresholds = []
-    done = 0
     if method == "gof-scb" or method.startswith("plrt"):
         basis = polynomial_basis(1)
     if method == "plrt-known":
         x_design = (np.arange(1, spec.p + 1) - 0.5) / spec.p
         known_sigma = analytic_covariance(spec.model)(x_design[:, None], x_design[None, :])
+    truth = true_mean(spec.model, eval.points, spec.n)
 
     for rng, sup_seed in _rep_rngs(spec.seed, spec.reps):
         sample = generate(spec.model, spec.n, spec.p, rng)
@@ -307,13 +316,11 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
             if method == "normal-scb":
                 band = normal_scb(sample, eval, spec.h, kern, spec.level, paths,
                                   sup_seed, spec.shrinkage)
-                truth = true_mean(spec.model, eval.points, spec.n)
                 hits += band_covers(band, truth)
                 thresholds.append(band.threshold)
             elif method == "bootstrap-scb":
                 band = bootstrap_scb(sample, eval, spec.h, kern, spec.level,
                                      spec.bootstraps, sup_seed)
-                truth = true_mean(spec.model, eval.points, spec.n)
                 hits += band_covers(band, truth)
                 thresholds.append(band.threshold)
             elif method == "gof-scb":
@@ -328,10 +335,10 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
                 report = plrt_test(sample, basis, spec.h, kern, mode, known)
                 hits += report.pvalue < spec.level
                 thresholds.append(float("nan"))
-            done += 1
         except FuncbandError:
             failures += 1
     wall = time.perf_counter() - start
+    done = spec.reps - failures
     if done == 0:
         rate, med, se = float("nan"), float("nan"), float("nan")
     else:
@@ -339,7 +346,7 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
         finite = [t for t in thresholds if np.isfinite(t)]
         med = float(np.median(finite)) if finite else float("nan")
         se = sqrt(rate * (1.0 - rate) / done)
-    flagged = spec.reps > 0 and failures > 0.01 * spec.reps
+    flagged = failures > 0.01 * spec.reps
     return ExperimentRow(
         model=spec.model, method=method, n=spec.n, p=spec.p, h=spec.h,
         level=spec.level, reps=spec.reps, seed=spec.seed, rate=rate,

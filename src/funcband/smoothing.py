@@ -86,8 +86,8 @@ class Bandwidth:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.values or any(h <= 0 for h in self.values):
-            raise GridError("bandwidths must be positive")
+        if not self.values or not all(h > 0 for h in self.values):
+            raise GridError(f"bandwidths must be positive, got h={self.values}")
 
     @classmethod
     def of(cls, h, dim: int = 1) -> "Bandwidth":

@@ -41,6 +41,12 @@ def _check_level(gamma: float) -> None:
         raise FuncbandError(f"level (gamma) must lie in (0,1), got gamma={gamma!r}")
 
 
+def _check_seed(seed) -> None:
+    """Reject a seed that ``numpy.random.SeedSequence`` would not take."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise FuncbandError(f"seed must be a non-negative integer, got seed={seed!r}")
+
+
 def default_path_count(p: int) -> int:
     """Path-count schedule by design size: 8000 / 10000 / 13000."""
     if p <= 10:
@@ -59,6 +65,7 @@ class SupQuantileRequest:
 
     def __post_init__(self):
         _check_level(self.level)
+        _check_seed(self.seed)
         if self.paths < 100:
             raise FuncbandError("need at least 100 simulated paths")
 

@@ -101,6 +101,16 @@ class TestNormalScb:
         np.testing.assert_allclose(data["lower"], band.lower, atol=1e-12)
 
 
+def test_negative_seed_rejected(eval_grid):
+    sample = gen_model1(12, 30, seed_or_rng=210)
+    for build in (normal_scb, prediction_band,
+                  lambda *a, seed: bootstrap_scb(*a, bootstraps=50, seed=seed)):
+        with pytest.raises(FuncbandError, match="seed"):
+            build(sample, eval_grid, 0.1, seed=-1)
+    with pytest.raises(FuncbandError, match="seed"):
+        split_half_bandwidth(sample, [0.1, 0.2], seed=-1)
+
+
 class TestBootstrapScb:
     def test_single_resample_order_statistic(self, eval_grid):
         sample = gen_model1(12, 30, seed_or_rng=200)

@@ -103,6 +103,20 @@ class TestScb:
         assert code == EXIT_DEGENERATE
         assert "degenerate" in stderr
 
+    def test_negative_seed(self, curves_csv, capsys):
+        code, _, stderr = run(
+            capsys, "scb", "--in", curves_csv, "--h", "0.2", "--seed", "-1")
+        assert code == EXIT_PARSE
+        assert "seed=-1" in stderr
+
+    def test_out_into_missing_directory(self, curves_csv, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x")
+        code, _, stderr = run(
+            capsys, "scb", "--in", curves_csv, "--h", "0.2", "--grid-size", "20",
+            "--paths", "500", "--seed", "1", "--out", out)
+        assert code == EXIT_PARSE
+        assert f"cannot write {out}.csv" in stderr
+
     def test_missing_file(self, capsys):
         code, _, stderr = run(
             capsys, "scb", "--in", "/nonexistent/x.csv", "--h", "0.2", "--seed", "1")
@@ -243,6 +257,17 @@ class TestSimulate:
             capsys, "simulate", "--model", "1", "--n", "8", "--p", "20",
             "--h", "0.2", "--reps", "1", "--seed", "22", "--method", "magic")
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--reps", "-2", "reps=-2"), ("--paths", "5", "paths=5"), ("--h", "-0.1", "h=(-0.1,)"),
+        ("--level", "1.5", "gamma=1.5"), ("--seed", "-1", "seed=-1"), ("--B", "0", "bootstraps=0"),
+        ("--grid-size", "0", "grid_size=0")])
+    def test_bad_spec_field(self, capsys, flag, value, named):
+        argv = {"--model": "1", "--n": "8", "--p": "20", "--h": "0.2", "--reps": "1",
+                "--seed": "22", flag: value}
+        code, stdout, stderr = run(capsys, "simulate", *[t for kv in argv.items() for t in kv])
+        assert code == EXIT_PARSE
+        assert named in stderr and stdout == ""
 
 
 class TestConfig:

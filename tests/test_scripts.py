@@ -23,3 +23,18 @@ def test_demo_workflow_runs(tmp_path):
     for tag in ("normal band", "bootstrap band", "prediction band", "lack-of-fit",
                 "plrt benchmark", "two-sample comparison"):
         assert tag in out.stdout
+
+
+def test_reproduce_tables_runs():
+    src = str(Path(funcband.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"),
+         "--table", "2", "--reps", "2", "--bootstraps", "50"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120, check=True)
+    lines = out.stdout.strip().splitlines()
+    assert lines[0].startswith("model,method,")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(r["n"], r["method"]) for r in rows] == [
+        (n, m) for n in ("10", "20", "50") for m in ("normal-scb", "bootstrap-scb")]
+    assert all(r["reps"] == "2" and r["failures"] == "0" for r in rows)

@@ -123,6 +123,22 @@ class TestModelSpec:
         with pytest.raises(FuncbandError):
             ModelSpec(model="m1", n=1, p=10, h=0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("h", -0.1), ("h", 0.0), ("h", float("nan")), ("level", 1.5), ("level", 0.0),
+        ("reps", -2), ("paths", 5), ("bootstraps", 0), ("grid_size", 0), ("seed", -1),
+        ("kernel", "box"), ("p", 1)])
+    def test_every_field_is_checked(self, field, value):
+        args = dict(model="m1", n=5, p=10, h=0.2, reps=1)
+        args[field] = value
+        name = "gamma" if field == "level" else field
+        with pytest.raises(FuncbandError, match=name if field != "kernel" else "kernel"):
+            ModelSpec(**args)
+
+    def test_negative_seed_in_generators(self):
+        for gen in (gen_model1, gen_model2, gen_model3):
+            with pytest.raises(FuncbandError, match="seed"):
+                gen(10, 20, -1)
+
     def test_unknown_method(self):
         spec = ModelSpec(model="m1", n=5, p=10, h=0.2, reps=1)
         with pytest.raises(FuncbandError):

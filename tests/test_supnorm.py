@@ -28,6 +28,14 @@ class TestRequestValidation:
         with pytest.raises(FuncbandError):
             _request([[1.0]], paths=50)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_bad_seed(self, seed):
+        with pytest.raises(FuncbandError, match="seed"):
+            _request([[1.0]], seed=seed)
+
+    def test_numpy_integer_seed(self):
+        assert _request([[1.0]], seed=np.int64(3)).seed == 3
+
 
 class TestSimulateSupNorms:
     def test_single_point_is_absolute_normal(self):
