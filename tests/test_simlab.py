@@ -130,8 +130,7 @@ class TestModelSpec:
     def test_every_field_is_checked(self, field, value):
         args = dict(model="m1", n=5, p=10, h=0.2, reps=1)
         args[field] = value
-        name = "gamma" if field == "level" else field
-        with pytest.raises(FuncbandError, match=name if field != "kernel" else "kernel"):
+        with pytest.raises(FuncbandError, match="gamma" if field == "level" else field):
             ModelSpec(**args)
 
     def test_negative_seed_in_generators(self):
