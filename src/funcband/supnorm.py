@@ -105,10 +105,14 @@ def simulate_sup_norms(request: SupQuantileRequest) -> tuple[np.ndarray, float]:
     """Simulate sup-absolute values of the Gaussian process; deterministic
     given the seed."""
     factor, mass = _sqrt_factor(request.table())
-    m = factor.shape[0]
+    z = np.empty((min(_CHUNK, request.paths), factor.shape[0]))
+    y = np.empty_like(z)
 
     def draw(rng, k):
-        return np.abs(rng.standard_normal((k, m)) @ factor).max(axis=1)
+        zk, yk = z[:k], y[:k]
+        rng.standard_normal(out=zk)
+        np.matmul(zk, factor, out=yk)
+        return np.abs(yk, out=yk).max(axis=1)
 
     parts = map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
     return np.concatenate(parts), mass
