@@ -29,9 +29,11 @@ from .moments import (
 from .smoothing import Bandwidth, Kernel, fit_mean
 from .supnorm import (
     SupQuantileRequest,
+    _check_draws,
     _check_level,
     _check_seed,
     _quantile_stderr,
+    _thin_root,
     default_path_count,
     map_philox_chunks,
     order_statistic_quantile,
@@ -145,14 +147,21 @@ def _provenance(h, kernel, seed, **extra) -> dict:
     return d
 
 
+def _thin_band_root(mean_fit, sigma, lam):
+    """The thin square root of the shrunk correlation of ``mean_fit``'s
+    curves, or None where the dense root is used."""
+    return _thin_root((mean_fit.curves - mean_fit.mean[None, :]) / sigma[None, :], lam)
+
+
 def _gaussian_band(method, eval, center, sigma, corr, divisor, gamma, paths, p, seed,
-                   h, kernel, lam) -> BandResult:
+                   h, kernel, lam, root=None) -> BandResult:
     """The Gaussian band center +/- c sigma / divisor, with c the Monte-Carlo
-    sup-norm quantile of the Gaussian process with correlation ``corr``;
-    ``divisor`` is sqrt(n) for a mean band and 1.0 for a prediction band, and
-    ``paths`` defaults by the design size ``p``."""
+    sup-norm quantile of the Gaussian process with correlation ``corr``,
+    drawn through ``root`` when given; ``divisor`` is sqrt(n) for a mean band
+    and 1.0 for a prediction band, and ``paths`` defaults by the design size
+    ``p``."""
     n_paths = paths if paths is not None else default_path_count(p)
-    res = sup_quantile(SupQuantileRequest(corr, gamma, n_paths, seed))
+    res = sup_quantile(SupQuantileRequest(corr, gamma, n_paths, seed, _root=root))
     return BandResult(
         grid=eval,
         center=center,
@@ -179,7 +188,8 @@ def normal_scb(
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
     return _gaussian_band("normal", eval, mean_fit.mean, sigma, corr, sqrt(sample.n_curves),
-                          gamma, paths, sample.n_points, seed, h, kernel, lam)
+                          gamma, paths, sample.n_points, seed, h, kernel, lam,
+                          _thin_band_root(mean_fit, sigma, lam))
 
 
 _BOOT_CHUNK = 512
@@ -265,6 +275,7 @@ def bootstrap_scb(
     _check_seed(seed)
     if bootstraps < 1:
         raise FuncbandError("need at least one bootstrap resample")
+    _check_draws("bootstraps", bootstraps, sample.n_curves)
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma = np.sqrt(_checked_variance(mean_fit))
     z_star, redraws = _bootstrap_sup_stats(mean_fit.curves, mean_fit.mean, bootstraps, seed)
@@ -343,7 +354,8 @@ def prediction_band(
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
     return _gaussian_band("prediction", eval, mean_fit.mean, sigma, corr, 1.0, gamma, paths,
-                          sample.n_points, seed, h, kernel, lam)
+                          sample.n_points, seed, h, kernel, lam,
+                          _thin_band_root(mean_fit, sigma, lam))
 
 
 def split_half_bandwidth(

@@ -26,7 +26,7 @@ from .grids import EvalGrid, FunctionalSample, make_eval_grid, uniform_design_gr
 from .moments import CorrelationField, ShrinkageSpec
 from .plrt import plrt_test
 from .smoothing import Bandwidth, kernel_by_name, weight_matrix
-from .supnorm import (SupQuantileRequest, _check_level, _check_seed, _sqrt_factor,
+from .supnorm import (SupQuantileRequest, _check_draws, _check_level, _check_seed, _sqrt_factor,
                       default_path_count, sup_quantile)
 
 __all__ = [
@@ -244,6 +244,9 @@ class ModelSpec:
                 raise FuncbandError(f"{name} must be >= {low}, got {name}={getattr(self, name)!r}")
         if self.paths is not None and self.paths < 100:
             raise FuncbandError(f"paths must be None or >= 100, got paths={self.paths!r}")
+        paths = self.paths if self.paths is not None else default_path_count(self.p)
+        _check_draws("paths", paths, self.grid_size)
+        _check_draws("bootstraps", self.bootstraps, self.n)
 
 
 @dataclass(frozen=True)

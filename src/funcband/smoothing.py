@@ -46,7 +46,9 @@ class Kernel:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        out = np.where(np.abs(u) < 1.0, self.profile(u), 0.0)
+        inside = np.abs(u) < 1.0
+        out = np.zeros(u.shape)
+        out[inside] = self.profile(u[inside])  # outside, u*u may overflow
         return out
 
 
@@ -135,7 +137,9 @@ def weight_matrix(
         raise GridError("design and evaluation grids must share the dimension")
     h = Bandwidth.of(h, grid.dim)
     diff = np.ascontiguousarray(grid.coords().T) - eval.coords()[:, :, None]   # (m, d, p)
-    k = math.prod(kernel(diff[:, a] / b) for a, b in enumerate(h.values))    # (m, p)
+    with np.errstate(over="ignore"):    # a subnormal h sends far offsets to +-inf
+        u = diff / np.asarray(h.values)[None, :, None]
+    k = math.prod(kernel(u[:, a]) for a in range(grid.dim))    # (m, p)
     active = (k > 0).sum(axis=1)
     need = grid.dim + 1
     if np.any(active < need):

@@ -1,15 +1,26 @@
 """Monte-Carlo sup-norm quantiles of centered Gaussian processes on a grid.
 
-A correlation table is factored through its symmetric PSD square root (after
-eigenvalue repair); sample paths are L z with z standard normal, and the
-threshold is the ceil((1-gamma) N)-th order statistic of the simulated
-sup-absolute values.  Randomness is counter-based (Philox) with per-chunk
-substreams, so a given seed gives bit-identical output.
+Sample paths are z L with z a row of standard normals and L a symmetric
+square root of the correlation table; the threshold is the
+ceil((1-gamma) N)-th order statistic of the simulated sup-absolute values.
+L takes one of two forms:
+
+* dense: the m x m PSD root from an eigendecomposition of the table (after
+  eigenvalue repair), applied by one k x m x m product per chunk;
+* thin: for a shrunk empirical correlation (1-lam) Xs'Xs/(n-1) + lam I of
+  n < m/2 curves, sqrt(lam) I + V diag(d) V' from the thin SVD of the
+  n x m standardized deviations Xs, applied by two k x m x n products.  The
+  bands pass it with the request; the result differs from the dense root by
+  rounding only.
+
+Paths are drawn in chunks of at most 2048 into one normal buffer and one
+product buffer allocated per call.  Randomness is counter-based (Philox)
+with per-chunk substreams, so a given seed gives bit-identical output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, sqrt
 
 import numpy as np
@@ -33,6 +44,13 @@ _TIE_RTOL = 1e-8
 # Eigenvalues at or below this fraction of the largest are rounding noise of
 # a rank-deficient table; their square roots (about sqrt(eps)) are zeroed.
 _EIG_RTOL = 1e-12
+# The thin root is taken only for shrinkage intensities at or above this:
+# every eigenvalue of the shrunk table is then at least lambda, far above the
+# _EIG_RTOL floor and eigh's rounding, so the dense root would clip nothing.
+_THIN_MIN_LAMBDA = 1e-6
+# Largest number of random numbers one call may draw: standard normals
+# (paths x grid points) or bootstrap indices (resamples x curves).
+_MAX_DRAWS = 10**8
 
 
 def _check_level(gamma: float) -> None:
@@ -45,6 +63,15 @@ def _check_seed(seed) -> None:
     """Reject a seed that ``numpy.random.SeedSequence`` would not take."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise FuncbandError(f"seed must be a non-negative integer, got seed={seed!r}")
+
+
+def _check_draws(name: str, count, per_draw: int) -> None:
+    """Reject a path or resample count whose ``per_draw`` random numbers
+    each would add up to more than ``_MAX_DRAWS``."""
+    limit = _MAX_DRAWS // max(per_draw, 1)
+    if count > limit:
+        raise FuncbandError(f"{name} must be at most {limit} ({per_draw} random draws each, "
+                            f"{_MAX_DRAWS:.0e} in all), got {name}={count!r}")
 
 
 def default_path_count(p: int) -> int:
@@ -62,12 +89,17 @@ class SupQuantileRequest:
     level: float            # gamma, the tail probability
     paths: int
     seed: int
+    # The thin root of a shrunk empirical correlation, set by the bands;
+    # None draws through the dense root of table().
+    _root: _ThinRoot | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_level(self.level)
         _check_seed(self.seed)
         if self.paths < 100:
             raise FuncbandError("need at least 100 simulated paths")
+        table = self.table()
+        _check_draws("paths", self.paths, table.shape[0] if table.ndim else 1)
 
     def table(self) -> np.ndarray:
         c = self.correlation
@@ -92,6 +124,40 @@ def _sqrt_factor(table: np.ndarray) -> tuple[np.ndarray, float]:
     return factor, mass
 
 
+@dataclass(frozen=True)
+class _ThinRoot:
+    """sqrt(lam) I + V diag(d) V', the symmetric square root of the shrunk
+    correlation (1-lam) Xs'Xs/(n-1) + lam I, where Xs = U diag(s) V' is the
+    thin SVD of the n x m standardized deviations and
+    d = sqrt((1-lam) s^2/(n-1) + lam) - sqrt(lam)."""
+
+    a: float            # sqrt(lam)
+    vt: np.ndarray      # V', r x m with r = min(n, m)
+    d: np.ndarray
+
+    def times(self, z: np.ndarray, out: np.ndarray) -> None:
+        """out = z L.  Scales z by sqrt(lam) in place, so that no third
+        k x m array is allocated."""
+        t = z @ self.vt.T
+        t *= self.d
+        np.matmul(t, self.vt, out=out)
+        z *= self.a
+        out += z
+
+
+def _thin_root(xs: np.ndarray, lam: float) -> _ThinRoot | None:
+    """The thin root of the shrunk correlation of the n x m standardized
+    deviations ``xs``, or None where the dense root is used instead: for
+    2n >= m, where two k x m x n products save little over one k x m x m,
+    and for lam below _THIN_MIN_LAMBDA."""
+    n, m = xs.shape
+    if 2 * n >= m or lam < _THIN_MIN_LAMBDA:
+        return None
+    _, s, vt = np.linalg.svd(xs, full_matrices=False)
+    a = sqrt(lam)
+    return _ThinRoot(a, vt, np.sqrt((1.0 - lam) * s * s / (n - 1) + lam) - a)
+
+
 def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
     """Apply ``draw(rng, k)`` to consecutive chunks of at most ``chunk`` of
     ``total`` draws, each chunk with its own Philox substream spawned from
@@ -103,15 +169,22 @@ def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
 
 def simulate_sup_norms(request: SupQuantileRequest) -> tuple[np.ndarray, float]:
     """Simulate sup-absolute values of the Gaussian process; deterministic
-    given the seed."""
-    factor, mass = _sqrt_factor(request.table())
-    z = np.empty((min(_CHUNK, request.paths), factor.shape[0]))
+    given the seed.  Uses the request's thin root when it has one (nothing
+    is clipped then), else the dense root of its table."""
+    if request._root is None:
+        factor, mass = _sqrt_factor(request.table())
+
+        def times_root(z, out):
+            np.matmul(z, factor, out=out)
+    else:
+        times_root, mass = request._root.times, 0.0
+    z = np.empty((min(_CHUNK, request.paths), request.table().shape[0]))
     y = np.empty_like(z)
 
     def draw(rng, k):
         zk, yk = z[:k], y[:k]
         rng.standard_normal(out=zk)
-        np.matmul(zk, factor, out=yk)
+        times_root(zk, yk)
         return np.abs(yk, out=yk).max(axis=1)
 
     parts = map_philox_chunks(request.paths, _CHUNK, request.seed, draw)

@@ -11,6 +11,7 @@ from funcband import (
     FunctionalSample,
     GridError,
     SampleValidationError,
+    ShrinkageSpec,
     band_covers,
     bootstrap_scb,
     make_eval_grid,
@@ -22,6 +23,7 @@ from funcband import (
     two_sample_scb,
     uniform_design_grid,
 )
+from funcband import bands, supnorm
 from funcband.bands import _bootstrap_sup_stats
 from funcband.simlab import gen_model1, m1_mean
 from funcband.smoothing import fit_mean
@@ -118,12 +120,19 @@ class TestBootstrapScb:
         assert band.threshold > 0  # the single z* value, by the ceil convention
         assert band.method == "bootstrap"
 
-    def test_deterministic_across_threads(self, eval_grid):
+    def test_deterministic_for_same_seed(self, eval_grid):
         sample = gen_model1(12, 30, seed_or_rng=201)
         a = bootstrap_scb(sample, eval_grid, 0.1, bootstraps=600, seed=8)
         b = bootstrap_scb(sample, eval_grid, 0.1, bootstraps=600, seed=8)
         assert a.threshold == b.threshold
         np.testing.assert_array_equal(a.half_width, b.half_width)
+
+    def test_resample_limit(self, eval_grid):
+        # 12 curves: at most 1e8 / 12 resamples; both values are rejected before any draw
+        sample = gen_model1(12, 30, seed_or_rng=203)
+        for bootstraps in (10**8 // 12 + 1, 10**23):
+            with pytest.raises(FuncbandError, match=f"bootstraps={bootstraps}"):
+                bootstrap_scb(sample, eval_grid, 0.1, bootstraps=bootstraps, seed=1)
 
     def test_uses_original_sigma(self, eval_grid):
         sample = gen_model1(12, 30, seed_or_rng=202)
@@ -266,6 +275,55 @@ class TestPredictionBand:
         clones = FunctionalSample(grid=grid, values=np.tile(row, (6, 1)))
         with pytest.raises(DegenerateVarianceError):
             prediction_band(clones, eval_grid, 0.15, seed=14)
+
+
+def _refuse_dense_root(table):
+    raise AssertionError("dense square root taken")
+
+
+class TestSquareRootChoice:
+    """Mean and prediction bands of n < m/2 curves draw through the thin root
+    of the shrunk correlation; every other Gaussian band takes the dense one."""
+
+    def test_thin_root_for_few_curves(self, monkeypatch):
+        grid = uniform_design_grid(15, 15)
+        rng = np.random.default_rng(17)
+        values = np.sin(2 * np.pi * grid.points[:, 0]) + rng.standard_normal((40, 225))
+        calls = [
+            lambda: normal_scb(FunctionalSample(grid=grid, values=values),
+                               make_eval_grid(25, dim=2), (0.2, 0.2), seed=3),
+            lambda: prediction_band(gen_model1(10, 30, seed_or_rng=18), make_eval_grid(100),
+                                    0.1, seed=4),
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(supnorm, "_sqrt_factor", _refuse_dense_root)
+            thin = [call() for call in calls]
+        monkeypatch.setattr(bands, "_thin_root", lambda xs, lam: None)
+        for band, dense in zip(thin, (call() for call in calls)):
+            assert band.details["clipped_mass"] == 0.0
+            assert band.threshold == pytest.approx(dense.threshold, rel=1e-12, abs=0)
+            np.testing.assert_allclose(band.half_width, dense.half_width, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(band.center, dense.center)
+
+    @pytest.mark.parametrize("case", ["lambda 0", "2n >= m", "two-sample", "gof"])
+    def test_dense_root_kept(self, case, monkeypatch):
+        few = gen_model1(10, 30, seed_or_rng=19)
+        grid = make_eval_grid(100)
+        build = {
+            "lambda 0": lambda: normal_scb(few, grid, 0.1, paths=500, seed=1,
+                                           shrinkage=ShrinkageSpec(intensity=0.0)),
+            "2n >= m": lambda: normal_scb(gen_model1(50, 30, seed_or_rng=20), grid, 0.1,
+                                          paths=500, seed=1),
+            "two-sample": lambda: two_sample_scb(few, gen_model1(10, 30, seed_or_rng=21), grid,
+                                                 0.1, paths=500, seed=1),
+            "gof": lambda: scb_gof_test(few, polynomial_basis(1), grid, 0.1, paths=500, seed=1),
+        }[case]
+        taken = []
+        dense_root = supnorm._sqrt_factor
+        monkeypatch.setattr(supnorm, "_sqrt_factor",
+                            lambda table: taken.append(table.shape) or dense_root(table))
+        build()
+        assert taken == [(100, 100)]
 
 
 def test_gaussian_bands_share_details_keys(sample50, eval_grid):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, outputs, and config."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from funcband import FunctionalSample, uniform_design_grid, write_curves_csv
 from funcband.cli import EXIT_DEGENERATE, EXIT_ILL_POSED, EXIT_OK, EXIT_PARSE, main
 from funcband.simlab import gen_model1
+
+_HUGE = "1" + "0" * 23      # 1e23 paths or resamples: rejected before any draw
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,23 @@ class TestScb:
             "--grid-size", "30", "--paths", "2000", "--seed", "5")
         assert code == EXIT_ILL_POSED
         assert "ill-posed" in stderr
+
+    @pytest.mark.parametrize("h", ["1e-300", "1e-320"])
+    def test_subnormal_bandwidth_warns_nothing(self, curves_csv, capsys, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, stderr = run(capsys, "scb", "--in", curves_csv, "--h", h, "--seed", "5")
+        assert code == EXIT_ILL_POSED
+        assert stderr.startswith("ill-posed") and "Warning" not in stderr
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--paths", _HUGE], f"paths={_HUGE}"),
+        (["--method", "bootstrap", "--B", _HUGE], f"bootstraps={_HUGE}")])
+    def test_draw_count_limit(self, curves_csv, capsys, flags, named):
+        code, stdout, stderr = run(capsys, "scb", "--in", curves_csv, "--h", "0.15",
+                                   "--seed", "5", *flags)
+        assert code == EXIT_PARSE
+        assert named in stderr and stdout == ""
 
     def test_degenerate_sample(self, tmp_path, capsys):
         grid = uniform_design_grid(20)
@@ -261,7 +281,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value, named", [
         ("--reps", "-2", "reps=-2"), ("--paths", "5", "paths=5"), ("--h", "-0.1", "h=(-0.1,)"),
         ("--level", "1.5", "gamma=1.5"), ("--seed", "-1", "seed=-1"), ("--B", "0", "bootstraps=0"),
-        ("--grid-size", "0", "grid_size=0")])
+        ("--grid-size", "0", "grid_size=0"), ("--paths", _HUGE, f"paths={_HUGE}"),
+        ("--B", _HUGE, f"bootstraps={_HUGE}")])
     def test_bad_spec_field(self, capsys, flag, value, named):
         argv = {"--model": "1", "--n": "8", "--p": "20", "--h": "0.2", "--reps": "1",
                 "--seed": "22", flag: value}

@@ -1,5 +1,6 @@
 """Random mixes of subcommands and flag values on tiny inputs (n, p, grid
-<= 20, paths <= 500, B <= 50, reps <= 2): ``main`` returns an exit code in
+<= 20, paths <= 500, B <= 50, reps <= 2; the one huge paths or B value is
+rejected before anything is drawn): ``main`` returns an exit code in
 {0, 2, 3, 4} and never raises."""
 
 import contextlib
@@ -28,11 +29,12 @@ SEEDS = _ints(0, 40, ["-1", "-3"])
 LEVELS = _mostly(["0.95", "0.9", "0.5"], ["1", "0", "1.5", "-0.1", "nan"])
 ALPHAS = _mostly(["0.05", "0.1", "0.5"], ["1", "0", "1.5", "-0.1", "nan"])
 H_VALUES = _mostly(["0.15", "0.3", "0.5", "cv", "split"],
-                   ["0", "-0.1", "nan", "inf", "abc", "1e-6"])
+                   ["0", "-0.1", "nan", "inf", "abc", "1e-6", "1e-300"])
 H_CANDIDATES = _mostly(["0.1,0.2", "0.3", "0.2,0.4,0.6"], ["a,b", "-0.1,0.2", "0", "nan", ""])
-PATHS = _ints(100, 500, ["5", "0", "-1"])
+HUGE = "1" + "0" * 23      # rejected before anything is drawn
+PATHS = _ints(100, 500, ["5", "0", "-1", HUGE])
 GRID_SIZES = _ints(1, 20, ["0", "-1"])
-BOOTSTRAPS = _ints(1, 50, ["0", "-2"])
+BOOTSTRAPS = _ints(1, 50, ["0", "-2", HUGE])
 REPS = _ints(0, 2, ["-1", "-2"])
 SIZES = _ints(2, 20, ["1", "0", "-1"])
 BASES = _mostly(["poly:0", "poly:1", "poly:2"],

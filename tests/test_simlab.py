@@ -126,7 +126,7 @@ class TestModelSpec:
     @pytest.mark.parametrize("field, value", [
         ("h", -0.1), ("h", 0.0), ("h", float("nan")), ("level", 1.5), ("level", 0.0),
         ("reps", -2), ("paths", 5), ("bootstraps", 0), ("grid_size", 0), ("seed", -1),
-        ("kernel", "box"), ("p", 1)])
+        ("kernel", "box"), ("p", 1), ("paths", 10**6 + 1), ("bootstraps", 10**23)])
     def test_every_field_is_checked(self, field, value):
         args = dict(model="m1", n=5, p=10, h=0.2, reps=1)
         args[field] = value
@@ -150,7 +150,7 @@ class TestRunExperiment:
         return ModelSpec(model="m1", n=10, p=20, h=0.15, reps=8, seed=42,
                          grid_size=30, paths=2000)
 
-    def test_deterministic_and_thread_invariant(self, small_spec):
+    def test_deterministic_for_same_seed(self, small_spec):
         a = run_experiment(small_spec, "normal-scb")
         b = run_experiment(small_spec, "normal-scb")
         assert a.rate == b.rate

@@ -1,6 +1,7 @@
 """Kernels, local linear weights (d=1, d=2), curve smoothing, and CV bandwidth."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,15 @@ class TestWeights1d:
         grid = uniform_design_grid(10)
         with pytest.raises(IllPosedBandwidthError):
             local_linear_weights(grid, 0.5, 0.01)
+
+    @pytest.mark.parametrize("h", [1e-300, 1e-320])
+    @pytest.mark.parametrize("kernel", [epanechnikov(), truncated_gaussian()])
+    def test_tiny_bandwidth_is_error_without_warnings(self, h, kernel):
+        # offsets / h reach 1e300 or overflow to inf; no numpy warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllPosedBandwidthError):
+                weight_matrix(uniform_design_grid(10), make_eval_grid(5), h, kernel)
 
     def test_weight_bound_does_not_grow_with_p(self):
         # max_j |W_j(x)| = O(1/(p h)): doubling p at fixed h must not grow p*h*max|W|

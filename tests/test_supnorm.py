@@ -6,12 +6,16 @@ from scipy.stats import kstest, norm
 
 from funcband import (
     FuncbandError,
+    ShrinkageSpec,
     SupQuantileRequest,
     default_path_count,
+    empirical_correlation,
+    make_eval_grid,
+    shrink_correlation,
     simulate_sup_norms,
     sup_quantile,
 )
-from funcband.supnorm import _quantile_stderr, order_statistic_quantile
+from funcband.supnorm import _quantile_stderr, _sqrt_factor, _thin_root, order_statistic_quantile
 
 
 def _request(table, gamma=0.05, paths=20000, seed=0):
@@ -35,6 +39,13 @@ class TestRequestValidation:
 
     def test_numpy_integer_seed(self):
         assert _request([[1.0]], seed=np.int64(3)).seed == 3
+
+    def test_draw_limit(self):
+        # 1e8 normals in all: 1e6 paths on 100 points is the most; nothing is drawn here
+        assert _request(np.eye(100), paths=10**6).paths == 10**6
+        for paths in (10**6 + 1, 10**23):
+            with pytest.raises(FuncbandError, match=f"paths={paths}"):
+                _request(np.eye(100), paths=paths)
 
 
 class TestSimulateSupNorms:
@@ -62,11 +73,57 @@ class TestSimulateSupNorms:
         stat, p = ks_2samp(values[::2], values[1::2])
         assert p > 0.01
 
-    def test_determinism_across_threads(self):
+    def test_determinism_for_same_seed(self):
         table = np.exp(-5.0 * np.abs(np.subtract.outer(np.arange(30), np.arange(30))) / 30)
         a, _ = simulate_sup_norms(_request(table, paths=9000, seed=5))
         b, _ = simulate_sup_norms(_request(table, paths=9000, seed=5))
         np.testing.assert_array_equal(a, b)
+
+
+def _curves(n, m, seed):
+    """n random-walk curves on m points."""
+    return np.random.default_rng(seed).standard_normal((n, m)).cumsum(axis=1)
+
+
+class TestThinRoot:
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("lam", [1e-6, 0.05, 0.5, 1.0])
+    def test_matches_dense_root(self, n, lam):
+        m = 40
+        curves = _curves(n, m, seed=n)
+        mean = curves.mean(axis=0)
+        sd = curves.std(axis=0, ddof=1)
+        raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
+        table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0].table
+        root = _thin_root((curves - mean) / sd, lam)
+        assert root.vt.shape == (n, m)
+        thin = root.a * np.eye(m) + (root.vt.T * root.d) @ root.vt
+        dense, mass = _sqrt_factor(table)
+        assert mass == 0.0
+        np.testing.assert_allclose(thin @ thin, table, rtol=0, atol=1e-12)
+        # A root of the float table is uncertain by its rounding (about m eps)
+        # over 2 sqrt(lam); at lam = 1e-6 that exceeds 1e-12, for both roots.
+        eps = np.finfo(float).eps
+        tol = max(1e-12, 8 * eps * m / (2 * np.sqrt(lam)))
+        np.testing.assert_allclose(thin, dense, rtol=0, atol=tol)
+
+    def test_times_is_the_dense_product(self):
+        curves = _curves(5, 30, seed=1)
+        xs = (curves - curves.mean(axis=0)) / curves.std(axis=0, ddof=1)
+        root = _thin_root(xs, 0.2)
+        thin = root.a * np.eye(30) + (root.vt.T * root.d) @ root.vt
+        z = np.random.default_rng(2).standard_normal((7, 30))
+        expected = z @ thin
+        out = np.empty_like(z)
+        root.times(z, out)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, lam", [(20, 0.5), (30, 0.5), (5, 0.0), (5, 9e-7)])
+    def test_dense_root_where_thin_does_not_apply(self, n, lam):
+        # 2n >= m, or lambda below 1e-6
+        curves = _curves(n, 40, seed=3)
+        xs = (curves - curves.mean(axis=0)) / curves.std(axis=0, ddof=1)
+        assert _thin_root(xs, lam) is None
 
 
 class TestQuantileStderr:
