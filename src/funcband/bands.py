@@ -147,12 +147,6 @@ def _provenance(h, kernel, seed, **extra) -> dict:
     return d
 
 
-def _thin_band_root(mean_fit, sigma, lam):
-    """The thin square root of the shrunk correlation of ``mean_fit``'s
-    curves, or None where the dense root is used."""
-    return _thin_root((mean_fit.curves - mean_fit.mean[None, :]) / sigma[None, :], lam)
-
-
 def _gaussian_band(method, eval, center, sigma, corr, divisor, gamma, paths, p, seed,
                    h, kernel, lam, root=None) -> BandResult:
     """The Gaussian band center +/- c sigma / divisor, with c the Monte-Carlo
@@ -189,7 +183,7 @@ def normal_scb(
     sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
     return _gaussian_band("normal", eval, mean_fit.mean, sigma, corr, sqrt(sample.n_curves),
                           gamma, paths, sample.n_points, seed, h, kernel, lam,
-                          _thin_band_root(mean_fit, sigma, lam))
+                          _thin_root(mean_fit.curves, mean_fit.mean, sigma, lam))
 
 
 _BOOT_CHUNK = 512
@@ -355,7 +349,7 @@ def prediction_band(
     sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
     return _gaussian_band("prediction", eval, mean_fit.mean, sigma, corr, 1.0, gamma, paths,
                           sample.n_points, seed, h, kernel, lam,
-                          _thin_band_root(mean_fit, sigma, lam))
+                          _thin_root(mean_fit.curves, mean_fit.mean, sigma, lam))
 
 
 def split_half_bandwidth(

@@ -145,15 +145,17 @@ class _ThinRoot:
         out += z
 
 
-def _thin_root(xs: np.ndarray, lam: float) -> _ThinRoot | None:
-    """The thin root of the shrunk correlation of the n x m standardized
-    deviations ``xs``, or None where the dense root is used instead: for
-    2n >= m, where two k x m x n products save little over one k x m x m,
-    and for lam below _THIN_MIN_LAMBDA."""
-    n, m = xs.shape
+def _thin_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray,
+               lam: float) -> _ThinRoot | None:
+    """The thin root of the shrunk correlation of n ``curves`` on m points
+    with pointwise ``mean`` and standard deviation ``sigma``, or None where
+    the dense root is used instead: for 2n >= m, where two k x m x n
+    products save little over one k x m x m, and for lam below
+    _THIN_MIN_LAMBDA."""
+    n, m = curves.shape
     if 2 * n >= m or lam < _THIN_MIN_LAMBDA:
         return None
-    _, s, vt = np.linalg.svd(xs, full_matrices=False)
+    _, s, vt = np.linalg.svd((curves - mean) / sigma, full_matrices=False)
     a = sqrt(lam)
     return _ThinRoot(a, vt, np.sqrt((1.0 - lam) * s * s / (n - 1) + lam) - a)
 

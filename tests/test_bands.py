@@ -298,7 +298,7 @@ class TestSquareRootChoice:
         with monkeypatch.context() as patch:
             patch.setattr(supnorm, "_sqrt_factor", _refuse_dense_root)
             thin = [call() for call in calls]
-        monkeypatch.setattr(bands, "_thin_root", lambda xs, lam: None)
+        monkeypatch.setattr(bands, "_thin_root", lambda *args: None)
         for band, dense in zip(thin, (call() for call in calls)):
             assert band.details["clipped_mass"] == 0.0
             assert band.threshold == pytest.approx(dense.threshold, rel=1e-12, abs=0)

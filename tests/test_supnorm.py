@@ -95,7 +95,7 @@ class TestThinRoot:
         sd = curves.std(axis=0, ddof=1)
         raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
         table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0].table
-        root = _thin_root((curves - mean) / sd, lam)
+        root = _thin_root(curves, mean, sd, lam)
         assert root.vt.shape == (n, m)
         thin = root.a * np.eye(m) + (root.vt.T * root.d) @ root.vt
         dense, mass = _sqrt_factor(table)
@@ -109,8 +109,7 @@ class TestThinRoot:
 
     def test_times_is_the_dense_product(self):
         curves = _curves(5, 30, seed=1)
-        xs = (curves - curves.mean(axis=0)) / curves.std(axis=0, ddof=1)
-        root = _thin_root(xs, 0.2)
+        root = _thin_root(curves, curves.mean(axis=0), curves.std(axis=0, ddof=1), 0.2)
         thin = root.a * np.eye(30) + (root.vt.T * root.d) @ root.vt
         z = np.random.default_rng(2).standard_normal((7, 30))
         expected = z @ thin
@@ -122,8 +121,7 @@ class TestThinRoot:
     def test_dense_root_where_thin_does_not_apply(self, n, lam):
         # 2n >= m, or lambda below 1e-6
         curves = _curves(n, 40, seed=3)
-        xs = (curves - curves.mean(axis=0)) / curves.std(axis=0, ddof=1)
-        assert _thin_root(xs, lam) is None
+        assert _thin_root(curves, curves.mean(axis=0), curves.std(axis=0, ddof=1), lam) is None
 
 
 class TestQuantileStderr:
