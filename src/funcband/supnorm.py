@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, sqrt
+from typing import Callable
 
 import numpy as np
 
@@ -89,9 +90,9 @@ class SupQuantileRequest:
     level: float            # gamma, the tail probability
     paths: int
     seed: int
-    # The thin root of a shrunk empirical correlation, set by the bands;
-    # None draws through the dense root of table().
-    _root: _ThinRoot | None = field(default=None, repr=False, compare=False)
+    # The bands' thin root of a shrunk empirical correlation, as
+    # _thin_root's times(z, out); None draws through the dense root of table().
+    _root: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_level(self.level)
@@ -124,40 +125,31 @@ def _sqrt_factor(table: np.ndarray) -> tuple[np.ndarray, float]:
     return factor, mass
 
 
-@dataclass(frozen=True)
-class _ThinRoot:
-    """sqrt(lam) I + V diag(d) V', the symmetric square root of the shrunk
-    correlation (1-lam) Xs'Xs/(n-1) + lam I, where Xs = U diag(s) V' is the
-    thin SVD of the n x m standardized deviations and
-    d = sqrt((1-lam) s^2/(n-1) + lam) - sqrt(lam)."""
+def _thin_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):
+    """``times(z, out)``, which sets out = z L for the symmetric square root
+    L of the shrunk correlation (1-lam) Xs'Xs/(n-1) + lam I of n ``curves``
+    on m points, Xs = (curves - mean) / sigma; or None where the dense root
+    is used instead: for 2n >= m, where two k x m x n products save little
+    over one k x m x m, and for lam below _THIN_MIN_LAMBDA.
 
-    a: float            # sqrt(lam)
-    vt: np.ndarray      # V', r x m with r = min(n, m)
-    d: np.ndarray
-
-    def times(self, z: np.ndarray, out: np.ndarray) -> None:
-        """out = z L.  Scales z by sqrt(lam) in place, so that no third
-        k x m array is allocated."""
-        t = z @ self.vt.T
-        t *= self.d
-        np.matmul(t, self.vt, out=out)
-        z *= self.a
-        out += z
-
-
-def _thin_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray,
-               lam: float) -> _ThinRoot | None:
-    """The thin root of the shrunk correlation of n ``curves`` on m points
-    with pointwise ``mean`` and standard deviation ``sigma``, or None where
-    the dense root is used instead: for 2n >= m, where two k x m x n
-    products save little over one k x m x m, and for lam below
-    _THIN_MIN_LAMBDA."""
+    With the thin SVD Xs = U diag(s) V', L = a I + V diag(d) V' where
+    a = sqrt(lam) and d = sqrt((1-lam) s^2/(n-1) + lam) - a.  ``times``
+    scales z by a in place, so that no third k x m array is allocated."""
     n, m = curves.shape
     if 2 * n >= m or lam < _THIN_MIN_LAMBDA:
         return None
     _, s, vt = np.linalg.svd((curves - mean) / sigma, full_matrices=False)
     a = sqrt(lam)
-    return _ThinRoot(a, vt, np.sqrt((1.0 - lam) * s * s / (n - 1) + lam) - a)
+    d = np.sqrt((1.0 - lam) * s * s / (n - 1) + lam) - a
+
+    def times(z, out):
+        t = z @ vt.T
+        t *= d
+        np.matmul(t, vt, out=out)
+        z *= a
+        out += z
+
+    return times
 
 
 def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
@@ -179,7 +171,7 @@ def simulate_sup_norms(request: SupQuantileRequest) -> tuple[np.ndarray, float]:
         def times_root(z, out):
             np.matmul(z, factor, out=out)
     else:
-        times_root, mass = request._root.times, 0.0
+        times_root, mass = request._root, 0.0
     z = np.empty((min(_CHUNK, request.paths), request.table().shape[0]))
     y = np.empty_like(z)
 

@@ -95,9 +95,8 @@ class TestThinRoot:
         sd = curves.std(axis=0, ddof=1)
         raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
         table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0].table
-        root = _thin_root(curves, mean, sd, lam)
-        assert root.vt.shape == (n, m)
-        thin = root.a * np.eye(m) + (root.vt.T * root.d) @ root.vt
+        thin = np.empty((m, m))
+        _thin_root(curves, mean, sd, lam)(np.eye(m), thin)     # I L = L
         dense, mass = _sqrt_factor(table)
         assert mass == 0.0
         np.testing.assert_allclose(thin @ thin, table, rtol=0, atol=1e-12)
@@ -106,16 +105,6 @@ class TestThinRoot:
         eps = np.finfo(float).eps
         tol = max(1e-12, 8 * eps * m / (2 * np.sqrt(lam)))
         np.testing.assert_allclose(thin, dense, rtol=0, atol=tol)
-
-    def test_times_is_the_dense_product(self):
-        curves = _curves(5, 30, seed=1)
-        root = _thin_root(curves, curves.mean(axis=0), curves.std(axis=0, ddof=1), 0.2)
-        thin = root.a * np.eye(30) + (root.vt.T * root.d) @ root.vt
-        z = np.random.default_rng(2).standard_normal((7, 30))
-        expected = z @ thin
-        out = np.empty_like(z)
-        root.times(z, out)
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, lam", [(20, 0.5), (30, 0.5), (5, 0.0), (5, 9e-7)])
     def test_dense_root_where_thin_does_not_apply(self, n, lam):
