@@ -365,6 +365,8 @@ def split_half_bandwidth(
     half per candidate bandwidth, and return the candidate whose coverage of
     the second half is closest to the target level (ties to the smaller h)."""
     _check_seed(seed)
+    if paths is not None:
+        _check_draws("paths", paths, sample.n_points)
     n = sample.n_curves
     if n < 4:
         raise FuncbandError("split-half selection needs n >= 4 curves")

@@ -104,11 +104,11 @@ class TestScb:
         assert stderr.startswith("ill-posed") and "Warning" not in stderr
 
     @pytest.mark.parametrize("flags, named", [
-        (["--paths", _HUGE], f"paths={_HUGE}"),
-        (["--method", "bootstrap", "--B", _HUGE], f"bootstraps={_HUGE}")])
+        (["scb", "--h", "0.15", "--paths", _HUGE], f"paths={_HUGE}"),
+        (["scb", "--h", "0.15", "--method", "bootstrap", "--B", _HUGE], f"bootstraps={_HUGE}"),
+        (["predict", "--h", "split", "--paths", _HUGE], f"paths={_HUGE}")])
     def test_draw_count_limit(self, curves_csv, capsys, flags, named):
-        code, stdout, stderr = run(capsys, "scb", "--in", curves_csv, "--h", "0.15",
-                                   "--seed", "5", *flags)
+        code, stdout, stderr = run(capsys, *flags, "--in", curves_csv, "--seed", "5")
         assert code == EXIT_PARSE
         assert named in stderr and stdout == ""
 
