@@ -6,8 +6,7 @@ F = RSS_0/RSS_1 - 1 is calibrated by writing {F >= F_obs} as a Gaussian
 quadratic form being nonnegative.  The p-value is computed exactly by
 characteristic-function inversion (Imhof's method) of the weighted
 chi-square representation, integrated by vectorised adaptive Gauss-Kronrod
-quadrature in numpy; the classical three-cumulant a * chi2_b + c
-fit is also computed and reported as a diagnostic.
+quadrature in numpy.
 """
 
 from __future__ import annotations
@@ -40,19 +39,13 @@ class PlrtReport:
     statistic: float
     pvalue: float
     covariance_mode: str
-    cumulants: tuple[float, float, float]
-    fit: tuple[float, float, float]  # (a, b, c)
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
-        k1, k2, k3 = self.cumulants
-        a, b, c = self.fit
         return {
             "F": self.statistic,
             "p_value": self.pvalue,
             "covariance_mode": self.covariance_mode,
-            "cumulants": {"k1": k1, "k2": k2, "k3": k3},
-            "chi2_fit": {"a": a, "b": b, "c": c},
             "diagnostics": self.diagnostics,
         }
 
@@ -171,46 +164,29 @@ def _imhof_positive_tail(lambdas: np.ndarray) -> tuple[float, float]:
         f"{_IMHOF_TOL:.0e} after {rounds} refinement rounds on {lo.size} panels")
 
 
-def plrt_pvalue(a_mat: np.ndarray, sigma_over_n: np.ndarray, diagnostics: dict | None = None):
+def plrt_pvalue(a_mat: np.ndarray, sigma_over_n: np.ndarray,
+                diagnostics: dict | None = None) -> float:
     """Exact P(z' A z > 0) for z ~ N(0, Sigma/n) by Imhof inversion.
 
     The quadratic form equals sum_i lambda_i W_i with W_i ~ chi2_1 and
     lambda_i the eigenvalues of F' A F, where Sigma/n = F F' and F = V D^(1/2)
     comes from the eigendecomposition V D V' of Sigma/n.  If ``diagnostics``
     is a dict, the absolute error estimate of the p-value is stored in it
-    under ``imhof_abserr`` (0 when every lambda_i has the same sign).
-
-    The three-cumulant a * chi2_b + c fit
-    (kappa_r = 2^(r-1) (r-1)! trace((A Sigma/n)^r); a = k3/(4 k2),
-    b = 8 k2^3/k3^2, c = k1 - a b) is returned alongside as a diagnostic;
-    it is not used for the p-value.
+    under ``imhof_abserr`` (0 when every lambda_i has the same sign).  Raises
+    FuncbandError when every lambda_i is zero: the form is then degenerate.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     sigma_over_n = np.asarray(sigma_over_n, dtype=float)
-    prod = a_mat @ sigma_over_n
-    prod2 = prod @ prod
-    k1 = float(np.trace(prod))
-    k2 = 2.0 * float(np.trace(prod2))
-    k3 = 8.0 * float(np.trace(prod2 @ prod))
-    if k2 <= 0:
-        raise FuncbandError("second cumulant of the quadratic form is not positive")
-    if k3 == 0.0:
-        fit = (float("nan"), float("nan"), float("nan"))
-        fallback = True
-    else:
-        a = k3 / (4.0 * k2)
-        b = 8.0 * k2**3 / k3**2
-        c = k1 - a * b
-        fit = (a, b, c)
-        fallback = False
-
     # weighted chi-square representation: F' A F has the nonzero eigenvalues of A Sigma/n
     evals, evecs = np.linalg.eigh(sigma_over_n)
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
     lam = np.linalg.eigvalsh(factor.T @ a_mat @ factor)
-    lam = lam[np.abs(lam) > 1e-12 * np.abs(lam).max()]
+    scale = np.abs(lam).max()
+    if scale == 0.0:
+        raise FuncbandError("the quadratic form is degenerate: every eigenvalue is zero")
+    lam = lam[np.abs(lam) > 1e-12 * scale]
     abserr = 0.0
-    if lam.size == 0 or lam.min() >= 0.0:
+    if lam.min() >= 0.0:
         p = 1.0
     elif lam.max() <= 0.0:
         p = 0.0
@@ -218,7 +194,7 @@ def plrt_pvalue(a_mat: np.ndarray, sigma_over_n: np.ndarray, diagnostics: dict |
         p, abserr = _imhof_positive_tail(lam)
     if diagnostics is not None:
         diagnostics["imhof_abserr"] = abserr
-    return p, (k1, k2, k3), fit, fallback
+    return p
 
 
 def ar1_covariance_fit(sample: FunctionalSample) -> tuple[float, float, CovarianceField]:
@@ -269,13 +245,6 @@ def plrt_test(
         sigma = cov.table
     else:
         raise FuncbandError(f"unknown covariance mode {covariance_mode!r}")
-    p, kappas, fit, normal_fallback = plrt_pvalue(a_mat, sigma / sample.n_curves, info)
-    info["normal_fallback"] = normal_fallback
-    return PlrtReport(
-        statistic=f_stat,
-        pvalue=p,
-        covariance_mode=covariance_mode,
-        cumulants=kappas,
-        fit=fit,
-        diagnostics=info,
-    )
+    p = plrt_pvalue(a_mat, sigma / sample.n_curves, info)
+    return PlrtReport(statistic=f_stat, pvalue=p, covariance_mode=covariance_mode,
+                      diagnostics=info)

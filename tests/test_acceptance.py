@@ -238,7 +238,7 @@ def test_criterion_8_oracle_equivalence():
         a_mat = 0.5 * (m + m.T)
         root = rng.standard_normal((5, 5)) / np.sqrt(5.0)
         sigma = root @ root.T
-        p_exact, _, _, _ = plrt_pvalue(a_mat, sigma)
+        p_exact = plrt_pvalue(a_mat, sigma)
         z = rng.standard_normal((1000000, 5)) @ root.T
         mc = float(np.mean(np.einsum("ij,jk,ik->i", z, a_mat, z) > 0))
         worst_p = max(worst_p, abs(p_exact - mc))

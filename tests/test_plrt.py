@@ -1,4 +1,4 @@
-"""Pseudo-likelihood-ratio lack-of-fit benchmark: statistic, chi-square
+"""Pseudo-likelihood-ratio lack-of-fit benchmark: statistic, Imhof p-value
 calibration, AR(1) covariance fit, and null-distribution sanity."""
 
 import json
@@ -30,31 +30,6 @@ from funcband.simlab import gen_model3, ou_covariance
 
 
 class TestPvalueCalibration:
-    def test_identity_cumulants_exact(self):
-        # [DERIVED] A = Sigma/n = I_3: kappa = (3, 6, 24); a=1, b=3, c=0;
-        # z'z > 0 almost surely so p = 1
-        p, kappas, fit, fallback = plrt_pvalue(np.eye(3), np.eye(3))
-        assert not fallback
-        np.testing.assert_allclose(kappas, (3.0, 6.0, 24.0), atol=1e-12)
-        np.testing.assert_allclose(fit, (1.0, 3.0, 0.0), atol=1e-12)
-        assert p == pytest.approx(1.0, abs=1e-12)
-
-    def test_cumulant_identities_of_fit(self):
-        # the matched a*chi2_b + c reproduces the three cumulants exactly
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            m = rng.standard_normal((6, 6))
-            a_mat = 0.5 * (m + m.T) - 0.6 * np.eye(6)
-            root = rng.standard_normal((6, 6))
-            sigma = root @ root.T / 6.0
-            p, (k1, k2, k3), (a, b, c), fallback = plrt_pvalue(a_mat, sigma)
-            if fallback:
-                continue
-            assert a * b + c == pytest.approx(k1, rel=1e-10)
-            assert 2.0 * a * a * b == pytest.approx(k2, rel=1e-10)
-            assert 8.0 * a**3 * b == pytest.approx(k3, rel=1e-10)
-            assert 0.0 <= p <= 1.0
-
     def test_matches_monte_carlo(self):
         # [DERIVED] P(z'Az > 0) by direct simulation for quadratic forms of
         # the shape the test actually produces (A from real 5-point fits)
@@ -65,14 +40,21 @@ class TestPvalueCalibration:
         for trial in range(3):
             sample = gen_model3(20, 5, seed_or_rng=900 + trial)
             _f, a_mat, _ = plrt_statistic(sample, polynomial_basis(1), 0.45)
-            p, _, _, _ = plrt_pvalue(a_mat, sigma)
+            p = plrt_pvalue(a_mat, sigma)
             z = rng.standard_normal((400000, 5)) @ root.T
             mc = float(np.mean(np.einsum("ij,jk,ik->i", z, a_mat, z) > 0))
             assert abs(p - mc) < 0.012
 
     def test_negative_definite_gives_zero(self):
-        p, _, _, _ = plrt_pvalue(-np.eye(4), np.eye(4))
+        p = plrt_pvalue(-np.eye(4), np.eye(4))
         assert p == pytest.approx(0.0, abs=1e-12)
+
+    def test_degenerate_form_errors(self):
+        # Sigma/n lies in the null space of A: every eigenvalue of F'AF is 0
+        a_mat = np.diag([0.0, 0.0, 1.0])
+        sigma = np.diag([1.0, 2.0, 0.0])
+        with pytest.raises(FuncbandError, match="degenerate"):
+            plrt_pvalue(a_mat, sigma)
 
 
 def _quad_positive_tail(lam):
@@ -124,8 +106,10 @@ class TestImhofIntegral:
 
     def test_same_sign_spectrum_is_exact(self):
         info = {}
-        p, _, _, _ = plrt_pvalue(-np.eye(4), np.eye(4), info)
+        p = plrt_pvalue(-np.eye(4), np.eye(4), info)
         assert p == 0.0 and info["imhof_abserr"] == 0.0
+        # [DERIVED] A = Sigma/n = I_3: z'z > 0 almost surely
+        assert plrt_pvalue(np.eye(3), np.eye(3)) == 1.0
 
 
 def test_runs_without_scipy():
