@@ -31,6 +31,7 @@ from .supnorm import (
     SupQuantileRequest,
     _check_draws,
     _check_level,
+    _check_paths,
     _check_seed,
     _quantile_stderr,
     _thin_root,
@@ -365,8 +366,8 @@ def split_half_bandwidth(
     half per candidate bandwidth, and return the candidate whose coverage of
     the second half is closest to the target level (ties to the smaller h)."""
     _check_seed(seed)
-    if paths is not None:
-        _check_draws("paths", paths, sample.n_points)
+    _check_level(gamma)
+    _check_paths(paths, sample.n_points)
     n = sample.n_curves
     if n < 4:
         raise FuncbandError("split-half selection needs n >= 4 curves")

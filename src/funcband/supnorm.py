@@ -75,6 +75,15 @@ def _check_draws(name: str, count, per_draw: int) -> None:
                             f"{_MAX_DRAWS:.0e} in all), got {name}={count!r}")
 
 
+def _check_paths(paths, per_draw: int) -> None:
+    """Reject a path count below 100 or above the draw limit; None passes."""
+    if paths is None:
+        return
+    if paths < 100:
+        raise FuncbandError(f"paths must be None or >= 100, got paths={paths!r}")
+    _check_draws("paths", paths, per_draw)
+
+
 def default_path_count(p: int) -> int:
     """Path-count schedule by design size: 8000 / 10000 / 13000."""
     if p <= 10:

@@ -343,6 +343,13 @@ class TestSplitHalfBandwidth:
         best, _ = split_half_bandwidth(sample, [0.2], seed=15)
         assert best.values[0] == 0.2
 
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(paths=5), "paths=5"), (dict(gamma=1.5), "gamma=1.5"), (dict(gamma=0.0), "gamma=0.0")])
+    def test_bad_argument_named(self, kwargs, named):
+        sample = gen_model1(12, 30, seed_or_rng=502)
+        with pytest.raises(FuncbandError, match=named):
+            split_half_bandwidth(sample, [0.1, 0.2], seed=17, **kwargs)
+
     def test_ill_posed_candidate_skipped(self):
         sample = gen_model1(12, 30, seed_or_rng=501)
         best, _ = split_half_bandwidth(sample, [0.01, 0.25], seed=16)

@@ -248,6 +248,17 @@ class TestPredict:
             "--seed", "19")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--paths", "5"], "paths=5"), (["--level", "1.5"], "gamma=-0.5")])
+    def test_split_bandwidth_names_bad_argument(self, curves_csv, curves_csv_b, capsys,
+                                                flags, named):
+        # the shared argument is named, not reported as an unusable bandwidth
+        code, stdout, stderr = run(
+            capsys, "predict", "--in", curves_csv, "--test", curves_csv_b, "--h", "split",
+            "--seed", "0", *flags)
+        assert code == EXIT_PARSE
+        assert named in stderr and "candidate" not in stderr and stdout == ""
+
 
 class TestSimulate:
     def test_row_csv(self, capsys):
