@@ -367,7 +367,8 @@ def split_half_bandwidth(
     the second half is closest to the target level (ties to the smaller h)."""
     _check_seed(seed)
     _check_level(gamma)
-    _check_paths(paths, sample.n_points)
+    if paths is not None:
+        _check_paths(paths, sample.n_points)
     n = sample.n_curves
     if n < 4:
         raise FuncbandError("split-half selection needs n >= 4 curves")

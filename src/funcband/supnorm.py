@@ -75,12 +75,10 @@ def _check_draws(name: str, count, per_draw: int) -> None:
                             f"{_MAX_DRAWS:.0e} in all), got {name}={count!r}")
 
 
-def _check_paths(paths, per_draw: int) -> None:
-    """Reject a path count below 100 or above the draw limit; None passes."""
-    if paths is None:
-        return
+def _check_paths(paths: int, per_draw: int) -> None:
+    """Reject fewer than 100 paths, or more than the draw limit allows."""
     if paths < 100:
-        raise FuncbandError(f"paths must be None or >= 100, got paths={paths!r}")
+        raise FuncbandError(f"paths must be >= 100, got paths={paths!r}")
     _check_draws("paths", paths, per_draw)
 
 
@@ -106,10 +104,8 @@ class SupQuantileRequest:
     def __post_init__(self):
         _check_level(self.level)
         _check_seed(self.seed)
-        if self.paths < 100:
-            raise FuncbandError("need at least 100 simulated paths")
         table = self.table()
-        _check_draws("paths", self.paths, table.shape[0] if table.ndim else 1)
+        _check_paths(self.paths, table.shape[0] if table.ndim else 1)
 
     def table(self) -> np.ndarray:
         c = self.correlation
