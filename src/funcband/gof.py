@@ -18,7 +18,7 @@ import numpy as np
 
 from .bands import BandResult, _gaussian_band
 from .errors import FuncbandError, RankDeficiencyError
-from .grids import EvalGrid, FunctionalSample
+from .grids import DesignGrid, EvalGrid, FunctionalSample
 from .moments import (CovarianceField, ShrinkageSpec, correlation_from_covariance,
                       empirical_data_covariance)
 from .smoothing import Kernel, weight_matrix
@@ -149,10 +149,10 @@ class LsFit:
         return self.model.matrix(x) @ self.theta
 
 
-def _design_matrix(model: BasisModel, sample: FunctionalSample) -> np.ndarray:
-    if sample.grid.dim != 1:
+def _design_matrix(model: BasisModel, grid: DesignGrid) -> np.ndarray:
+    if grid.dim != 1:
         raise FuncbandError("goodness-of-fit supports d=1 designs")
-    phi = model.matrix(sample.grid.points)
+    phi = model.matrix(grid.points)
     cond = np.linalg.cond(phi)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise RankDeficiencyError(f"design matrix condition number {cond:.3g} exceeds 1e10")
@@ -161,7 +161,7 @@ def _design_matrix(model: BasisModel, sample: FunctionalSample) -> np.ndarray:
 
 def ls_fit(sample: FunctionalSample, model: BasisModel) -> LsFit:
     """Least squares fit of the averaged data on the model span."""
-    phi = _design_matrix(model, sample)
+    phi = _design_matrix(model, sample.grid)
     ybar = sample.column_means()
     theta, *_ = np.linalg.lstsq(phi, ybar, rcond=None)
     return LsFit(theta=theta, model=model, fitted_design=phi @ theta)
@@ -180,7 +180,7 @@ def residual_process(
     kernel: Kernel | None = None,
 ) -> np.ndarray:
     """Smoothed least-squares residuals r(x) = W(x)'(I - P) ybar on the grid."""
-    phi = _design_matrix(model, sample)
+    phi = _design_matrix(model, sample.grid)
     p_mat = _projector(phi)
     ybar = sample.column_means()
     w = weight_matrix(sample.grid, eval, h, kernel)
@@ -197,7 +197,7 @@ def gamma_n_plugin(
 ) -> tuple[CovarianceField, float]:
     """Plug-in covariance of sqrt(n) r: W(x)'(I-P) S_hat (I-P) W(x'), with
     S_hat the (optionally shrunk) empirical covariance of the raw data."""
-    phi = _design_matrix(model, sample)
+    phi = _design_matrix(model, sample.grid)
     p_mat = _projector(phi)
     data_cov, lam = empirical_data_covariance(sample, shrinkage)
     w = weight_matrix(sample.grid, eval, h, kernel)

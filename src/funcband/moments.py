@@ -170,6 +170,14 @@ def correlation_from_covariance(cov: CovarianceField) -> CorrelationField:
     return CorrelationField(grid=cov.grid, table=cov.table / np.outer(sd, sd))
 
 
+def _centered_curves(sample: FunctionalSample) -> np.ndarray:
+    """The curves minus their mean curve; raises unless there are n >= 2."""
+    y = sample.values
+    if y.shape[0] < 2:
+        raise DegenerateVarianceError("covariance estimation needs n >= 2 curves")
+    return y - y.mean(axis=0)[None, :]
+
+
 def empirical_data_covariance(
     sample: FunctionalSample, spec: ShrinkageSpec | None = None
 ) -> tuple[CovarianceField, float]:
@@ -179,11 +187,8 @@ def empirical_data_covariance(
     (field, lambda); lambda is 0 when no shrinkage spec is given.
     """
     y = sample.values
-    n = y.shape[0]
-    if n < 2:
-        raise DegenerateVarianceError("covariance estimation needs n >= 2 curves")
-    dev = y - y.mean(axis=0)[None, :]
-    cov = CovarianceField(grid=sample.grid, table=dev.T @ dev / (n - 1))
+    dev = _centered_curves(sample)
+    cov = CovarianceField(grid=sample.grid, table=dev.T @ dev / (y.shape[0] - 1))
     if spec is None:
         return cov, 0.0
     shrunk, lam = shrink_correlation(correlation_from_covariance(cov), spec, curves=y)

@@ -6,21 +6,24 @@ F = RSS_0/RSS_1 - 1 is calibrated by writing {F >= F_obs} as a Gaussian
 quadratic form being nonnegative.  The p-value is computed exactly by
 characteristic-function inversion (Imhof's method) of the weighted
 chi-square representation, integrated by vectorised adaptive Gauss-Kronrod
-quadrature in numpy.
+quadrature in numpy, with weights from a factor of Sigma/n (Cholesky, or
+in nonparametric mode the centred curves).  What the statistic needs from
+the design alone is a private plan that replication loops build once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import Literal
 
 import numpy as np
 
 from .errors import DegenerateVarianceError, FuncbandError, IntegrationError
 from .gof import BasisModel, _design_matrix, _projector
-from .grids import FunctionalSample
-from .moments import CovarianceField, empirical_data_covariance
+from .grids import DesignGrid, FunctionalSample
+from .moments import CovarianceField, _centered_curves
 from .smoothing import Kernel, weight_matrix
 
 __all__ = [
@@ -42,29 +45,38 @@ class PlrtReport:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "F": self.statistic,
-            "p_value": self.pvalue,
-            "covariance_mode": self.covariance_mode,
-            "diagnostics": self.diagnostics,
-        }
+        return {"F": self.statistic, "p_value": self.pvalue,
+                "covariance_mode": self.covariance_mode, "diagnostics": self.diagnostics}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
 
+def _design_plan(grid: DesignGrid, model: BasisModel, h, kernel: Kernel | None) -> tuple:
+    """What ``plrt_statistic`` needs from the design grid, basis, h and kernel
+    alone: (grid, P, S, (I-P)'(I-P), (I-S)'(I-S)) for the least-squares
+    projector P and the local linear smoother S at the design points."""
+    p_mat = _projector(_design_matrix(model, grid))
+    s_mat = weight_matrix(grid, grid.as_eval(), h, kernel)
+    m0, m1 = np.eye(grid.n_points) - p_mat, np.eye(grid.n_points) - s_mat
+    return grid, p_mat, s_mat, m0.T @ m0, m1.T @ m1
+
+
 def plrt_statistic(
-    sample: FunctionalSample, model: BasisModel, h, kernel: Kernel | None = None
+    sample: FunctionalSample, model: BasisModel, h, kernel: Kernel | None = None,
+    _plan: tuple | None = None,
 ) -> tuple[float, np.ndarray, dict]:
     """F = RSS_0/RSS_1 - 1 and the quadratic-form matrix A for its p-value.
 
     A = (I-P)'(I-P) - (1+F)(I-S)'(I-S); valid because the local linear
     smoother reproduces the null span exactly for linear null models, so the
-    form is free of the regression function under the null.
+    form is free of the regression function under the null.  ``_plan`` is
+    the ``_design_plan`` of the sample's grid, model, h and kernel, built
+    here when not given.
     """
-    phi = _design_matrix(model, sample)
-    p_mat = _projector(phi)
-    s_mat = weight_matrix(sample.grid, sample.grid.as_eval(), h, kernel)
+    grid, p_mat, s_mat, g0, g1 = _plan or _design_plan(sample.grid, model, h, kernel)
+    if sample.grid is not grid and not np.array_equal(sample.grid.points, grid.points):
+        raise FuncbandError("the PLRT design plan was built on another design grid")
     ybar = sample.column_means()
     res0 = ybar - p_mat @ ybar
     res1 = ybar - s_mat @ ybar
@@ -74,10 +86,7 @@ def plrt_statistic(
     if rss1 <= 1e-24 * max(float(ybar @ ybar), 1e-300):
         raise DegenerateVarianceError("perfect smooth fit: RSS_1 = 0")
     f_stat = rss0 / rss1 - 1.0
-    eye = np.eye(sample.n_points)
-    m0 = eye - p_mat
-    m1 = eye - s_mat
-    a_mat = m0.T @ m0 - (1.0 + f_stat) * (m1.T @ m1)
+    a_mat = g0 - (1.0 + f_stat) * g1
     a_mat = 0.5 * (a_mat + a_mat.T)
     return f_stat, a_mat, {"rss0": rss0, "rss1": rss1}
 
@@ -168,28 +177,31 @@ def plrt_pvalue(a_mat: np.ndarray, sigma_over_n: np.ndarray,
                 diagnostics: dict | None = None) -> float:
     """Exact P(z' A z > 0) for z ~ N(0, Sigma/n) by Imhof inversion.
 
-    The quadratic form equals sum_i lambda_i W_i with W_i ~ chi2_1 and
-    lambda_i the eigenvalues of F' A F, where Sigma/n = F F' and F = V D^(1/2)
-    comes from the eigendecomposition V D V' of Sigma/n.  If ``diagnostics``
-    is a dict, the absolute error estimate of the p-value is stored in it
-    under ``imhof_abserr`` (0 when every lambda_i has the same sign).  Raises
-    FuncbandError when every lambda_i is zero: the form is then degenerate.
+    The form is sum_i lambda_i W_i, W_i ~ chi2_1, with lambda_i the
+    eigenvalues of F' A F for a factor Sigma/n = F F': the Cholesky factor,
+    or V max(D, 0)^(1/2) from Sigma/n = V D V' when Cholesky fails.  If
+    ``diagnostics`` is a dict, the p-value's absolute error estimate is
+    stored under ``imhof_abserr`` (0 when every lambda_i has the same sign).
+    Raises FuncbandError when every lambda_i is zero (a degenerate form).
     """
-    a_mat = np.asarray(a_mat, dtype=float)
     sigma_over_n = np.asarray(sigma_over_n, dtype=float)
-    # weighted chi-square representation: F' A F has the nonzero eigenvalues of A Sigma/n
-    evals, evecs = np.linalg.eigh(sigma_over_n)
-    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
-    lam = np.linalg.eigvalsh(factor.T @ a_mat @ factor)
+    try:
+        factor = np.linalg.cholesky(sigma_over_n)
+    except np.linalg.LinAlgError:
+        evals, evecs = np.linalg.eigh(sigma_over_n)
+        factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
+    return _factor_pvalue(a_mat, factor, diagnostics)
+
+
+def _factor_pvalue(a_mat: np.ndarray, factor: np.ndarray, diagnostics: dict | None) -> float:
+    """``plrt_pvalue`` for Sigma/n = factor factor', with factor (p, k)."""
+    lam = np.linalg.eigvalsh(factor.T @ np.asarray(a_mat, dtype=float) @ factor)
     scale = np.abs(lam).max()
     if scale == 0.0:
         raise FuncbandError("the quadratic form is degenerate: every eigenvalue is zero")
     lam = lam[np.abs(lam) > 1e-12 * scale]
-    abserr = 0.0
-    if lam.min() >= 0.0:
-        p = 1.0
-    elif lam.max() <= 0.0:
-        p = 0.0
+    if lam.min() >= 0.0 or lam.max() <= 0.0:
+        p, abserr = float(lam.min() >= 0.0), 0.0
     else:
         p, abserr = _imhof_positive_tail(lam)
     if diagnostics is not None:
@@ -228,23 +240,24 @@ def plrt_test(
     kernel: Kernel | None = None,
     covariance_mode: CovarianceMode = "nonparametric",
     known_covariance: np.ndarray | CovarianceField | None = None,
+    _plan: tuple | None = None,
 ) -> PlrtReport:
-    """Full PLRT: statistic, covariance estimate per the chosen mode, p-value."""
-    f_stat, a_mat, info = plrt_statistic(sample, model, h, kernel)
+    """Full PLRT: statistic, covariance estimate per the chosen mode, p-value.
+    ``_plan`` is passed on to ``plrt_statistic``."""
+    f_stat, a_mat, info = plrt_statistic(sample, model, h, kernel, _plan)
+    n = sample.n_curves
     if covariance_mode == "known":
         if known_covariance is None:
             raise FuncbandError("covariance_mode='known' requires known_covariance")
         table = getattr(known_covariance, "table", known_covariance)
-        sigma = CovarianceField(grid=sample.grid, table=table).table
+        p = plrt_pvalue(a_mat, CovarianceField(grid=sample.grid, table=table).table / n, info)
     elif covariance_mode == "parametric-ar1":
-        _s2, _rho, cov = ar1_covariance_fit(sample)
-        sigma = cov.table
-        info.update({"ar1_sigma2": _s2, "ar1_rho": _rho})
+        info["ar1_sigma2"], info["ar1_rho"], cov = ar1_covariance_fit(sample)
+        p = plrt_pvalue(a_mat, cov.table / n, info)
     elif covariance_mode == "nonparametric":
-        cov, _lam = empirical_data_covariance(sample, None)
-        sigma = cov.table
+        # X~'/sqrt(n(n-1)) factors Sigma_hat/n, whose rank <= n-1 defeats Cholesky
+        p = _factor_pvalue(a_mat, _centered_curves(sample).T / sqrt(n * (n - 1)), info)
     else:
         raise FuncbandError(f"unknown covariance mode {covariance_mode!r}")
-    p = plrt_pvalue(a_mat, sigma / sample.n_curves, info)
     return PlrtReport(statistic=f_stat, pvalue=p, covariance_mode=covariance_mode,
                       diagnostics=info)

@@ -22,9 +22,9 @@ import numpy as np
 from .bands import band_covers, bootstrap_scb, normal_scb
 from .errors import FuncbandError
 from .gof import polynomial_basis, scb_gof_test
-from .grids import EvalGrid, FunctionalSample, make_eval_grid, uniform_design_grid
+from .grids import DesignGrid, EvalGrid, FunctionalSample, make_eval_grid, uniform_design_grid
 from .moments import CorrelationField, ShrinkageSpec
-from .plrt import plrt_test
+from .plrt import _design_plan, plrt_test
 from .smoothing import Bandwidth, kernel_by_name, weight_matrix
 from .supnorm import (SupQuantileRequest, _check_draws, _check_level, _check_paths, _check_seed,
                       _sqrt_factor, default_path_count, sup_quantile)
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 METHODS = ("normal-scb", "bootstrap-scb", "gof-scb", "plrt-np", "plrt-ar1", "plrt-known")
+_PLRT_MODES = {"plrt-np": "nonparametric", "plrt-ar1": "parametric-ar1", "plrt-known": "known"}
 
 _OU_RATE = 20.0 * log(0.9)  # exponent slope of the exponential correlation
 _OU_SD = 0.25
@@ -137,11 +138,17 @@ def m3_mean(x, n: int, hypothesis: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def _uniform_grid(p: int) -> DesignGrid:
+    """The uniform design grid of size p, shared by every generated sample."""
+    return uniform_design_grid(p)
+
+
+@lru_cache(maxsize=32)
 def _ou_sqrt(p: int) -> np.ndarray:
     """Symmetric square root of the exponential covariance on the uniform
     design grid of size p (exact Gaussian draws, no time discretization).
     The covariance is positive definite, so no eigenvalue is clipped."""
-    x = (np.arange(1, p + 1) - 0.5) / p
+    x = _uniform_grid(p).points
     return _sqrt_factor(ou_covariance(x[:, None], x[None, :]))[0]
 
 
@@ -159,7 +166,7 @@ def _ou_curves(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
 def gen_model1(n: int, p: int, seed_or_rng=0) -> FunctionalSample:
     """Polynomial trend plus Gaussian exponentially-correlated curves, no noise."""
     rng = _as_rng(seed_or_rng)
-    grid = uniform_design_grid(p)
+    grid = _uniform_grid(p)
     values = m1_mean(grid.points)[None, :] + _ou_curves(n, p, rng)
     return FunctionalSample(grid=grid, values=values)
 
@@ -167,7 +174,7 @@ def gen_model1(n: int, p: int, seed_or_rng=0) -> FunctionalSample:
 def gen_model2(n: int, p: int, seed_or_rng=0) -> FunctionalSample:
     """Oscillating trend, two-factor non-Gaussian curves, N(0, 0.1^2) noise."""
     rng = _as_rng(seed_or_rng)
-    grid = uniform_design_grid(p)
+    grid = _uniform_grid(p)
     x = grid.points
     eta1 = rng.chisquare(1, size=n)
     eta2 = rng.exponential(1.0, size=n)
@@ -182,7 +189,7 @@ def gen_model3(n: int, p: int, seed_or_rng=0, hypothesis: str = "h0") -> Functio
     """Linear trend (optionally plus the scaled bump) with the same Gaussian
     curve process as model 1."""
     rng = _as_rng(seed_or_rng)
-    grid = uniform_design_grid(p)
+    grid = _uniform_grid(p)
     values = m3_mean(grid.points, n, hypothesis)[None, :] + _ou_curves(n, p, rng)
     return FunctionalSample(grid=grid, values=values)
 
@@ -306,9 +313,10 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
     thresholds = []
     if method == "gof-scb" or method.startswith("plrt"):
         basis = polynomial_basis(1)
+    known = plan = None     # the PLRT design plan is built by the first replication
     if method == "plrt-known":
-        x_design = (np.arange(1, spec.p + 1) - 0.5) / spec.p
-        known_sigma = analytic_covariance(spec.model)(x_design[:, None], x_design[None, :])
+        x = _uniform_grid(spec.p).points
+        known = analytic_covariance(spec.model)(x[:, None], x[None, :])
     truth = true_mean(spec.model, eval.points, spec.n)
 
     for rng, sup_seed in _rep_rngs(spec.seed, spec.reps):
@@ -330,10 +338,9 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
                 hits += report.reject
                 thresholds.append(report.threshold)
             else:
-                mode = {"plrt-np": "nonparametric", "plrt-ar1": "parametric-ar1",
-                        "plrt-known": "known"}[method]
-                known = known_sigma if method == "plrt-known" else None
-                report = plrt_test(sample, basis, spec.h, kern, mode, known)
+                plan = plan or _design_plan(sample.grid, basis, spec.h, kern)
+                report = plrt_test(sample, basis, spec.h, kern, _PLRT_MODES[method], known,
+                                   _plan=plan)
                 hits += report.pvalue < spec.level
                 thresholds.append(float("nan"))
         except FuncbandError:

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest
 
 import funcband.plrt as plrt_module
+from funcband import simlab
 from funcband import (
     DegenerateVarianceError,
     FuncbandError,
@@ -26,7 +27,15 @@ from funcband import (
     polynomial_basis,
     uniform_design_grid,
 )
-from funcband.simlab import gen_model3, ou_covariance
+from funcband.grids import design_grid_from_points
+from funcband.moments import empirical_data_covariance
+from funcband.simlab import ModelSpec, gen_model2, gen_model3, m2_covariance, ou_covariance
+
+
+def _eigh_pvalue(a_mat, sigma_over_n):
+    """The p-value through the clipped eigendecomposition of Sigma/n."""
+    vals, vecs = np.linalg.eigh(sigma_over_n)
+    return plrt_module._factor_pvalue(a_mat, vecs * np.sqrt(np.clip(vals, 0.0, None)), None)
 
 
 class TestPvalueCalibration:
@@ -166,6 +175,95 @@ class TestStatistic:
             sample = gen_model3(10, 30, seed_or_rng=100 + rep)
             f_stat, _, _ = plrt_statistic(sample, polynomial_basis(1), 0.1)
             assert f_stat >= -1.0
+
+
+class TestFactorRoutes:
+    # every factor of Sigma/n gives the p-value of the eigendecomposition route
+    def test_cholesky_route(self):
+        sample = gen_model3(30, 40, seed_or_rng=31, hypothesis="hn")
+        x = sample.grid.points
+        sigma = ou_covariance(x[:, None], x[None, :]) / 30
+        np.linalg.cholesky(sigma)  # positive definite: no fallback
+        for h in (0.05, 0.08, 0.15):
+            _f, a_mat, _ = plrt_statistic(sample, polynomial_basis(1), h)
+            assert plrt_pvalue(a_mat, sigma) == pytest.approx(_eigh_pvalue(a_mat, sigma),
+                                                              abs=1e-12)
+
+    @pytest.mark.parametrize("rank", [2, 20])
+    def test_eigh_fallback_route(self, rank):
+        # rank 2: m2's curve covariance; rank 20: the exponential covariance
+        # cut to its top eigenpairs.  Cholesky fails on both.
+        sample = gen_model3(30, 40, seed_or_rng=32)
+        x = sample.grid.points
+        if rank == 2:
+            sigma = m2_covariance(x[:, None], x[None, :]) / 30
+        else:
+            vals, vecs = np.linalg.eigh(ou_covariance(x[:, None], x[None, :]) / 30)
+            sigma = (vecs[:, -rank:] * vals[-rank:]) @ vecs[:, -rank:].T
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+        for h in (0.05, 0.08, 0.15):
+            _f, a_mat, _ = plrt_statistic(sample, polynomial_basis(1), h)
+            p = plrt_pvalue(a_mat, sigma)
+            assert p == pytest.approx(_eigh_pvalue(a_mat, sigma), abs=1e-12)
+            assert rank == 2 or 0.0 < p < 1.0
+
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_data_factor_route(self, n):
+        # n < p: the sample covariance has rank n - 1 < p
+        for seed in range(3):
+            sample = gen_model3(n, 40, seed_or_rng=33 + seed, hypothesis="hn")
+            report = plrt_test(sample, polynomial_basis(1), 0.08)
+            _f, a_mat, _ = plrt_statistic(sample, polynomial_basis(1), 0.08)
+            sigma = empirical_data_covariance(sample, None)[0].table / n
+            assert report.pvalue == pytest.approx(_eigh_pvalue(a_mat, sigma), abs=1e-12)
+
+
+class TestDesignPlan:
+    @pytest.mark.parametrize("method", ["plrt-known", "plrt-np", "plrt-ar1"])
+    def test_experiment_matches_plain_loop(self, method, monkeypatch):
+        spec = ModelSpec(model="m3-hn", n=30, p=40, h=0.06, reps=25, seed=71, level=0.2)
+        builds = []
+        plan = simlab._design_plan
+        monkeypatch.setattr(simlab, "_design_plan", lambda *a: builds.append(a) or plan(*a))
+        row = simlab.run_experiment(spec, method)
+        assert len(builds) == 1 and row.failures == 0
+        mode = simlab._PLRT_MODES[method]
+        x = uniform_design_grid(spec.p).points
+        known = ou_covariance(x[:, None], x[None, :]) if mode == "known" else None
+        basis = polynomial_basis(1)
+        hits = 0
+        for rng, _ in simlab._rep_rngs(spec.seed, spec.reps):
+            sample = gen_model3(spec.n, spec.p, rng, "hn")
+            report = plrt_test(sample, basis, spec.h, None, mode, known)
+            _f, a_mat, _ = plrt_statistic(sample, basis, spec.h)
+            sigma = {"known": known, "parametric-ar1": ar1_covariance_fit(sample)[2].table,
+                     "nonparametric": empirical_data_covariance(sample, None)[0].table}[mode]
+            assert report.pvalue == pytest.approx(_eigh_pvalue(a_mat, sigma / spec.n), abs=1e-12)
+            hits += report.pvalue < spec.level
+        assert 0 < hits < spec.reps and row.rate == hits / spec.reps
+
+    @pytest.mark.parametrize("points", [uniform_design_grid(30).points,
+                                        np.linspace(0.01, 0.99, 40)])
+    def test_plan_on_another_grid_rejected(self, points):
+        plan = plrt_module._design_plan(design_grid_from_points(points),
+                                        polynomial_basis(1), 0.1, None)
+        sample = gen_model3(20, 40, seed_or_rng=72)
+        with pytest.raises(FuncbandError, match="another design grid"):
+            plrt_test(sample, polynomial_basis(1), 0.1, _plan=plan)
+
+    def test_plan_on_an_equal_grid_accepted(self):
+        sample = gen_model3(20, 40, seed_or_rng=73)
+        plan = plrt_module._design_plan(uniform_design_grid(40), polynomial_basis(1), 0.1, None)
+        assert plan[0] is not sample.grid
+        assert (plrt_test(sample, polynomial_basis(1), 0.1, _plan=plan)
+                == plrt_test(sample, polynomial_basis(1), 0.1))
+
+    @pytest.mark.parametrize("method", ["plrt-known", "plrt-np", "plrt-ar1"])
+    def test_ill_posed_bandwidth_fails_every_replication(self, method):
+        spec = ModelSpec(model="m3-h0", n=20, p=50, h=0.001, reps=4, seed=74)
+        row = simlab.run_experiment(spec, method)
+        assert row.failures == spec.reps and row.flagged and np.isnan(row.rate)
 
 
 class TestAr1Fit:
