@@ -313,7 +313,7 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
     thresholds = []
     if method == "gof-scb" or method.startswith("plrt"):
         basis = polynomial_basis(1)
-    known = plan = None     # the PLRT design plan is built by the first replication
+    known = plan = None     # the PLRT design plan: built by replication 1, again while it raises
     if method == "plrt-known":
         x = _uniform_grid(spec.p).points
         known = analytic_covariance(spec.model)(x[:, None], x[None, :])
