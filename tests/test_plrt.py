@@ -29,7 +29,7 @@ from funcband import (
 )
 from funcband.grids import design_grid_from_points
 from funcband.moments import empirical_data_covariance
-from funcband.simlab import ModelSpec, gen_model2, gen_model3, m2_covariance, ou_covariance
+from funcband.simlab import ModelSpec, gen_model3, m2_covariance, ou_covariance
 
 
 def _eigh_pvalue(a_mat, sigma_over_n):
