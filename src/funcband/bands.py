@@ -34,10 +34,12 @@ from .supnorm import (
     _check_paths,
     _check_seed,
     _quantile_stderr,
+    _sup_quantile_of,
     _thin_root,
     default_path_count,
     map_philox_chunks,
     order_statistic_quantile,
+    simulate_sup_norms,
     sup_quantile,
 )
 
@@ -148,25 +150,28 @@ def _provenance(h, kernel, seed, **extra) -> dict:
     return d
 
 
-def _gaussian_band(method, eval, center, sigma, corr, divisor, gamma, paths, p, seed,
-                   h, kernel, lam, root=None) -> BandResult:
-    """The Gaussian band center +/- c sigma / divisor, with c the Monte-Carlo
-    sup-norm quantile of the Gaussian process with correlation ``corr``,
-    drawn through ``root`` when given; ``divisor`` is sqrt(n) for a mean band
-    and 1.0 for a prediction band, and ``paths`` defaults by the design size
-    ``p``."""
+def _gaussian_parts(method, eval, center, sigma, corr, divisor, gamma, paths, p, seed,
+                    h, kernel, lam, root=None):
+    """The sup-norm request of the Gaussian band center +/- c sigma / divisor,
+    with c the Monte-Carlo sup-norm quantile of the Gaussian process with
+    correlation ``corr``, drawn through ``root`` when given, and the function
+    that makes the band from the request's ``SupQuantileResult``.
+    ``divisor`` is sqrt(n) for a mean band and 1.0 for a prediction band, and
+    ``paths`` defaults by the design size ``p``."""
     n_paths = paths if paths is not None else default_path_count(p)
-    res = sup_quantile(SupQuantileRequest(corr, gamma, n_paths, seed, _root=root))
-    return BandResult(
-        grid=eval,
-        center=center,
-        half_width=res.threshold * sigma / divisor,
-        threshold=res.threshold,
-        level=1.0 - gamma,
-        method=method,
-        details=_provenance(h, kernel, seed, paths=n_paths, shrinkage_lambda=lam,
-                            clipped_mass=res.clipped_mass, threshold_stderr=res.stderr),
-    )
+
+    def band(res) -> BandResult:
+        details = _provenance(h, kernel, seed, paths=n_paths, shrinkage_lambda=lam,
+                              clipped_mass=res.clipped_mass, threshold_stderr=res.stderr)
+        return BandResult(eval, center, res.threshold * sigma / divisor, res.threshold,
+                          1.0 - gamma, method, details)
+
+    return SupQuantileRequest(corr, gamma, n_paths, seed, _root=root), band
+
+
+def _gaussian_band(*args) -> BandResult:
+    request, band = _gaussian_parts(*args)
+    return band(sup_quantile(request))
 
 
 def normal_scb(
@@ -315,9 +320,7 @@ def two_sample_scb(
         raise GridError("the two samples must share a common design grid")
     if h_b is None:
         h_b = h_a
-    fits = []
-    covs = []
-    lams = []
+    fits, covs, lams = [], [], []
     for sample, h in ((sample_a, h_a), (sample_b, h_b)):
         mean_fit = fit_mean(sample, eval, h, kernel)
         sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
@@ -335,6 +338,14 @@ def two_sample_scb(
     return TwoSampleResult(band=band, reject=reject)
 
 
+def _prediction_parts(sample, eval, h, kernel, gamma, paths, seed, shrinkage):
+    mean_fit = fit_mean(sample, eval, h, kernel)
+    sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
+    return _gaussian_parts("prediction", eval, mean_fit.mean, sigma, corr, 1.0, gamma, paths,
+                           sample.n_points, seed, h, kernel, lam,
+                           _thin_root(mean_fit.curves, mean_fit.mean, sigma, lam))
+
+
 def prediction_band(
     sample: FunctionalSample,
     eval: EvalGrid,
@@ -346,11 +357,8 @@ def prediction_band(
     shrinkage: ShrinkageSpec = ShrinkageSpec(),
 ) -> BandResult:
     """Band intended to contain a new curve: mu_hat +/- c sigma_hat (no sqrt(n))."""
-    mean_fit = fit_mean(sample, eval, h, kernel)
-    sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
-    return _gaussian_band("prediction", eval, mean_fit.mean, sigma, corr, 1.0, gamma, paths,
-                          sample.n_points, seed, h, kernel, lam,
-                          _thin_root(mean_fit.curves, mean_fit.mean, sigma, lam))
+    request, band = _prediction_parts(sample, eval, h, kernel, gamma, paths, seed, shrinkage)
+    return band(sup_quantile(request))
 
 
 def split_half_bandwidth(
@@ -364,7 +372,9 @@ def split_half_bandwidth(
 ):
     """Split the training curves in half, build a prediction band on the first
     half per candidate bandwidth, and return the candidate whose coverage of
-    the second half is closest to the target level (ties to the smaller h)."""
+    the second half is closest to the target level (ties to the smaller h).
+    The candidates are compared on common random numbers: their bands share
+    one draw of the Gaussian paths, each equal to its own ``prediction_band``."""
     _check_seed(seed)
     _check_level(gamma)
     if paths is not None:
@@ -372,27 +382,27 @@ def split_half_bandwidth(
     n = sample.n_curves
     if n < 4:
         raise FuncbandError("split-half selection needs n >= 4 curves")
-    cands = sorted((Bandwidth.of(c, sample.grid.dim) for c in candidates),
-                   key=lambda b: b.values)
+    cands = sorted({Bandwidth.of(c, sample.grid.dim).values for c in candidates})
     if not cands:
         raise FuncbandError("empty candidate bandwidth list")
     half = n // 2
     build = FunctionalSample(grid=sample.grid, values=sample.values[:half])
     holdout = sample.values[half:]
     eval = sample.grid.as_eval()
-    best = None
-    best_gap = None
-    coverages = {}
+    pending = []
     for b in cands:
         try:
-            band = prediction_band(build, eval, b, kernel, gamma, paths, seed, shrinkage)
+            request, band = _prediction_parts(build, eval, b, kernel, gamma, paths, seed,
+                                              shrinkage)
+            request._times      # take the root now, so that one that fails skips b
         except FuncbandError:
             continue
-        cov = float(np.mean([band.covers(row) for row in holdout]))
-        coverages[b.values] = cov
-        gap = abs(cov - (1.0 - gamma))
-        if best is None or gap < best_gap:
-            best, best_gap = b, gap
-    if best is None:
+        pending.append((b, request, band))
+    if not pending:
         raise FuncbandError("no candidate bandwidth was usable")
-    return best, coverages
+    drawn = simulate_sup_norms(*(request for _, request, _ in pending))
+    coverages = {}
+    for (b, request, band), sups in zip(pending, drawn if len(pending) > 1 else [drawn]):
+        band = band(_sup_quantile_of(request, *sups))
+        coverages[b] = float(np.mean([band.covers(row) for row in holdout]))
+    return Bandwidth(min(coverages, key=lambda b: abs(coverages[b] - (1.0 - gamma)))), coverages

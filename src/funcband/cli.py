@@ -52,6 +52,16 @@ def _float_list(text: str) -> list[float]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _open_unit(text: str) -> float:
+    """A level or alpha: a number strictly between 0 and 1."""
+    try:
+        if 0.0 < float(text) < 1.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must lie in (0,1), got {text}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="funcband")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -59,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, level_flag="--level", level_default=0.95):
         p.add_argument("--in", dest="infile", required=True, help="wide curves CSV")
         p.add_argument("--out", help="output path prefix (writes PREFIX.csv and PREFIX.json)")
-        p.add_argument(level_flag, dest="level", type=float, default=level_default)
+        p.add_argument(level_flag, dest="level", type=_open_unit, default=level_default)
         p.add_argument("--h", default="cv", help="bandwidth: a number, 'cv', or 'split'")
         p.add_argument("--h-candidates", type=_float_list,
                        help="comma-separated candidate bandwidths")
@@ -103,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--method", default="normal-scb",
                        help="comma-separated subset of: " + ",".join(METHODS))
-    p_sim.add_argument("--level", type=float, default=0.05,
+    p_sim.add_argument("--level", type=_open_unit, default=0.05,
                        help="gamma for bands / alpha for tests")
     p_sim.add_argument("--kernel", default="epanechnikov",
                        choices=["epanechnikov", "gauss"])

@@ -224,24 +224,18 @@ def cv_bandwidth(
 ):
     """Pick the candidate bandwidth minimizing the leave-one-curve-out score.
 
-    Ill-posed candidates are skipped with a warning; ties break toward the
-    smallest bandwidth.  Returns (Bandwidth, scores dict).
+    Ill-posed candidates are skipped with a warning and duplicates scored once;
+    ties break toward the smallest bandwidth.  Returns (Bandwidth, scores dict).
     """
-    cands = [Bandwidth.of(c, sample.grid.dim) for c in candidates]
+    cands = sorted({Bandwidth.of(c, sample.grid.dim).values for c in candidates})
     if not cands:
         raise GridError("empty candidate bandwidth list")
-    cands.sort(key=lambda b: b.values)
     scores = {}
-    best = None
     for b in cands:
         try:
-            sc = cv_score(sample, b, kernel)
+            scores[b] = cv_score(sample, b, kernel)
         except (IllPosedBandwidthError, SingularDesignError) as exc:
-            warnings.warn(f"skipping ill-posed candidate h={b.values}: {exc}")
-            continue
-        scores[b.values] = sc
-        if best is None or sc < scores[best.values]:
-            best = b
-    if best is None:
+            warnings.warn(f"skipping ill-posed candidate h={b}: {exc}")
+    if not scores:
         raise IllPosedBandwidthError("all candidate bandwidths are ill-posed")
-    return best, scores
+    return Bandwidth(min(scores, key=scores.get)), scores

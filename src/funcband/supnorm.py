@@ -16,11 +16,13 @@ L takes one of two forms:
 Paths are drawn in chunks of at most 2048 into one normal buffer and one
 product buffer allocated per call.  Randomness is counter-based (Philox)
 with per-chunk substreams, so a given seed gives bit-identical output.
+Requests with the same seed, paths and grid size can share one draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, sqrt
 from typing import Callable
 
@@ -97,8 +99,8 @@ class SupQuantileRequest:
     level: float            # gamma, the tail probability
     paths: int
     seed: int
-    # The bands' thin root of a shrunk empirical correlation, as
-    # _thin_root's times(z, out); None draws through the dense root of table().
+    # The bands' thin root of a shrunk empirical correlation, as _thin_root's
+    # times(z, out, scratch); None draws through the dense root of table().
     _root: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,6 +112,14 @@ class SupQuantileRequest:
     def table(self) -> np.ndarray:
         c = self.correlation
         return c.table if isinstance(c, CorrelationField) else np.asarray(c, dtype=float)
+
+    @cached_property
+    def _times(self) -> tuple[Callable, float]:
+        """The root's ``times(z, out, scratch)`` and clipped mass, built once."""
+        if self._root is not None:
+            return self._root, 0.0
+        factor, mass = _sqrt_factor(self.table())
+        return (lambda z, out, scratch=None: np.matmul(z, factor, out=out)), mass
 
 
 @dataclass(frozen=True)
@@ -131,15 +141,16 @@ def _sqrt_factor(table: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _thin_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):
-    """``times(z, out)``, which sets out = z L for the symmetric square root
-    L of the shrunk correlation (1-lam) Xs'Xs/(n-1) + lam I of n ``curves``
-    on m points, Xs = (curves - mean) / sigma; or None where the dense root
-    is used instead: for 2n >= m, where two k x m x n products save little
-    over one k x m x m, and for lam below _THIN_MIN_LAMBDA.
+    """``times(z, out, scratch)``, which sets and returns out = z L for the
+    symmetric square root L of the shrunk correlation (1-lam) Xs'Xs/(n-1) +
+    lam I of n ``curves`` on m points, Xs = (curves - mean) / sigma; or None
+    where the dense root is used instead: for 2n >= m, where two k x m x n
+    products save little over one k x m x m, and for lam below
+    _THIN_MIN_LAMBDA.
 
     With the thin SVD Xs = U diag(s) V', L = a I + V diag(d) V' where
-    a = sqrt(lam) and d = sqrt((1-lam) s^2/(n-1) + lam) - a.  ``times``
-    scales z by a in place, so that no third k x m array is allocated."""
+    a = sqrt(lam) and d = sqrt((1-lam) s^2/(n-1) + lam) - a.  ``times`` puts
+    a z in ``scratch``, a new array if None (z itself if z is not read again)."""
     n, m = curves.shape
     if 2 * n >= m or lam < _THIN_MIN_LAMBDA:
         return None
@@ -147,12 +158,11 @@ def _thin_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: flo
     a = sqrt(lam)
     d = np.sqrt((1.0 - lam) * s * s / (n - 1) + lam) - a
 
-    def times(z, out):
+    def times(z, out, scratch=None):
         t = z @ vt.T
         t *= d
         np.matmul(t, vt, out=out)
-        z *= a
-        out += z
+        return np.add(out, np.multiply(z, a, out=scratch), out=out)
 
     return times
 
@@ -166,28 +176,30 @@ def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
     return [draw(np.random.Generator(np.random.Philox(s)), k) for k, s in zip(sizes, streams)]
 
 
-def simulate_sup_norms(request: SupQuantileRequest) -> tuple[np.ndarray, float]:
+def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     """Simulate sup-absolute values of the Gaussian process; deterministic
     given the seed.  Uses the request's thin root when it has one (nothing
-    is clipped then), else the dense root of its table."""
-    if request._root is None:
-        factor, mass = _sqrt_factor(request.table())
-
-        def times_root(z, out):
-            np.matmul(z, factor, out=out)
-    else:
-        times_root, mass = request._root, 0.0
+    is clipped then), else the dense root of its table.  Returns (values,
+    clipped mass), or with ``more`` requests a list of such pairs, one each."""
+    shared = (request.seed, request.paths, request.table().shape)
+    if any((r.seed, r.paths, r.table().shape) != shared for r in more):
+        raise FuncbandError("requests simulated together must share seed, paths and grid size")
+    roots = [r._times for r in (request, *more)]
+    values = np.empty((len(roots), request.paths))
+    starts = iter(range(0, request.paths, _CHUNK))      # map_philox_chunks goes in order
     z = np.empty((min(_CHUNK, request.paths), request.table().shape[0]))
     y = np.empty_like(z)
 
     def draw(rng, k):
-        zk, yk = z[:k], y[:k]
+        zk, yk, start = z[:k], y[:k], next(starts)
         rng.standard_normal(out=zk)
-        times_root(zk, yk)
-        return np.abs(yk, out=yk).max(axis=1)
+        for (times, _), v in zip(roots, values):
+            # A thin root may overwrite the normals only when no other root reads them.
+            np.abs(times(zk, yk, None if more else zk), out=yk).max(axis=1, out=v[start:start + k])
 
-    parts = map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
-    return np.concatenate(parts), mass
+    map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
+    pairs = [(v, mass) for v, (_, mass) in zip(values, roots)]
+    return pairs if more else pairs[0]
 
 
 def order_statistic_quantile(values: np.ndarray, gamma: float) -> float:
@@ -221,7 +233,10 @@ def _quantile_stderr(sorted_vals: np.ndarray, gamma: float) -> float:
 
 
 def sup_quantile(request: SupQuantileRequest) -> SupQuantileResult:
-    values, mass = simulate_sup_norms(request)
+    return _sup_quantile_of(request, *simulate_sup_norms(request))
+
+
+def _sup_quantile_of(request, values, mass) -> SupQuantileResult:
     values.sort()
     c = order_statistic_quantile(values, request.level)
     se = _quantile_stderr(values, request.level)

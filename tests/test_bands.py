@@ -354,3 +354,58 @@ class TestSplitHalfBandwidth:
         sample = gen_model1(12, 30, seed_or_rng=501)
         best, _ = split_half_bandwidth(sample, [0.01, 0.25], seed=16)
         assert best.values[0] == 0.25
+
+    def test_duplicate_candidates_searched_once(self, monkeypatch):
+        sample = gen_model1(12, 30, seed_or_rng=503)
+        once = split_half_bandwidth(sample, [0.2, 0.1], seed=18)
+        built = []
+        parts = bands._prediction_parts
+        monkeypatch.setattr(bands, "_prediction_parts",
+                            lambda *args: built.append(args[2]) or parts(*args))
+        assert split_half_bandwidth(sample, [0.1, 0.2, 0.1, 0.2], seed=18) == once
+        assert built == [(0.1,), (0.2,)]
+
+
+def _split_half_by_loop(sample, candidates, seed, paths=None, gamma=0.05):
+    """split_half_bandwidth's choice and coverages, one prediction band per
+    candidate on the first half, each drawn on its own."""
+    half = sample.n_curves // 2
+    build = FunctionalSample(grid=sample.grid, values=sample.values[:half])
+    best, best_gap, coverages = None, None, {}
+    for h in sorted(set(candidates)):
+        try:
+            band = prediction_band(build, sample.grid.as_eval(), h, None, gamma, paths, seed)
+        except FuncbandError:
+            continue
+        cov = float(np.mean([band.covers(row) for row in sample.values[half:]]))
+        coverages[(h,)] = cov
+        if best is None or abs(cov - (1 - gamma)) < best_gap:
+            best, best_gap = (h,), abs(cov - (1 - gamma))
+    return best, coverages
+
+
+class TestSplitHalfSharedDraw:
+    """The candidates share one draw of the Gaussian paths, and the search
+    equals a loop of separately drawn prediction bands."""
+
+    @pytest.mark.parametrize("n, p, candidates, paths", [
+        (50, 50, [0.04, 0.08, 0.16, 0.32, 0.48], None),         # dense roots
+        (12, 30, [0.1, 0.15, 0.2, 0.3], 2 * 2048 + 37),        # thin roots
+        (12, 30, [0.005, 0.01, 0.2, 0.25], 1000),              # ill-posed candidates
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_separate_bands(self, n, p, candidates, paths, seed):
+        sample = gen_model1(n, p, seed_or_rng=600 + seed)
+        best, coverages = split_half_bandwidth(sample, candidates, seed=seed, paths=paths)
+        assert (best.values, coverages) == _split_half_by_loop(sample, candidates, seed, paths)
+        assert len(coverages) >= 2
+
+    def test_one_chunk_loop_for_all_candidates(self, monkeypatch):
+        loops = []
+        chunks = supnorm.map_philox_chunks
+        monkeypatch.setattr(supnorm, "map_philox_chunks",
+                            lambda *args: loops.append(args[:3]) or chunks(*args))
+        _, coverages = split_half_bandwidth(gen_model1(20, 30, seed_or_rng=604),
+                                            [0.1, 0.15, 0.2, 0.3], paths=5000, seed=5)
+        assert len(coverages) == 4
+        assert loops == [(5000, 2048, 5)]

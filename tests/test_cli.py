@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from funcband import FunctionalSample, uniform_design_grid, write_curves_csv
+from funcband import FunctionalSample, cli, uniform_design_grid, write_curves_csv
 from funcband.cli import EXIT_DEGENERATE, EXIT_ILL_POSED, EXIT_OK, EXIT_PARSE, main
 from funcband.simlab import gen_model1
 
@@ -248,8 +248,7 @@ class TestPredict:
             "--seed", "19")
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("flags, named", [
-        (["--paths", "5"], "paths=5"), (["--level", "1.5"], "gamma=-0.5")])
+    @pytest.mark.parametrize("flags, named", [(["--paths", "5"], "paths=5")])
     def test_split_bandwidth_names_bad_argument(self, curves_csv, curves_csv_b, capsys,
                                                 flags, named):
         # the shared argument is named, not reported as an unusable bandwidth
@@ -291,7 +290,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--reps", "-2", "reps=-2"), ("--paths", "5", "paths=5"), ("--h", "-0.1", "h=(-0.1,)"),
-        ("--level", "1.5", "gamma=1.5"), ("--seed", "-1", "seed=-1"), ("--B", "0", "bootstraps=0"),
+        ("--seed", "-1", "seed=-1"), ("--B", "0", "bootstraps=0"),
         ("--grid-size", "0", "grid_size=0"), ("--paths", _HUGE, f"paths={_HUGE}"),
         ("--B", _HUGE, f"bootstraps={_HUGE}")])
     def test_bad_spec_field(self, capsys, flag, value, named):
@@ -300,6 +299,35 @@ class TestSimulate:
         code, stdout, stderr = run(capsys, "simulate", *[t for kv in argv.items() for t in kv])
         assert code == EXIT_PARSE
         assert named in stderr and stdout == ""
+
+
+def _refuse_search(*args, **kwargs):
+    raise AssertionError("bandwidth search ran")
+
+
+class TestLevelFlag:
+    """--level and --alpha are checked when the flags are parsed, so a bad
+    value exits 2 naming the flag and the value typed, before any search."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("scb", "--level", "1.5"), ("scb", "--level", "nan"), ("predict", "--level", "1.5"),
+        ("predict", "--level", "abc"), ("gof", "--alpha", "1.5"), ("compare", "--alpha", "0"),
+        ("simulate", "--level", "1.5"), ("simulate", "--level", "-0.1")])
+    def test_out_of_range_names_flag(self, curves_csv, curves_csv_b, capsys, monkeypatch,
+                                     command, flag, value):
+        monkeypatch.setattr(cli, "cv_bandwidth", _refuse_search)
+        monkeypatch.setattr(cli, "split_half_bandwidth", _refuse_search)
+        args = {
+            "scb": ["--in", curves_csv, "--h", "cv"],
+            "predict": ["--in", curves_csv, "--test", curves_csv_b, "--h", "split"],
+            "gof": ["--in", curves_csv, "--h", "cv"],
+            "compare": ["--in", curves_csv, "--in2", curves_csv_b, "--h", "cv"],
+            "simulate": ["--model", "1", "--n", "8", "--p", "20", "--h", "0.2", "--reps", "1"],
+        }[command]
+        code, stdout, stderr = run(capsys, command, *args, "--seed", "0", flag, value)
+        assert code == EXIT_PARSE and stdout == ""
+        assert f"argument {flag}: must lie in (0,1), got {value}" in stderr
+        assert "gamma" not in stderr
 
 
 class TestConfig:
@@ -328,7 +356,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("paths", "two"), ("grid-size", 2.5), ("h-candidates", "a,b"),
-        ("method", "jackknife"), ("level", True)])
+        ("method", "jackknife"), ("level", True), ("level", 1.5), ("level", "0")])
     def test_bad_config_value(self, curves_csv, tmp_path, capsys, key, value):
         cfg = tmp_path / "badvalue.json"
         cfg.write_text(json.dumps({key: value}))

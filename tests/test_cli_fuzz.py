@@ -1,7 +1,8 @@
 """Random mixes of subcommands and flag values on tiny inputs (n, p, grid
 <= 20, paths <= 500, B <= 50, reps <= 2; the one huge paths or B value is
 rejected before anything is drawn): ``main`` returns an exit code in
-{0, 2, 3, 4} and never raises."""
+{0, 2, 3, 4} and never raises, and a level or alpha outside (0,1) exits 2
+naming its flag."""
 
 import contextlib
 import io
@@ -105,7 +106,13 @@ def test_random_flag_mixes_exit_cleanly(case):
             if argv[i] != "absent":
                 (folder / "cfg.json").write_text(argv[i])
             argv[i] = str(folder / "cfg.json")
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv)
     assert code in (0, 2, 3, 4), argv
+    # the level flag is the first one in argv whose value can fail to parse
+    flag = "--alpha" if "--alpha" in argv else "--level"
+    value = argv[argv.index(flag) + 1]
+    if not 0.0 < float(value) < 1.0:
+        assert code == 2, argv
+        assert f"argument {flag}: must lie in (0,1), got {value}" in stderr.getvalue(), argv

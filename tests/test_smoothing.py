@@ -27,6 +27,7 @@ from funcband import (
     uniform_design_grid,
     weight_matrix,
 )
+from funcband import smoothing
 from funcband.grids import eval_grid_from_points
 from funcband.simlab import gen_model1
 
@@ -221,6 +222,16 @@ class TestCvBandwidth:
         sample = gen_model1(5, 10, seed_or_rng=0)
         with pytest.raises(GridError):
             cv_bandwidth(sample, [])
+
+    def test_duplicate_candidates_scored_once(self, monkeypatch):
+        sample = gen_model1(10, 20, seed_or_rng=3)
+        once = cv_bandwidth(sample, [0.3, 0.15])
+        scored = []
+        score = smoothing.cv_score
+        monkeypatch.setattr(smoothing, "cv_score",
+                            lambda s, h, k: scored.append(h) or score(s, h, k))
+        assert cv_bandwidth(sample, [0.15, 0.3, 0.15, (0.3,)]) == once
+        assert scored == [(0.15,), (0.3,)]
 
     def test_selected_h_in_plausible_range(self):
         # [DERIVED] model-1 style n=p=20: selected h in [0.05, 0.3] >= 90/100

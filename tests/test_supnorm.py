@@ -112,6 +112,47 @@ class TestThinRoot:
         assert _thin_root(curves, curves.mean(axis=0), curves.std(axis=0, ddof=1), lam) is None
 
 
+def _shrunk_request(n, m, lam, seed, paths, thin=True):
+    """A request for the shrunk correlation of n random-walk curves, drawn
+    through the thin root when ``thin`` and the dense root otherwise."""
+    curves = _curves(n, m, seed=seed + 100)
+    mean = curves.mean(axis=0)
+    sd = curves.std(axis=0, ddof=1)
+    raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
+    table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0]
+    root = _thin_root(curves, mean, sd, lam) if thin else None
+    assert (root is not None) == thin
+    return SupQuantileRequest(table, 0.05, paths, seed, _root=root)
+
+
+class TestSharedDraw:
+    """Requests that share seed, paths and m are simulated from one draw."""
+
+    # 2048 k + r paths: two full chunks and a partial one
+    PATHS = 2 * 2048 + 37
+
+    @pytest.mark.parametrize("kinds", [("dense", "thin"), ("thin", "dense"), ("thin", "thin"),
+                                       ("dense", "thin", "thin", "dense")])
+    def test_matches_separate_calls(self, kinds):
+        requests = [_shrunk_request(5, 40, 0.1 + 0.2 * i, 3, self.PATHS, thin=kind == "thin")
+                    for i, kind in enumerate(kinds)]
+        shared = simulate_sup_norms(*requests)
+        assert len(shared) == len(requests)
+        for request, (values, mass) in zip(requests, shared):
+            alone, alone_mass = simulate_sup_norms(request)
+            assert values.shape == (self.PATHS,)
+            assert np.array_equal(values, alone) and mass == alone_mass
+
+    @pytest.mark.parametrize("change", [dict(seed=4), dict(paths=PATHS + 1), dict(m=41)])
+    def test_requests_must_share_seed_paths_and_grid(self, change):
+        base = dict(seed=3, paths=self.PATHS, m=40)
+        first = _shrunk_request(5, 40, 0.3, 3, self.PATHS)
+        other = {**base, **change}
+        second = _shrunk_request(5, other["m"], 0.3, other["seed"], other["paths"])
+        with pytest.raises(FuncbandError, match="must share seed, paths and grid size"):
+            simulate_sup_norms(first, second)
+
+
 class TestQuantileStderr:
     def test_ties_widen_the_window(self):
         # 2500 values on 7 atoms: the order statistics next to the 0.95
