@@ -13,7 +13,6 @@ from .errors import (
 )
 from .grids import (
     DesignGrid,
-    DiscretizedCurve,
     EvalGrid,
     FunctionalSample,
     make_design_grid,
@@ -31,7 +30,6 @@ from .smoothing import (
     fit_mean,
     kernel_by_name,
     local_linear_weights,
-    smooth_curve,
     truncated_gaussian,
     weight_matrix,
 )

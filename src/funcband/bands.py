@@ -26,7 +26,7 @@ from .moments import (
     correlation_from_covariance,
     shrink_correlation,
 )
-from .smoothing import Bandwidth, Kernel, fit_mean
+from .smoothing import Bandwidth, Kernel, epanechnikov, fit_mean
 from .supnorm import (
     SupQuantileRequest,
     _check_draws,
@@ -144,7 +144,7 @@ def _sigma_and_correlation(mean_fit, shrinkage: ShrinkageSpec):
 
 def _provenance(h, kernel, seed, **extra) -> dict:
     d = {"h": Bandwidth.of(h, 1).values if np.isscalar(h) or isinstance(h, Bandwidth) else h,
-         "kernel": (kernel.name if isinstance(kernel, Kernel) else kernel or "epanechnikov"),
+         "kernel": (kernel or epanechnikov()).name,
          "seed": seed}
     d.update(extra)
     return d
@@ -174,6 +174,17 @@ def _gaussian_band(*args) -> BandResult:
     return band(sup_quantile(request))
 
 
+def _curve_parts(method, divisor, sample, eval, h, kernel, gamma, paths, seed, shrinkage):
+    """``_gaussian_parts`` of the band mu_hat +/- c sigma_hat / divisor built
+    from the smoothed curves of ``sample``, drawn through their thin root
+    where it applies."""
+    mean_fit = fit_mean(sample, eval, h, kernel)
+    sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
+    return _gaussian_parts(method, eval, mean_fit.mean, sigma, corr, divisor, gamma, paths,
+                           sample.n_points, seed, h, kernel, lam,
+                           _thin_root(mean_fit.curves, mean_fit.mean, sigma, lam))
+
+
 def normal_scb(
     sample: FunctionalSample,
     eval: EvalGrid,
@@ -185,11 +196,9 @@ def normal_scb(
     shrinkage: ShrinkageSpec = ShrinkageSpec(),
 ) -> BandResult:
     """Gaussian-limit simultaneous band for the mean curve."""
-    mean_fit = fit_mean(sample, eval, h, kernel)
-    sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
-    return _gaussian_band("normal", eval, mean_fit.mean, sigma, corr, sqrt(sample.n_curves),
-                          gamma, paths, sample.n_points, seed, h, kernel, lam,
-                          _thin_root(mean_fit.curves, mean_fit.mean, sigma, lam))
+    request, band = _curve_parts("normal", sqrt(sample.n_curves), sample, eval, h, kernel,
+                                 gamma, paths, seed, shrinkage)
+    return band(sup_quantile(request))
 
 
 _BOOT_CHUNK = 512
@@ -338,14 +347,6 @@ def two_sample_scb(
     return TwoSampleResult(band=band, reject=reject)
 
 
-def _prediction_parts(sample, eval, h, kernel, gamma, paths, seed, shrinkage):
-    mean_fit = fit_mean(sample, eval, h, kernel)
-    sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
-    return _gaussian_parts("prediction", eval, mean_fit.mean, sigma, corr, 1.0, gamma, paths,
-                           sample.n_points, seed, h, kernel, lam,
-                           _thin_root(mean_fit.curves, mean_fit.mean, sigma, lam))
-
-
 def prediction_band(
     sample: FunctionalSample,
     eval: EvalGrid,
@@ -357,7 +358,8 @@ def prediction_band(
     shrinkage: ShrinkageSpec = ShrinkageSpec(),
 ) -> BandResult:
     """Band intended to contain a new curve: mu_hat +/- c sigma_hat (no sqrt(n))."""
-    request, band = _prediction_parts(sample, eval, h, kernel, gamma, paths, seed, shrinkage)
+    request, band = _curve_parts("prediction", 1.0, sample, eval, h, kernel, gamma, paths,
+                                 seed, shrinkage)
     return band(sup_quantile(request))
 
 
@@ -392,8 +394,8 @@ def split_half_bandwidth(
     pending = []
     for b in cands:
         try:
-            request, band = _prediction_parts(build, eval, b, kernel, gamma, paths, seed,
-                                              shrinkage)
+            request, band = _curve_parts("prediction", 1.0, build, eval, b, kernel, gamma,
+                                         paths, seed, shrinkage)
             request._times      # take the root now, so that one that fails skips b
         except FuncbandError:
             continue

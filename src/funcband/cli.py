@@ -18,8 +18,8 @@ from .bands import bootstrap_scb, normal_scb, prediction_band, split_half_bandwi
 from .errors import (
     DegenerateVarianceError,
     FuncbandError,
+    GridError,
     IllPosedBandwidthError,
-    RankDeficiencyError,
     SampleValidationError,
     SingularDesignError,
 )
@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-size", type=int, default=100)
         p.add_argument("--paths", type=int, help="Gaussian sample paths (default by p)")
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--config", help="JSON config file overriding flags")
 
     p_scb = sub.add_parser("scb", help="simultaneous confidence band for the mean curve")
@@ -160,7 +159,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 def _load_sample(path, label_column=False):
     try:
         return read_curves_csv(path, label_column=label_column)
-    except (OSError, SampleValidationError) as exc:
+    except (OSError, SampleValidationError, GridError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from None
 
 
@@ -365,9 +364,6 @@ def main(argv=None) -> int:
     except (IllPosedBandwidthError, SingularDesignError) as exc:
         print(f"ill-posed bandwidth: {exc}", file=sys.stderr)
         return EXIT_ILL_POSED
-    except (SampleValidationError, RankDeficiencyError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
     except FuncbandError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE

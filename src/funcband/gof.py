@@ -38,6 +38,8 @@ __all__ = [
 
 _GRAM_RTOL = 1e-6
 _COND_LIMIT = 1e10
+# Trapezoidal nodes on [0,1] for the basis Gram check and the limit covariance.
+_QUAD_POINTS = 2001
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class BasisModel:
 
     functions: tuple[Callable[[np.ndarray], np.ndarray], ...]
     density: Callable[[np.ndarray], np.ndarray] | None = None  # None = uniform
-    names: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def size(self) -> int:
@@ -64,8 +65,8 @@ class BasisModel:
         return np.asarray(self.density(x), dtype=float)
 
 
-def _gram(model: BasisModel, quad_points: int) -> np.ndarray:
-    x = np.linspace(0.0, 1.0, quad_points)
+def _gram(model: BasisModel) -> np.ndarray:
+    x = np.linspace(0.0, 1.0, _QUAD_POINTS)
     phi = model.matrix(x)
     w = model.weight(x)
     return np.array(
@@ -76,18 +77,13 @@ def _gram(model: BasisModel, quad_points: int) -> np.ndarray:
     )
 
 
-def basis_model(
-    functions: Sequence[Callable],
-    density: Callable | None = None,
-    names: Sequence[str] = (),
-    quad_points: int = 2001,
-) -> BasisModel:
+def basis_model(functions: Sequence[Callable], density: Callable | None = None) -> BasisModel:
     """Build a basis model, orthogonalizing (with a warning) if the supplied
     functions fail the weighted-orthogonality check."""
     if not functions:
         raise FuncbandError("basis model needs at least one function")
-    model = BasisModel(tuple(functions), density, tuple(names))
-    gram = _gram(model, quad_points)
+    model = BasisModel(tuple(functions), density)
+    gram = _gram(model)
     off = np.abs(gram - np.diag(np.diag(gram)))
     scale = max(float(np.abs(np.diag(gram)).max()), 1e-300)
     if off.max(initial=0.0) <= _GRAM_RTOL * scale:
@@ -114,7 +110,7 @@ def basis_model(
         return f
 
     ortho = tuple(make(inv[k].tolist()) for k in range(model.size))
-    return BasisModel(ortho, density, tuple(names))
+    return BasisModel(ortho, density)
 
 
 def polynomial_basis(degree: int, density: Callable | None = None) -> BasisModel:
@@ -125,7 +121,6 @@ def polynomial_basis(degree: int, density: Callable | None = None) -> BasisModel
     from numpy.polynomial import legendre
 
     funcs = []
-    names = []
     for k in range(degree + 1):
         coef = np.zeros(k + 1)
         coef[k] = 1.0
@@ -135,18 +130,13 @@ def polynomial_basis(degree: int, density: Callable | None = None) -> BasisModel
             return sqrt(2 * _k + 1) * legendre.legval(2.0 * np.asarray(x, dtype=float) - 1.0, _c)
 
         funcs.append(f)
-        names.append(f"legendre{k}")
-    return basis_model(funcs, density, names)
+    return basis_model(funcs, density)
 
 
 @dataclass(frozen=True)
 class LsFit:
     theta: np.ndarray
-    model: BasisModel
     fitted_design: np.ndarray   # fitted values at the design points
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.model.matrix(x) @ self.theta
 
 
 def _design_matrix(model: BasisModel, grid: DesignGrid) -> np.ndarray:
@@ -164,7 +154,7 @@ def ls_fit(sample: FunctionalSample, model: BasisModel) -> LsFit:
     phi = _design_matrix(model, sample.grid)
     ybar = sample.column_means()
     theta, *_ = np.linalg.lstsq(phi, ybar, rcond=None)
-    return LsFit(theta=theta, model=model, fitted_design=phi @ theta)
+    return LsFit(theta=theta, fitted_design=phi @ theta)
 
 
 def _projector(phi: np.ndarray) -> np.ndarray:
@@ -211,7 +201,6 @@ def limit_gamma(
     covariance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     model: BasisModel,
     eval: EvalGrid,
-    quad_points: int = 2001,
 ) -> CovarianceField:
     """Limit covariance of sqrt(n) r by weighted quadrature:
 
@@ -220,7 +209,7 @@ def limit_gamma(
 
     where <.> integrates against the design density (trapezoidal rule).
     """
-    u = np.linspace(0.0, 1.0, quad_points)
+    u = np.linspace(0.0, 1.0, _QUAD_POINTS)
     fu = model.weight(u)
     phi_u = model.matrix(u)                      # (q, L)
     x = eval.points
@@ -228,9 +217,9 @@ def limit_gamma(
     r_xu = covariance(x[:, None], u[None, :])    # (m, q)
     r_uv = covariance(u[:, None], u[None, :])    # (q, q)
 
-    wgt = np.ones(quad_points)
+    wgt = np.ones(_QUAD_POINTS)
     wgt[0] = wgt[-1] = 0.5
-    wgt *= (u[-1] - u[0]) / (quad_points - 1)
+    wgt *= (u[-1] - u[0]) / (_QUAD_POINTS - 1)
     wf = wgt * fu
 
     single = r_xu @ (wf[:, None] * phi_u)        # (m, L): int R(x,u) phi_l(u) f(u) du

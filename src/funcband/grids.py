@@ -9,7 +9,7 @@ d in {1, 2} are supported.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "DesignGrid",
     "EvalGrid",
     "FunctionalSample",
-    "DiscretizedCurve",
     "make_design_grid",
     "uniform_design_grid",
     "make_eval_grid",
@@ -38,22 +37,29 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_axes(axes: tuple[np.ndarray, ...], kind: str) -> None:
+    """Reject an axis with a point outside [0,1] or NaN, or whose points do
+    not strictly increase."""
+    for axis in axes:
+        if not np.all((axis >= 0.0) & (axis <= 1.0)):
+            raise GridError(f"{kind} points must be finite and lie in [0,1]")
+        if np.any(np.diff(axis) <= 0):
+            raise GridError(f"{kind} points must be strictly increasing per axis")
+
+
 @dataclass(frozen=True)
 class DesignGrid:
     """Ordered design locations in [0,1]^dim on a product grid.
 
     ``points`` has shape (p,) for dim=1 or (p, 2) for dim=2, in row-major
     product order (last axis fastest).  ``axes`` holds the per-axis point
-    sequences; ``density`` describes the generating density per axis
-    ("uniform", a tabulated (grid, values) pair, or None when the grid was
-    read from a file and the density is unknown).
+    sequences.
     """
 
     dim: int
     points: np.ndarray
     axes: tuple[np.ndarray, ...]
     sizes: tuple[int, ...]
-    density: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _readonly(self.points))
@@ -62,11 +68,7 @@ class DesignGrid:
             raise GridError(f"dim must be 1 or 2, got {self.dim}")
         if int(np.prod(self.sizes)) != self.n_points:
             raise GridError("total point count must equal the product of per-axis sizes")
-        for axis in self.axes:
-            if axis.size and (axis.min() < 0.0 or axis.max() > 1.0):
-                raise GridError("design points must lie in [0,1]")
-            if np.any(np.diff(axis) <= 0):
-                raise GridError("design points must be strictly increasing per axis")
+        _check_axes(self.axes, "design")
 
     @property
     def n_points(self) -> int:
@@ -95,11 +97,7 @@ class EvalGrid:
         object.__setattr__(self, "axes", tuple(_readonly(a) for a in self.axes))
         if self.n_points == 0:
             raise GridError("evaluation grid must be nonempty")
-        for axis in self.axes:
-            if axis.min() < 0.0 or axis.max() > 1.0:
-                raise GridError("evaluation points must lie in [0,1]")
-            if np.any(np.diff(axis) <= 0):
-                raise GridError("evaluation points must be strictly increasing per axis")
+        _check_axes(self.axes, "evaluation")
 
     @property
     def n_points(self) -> int:
@@ -109,21 +107,6 @@ class EvalGrid:
         """Points as a (m, dim) array regardless of dim."""
         pts = self.points
         return pts[:, None] if self.dim == 1 else pts
-
-
-@dataclass(frozen=True)
-class DiscretizedCurve:
-    """Values of one function on an evaluation grid."""
-
-    grid: EvalGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        if self.values.shape != (self.grid.n_points,):
-            raise GridError("curve values must match the grid size")
-        if not np.all(np.isfinite(self.values)):
-            raise GridError("curve values must be finite")
 
 
 @dataclass(frozen=True)
@@ -152,8 +135,6 @@ class FunctionalSample:
 
 def _tabulated_cdf(grid: np.ndarray, values: np.ndarray):
     """Renormalized CDF of a piecewise-linear tabulated density on [0,1]."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise GridError("tabulated density grid must be strictly increasing with >= 2 points")
     if grid[0] != 0.0 or grid[-1] != 1.0:
@@ -200,7 +181,11 @@ def _axis_points(density, size: int) -> np.ndarray:
         if density != "uniform":
             raise GridError(f"unknown density spec {density!r}")
         return targets.copy()  # exact closed form for the uniform density
-    grid, values = density
+    try:
+        grid, values = (np.asarray(a, dtype=float) for a in density)
+    except (TypeError, ValueError):
+        raise GridError("a density spec must be 'uniform' or a (grid, values) pair "
+                        f"of numbers, got a {type(density).__name__}") from None
     cdf = _tabulated_cdf(grid, values)
     return np.array([_invert_monotone(cdf, t) for t in targets])
 
@@ -208,17 +193,16 @@ def _axis_points(density, size: int) -> np.ndarray:
 def make_design_grid(densities, sizes) -> DesignGrid:
     """Build a product design grid from per-axis density specs and sizes.
 
-    ``densities`` is a sequence (one entry per axis) of either the string
-    "uniform" or a tabulated pair ``(grid, values)`` of density values on a
-    fine grid spanning [0,1]; tabulated densities are renormalized.
+    ``densities`` is the string "uniform" for every axis, or a sequence with
+    one entry per axis of either "uniform" or a tabulated pair ``(grid,
+    values)`` of density values on a fine grid spanning [0,1]; tabulated
+    densities are renormalized.
     """
     sizes = tuple(int(s) for s in sizes)
     dim = len(sizes)
     if dim not in (1, 2):
         raise GridError("only dimensions 1 and 2 are supported")
-    if isinstance(densities, str) or (
-        isinstance(densities, tuple) and len(densities) == 2 and not isinstance(densities[0], str)
-    ):
+    if isinstance(densities, str):
         densities = [densities] * dim
     densities = list(densities)
     if len(densities) != dim:
@@ -229,8 +213,7 @@ def make_design_grid(densities, sizes) -> DesignGrid:
     else:
         g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
         points = np.column_stack([g1.ravel(), g2.ravel()])
-    spec = tuple(d if isinstance(d, str) else ("tabulated",) for d in densities)
-    return DesignGrid(dim=dim, points=points, axes=axes, sizes=sizes, density=spec)
+    return DesignGrid(dim=dim, points=points, axes=axes, sizes=sizes)
 
 
 def uniform_design_grid(*sizes) -> DesignGrid:
@@ -263,7 +246,7 @@ def design_grid_from_points(points: np.ndarray) -> DesignGrid:
     points = np.asarray(points, dtype=float)
     if points.ndim != 1:
         raise GridError("observed design points are supported for d=1 only")
-    return DesignGrid(dim=1, points=points, axes=(points,), sizes=(points.size,), density=(None,))
+    return DesignGrid(dim=1, points=points, axes=(points,), sizes=(points.size,))
 
 
 def validate_sample(sample: FunctionalSample) -> FunctionalSample:

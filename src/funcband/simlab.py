@@ -22,7 +22,7 @@ import numpy as np
 from .bands import band_covers, bootstrap_scb, normal_scb
 from .errors import FuncbandError
 from .gof import polynomial_basis, scb_gof_test
-from .grids import DesignGrid, EvalGrid, FunctionalSample, make_eval_grid, uniform_design_grid
+from .grids import DesignGrid, FunctionalSample, make_eval_grid, uniform_design_grid
 from .moments import CorrelationField, ShrinkageSpec
 from .plrt import _design_plan, plrt_test
 from .smoothing import Bandwidth, kernel_by_name, weight_matrix
@@ -366,7 +366,7 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
 def known_R_threshold(
     model: str, grid_size: int = 100, gamma: float = 0.05,
     paths: int = 50000, seed: int = 0,
-    p: int | None = None, h: float | None = None, kernel=None,
+    p: int | None = None, h: float | None = None,
 ) -> float:
     """Sup-norm threshold from the model's closed-form covariance.
 
@@ -383,7 +383,7 @@ def known_R_threshold(
     if p is not None:
         design = uniform_design_grid(p)
         xd = design.points
-        w = weight_matrix(design, eval, h, kernel)
+        w = weight_matrix(design, eval, h)
         r = w @ cov_fn(xd[:, None], xd[None, :]) @ w.T
         r = 0.5 * (r + r.T)
     else:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridError, IllPosedBandwidthError, SingularDesignError
-from .grids import DesignGrid, DiscretizedCurve, EvalGrid, FunctionalSample
+from .grids import DesignGrid, EvalGrid, FunctionalSample
 
 __all__ = [
     "Kernel",
@@ -27,7 +27,6 @@ __all__ = [
     "WeightVector",
     "local_linear_weights",
     "weight_matrix",
-    "smooth_curve",
     "fit_mean",
     "MeanFit",
     "cv_score",
@@ -109,7 +108,6 @@ class Bandwidth:
 class WeightVector:
     """Sparse local linear weights at a single evaluation point."""
 
-    x: tuple[float, ...]
     indices: np.ndarray
     weights: np.ndarray
 
@@ -167,18 +165,7 @@ def local_linear_weights(grid: DesignGrid, x, h, kernel: Kernel | None = None) -
     eval_grid = EvalGrid(dim=grid.dim, points=pts, axes=tuple(x_arr[:, None]))
     row = weight_matrix(grid, eval_grid, h, kernel)[0]
     idx = np.nonzero(row)[0]
-    return WeightVector(x=tuple(x_arr.tolist()), indices=idx, weights=row[idx])
-
-
-def smooth_curve(
-    row: np.ndarray, grid: DesignGrid, eval: EvalGrid, h, kernel: Kernel | None = None
-) -> DiscretizedCurve:
-    """Local linear smooth of a single curve's raw values."""
-    row = np.asarray(row, dtype=float)
-    if row.shape != (grid.n_points,):
-        raise GridError(f"row has length {row.shape}, expected ({grid.n_points},)")
-    w = weight_matrix(grid, eval, h, kernel)
-    return DiscretizedCurve(grid=eval, values=w @ row)
+    return WeightVector(indices=idx, weights=row[idx])
 
 
 @dataclass(frozen=True)
@@ -188,7 +175,6 @@ class MeanFit:
     grid: EvalGrid
     mean: np.ndarray        # (m,)
     curves: np.ndarray      # (n, m), row i = smooth of curve i
-    weights: np.ndarray     # (m, p) weight matrix used
 
 
 def fit_mean(
@@ -197,7 +183,7 @@ def fit_mean(
     """Smooth the sample mean; also returns the n per-curve smooths."""
     w = weight_matrix(sample.grid, eval, h, kernel)
     curves = sample.values @ w.T
-    return MeanFit(grid=eval, mean=curves.mean(axis=0), curves=curves, weights=w)
+    return MeanFit(grid=eval, mean=curves.mean(axis=0), curves=curves)
 
 
 def cv_score(sample: FunctionalSample, h, kernel: Kernel | None = None) -> float:

@@ -126,7 +126,6 @@ class SupQuantileRequest:
 class SupQuantileResult:
     threshold: float
     stderr: float
-    paths: int
     clipped_mass: float
 
 
@@ -240,4 +239,4 @@ def _sup_quantile_of(request, values, mass) -> SupQuantileResult:
     values.sort()
     c = order_statistic_quantile(values, request.level)
     se = _quantile_stderr(values, request.level)
-    return SupQuantileResult(threshold=c, stderr=se, paths=request.paths, clipped_mass=mass)
+    return SupQuantileResult(threshold=c, stderr=se, clipped_mass=mass)

@@ -359,9 +359,9 @@ class TestSplitHalfBandwidth:
         sample = gen_model1(12, 30, seed_or_rng=503)
         once = split_half_bandwidth(sample, [0.2, 0.1], seed=18)
         built = []
-        parts = bands._prediction_parts
-        monkeypatch.setattr(bands, "_prediction_parts",
-                            lambda *args: built.append(args[2]) or parts(*args))
+        parts = bands._curve_parts
+        monkeypatch.setattr(bands, "_curve_parts",
+                            lambda *args: built.append(args[4]) or parts(*args))
         assert split_half_bandwidth(sample, [0.1, 0.2, 0.1, 0.2], seed=18) == once
         assert built == [(0.1,), (0.2,)]
 

@@ -112,6 +112,19 @@ class TestScb:
         assert code == EXIT_PARSE
         assert named in stderr and stdout == ""
 
+    def test_non_finite_design_point(self, curves_csv, tmp_path, capsys):
+        header, *rows = open(curves_csv).read().splitlines()
+        points = header.split(",")
+        points[3] = "nan"
+        path = tmp_path / "nan_point.csv"
+        path.write_text("\n".join([",".join(points), *rows]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run(capsys, "scb", "--in", str(path), "--h", "0.2",
+                                       "--seed", "5")
+        assert code == EXIT_PARSE
+        assert "design points must be finite" in stderr and stdout == ""
+
     def test_degenerate_sample(self, tmp_path, capsys):
         grid = uniform_design_grid(20)
         row = np.sin(2 * np.pi * grid.points)
@@ -374,6 +387,22 @@ class TestConfig:
                 capsys, "scb", "--in", curves_csv, "--h", "0.2", "--seed", "24", *extra)
             assert code == EXIT_PARSE
             assert "threads" in stderr
+
+    @pytest.mark.parametrize("command", ["scb", "gof", "compare", "predict", "simulate"])
+    def test_format_flag_and_key_only_on_simulate(self, curves_csv, tmp_path, capsys, command):
+        cfg = tmp_path / "format.json"
+        cfg.write_text(json.dumps({"format": "json"}))
+        argv = ([command, "--in", curves_csv, "--h", "0.2"] if command != "simulate" else
+                ["simulate", "--model", "1", "--n", "8", "--p", "20", "--h", "0.2",
+                 "--reps", "1", "--grid-size", "20", "--paths", "2000"])
+        for extra in (("--format", "json"), ("--config", str(cfg))):
+            code, stdout, stderr = run(capsys, *argv, "--seed", "24", *extra)
+            if command == "simulate":
+                assert code == EXIT_OK
+                assert json.loads(stdout)[0]["method"] == "normal-scb"
+            else:
+                assert code == EXIT_PARSE
+                assert "format" in stderr
 
     def test_unknown_config_key(self, curves_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

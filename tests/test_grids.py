@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from funcband import (
     DesignGrid,
-    DiscretizedCurve,
     EvalGrid,
     FunctionalSample,
     GridError,
@@ -21,7 +20,7 @@ from funcband import (
     validate_sample,
     write_curves_csv,
 )
-from funcband.grids import _tabulated_cdf
+from funcband.grids import _tabulated_cdf, design_grid_from_points, eval_grid_from_points
 
 
 class TestMakeDesignGrid:
@@ -76,6 +75,30 @@ class TestMakeDesignGrid:
         with pytest.raises(GridError):
             make_design_grid([(t, np.full(10, -1.0))], (5,))
 
+    @pytest.mark.parametrize("form", [tuple, list])
+    def test_one_spec_per_axis(self, form):
+        t = np.linspace(0.0, 1.0, 50)
+        tab = (t, 1.0 + t)
+        axis4, axis5 = (make_design_grid([tab], (s,)).points for s in (4, 5))
+        both = make_design_grid(form([tab, tab]), (4, 5))
+        np.testing.assert_array_equal(both.axes[0], axis4)
+        np.testing.assert_array_equal(both.axes[1], axis5)
+        mixed = make_design_grid(form([tab, "uniform"]), (4, 5))
+        np.testing.assert_array_equal(mixed.axes[0], axis4)
+        np.testing.assert_array_equal(mixed.axes[1], uniform_design_grid(5).points)
+
+    @pytest.mark.parametrize("spec", [5, (np.linspace(0.0, 1.0, 5),), ("a", "b"), (1, 2, 3)])
+    def test_malformed_axis_spec(self, spec):
+        with pytest.raises(GridError, match="density spec"):
+            make_design_grid(["uniform", spec], (4, 4))
+
+    def test_bare_pair_is_not_a_spec_per_axis(self):
+        t = np.linspace(0.0, 1.0, 50)
+        with pytest.raises(GridError, match="one density spec per axis"):
+            make_design_grid((t, 1.0 + t), (4,))
+        with pytest.raises(GridError, match="density spec"):
+            make_design_grid((t, 1.0 + t), (4, 4))
+
 
 class TestEvalGrid:
     def test_default_is_equispaced(self):
@@ -87,13 +110,21 @@ class TestEvalGrid:
             make_eval_grid(0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grids_reject_non_finite_points(bad):
+    points = np.array([0.05, bad, 0.5, 0.9])
+    with pytest.raises(GridError, match="design points must be finite"):
+        design_grid_from_points(points)
+    with pytest.raises(GridError, match="evaluation points must be finite"):
+        eval_grid_from_points(points)
+
+
 def test_constructors_leave_caller_arrays_writeable():
     v = np.linspace(0.1, 0.9, 5)
     values = np.ones((3, 5))
     grid = DesignGrid(dim=1, points=v, axes=(v,), sizes=(5,))
     eval = EvalGrid(dim=1, points=v, axes=(v,))
     FunctionalSample(grid=grid, values=values)
-    DiscretizedCurve(grid=eval, values=values[0])
     assert v.flags.writeable and values.flags.writeable
     assert not grid.points.flags.writeable and not eval.points.flags.writeable
 

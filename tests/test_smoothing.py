@@ -22,7 +22,6 @@ from funcband import (
     local_linear_weights,
     make_design_grid,
     make_eval_grid,
-    smooth_curve,
     truncated_gaussian,
     uniform_design_grid,
     weight_matrix,
@@ -147,17 +146,24 @@ class TestWeights2d:
         np.testing.assert_allclose(w @ grid.points[:, 1], eval_pts[:, 1], atol=1e-10)
 
 
+def _smooth_one(row, grid, eval, h):
+    """The local linear smooth of one curve: fit_mean on a one-curve sample."""
+    fit = fit_mean(FunctionalSample(grid=grid, values=np.asarray(row)[None, :]), eval, h)
+    np.testing.assert_array_equal(fit.curves[0], fit.mean)
+    return fit.mean
+
+
 class TestSmoothCurve:
     def test_constant_row(self):
         grid = uniform_design_grid(20)
-        out = smooth_curve(np.full(20, 3.25), grid, make_eval_grid(15), 0.2)
-        np.testing.assert_allclose(out.values, 3.25, atol=1e-12)
+        out = _smooth_one(np.full(20, 3.25), grid, make_eval_grid(15), 0.2)
+        np.testing.assert_allclose(out, 3.25, atol=1e-12)
 
     def test_linear_row_exact(self):
         grid = uniform_design_grid(20)
         eval = make_eval_grid(15)
-        out = smooth_curve(2.0 - 3.0 * grid.points, grid, eval, 0.2)
-        np.testing.assert_allclose(out.values, 2.0 - 3.0 * eval.points, atol=1e-10)
+        out = _smooth_one(2.0 - 3.0 * grid.points, grid, eval, 0.2)
+        np.testing.assert_allclose(out, 2.0 - 3.0 * eval.points, atol=1e-10)
 
     def test_matches_extended_precision_oracle(self):
         # [DERIVED] fsum-based re-evaluation of the weight/dot-product pipeline
@@ -166,7 +172,7 @@ class TestSmoothCurve:
         grid = uniform_design_grid(p)
         row = rng.standard_normal(p)
         eval = make_eval_grid(11)
-        out = smooth_curve(row, grid, eval, 0.08)
+        out = _smooth_one(row, grid, eval, 0.08)
         for i, x in enumerate(eval.points):
             d = grid.points - x
             k = np.where(np.abs(d / 0.08) < 1, 0.75 * (1 - (d / 0.08) ** 2), 0.0)
@@ -174,7 +180,7 @@ class TestSmoothCurve:
             s2 = math.fsum(d * d * k) / (p * 0.08)
             w = (s2 - d * s1) * k / (p * 0.08)
             val = math.fsum(w * row) / math.fsum(w)
-            assert abs(out.values[i] - val) < 1e-8
+            assert abs(out[i] - val) < 1e-8
 
 
 class TestFitMean:
@@ -184,8 +190,8 @@ class TestFitMean:
         row = np.sin(2 * np.pi * grid.points)
         sample = FunctionalSample(grid=grid, values=np.tile(row, (4, 1)))
         fit = fit_mean(sample, eval, 0.15)
-        single = smooth_curve(row, grid, eval, 0.15)
-        np.testing.assert_allclose(fit.mean, single.values, atol=1e-12)
+        single = _smooth_one(row, grid, eval, 0.15)
+        np.testing.assert_allclose(fit.mean, single, atol=1e-12)
 
     def test_mean_of_smooths_equals_smooth_of_mean(self):
         sample = gen_model1(8, 40, seed_or_rng=3)
