@@ -116,8 +116,8 @@ def basis_model(functions: Sequence[Callable], density: Callable | None = None) 
 def polynomial_basis(degree: int, density: Callable | None = None) -> BasisModel:
     """Shifted-Legendre polynomial basis of the given degree on [0,1]
     (orthonormal for the uniform density)."""
-    if degree < 0:
-        raise FuncbandError("degree must be >= 0")
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise FuncbandError(f"degree must be an integer >= 0, got degree={degree!r}")
     from numpy.polynomial import legendre
 
     funcs = []

@@ -204,9 +204,8 @@ def make_design_grid(densities, sizes) -> DesignGrid:
         raise GridError("only dimensions 1 and 2 are supported")
     if isinstance(densities, str):
         densities = [densities] * dim
-    densities = list(densities)
-    if len(densities) != dim:
-        raise GridError("need one density spec per axis")
+    if not isinstance(densities, (list, tuple)) or len(densities) != dim:
+        raise GridError(f"densities must be 'uniform' or one density spec per axis ({dim})")
     axes = tuple(_axis_points(d, s) for d, s in zip(densities, sizes))
     if dim == 1:
         points = axes[0]
@@ -222,8 +221,8 @@ def uniform_design_grid(*sizes) -> DesignGrid:
 
 def make_eval_grid(size: int = 100, dim: int = 1) -> EvalGrid:
     """Equispaced evaluation grid on [0,1]^dim (default 100 points, d=1)."""
-    if size < 1:
-        raise GridError("evaluation grid size must be >= 1")
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+        raise GridError(f"evaluation grid size must be an integer >= 1, got size={size!r}")
     axis = np.linspace(0.0, 1.0, size)
     if dim == 1:
         return EvalGrid(dim=1, points=axis, axes=(axis,))

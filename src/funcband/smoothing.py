@@ -72,23 +72,23 @@ def truncated_gaussian() -> Kernel:
 
 
 def kernel_by_name(name: str) -> Kernel:
-    name = name.lower()
-    if name in ("epanechnikov", "epa"):
+    key = name.lower() if isinstance(name, str) else None
+    if key in ("epanechnikov", "epa"):
         return epanechnikov()
-    if name in ("gauss", "gaussian", "truncated-gaussian"):
+    if key in ("gauss", "gaussian", "truncated-gaussian"):
         return truncated_gaussian()
     raise GridError(f"unknown kernel {name!r}")
 
 
 @dataclass(frozen=True)
 class Bandwidth:
-    """Per-axis positive bandwidths."""
+    """Per-axis finite positive bandwidths."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.values or not all(h > 0 for h in self.values):
-            raise GridError(f"bandwidths must be positive, got h={self.values}")
+        if not self.values or not all(0 < h < math.inf for h in self.values):
+            raise GridError(f"bandwidths must be finite and positive, got h={self.values}")
 
     @classmethod
     def of(cls, h, dim: int = 1) -> "Bandwidth":
@@ -96,9 +96,10 @@ class Bandwidth:
             if len(h.values) != dim:
                 raise GridError(f"bandwidth has {len(h.values)} axes, expected {dim}")
             return h
-        if np.isscalar(h):
-            return cls(tuple(float(h) for _ in range(dim)))
-        vals = tuple(float(v) for v in h)
+        try:
+            vals = (float(h),) * dim if np.isscalar(h) else tuple(float(v) for v in h)
+        except (TypeError, ValueError):
+            raise GridError(f"bandwidth must be a number per axis, got h={h!r}") from None
         if len(vals) != dim:
             raise GridError(f"bandwidth has {len(vals)} axes, expected {dim}")
         return cls(vals)

@@ -103,6 +103,11 @@ class TestScb:
         assert code == EXIT_ILL_POSED
         assert stderr.startswith("ill-posed") and "Warning" not in stderr
 
+    def test_infinite_bandwidth_is_parse_error(self, curves_csv, capsys):
+        code, stdout, stderr = run(capsys, "scb", "--in", curves_csv, "--h", "inf", "--seed", "5")
+        assert code == EXIT_PARSE
+        assert "finite and positive" in stderr and "h=(inf,)" in stderr and stdout == ""
+
     @pytest.mark.parametrize("flags, named", [
         (["scb", "--h", "0.15", "--paths", _HUGE], f"paths={_HUGE}"),
         (["scb", "--h", "0.15", "--method", "bootstrap", "--B", _HUGE], f"bootstraps={_HUGE}"),

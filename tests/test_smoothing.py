@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from conftest import oracle_weights_1d, oracle_weights_2d
 
 from funcband import (
+    Bandwidth,
+    FuncbandError,
     FunctionalSample,
     GridError,
     IllPosedBandwidthError,
@@ -22,6 +24,8 @@ from funcband import (
     local_linear_weights,
     make_design_grid,
     make_eval_grid,
+    normal_scb,
+    polynomial_basis,
     truncated_gaussian,
     uniform_design_grid,
     weight_matrix,
@@ -248,3 +252,29 @@ class TestCvBandwidth:
             best, _ = cv_bandwidth(sample, cands)
             hits += 0.05 <= best.values[0] <= 0.3
         assert hits >= 90
+
+
+@pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan, (0.2, math.inf)])
+def test_bandwidth_must_be_finite_and_positive(h):
+    # h = inf once gave every design point the same kernel weight, so the
+    # "local linear" band was one global straight line
+    sample = gen_model1(10, 20, seed_or_rng=4)
+    with pytest.raises(GridError, match="finite and positive"):
+        Bandwidth.of(h, 1 if np.isscalar(h) else 2)
+    if np.isscalar(h):
+        with pytest.raises(GridError, match=r"h=\("):
+            normal_scb(sample, make_eval_grid(20), h, paths=200)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: make_design_grid(5, (4,)), "densities"),
+    (lambda: make_eval_grid(2.5), "size=2.5"),
+    (lambda: polynomial_basis(1.5), "degree=1.5"),
+    (lambda: kernel_by_name(3), "kernel 3"),
+    (lambda: Bandwidth.of("a"), "h='a'"),
+], ids=["make_design_grid", "make_eval_grid", "polynomial_basis", "kernel_by_name",
+        "Bandwidth.of"])
+def test_mistyped_argument_raises_funcband_error(call, named):
+    with pytest.raises(FuncbandError) as err:
+        call()
+    assert named in str(err.value)
