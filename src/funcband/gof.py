@@ -22,6 +22,7 @@ from .grids import DesignGrid, EvalGrid, FunctionalSample
 from .moments import (CovarianceField, ShrinkageSpec, correlation_from_covariance,
                       empirical_data_covariance)
 from .smoothing import Kernel, weight_matrix
+from .supnorm import _EIG_RTOL
 
 __all__ = [
     "BasisModel",
@@ -162,6 +163,14 @@ def _projector(phi: np.ndarray) -> np.ndarray:
     return q @ q.T
 
 
+def _residual_map(sample, model, eval, h, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """(W Q, Q) for the (m, p) smoother W and the (p, p - L) orthonormal
+    complement Q of the basis columns at the design points: I - P = Q Q'."""
+    phi = _design_matrix(model, sample.grid)
+    q = np.linalg.qr(phi, mode="complete")[0][:, phi.shape[1]:]
+    return weight_matrix(sample.grid, eval, h, kernel) @ q, q
+
+
 def residual_process(
     sample: FunctionalSample,
     model: BasisModel,
@@ -170,11 +179,8 @@ def residual_process(
     kernel: Kernel | None = None,
 ) -> np.ndarray:
     """Smoothed least-squares residuals r(x) = W(x)'(I - P) ybar on the grid."""
-    phi = _design_matrix(model, sample.grid)
-    p_mat = _projector(phi)
-    ybar = sample.column_means()
-    w = weight_matrix(sample.grid, eval, h, kernel)
-    return w @ (ybar - p_mat @ ybar)
+    wq, q = _residual_map(sample, model, eval, h, kernel)
+    return wq @ (q.T @ sample.column_means())
 
 
 def gamma_n_plugin(
@@ -187,14 +193,10 @@ def gamma_n_plugin(
 ) -> tuple[CovarianceField, float]:
     """Plug-in covariance of sqrt(n) r: W(x)'(I-P) S_hat (I-P) W(x'), with
     S_hat the (optionally shrunk) empirical covariance of the raw data."""
-    phi = _design_matrix(model, sample.grid)
-    p_mat = _projector(phi)
+    wq, q = _residual_map(sample, model, eval, h, kernel)
     data_cov, lam = empirical_data_covariance(sample, shrinkage)
-    w = weight_matrix(sample.grid, eval, h, kernel)
-    b = w @ (np.eye(sample.n_points) - p_mat)   # (m, p)
-    table = b @ data_cov.table @ b.T
-    table = 0.5 * (table + table.T)
-    return CovarianceField(grid=eval, table=table), lam
+    table = wq @ (q.T @ data_cov.table @ q) @ wq.T
+    return CovarianceField(grid=eval, table=0.5 * (table + table.T)), lam
 
 
 def limit_gamma(
@@ -268,15 +270,31 @@ def scb_gof_test(
     seed: int = 0,
     shrinkage: ShrinkageSpec | None = ShrinkageSpec(),
 ) -> GofReport:
-    """Sup-norm test of the parametric model; T = sqrt(n) || r / sigma_Gamma ||_inf."""
-    r = residual_process(sample, model, eval, h, kernel)
-    gamma_hat, lam = gamma_n_plugin(sample, model, eval, h, kernel, shrinkage)
+    """Sup-norm test of the parametric model; T = sqrt(n) || r / sigma_Gamma ||_inf.
+
+    Gamma_hat = A A' with A = W Q C and C C' = Q' S_hat Q.  Where C has fewer
+    than m columns (at most p - L), each path takes one normal per column of C
+    through the correlation's factor A' / sigma_Gamma."""
+    wq, q = _residual_map(sample, model, eval, h, kernel)
+    data_cov, lam = empirical_data_covariance(sample, shrinkage)
+    r = wq @ (q.T @ sample.column_means())
+    g = q.T @ data_cov.table @ q
+    try:
+        c = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:       # singular, e.g. unshrunk with n - 1 < p - L
+        vals, vecs = np.linalg.eigh(g)
+        keep = vals > _EIG_RTOL * vals.max()
+        c = vecs[:, keep] * np.sqrt(vals[keep])
+    a = wq @ c
+    gamma_hat = CovarianceField(grid=eval, table=a @ a.T)
     rho_gamma = correlation_from_covariance(gamma_hat)
     sigma_gamma = np.sqrt(np.diag(gamma_hat.table))
+    factor = (a / sigma_gamma[:, None]).T
     n = sample.n_curves
     t_stat = sqrt(n) * float(np.max(np.abs(r / sigma_gamma)))
     band = _gaussian_band("gof-residual", eval, r, sigma_gamma, rho_gamma, sqrt(n), alpha,
-                          paths, sample.n_points, seed, h, kernel, lam)
+                          paths, sample.n_points, seed, h, kernel, lam,
+                          factor if len(factor) < eval.n_points else None)
     return GofReport(
         statistic=t_stat,
         threshold=band.threshold,

@@ -1,22 +1,24 @@
 """Monte-Carlo sup-norm quantiles of centered Gaussian processes on a grid.
 
-Sample paths are z L with z a row of standard normals and L a symmetric
-square root of the correlation table; the threshold is the
+Sample paths are z L with z a row of w standard normals and L a w x m
+root of the m x m correlation table (L'L = table); the threshold is the
 ceil((1-gamma) N)-th order statistic of the simulated sup-absolute values.
-L takes one of two forms:
+L takes one of three forms:
 
 * dense: the m x m PSD root from an eigendecomposition of the table (after
-  eigenvalue repair), applied by one k x m x m product per chunk;
+  eigenvalue repair), applied by one k x m x m product per chunk; w = m;
 * thin: for a shrunk empirical correlation (1-lam) Xs'Xs/(n-1) + lam I of
   n < m/2 curves, sqrt(lam) I + V diag(d) V' from the thin SVD of the
-  n x m standardized deviations Xs, applied by two k x m x n products.  The
-  bands pass it with the request; the result differs from the dense root by
-  rounding only.
+  n x m standardized deviations Xs, applied by two k x m x n products;
+  w = m.  The bands pass it with the request; the result differs from the
+  dense root by rounding only;
+* factor: an exact r x m root of a rank-r table, such as the goodness-of-fit
+  correlation of rank p - L < m, applied by one k x r x m product; w = r.
 
 Paths are drawn in chunks of at most 2048 into one normal buffer and one
 product buffer allocated per call.  Randomness is counter-based (Philox)
 with per-chunk substreams, so a given seed gives bit-identical output.
-Requests with the same seed, paths and grid size can share one draw.
+Requests with the same seed, paths and width w can share one draw.
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ class SupQuantileRequest:
     paths: int
     seed: int
     # The bands' thin root of a shrunk empirical correlation, as _thin_root's
-    # times(z, out, scratch); None draws through the dense root of table().
-    _root: Callable | None = field(default=None, repr=False, compare=False)
+    # times(z, out, scratch), or a w x m factor L with L'L = table(); None
+    # draws through the dense root of table().
+    _root: Callable | np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_level(self.level)
@@ -114,12 +117,12 @@ class SupQuantileRequest:
         return c.table if isinstance(c, CorrelationField) else np.asarray(c, dtype=float)
 
     @cached_property
-    def _times(self) -> tuple[Callable, float]:
-        """The root's ``times(z, out, scratch)`` and clipped mass, built once."""
-        if self._root is not None:
-            return self._root, 0.0
-        factor, mass = _sqrt_factor(self.table())
-        return (lambda z, out, scratch=None: np.matmul(z, factor, out=out)), mass
+    def _times(self) -> tuple[Callable, float, int]:
+        """The root's ``times(z, out, scratch)``, clipped mass and width, built once."""
+        if callable(self._root):
+            return self._root, 0.0, self.table().shape[0]
+        factor, mass = (self._root, 0.0) if self._root is not None else _sqrt_factor(self.table())
+        return (lambda z, out, scratch=None: np.matmul(z, factor, out=out)), mass, len(factor)
 
 
 @dataclass(frozen=True)
@@ -177,27 +180,30 @@ def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
 
 def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     """Simulate sup-absolute values of the Gaussian process; deterministic
-    given the seed.  Uses the request's thin root when it has one (nothing
-    is clipped then), else the dense root of its table.  Returns (values,
+    given the seed.  Uses the request's thin root or factor when it has one
+    (nothing is clipped then), else the dense root of its table.  Returns (values,
     clipped mass), or with ``more`` requests a list of such pairs, one each."""
-    shared = (request.seed, request.paths, request.table().shape)
-    if any((r.seed, r.paths, r.table().shape) != shared for r in more):
-        raise FuncbandError("requests simulated together must share seed, paths and grid size")
-    roots = [r._times for r in (request, *more)]
+    requests = (request, *more)
+    roots = [r._times for r in requests]
+    if any((r.seed, r.paths, w) != (request.seed, request.paths, roots[0][2])
+           for r, (_, _, w) in zip(more, roots[1:])):
+        raise FuncbandError("requests simulated together must share seed, paths and width")
+    sizes = [r.table().shape[0] for r in requests]
     values = np.empty((len(roots), request.paths))
     starts = iter(range(0, request.paths, _CHUNK))      # map_philox_chunks goes in order
-    z = np.empty((min(_CHUNK, request.paths), request.table().shape[0]))
-    y = np.empty_like(z)
+    z = np.empty((min(_CHUNK, request.paths), roots[0][2]))
+    y = np.empty(len(z) * max(sizes))
 
     def draw(rng, k):
-        zk, yk, start = z[:k], y[:k], next(starts)
+        zk, start = z[:k], next(starts)
         rng.standard_normal(out=zk)
-        for (times, _), v in zip(roots, values):
+        for (times, _, _), m, v in zip(roots, sizes, values):
+            yk = y[:k * m].reshape(k, m)
             # A thin root may overwrite the normals only when no other root reads them.
             np.abs(times(zk, yk, None if more else zk), out=yk).max(axis=1, out=v[start:start + k])
 
     map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
-    pairs = [(v, mass) for v, (_, mass) in zip(values, roots)]
+    pairs = [(v, mass) for v, (_, mass, _) in zip(values, roots)]
     return pairs if more else pairs[0]
 
 

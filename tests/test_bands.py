@@ -283,7 +283,9 @@ def _refuse_dense_root(table):
 
 class TestSquareRootChoice:
     """Mean and prediction bands of n < m/2 curves draw through the thin root
-    of the shrunk correlation; every other Gaussian band takes the dense one."""
+    of the shrunk correlation, and the goodness-of-fit band with p - L < m
+    through its rank-(p - L) factor; every other Gaussian band takes the
+    dense root."""
 
     def test_thin_root_for_few_curves(self, monkeypatch):
         grid = uniform_design_grid(15, 15)
@@ -316,7 +318,9 @@ class TestSquareRootChoice:
                                           paths=500, seed=1),
             "two-sample": lambda: two_sample_scb(few, gen_model1(10, 30, seed_or_rng=21), grid,
                                                  0.1, paths=500, seed=1),
-            "gof": lambda: scb_gof_test(few, polynomial_basis(1), grid, 0.1, paths=500, seed=1),
+            # p - L = 108 >= m: the factor would be no narrower than the dense root
+            "gof": lambda: scb_gof_test(gen_model1(10, 110, seed_or_rng=22), polynomial_basis(1),
+                                        grid, 0.1, paths=500, seed=1),
         }[case]
         taken = []
         dense_root = supnorm._sqrt_factor

@@ -20,6 +20,7 @@ from funcband import (
     truncated_gaussian,
     uniform_design_grid,
 )
+from funcband import bands, supnorm
 from funcband.grids import eval_grid_from_points
 from funcband.moments import correlation_from_covariance
 from funcband.simlab import bump_function, gen_model3
@@ -258,3 +259,81 @@ class TestScbGofTest:
         a = sup_quantile(SupQuantileRequest(corr, 0.05, 13000, seed)).threshold
         b = sup_quantile(SupQuantileRequest(corr + noise, 0.05, 13000, seed)).threshold
         assert abs(b - a) <= 1e-12 * a
+
+
+def _record_draws(monkeypatch):
+    """Widths of the normal buffers ``simulate_sup_norms`` fills, and the
+    sup-norm requests the bands make, appended as they happen."""
+    widths, requests = [], []
+    chunks, quantile = supnorm.map_philox_chunks, bands.sup_quantile
+
+    class Rng:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, out):
+            widths.append(out.shape[1])
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(supnorm, "map_philox_chunks", lambda total, chunk, seed, draw: chunks(
+        total, chunk, seed, lambda rng, k: draw(Rng(rng), k)))
+    monkeypatch.setattr(bands, "sup_quantile", lambda r: requests.append(r) or quantile(r))
+    return widths, requests
+
+
+def _refuse_dense_root(table):
+    raise AssertionError("dense square root taken")
+
+
+class TestLowRankFactor:
+    """Gamma_hat has rank at most p - L, so the test draws its Gaussian paths
+    through a (p - L) x m factor of the correlation where p - L < m."""
+
+    MODEL = polynomial_basis(1)
+
+    def test_factor_is_a_root_of_the_plugin_correlation(self, monkeypatch):
+        sample = gen_model3(50, 50, seed_or_rng=20, hypothesis="h0")
+        eval = make_eval_grid(100)
+        _, requests = _record_draws(monkeypatch)
+        scb_gof_test(sample, self.MODEL, eval, 0.035, paths=500, seed=1)
+        factor = requests[0]._root
+        assert factor.shape == (48, 100)
+        rho = correlation_from_covariance(gamma_n_plugin(sample, self.MODEL, eval, 0.035)[0])
+        np.testing.assert_allclose(factor.T @ factor, rho.table, rtol=0, atol=1e-12)
+
+    def test_draws_p_minus_L_normals_per_path(self, monkeypatch):
+        sample = gen_model3(50, 50, seed_or_rng=21, hypothesis="h0")
+        widths, _ = _record_draws(monkeypatch)
+        monkeypatch.setattr(supnorm, "_sqrt_factor", _refuse_dense_root)
+        report = scb_gof_test(sample, self.MODEL, make_eval_grid(100), 0.035, seed=2)
+        assert widths == [48] * 7       # 13000 paths in chunks of 2048
+        assert report.diagnostics["clipped_mass"] == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_threshold_agrees_with_dense_root(self, seed):
+        # same Gaussian law, other draws: the thresholds differ by Monte-Carlo noise
+        sample = gen_model3(50, 50, seed_or_rng=30 + seed, hypothesis="h0")
+        eval = make_eval_grid(100)
+        report = scb_gof_test(sample, self.MODEL, eval, 0.035, seed=seed)
+        rho = correlation_from_covariance(gamma_n_plugin(sample, self.MODEL, eval, 0.035)[0])
+        dense = sup_quantile(SupQuantileRequest(rho, 0.05, 13000, seed))
+        se = np.hypot(report.diagnostics["threshold_stderr"], dense.stderr)
+        assert abs(report.threshold - dense.threshold) <= 4 * se
+
+    def test_singular_gram_keeps_its_rank(self, monkeypatch):
+        # no shrinkage and n - 1 = 9 < p - L = 48: S_hat projects to a singular
+        # 48 x 48 matrix, whose Cholesky fails; its rank-9 root is used instead
+        sample = gen_model3(10, 50, seed_or_rng=22, hypothesis="h0")
+        widths, _ = _record_draws(monkeypatch)
+        report = scb_gof_test(sample, self.MODEL, make_eval_grid(100), 0.035, seed=3,
+                              shrinkage=None)
+        assert set(widths) == {9}
+        assert np.isfinite(report.threshold) and np.isfinite(report.statistic)
+        assert np.all(np.isfinite(report.band.half_width))
+
+    def test_dense_root_on_a_short_grid(self, monkeypatch):
+        # p - L = 48 >= m = 20: the factor is no narrower than the dense root
+        sample = gen_model3(50, 50, seed_or_rng=23, hypothesis="h0")
+        widths, requests = _record_draws(monkeypatch)
+        scb_gof_test(sample, self.MODEL, make_eval_grid(20), 0.1, paths=500, seed=4)
+        assert requests[0]._root is None and widths == [20]

@@ -149,8 +149,40 @@ class TestSharedDraw:
         first = _shrunk_request(5, 40, 0.3, 3, self.PATHS)
         other = {**base, **change}
         second = _shrunk_request(5, other["m"], 0.3, other["seed"], other["paths"])
-        with pytest.raises(FuncbandError, match="must share seed, paths and grid size"):
+        with pytest.raises(FuncbandError, match="must share seed, paths and width"):
             simulate_sup_norms(first, second)
+
+
+def _factor_request(r, m, seed, paths):
+    """A request for a random rank-r correlation on m points, drawn through
+    its r x m factor."""
+    x = np.random.default_rng(seed + 200).standard_normal((m, r))
+    factor = (x / np.linalg.norm(x, axis=1)[:, None]).T
+    return SupQuantileRequest(factor.T @ factor, 0.05, paths, seed, _root=factor)
+
+
+class TestFactorRoot:
+    PATHS = 2048 + 37
+
+    def test_draws_r_normals_per_path(self):
+        # the oracle redraws each chunk's (k, r) normals from its own substream
+        request = _factor_request(7, 30, 5, self.PATHS)
+        values, mass = simulate_sup_norms(request)
+        streams = np.random.SeedSequence(5).spawn(2)
+        z = np.vstack([np.random.Generator(np.random.Philox(s)).standard_normal((k, 7))
+                       for k, s in zip((2048, 37), streams)])
+        np.testing.assert_array_equal(values, np.abs(z @ request._root).max(axis=1))
+        assert mass == 0.0
+
+    def test_shares_a_draw_by_width(self):
+        # a width-40 factor on 60 points and a dense root on 40 points
+        requests = [_factor_request(40, 60, 3, self.PATHS), _shrunk_request(5, 40, 0.3, 3,
+                                                                            self.PATHS, False)]
+        for request, (values, mass) in zip(requests, simulate_sup_norms(*requests)):
+            alone, alone_mass = simulate_sup_norms(request)
+            assert np.array_equal(values, alone) and mass == alone_mass
+        with pytest.raises(FuncbandError, match="must share seed, paths and width"):
+            simulate_sup_norms(_factor_request(39, 60, 3, self.PATHS), requests[1])
 
 
 class TestQuantileStderr:
