@@ -186,7 +186,7 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     requests = (request, *more)
     roots = [r._times for r in requests]
     if any((r.seed, r.paths, w) != (request.seed, request.paths, roots[0][2])
-           for r, (_, _, w) in zip(more, roots[1:])):
+           for r, (_, _, w) in zip(requests, roots)):
         raise FuncbandError("requests simulated together must share seed, paths and width")
     sizes = [r.table().shape[0] for r in requests]
     values = np.empty((len(roots), request.paths))
