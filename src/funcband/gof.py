@@ -163,12 +163,20 @@ def _projector(phi: np.ndarray) -> np.ndarray:
     return q @ q.T
 
 
-def _residual_map(sample, model, eval, h, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """(W Q, Q) for the (m, p) smoother W and the (p, p - L) orthonormal
-    complement Q of the basis columns at the design points: I - P = Q Q'."""
+def _residual_map(sample, model, eval, h, kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, W Q, Q): the residuals r = W Q Q' ybar smoothed by the (m, p)
+    smoother W, with Q the (p, p - L) orthonormal complement of the basis
+    columns at the design points, so that I - P = Q Q'."""
     phi = _design_matrix(model, sample.grid)
     q = np.linalg.qr(phi, mode="complete")[0][:, phi.shape[1]:]
-    return weight_matrix(sample.grid, eval, h, kernel) @ q, q
+    wq = weight_matrix(sample.grid, eval, h, kernel) @ q
+    return wq @ (q.T @ sample.column_means()), wq, q
+
+
+def _projected_covariance(sample, q, shrinkage) -> tuple[np.ndarray, float]:
+    """(Q' S_hat Q, lambda) for the shrunk empirical covariance S_hat."""
+    data_cov, lam = empirical_data_covariance(sample, shrinkage)
+    return q.T @ data_cov.table @ q, lam
 
 
 def residual_process(
@@ -179,8 +187,7 @@ def residual_process(
     kernel: Kernel | None = None,
 ) -> np.ndarray:
     """Smoothed least-squares residuals r(x) = W(x)'(I - P) ybar on the grid."""
-    wq, q = _residual_map(sample, model, eval, h, kernel)
-    return wq @ (q.T @ sample.column_means())
+    return _residual_map(sample, model, eval, h, kernel)[0]
 
 
 def gamma_n_plugin(
@@ -193,9 +200,9 @@ def gamma_n_plugin(
 ) -> tuple[CovarianceField, float]:
     """Plug-in covariance of sqrt(n) r: W(x)'(I-P) S_hat (I-P) W(x'), with
     S_hat the (optionally shrunk) empirical covariance of the raw data."""
-    wq, q = _residual_map(sample, model, eval, h, kernel)
-    data_cov, lam = empirical_data_covariance(sample, shrinkage)
-    table = wq @ (q.T @ data_cov.table @ q) @ wq.T
+    _, wq, q = _residual_map(sample, model, eval, h, kernel)
+    g, lam = _projected_covariance(sample, q, shrinkage)
+    table = wq @ g @ wq.T
     return CovarianceField(grid=eval, table=0.5 * (table + table.T)), lam
 
 
@@ -272,29 +279,23 @@ def scb_gof_test(
 ) -> GofReport:
     """Sup-norm test of the parametric model; T = sqrt(n) || r / sigma_Gamma ||_inf.
 
-    Gamma_hat = A A' with A = W Q C and C C' = Q' S_hat Q.  Where C has fewer
-    than m columns (at most p - L), each path takes one normal per column of C
-    through the correlation's factor A' / sigma_Gamma."""
-    wq, q = _residual_map(sample, model, eval, h, kernel)
-    data_cov, lam = empirical_data_covariance(sample, shrinkage)
-    r = wq @ (q.T @ sample.column_means())
-    g = q.T @ data_cov.table @ q
-    try:
-        c = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:       # singular, e.g. unshrunk with n - 1 < p - L
-        vals, vecs = np.linalg.eigh(g)
-        keep = vals > _EIG_RTOL * vals.max()
-        c = vecs[:, keep] * np.sqrt(vals[keep])
-    a = wq @ c
+    Gamma_hat = A A' with A = W Q C, C C' = Q' S_hat Q less its eigenvalues at or
+    below _EIG_RTOL of the largest (their share is the clipped mass).  If C has
+    r < m columns, paths take r normals through the factor A' / sigma_Gamma."""
+    r, wq, q = _residual_map(sample, model, eval, h, kernel)
+    g, lam = _projected_covariance(sample, q, shrinkage)
+    vals, vecs = np.linalg.eigh(g)
+    keep = vals > _EIG_RTOL * vals.max()
+    a = wq @ (vecs[:, keep] * np.sqrt(vals[keep]))
     gamma_hat = CovarianceField(grid=eval, table=a @ a.T)
     rho_gamma = correlation_from_covariance(gamma_hat)
     sigma_gamma = np.sqrt(np.diag(gamma_hat.table))
-    factor = (a / sigma_gamma[:, None]).T
+    mass = float(np.abs(vals[~keep]).sum() / np.abs(vals).sum())
     n = sample.n_curves
     t_stat = sqrt(n) * float(np.max(np.abs(r / sigma_gamma)))
     band = _gaussian_band("gof-residual", eval, r, sigma_gamma, rho_gamma, sqrt(n), alpha,
                           paths, sample.n_points, seed, h, kernel, lam,
-                          factor if len(factor) < eval.n_points else None)
+                          ((a / sigma_gamma[:, None]).T, mass) if a.shape[1] < len(r) else None)
     return GofReport(
         statistic=t_stat,
         threshold=band.threshold,

@@ -102,9 +102,9 @@ class SupQuantileRequest:
     paths: int
     seed: int
     # The bands' thin root of a shrunk empirical correlation, as _thin_root's
-    # times(z, out, scratch), or a w x m factor L with L'L = table(); None
-    # draws through the dense root of table().
-    _root: Callable | np.ndarray | None = field(default=None, repr=False, compare=False)
+    # times(z, out, scratch), or a pair (L, clipped mass) of a w x m factor L
+    # with L'L = table(); None draws through the dense root of table().
+    _root: Callable | tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_level(self.level)
@@ -121,7 +121,7 @@ class SupQuantileRequest:
         """The root's ``times(z, out, scratch)``, clipped mass and width, built once."""
         if callable(self._root):
             return self._root, 0.0, self.table().shape[0]
-        factor, mass = (self._root, 0.0) if self._root is not None else _sqrt_factor(self.table())
+        factor, mass = self._root if self._root is not None else _sqrt_factor(self.table())
         return (lambda z, out, scratch=None: np.matmul(z, factor, out=out)), mass, len(factor)
 
 
@@ -180,8 +180,8 @@ def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
 
 def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     """Simulate sup-absolute values of the Gaussian process; deterministic
-    given the seed.  Uses the request's thin root or factor when it has one
-    (nothing is clipped then), else the dense root of its table.  Returns (values,
+    given the seed.  Uses the request's thin root (nothing is clipped then) or
+    factor when it has one, else the dense root of its table.  Returns (values,
     clipped mass), or with ``more`` requests a list of such pairs, one each."""
     requests = (request, *more)
     roots = [r._times for r in requests]

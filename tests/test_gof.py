@@ -296,8 +296,8 @@ class TestLowRankFactor:
         eval = make_eval_grid(100)
         _, requests = _record_draws(monkeypatch)
         scb_gof_test(sample, self.MODEL, eval, 0.035, paths=500, seed=1)
-        factor = requests[0]._root
-        assert factor.shape == (48, 100)
+        factor, mass = requests[0]._root
+        assert factor.shape == (48, 100) and mass == 0.0
         rho = correlation_from_covariance(gamma_n_plugin(sample, self.MODEL, eval, 0.035)[0])
         np.testing.assert_allclose(factor.T @ factor, rho.table, rtol=0, atol=1e-12)
 
@@ -322,12 +322,15 @@ class TestLowRankFactor:
 
     def test_singular_gram_keeps_its_rank(self, monkeypatch):
         # no shrinkage and n - 1 = 9 < p - L = 48: S_hat projects to a singular
-        # 48 x 48 matrix, whose Cholesky fails; its rank-9 root is used instead
+        # 48 x 48 matrix; its rank-9 root is used, and the share of the dropped
+        # rounding-level eigenvalues is reported as clipped
         sample = gen_model3(10, 50, seed_or_rng=22, hypothesis="h0")
         widths, _ = _record_draws(monkeypatch)
         report = scb_gof_test(sample, self.MODEL, make_eval_grid(100), 0.035, seed=3,
                               shrinkage=None)
         assert set(widths) == {9}
+        assert 0.0 < report.diagnostics["clipped_mass"] < 1e-12
+        assert report.band.details["clipped_mass"] == report.diagnostics["clipped_mass"]
         assert np.isfinite(report.threshold) and np.isfinite(report.statistic)
         assert np.all(np.isfinite(report.band.half_width))
 

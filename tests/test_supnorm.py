@@ -153,12 +153,12 @@ class TestSharedDraw:
             simulate_sup_norms(first, second)
 
 
-def _factor_request(r, m, seed, paths):
+def _factor_request(r, m, seed, paths, mass=0.0):
     """A request for a random rank-r correlation on m points, drawn through
-    its r x m factor."""
+    its r x m factor, which claims ``mass`` clipped."""
     x = np.random.default_rng(seed + 200).standard_normal((m, r))
     factor = (x / np.linalg.norm(x, axis=1)[:, None]).T
-    return SupQuantileRequest(factor.T @ factor, 0.05, paths, seed, _root=factor)
+    return SupQuantileRequest(factor.T @ factor, 0.05, paths, seed, _root=(factor, mass))
 
 
 class TestFactorRoot:
@@ -166,13 +166,13 @@ class TestFactorRoot:
 
     def test_draws_r_normals_per_path(self):
         # the oracle redraws each chunk's (k, r) normals from its own substream
-        request = _factor_request(7, 30, 5, self.PATHS)
+        request = _factor_request(7, 30, 5, self.PATHS, mass=1e-3)
         values, mass = simulate_sup_norms(request)
         streams = np.random.SeedSequence(5).spawn(2)
         z = np.vstack([np.random.Generator(np.random.Philox(s)).standard_normal((k, 7))
                        for k, s in zip((2048, 37), streams)])
-        np.testing.assert_array_equal(values, np.abs(z @ request._root).max(axis=1))
-        assert mass == 0.0
+        np.testing.assert_array_equal(values, np.abs(z @ request._root[0]).max(axis=1))
+        assert mass == 1e-3
 
     def test_shares_a_draw_by_width(self):
         # a width-40 factor on 60 points and a dense root on 40 points
