@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, FuncbandError, GridError
+from .errors import DegenerateVarianceError, FuncbandError, GridError, _check_int
 from .grids import EvalGrid, FunctionalSample
 from .moments import (
     CovarianceField,
@@ -31,8 +31,6 @@ from .supnorm import (
     SupQuantileRequest,
     _check_draws,
     _check_level,
-    _check_paths,
-    _check_seed,
     _quantile_stderr,
     _sup_quantile_of,
     _thin_root,
@@ -281,9 +279,7 @@ def bootstrap_scb(
     ``details`` reports the threshold's standard error and the redraw count.
     """
     _check_level(gamma)
-    _check_seed(seed)
-    if bootstraps < 1:
-        raise FuncbandError("need at least one bootstrap resample")
+    _check_int("seed", seed)
     _check_draws("bootstraps", bootstraps, sample.n_curves)
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma = np.sqrt(_checked_variance(mean_fit))
@@ -377,10 +373,10 @@ def split_half_bandwidth(
     the second half is closest to the target level (ties to the smaller h).
     The candidates are compared on common random numbers: their bands share
     one draw of the Gaussian paths, each equal to its own ``prediction_band``."""
-    _check_seed(seed)
+    _check_int("seed", seed)
     _check_level(gamma)
     if paths is not None:
-        _check_paths(paths, sample.n_points)
+        _check_draws("paths", paths, sample.n_points, 100)
     n = sample.n_curves
     if n < 4:
         raise FuncbandError("split-half selection needs n >= 4 curves")

@@ -126,34 +126,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Override flags with the --config JSON, converting each value as the
-    subcommand's flag of the same name would."""
-    if not getattr(args, "config", None):
-        return
+def _config_args(path) -> list[str]:
+    """The --config JSON object as flags: "--key=value" per key, or "--key"
+    for true, so that the parser converts and checks every value."""
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config: {exc}", EXIT_PARSE) from None
     if not isinstance(cfg, dict):
         raise CliError("config must be a JSON object", EXIT_PARSE)
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None or not hasattr(args, dest):
-            raise CliError(f"unknown config key {key!r}", EXIT_PARSE)
-        if action.type is not None:
-            try:
-                value = action.type(value if isinstance(value, str) else json.dumps(value))
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
-                raise CliError(f"bad config value for {key!r}: {value!r}", EXIT_PARSE) from None
-        bad_flag = action.nargs == 0 and not isinstance(value, bool)
-        if bad_flag or (action.choices is not None and value not in action.choices):
-            raise CliError(f"bad config value for {key!r}: {value!r}", EXIT_PARSE)
-        setattr(args, dest, value)
+    return [f"--{key}" if value is True else
+            f"--{key}={value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in cfg.items()]
 
 
 def _load_sample(path, label_column=False):
@@ -348,13 +333,14 @@ _RUNNERS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(argv + _config_args(args.config))
+        return _RUNNERS[args.command](args)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    try:
-        _apply_config(parser, args)
-        return _RUNNERS[args.command](args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

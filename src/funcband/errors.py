@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer-argument
+check that every entry point shares."""
+
+import numpy as np
 
 
 class FuncbandError(Exception):
@@ -35,3 +38,9 @@ class FactorizationError(FuncbandError):
 
 class IntegrationError(FuncbandError):
     """A numerical integral did not reach its error tolerance."""
+
+
+def _check_int(name: str, value, low: int = 0, error: type = FuncbandError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise error(f"{name} must be an integer >= {low}, got {name}={value!r}")

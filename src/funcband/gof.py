@@ -17,12 +17,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bands import BandResult, _gaussian_band
-from .errors import FuncbandError, RankDeficiencyError
+from .errors import DegenerateVarianceError, FuncbandError, RankDeficiencyError, _check_int
 from .grids import DesignGrid, EvalGrid, FunctionalSample
-from .moments import (CovarianceField, ShrinkageSpec, correlation_from_covariance,
-                      empirical_data_covariance)
+from .moments import (CovarianceField, ShrinkageSpec, _kept_eigenvalues,
+                      correlation_from_covariance, empirical_data_covariance)
 from .smoothing import Kernel, weight_matrix
-from .supnorm import _EIG_RTOL
 
 __all__ = [
     "BasisModel",
@@ -117,8 +116,7 @@ def basis_model(functions: Sequence[Callable], density: Callable | None = None) 
 def polynomial_basis(degree: int, density: Callable | None = None) -> BasisModel:
     """Shifted-Legendre polynomial basis of the given degree on [0,1]
     (orthonormal for the uniform density)."""
-    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
-        raise FuncbandError(f"degree must be an integer >= 0, got degree={degree!r}")
+    _check_int("degree", degree)
     from numpy.polynomial import legendre
 
     funcs = []
@@ -168,6 +166,9 @@ def _residual_map(sample, model, eval, h, kernel) -> tuple[np.ndarray, np.ndarra
     smoother W, with Q the (p, p - L) orthonormal complement of the basis
     columns at the design points, so that I - P = Q Q'."""
     phi = _design_matrix(model, sample.grid)
+    if phi.shape[1] >= phi.shape[0]:
+        raise DegenerateVarianceError(f"a basis of L={phi.shape[1]} functions leaves no residual "
+                                      f"at p={phi.shape[0]} design points (needs L < p)")
     q = np.linalg.qr(phi, mode="complete")[0][:, phi.shape[1]:]
     wq = weight_matrix(sample.grid, eval, h, kernel) @ q
     return wq @ (q.T @ sample.column_means()), wq, q
@@ -279,18 +280,17 @@ def scb_gof_test(
 ) -> GofReport:
     """Sup-norm test of the parametric model; T = sqrt(n) || r / sigma_Gamma ||_inf.
 
-    Gamma_hat = A A' with A = W Q C, C C' = Q' S_hat Q less its eigenvalues at or
-    below _EIG_RTOL of the largest (their share is the clipped mass).  If C has
+    Gamma_hat = A A' with A = W Q C, C C' = Q' S_hat Q less the eigenvalues that
+    moments._kept_eigenvalues drops (their share is the clipped mass).  If C has
     r < m columns, paths take r normals through the factor A' / sigma_Gamma."""
     r, wq, q = _residual_map(sample, model, eval, h, kernel)
     g, lam = _projected_covariance(sample, q, shrinkage)
     vals, vecs = np.linalg.eigh(g)
-    keep = vals > _EIG_RTOL * vals.max()
+    keep, mass = _kept_eigenvalues(vals)
     a = wq @ (vecs[:, keep] * np.sqrt(vals[keep]))
     gamma_hat = CovarianceField(grid=eval, table=a @ a.T)
     rho_gamma = correlation_from_covariance(gamma_hat)
     sigma_gamma = np.sqrt(np.diag(gamma_hat.table))
-    mass = float(np.abs(vals[~keep]).sum() / np.abs(vals).sum())
     n = sample.n_curves
     t_stat = sqrt(n) * float(np.max(np.abs(r / sigma_gamma)))
     band = _gaussian_band("gof-residual", eval, r, sigma_gamma, rho_gamma, sqrt(n), alpha,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, SampleValidationError
+from .errors import GridError, SampleValidationError, _check_int
 
 __all__ = [
     "DesignGrid",
@@ -174,8 +174,6 @@ def _invert_monotone(cdf, target: float) -> float:
 
 
 def _axis_points(density, size: int) -> np.ndarray:
-    if size < 2:
-        raise GridError(f"per-axis size must be >= 2, got {size}")
     targets = (np.arange(1, size + 1) - 0.5) / size
     if isinstance(density, str):
         if density != "uniform":
@@ -198,6 +196,12 @@ def make_design_grid(densities, sizes) -> DesignGrid:
     values)`` of density values on a fine grid spanning [0,1]; tabulated
     densities are renormalized.
     """
+    try:
+        sizes = tuple(sizes)
+    except TypeError:
+        raise GridError(f"sizes must be a sequence, got sizes={sizes!r}") from None
+    for k, size in enumerate(sizes):
+        _check_int(f"sizes[{k}]", size, 2, GridError)
     sizes = tuple(int(s) for s in sizes)
     dim = len(sizes)
     if dim not in (1, 2):
@@ -221,8 +225,7 @@ def uniform_design_grid(*sizes) -> DesignGrid:
 
 def make_eval_grid(size: int = 100, dim: int = 1) -> EvalGrid:
     """Equispaced evaluation grid on [0,1]^dim (default 100 points, d=1)."""
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-        raise GridError(f"evaluation grid size must be an integer >= 1, got size={size!r}")
+    _check_int("size", size, 1, GridError)
     axis = np.linspace(0.0, 1.0, size)
     if dim == 1:
         return EvalGrid(dim=1, points=axis, axes=(axis,))

@@ -1,5 +1,6 @@
 """Empirical variance/correlation of smoothed curves, covariance shrinkage,
-and positive-semidefinite repair."""
+and the one symmetric square root that every band, test and generator draws
+through, which also repairs tables that are not positive semidefinite."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, FuncbandError
+from .errors import DegenerateVarianceError, FactorizationError, FuncbandError
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 
 __all__ = [
@@ -24,6 +25,9 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-10
+# Eigenvalues at or below this fraction of the largest are rounding noise of
+# a rank-deficient table; their square roots (about sqrt(eps)) are zeroed.
+_EIG_RTOL = 1e-12
 
 
 def _check_symmetric(table: np.ndarray, what: str) -> np.ndarray:
@@ -197,33 +201,36 @@ def empirical_data_covariance(
 
 
 def psd_repair(table: np.ndarray, correlation: bool = False) -> tuple[np.ndarray, float]:
-    """Clip negative eigenvalues to zero and symmetrize.
+    """Zero the negative and rounding-level eigenvalues of a symmetric table.
 
-    For correlation tables the diagonal is renormalized back to one.
-    Returns (repaired table, clipped eigenvalue mass fraction).
+    Returns (L'L, mass) for the root L and the dropped mass of ``_psd_root``;
+    for a correlation table the diagonal is one up to rounding.
     """
-    repaired, mass, _eig = _psd_repair_eig(table, correlation)
-    return repaired, mass
+    root, mass = _psd_root(table, correlation)
+    return root.T @ root, mass
 
 
-def _psd_repair_eig(table: np.ndarray, correlation: bool = False):
-    """``psd_repair`` plus the eigenpairs ``(vals, vecs)`` of the repaired
-    table when nothing was clipped (the table is then returned as is), or
-    None when the repair changed it."""
-    table = _check_symmetric(table, "input")
-    vals, vecs = np.linalg.eigh(table)
+def _kept_eigenvalues(vals: np.ndarray) -> tuple[np.ndarray, float]:
+    """(keep, mass): the mask of eigenvalues above _EIG_RTOL of the largest,
+    and the share of the absolute eigenvalue mass of the others."""
+    keep = vals > _EIG_RTOL * max(vals.max(), 0.0)
     total = float(np.abs(vals).sum())
-    neg = float(np.abs(vals[vals < 0]).sum())
-    mass = neg / total if total > 0 else 0.0
-    if neg == 0.0:
-        return table, mass, (vals, vecs)
-    clipped = np.maximum(vals, 0.0)
-    repaired = (vecs * clipped[None, :]) @ vecs.T
-    repaired = 0.5 * (repaired + repaired.T)
-    if correlation:
-        d = np.sqrt(np.maximum(np.diag(repaired), 0.0))
+    return keep, float(np.abs(vals[~keep]).sum()) / total if total > 0 else 0.0
+
+
+def _psd_root(table: np.ndarray, correlation: bool = False) -> tuple[np.ndarray, float]:
+    """(L, mass): the symmetric root L = V sqrt(D) V' of the table V D V' with
+    the eigenvalues dropped by ``_kept_eigenvalues`` zeroed, and their share
+    of the eigenvalue mass.  For a correlation that lost mass, the columns of
+    L are rescaled so that L'L has a unit diagonal."""
+    vals, vecs = np.linalg.eigh(_check_symmetric(table, "input"))
+    keep, mass = _kept_eigenvalues(vals)
+    root = (vecs * np.sqrt(np.where(keep, vals, 0.0))[None, :]) @ vecs.T
+    if correlation and mass > 0.0:
+        d = np.sqrt((root * root).sum(axis=0))
         if np.any(d <= 0):
             raise DegenerateVarianceError("repair zeroed a correlation diagonal entry")
-        repaired = repaired / np.outer(d, d)
-        np.fill_diagonal(repaired, 1.0)
-    return repaired, mass, None
+        root = root / d[None, :]
+    if not np.all(np.isfinite(root)):
+        raise FactorizationError("square root contains non-finite entries")
+    return root, mass

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateVarianceError, FuncbandError, IntegrationError
 from .gof import BasisModel, _design_matrix, _projector
 from .grids import DesignGrid, FunctionalSample
-from .moments import CovarianceField, _centered_curves
+from .moments import CovarianceField, _centered_curves, _check_symmetric, _psd_root
 from .smoothing import Kernel, weight_matrix
 
 __all__ = [
@@ -179,17 +179,21 @@ def plrt_pvalue(a_mat: np.ndarray, sigma_over_n: np.ndarray,
 
     The form is sum_i lambda_i W_i, W_i ~ chi2_1, with lambda_i the
     eigenvalues of F' A F for a factor Sigma/n = F F': the Cholesky factor,
-    or V max(D, 0)^(1/2) from Sigma/n = V D V' when Cholesky fails.  If
+    or the symmetric root of ``moments._psd_root`` when Cholesky fails.  If
     ``diagnostics`` is a dict, the p-value's absolute error estimate is
     stored under ``imhof_abserr`` (0 when every lambda_i has the same sign).
-    Raises FuncbandError when every lambda_i is zero (a degenerate form).
+    Raises FuncbandError when A or Sigma/n is not a finite symmetric table,
+    when their sizes differ, or when every lambda_i is zero (a degenerate form).
     """
-    sigma_over_n = np.asarray(sigma_over_n, dtype=float)
+    a_mat = _check_symmetric(a_mat, "quadratic form")
+    sigma_over_n = _check_symmetric(sigma_over_n, "Sigma/n")
+    if a_mat.shape != sigma_over_n.shape:
+        raise FuncbandError(f"the quadratic form is {a_mat.shape[0]} x {a_mat.shape[0]} but "
+                            f"Sigma/n is {sigma_over_n.shape[0]} x {sigma_over_n.shape[0]}")
     try:
         factor = np.linalg.cholesky(sigma_over_n)
     except np.linalg.LinAlgError:
-        evals, evecs = np.linalg.eigh(sigma_over_n)
-        factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
+        factor = _psd_root(sigma_over_n)[0]
     return _factor_pvalue(a_mat, factor, diagnostics)
 
 

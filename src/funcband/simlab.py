@@ -20,14 +20,14 @@ from math import log, sqrt
 import numpy as np
 
 from .bands import band_covers, bootstrap_scb, normal_scb
-from .errors import FuncbandError
+from .errors import FuncbandError, _check_int
 from .gof import polynomial_basis, scb_gof_test
 from .grids import DesignGrid, FunctionalSample, make_eval_grid, uniform_design_grid
-from .moments import CorrelationField, ShrinkageSpec
+from .moments import CorrelationField, ShrinkageSpec, _psd_root
 from .plrt import _design_plan, plrt_test
 from .smoothing import Bandwidth, kernel_by_name, weight_matrix
-from .supnorm import (SupQuantileRequest, _check_draws, _check_level, _check_paths, _check_seed,
-                      _sqrt_factor, default_path_count, sup_quantile)
+from .supnorm import (SupQuantileRequest, _check_draws, _check_level, default_path_count,
+                      sup_quantile)
 
 __all__ = [
     "ModelSpec",
@@ -149,13 +149,13 @@ def _ou_sqrt(p: int) -> np.ndarray:
     design grid of size p (exact Gaussian draws, no time discretization).
     The covariance is positive definite, so no eigenvalue is clipped."""
     x = _uniform_grid(p).points
-    return _sqrt_factor(ou_covariance(x[:, None], x[None, :]))[0]
+    return _psd_root(ou_covariance(x[:, None], x[None, :]))[0]
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    _check_seed(seed_or_rng)
+    _check_int("seed", seed_or_rng)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_or_rng)))
 
 
@@ -244,13 +244,11 @@ class ModelSpec:
         _model(self.model)
         kernel_by_name(self.kernel)
         _check_level(self.level)
-        _check_seed(self.seed)
         Bandwidth.of(self.h)
-        for name, low in (("n", 2), ("p", 2), ("reps", 0), ("grid_size", 1), ("bootstraps", 1)):
-            if getattr(self, name) < low:
-                raise FuncbandError(f"{name} must be >= {low}, got {name}={getattr(self, name)!r}")
-        _check_paths(self.paths if self.paths is not None else default_path_count(self.p),
-                     self.grid_size)
+        for name, low in (("seed", 0), ("n", 2), ("p", 2), ("reps", 0), ("grid_size", 1)):
+            _check_int(name, getattr(self, name), low)
+        _check_draws("paths", self.paths if self.paths is not None else default_path_count(self.p),
+                     self.grid_size, 100)
         _check_draws("bootstraps", self.bootstraps, self.n)
 
 

@@ -5,8 +5,9 @@ root of the m x m correlation table (L'L = table); the threshold is the
 ceil((1-gamma) N)-th order statistic of the simulated sup-absolute values.
 L takes one of three forms:
 
-* dense: the m x m PSD root from an eigendecomposition of the table (after
-  eigenvalue repair), applied by one k x m x m product per chunk; w = m;
+* dense: the m x m symmetric root of the table from ``moments._psd_root``
+  (one eigendecomposition, which also repairs a table that is not PSD),
+  applied by one k x m x m product per chunk; w = m;
 * thin: for a shrunk empirical correlation (1-lam) Xs'Xs/(n-1) + lam I of
   n < m/2 curves, sqrt(lam) I + V diag(d) V' from the thin SVD of the
   n x m standardized deviations Xs, applied by two k x m x n products;
@@ -30,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FactorizationError, FuncbandError
-from .moments import CorrelationField, _psd_repair_eig
+from .errors import FuncbandError, _check_int
+from .moments import CorrelationField, _psd_root
 
 __all__ = [
     "SupQuantileRequest",
@@ -46,12 +47,9 @@ _CHUNK = 2048
 # Order statistics closer than this, relative to the quantile, count as tied:
 # bootstrap resamples that draw the same curves give z* equal up to rounding.
 _TIE_RTOL = 1e-8
-# Eigenvalues at or below this fraction of the largest are rounding noise of
-# a rank-deficient table; their square roots (about sqrt(eps)) are zeroed.
-_EIG_RTOL = 1e-12
 # The thin root is taken only for shrinkage intensities at or above this:
-# every eigenvalue of the shrunk table is then at least lambda, far above the
-# _EIG_RTOL floor and eigh's rounding, so the dense root would clip nothing.
+# every eigenvalue of the shrunk table is then at least lambda, far above
+# moments._EIG_RTOL and eigh's rounding, so the dense root would drop nothing.
 _THIN_MIN_LAMBDA = 1e-6
 # Largest number of random numbers one call may draw: standard normals
 # (paths x grid points) or bootstrap indices (resamples x curves).
@@ -64,26 +62,15 @@ def _check_level(gamma: float) -> None:
         raise FuncbandError(f"level (gamma) must lie in (0,1), got gamma={gamma!r}")
 
 
-def _check_seed(seed) -> None:
-    """Reject a seed that ``numpy.random.SeedSequence`` would not take."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise FuncbandError(f"seed must be a non-negative integer, got seed={seed!r}")
-
-
-def _check_draws(name: str, count, per_draw: int) -> None:
-    """Reject a path or resample count whose ``per_draw`` random numbers
-    each would add up to more than ``_MAX_DRAWS``."""
+def _check_draws(name: str, count, per_draw: int, low: int = 1) -> None:
+    """Reject a path or resample count that is not an integer >= ``low``, or
+    whose ``per_draw`` random numbers each would add up to more than
+    ``_MAX_DRAWS``."""
+    _check_int(name, count, low)
     limit = _MAX_DRAWS // max(per_draw, 1)
     if count > limit:
         raise FuncbandError(f"{name} must be at most {limit} ({per_draw} random draws each, "
                             f"{_MAX_DRAWS:.0e} in all), got {name}={count!r}")
-
-
-def _check_paths(paths: int, per_draw: int) -> None:
-    """Reject fewer than 100 paths, or more than the draw limit allows."""
-    if paths < 100:
-        raise FuncbandError(f"paths must be >= 100, got paths={paths!r}")
-    _check_draws("paths", paths, per_draw)
 
 
 def default_path_count(p: int) -> int:
@@ -108,9 +95,9 @@ class SupQuantileRequest:
 
     def __post_init__(self):
         _check_level(self.level)
-        _check_seed(self.seed)
+        _check_int("seed", self.seed)
         table = self.table()
-        _check_paths(self.paths, table.shape[0] if table.ndim else 1)
+        _check_draws("paths", self.paths, table.shape[0] if table.ndim else 1, 100)
 
     def table(self) -> np.ndarray:
         c = self.correlation
@@ -121,7 +108,7 @@ class SupQuantileRequest:
         """The root's ``times(z, out, scratch)``, clipped mass and width, built once."""
         if callable(self._root):
             return self._root, 0.0, self.table().shape[0]
-        factor, mass = self._root if self._root is not None else _sqrt_factor(self.table())
+        factor, mass = self._root or _psd_root(self.table(), correlation=True)
         return (lambda z, out, scratch=None: np.matmul(z, factor, out=out)), mass, len(factor)
 
 
@@ -130,16 +117,6 @@ class SupQuantileResult:
     threshold: float
     stderr: float
     clipped_mass: float
-
-
-def _sqrt_factor(table: np.ndarray) -> tuple[np.ndarray, float]:
-    repaired, mass, eig = _psd_repair_eig(table, correlation=True)
-    vals, vecs = eig if eig is not None else np.linalg.eigh(repaired)
-    vals = np.where(vals > _EIG_RTOL * vals.max(), vals, 0.0)
-    factor = (vecs * np.sqrt(vals)[None, :]) @ vecs.T
-    if not np.all(np.isfinite(factor)):
-        raise FactorizationError("correlation square root contains non-finite entries")
-    return factor, mass
 
 
 def _thin_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):

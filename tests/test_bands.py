@@ -277,7 +277,7 @@ class TestPredictionBand:
             prediction_band(clones, eval_grid, 0.15, seed=14)
 
 
-def _refuse_dense_root(table):
+def _refuse_dense_root(table, correlation=False):
     raise AssertionError("dense square root taken")
 
 
@@ -298,7 +298,7 @@ class TestSquareRootChoice:
                                     0.1, seed=4),
         ]
         with monkeypatch.context() as patch:
-            patch.setattr(supnorm, "_sqrt_factor", _refuse_dense_root)
+            patch.setattr(supnorm, "_psd_root", _refuse_dense_root)
             thin = [call() for call in calls]
         monkeypatch.setattr(bands, "_thin_root", lambda *args: None)
         for band, dense in zip(thin, (call() for call in calls)):
@@ -323,9 +323,9 @@ class TestSquareRootChoice:
                                         grid, 0.1, paths=500, seed=1),
         }[case]
         taken = []
-        dense_root = supnorm._sqrt_factor
-        monkeypatch.setattr(supnorm, "_sqrt_factor",
-                            lambda table: taken.append(table.shape) or dense_root(table))
+        dense_root = supnorm._psd_root
+        monkeypatch.setattr(supnorm, "_psd_root", lambda table, correlation=False:
+                            taken.append(table.shape) or dense_root(table, correlation))
         build()
         assert taken == [(100, 100)]
 

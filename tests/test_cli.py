@@ -203,6 +203,17 @@ class TestGof:
         assert code == EXIT_PARSE
         assert "basis" in stderr
 
+    def test_basis_as_wide_as_the_design(self, tmp_path, capsys):
+        # 20 basis functions on 2 design points leave no residual to test
+        path = tmp_path / "two_points.csv"
+        write_curves_csv(path, gen_model1(3, 2, seed_or_rng=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)     # the basis is orthogonalised
+            code, stdout, stderr = run(capsys, "gof", "--in", str(path), "--h", "0.5",
+                                       "--basis", "poly:19", "--grid-size", "5", "--seed", "0")
+        assert code == EXIT_DEGENERATE and stdout == ""
+        assert "L=20" in stderr and "p=2" in stderr and "Traceback" not in stderr
+
 
 class TestCompare:
     def test_self_comparison_accepts(self, curves_csv, capsys):
@@ -408,6 +419,33 @@ class TestConfig:
             else:
                 assert code == EXIT_PARSE
                 assert "format" in stderr
+
+    @pytest.mark.parametrize("command, cfg, shown", [
+        ("gof", {"alpha": 0.1}, "alpha=0.1"), ("compare", {"alpha": 0.1}, "alpha=0.1"),
+        ("scb", {"level": 0.9}, "level=0.9"), ("scb", {"B": 60, "method": "bootstrap"},
+                                               "scb[bootstrap]"),
+        ("gof", {"also-plrt": True}, "plrt F=")])
+    def test_keys_are_flag_names(self, curves_csv, curves_csv_b, tmp_path, capsys, command,
+                                 cfg, shown):
+        path = tmp_path / "flags.json"
+        path.write_text(json.dumps(cfg))
+        extra = ["--in2", curves_csv_b] if command == "compare" else []
+        code, stdout, _ = run(capsys, command, "--in", curves_csv, *extra, "--h", "0.15",
+                              "--grid-size", "20", "--paths", "200", "--seed", "3",
+                              "--config", str(path))
+        assert code == EXIT_OK and shown in stdout
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("gof", "level", 0.1), ("scb", "bootstraps", 60), ("scb", "infile", "x.csv"),
+        ("gof", "also-plrt", False), ("gof", "also_plrt", True)])
+    def test_dest_names_and_false_switches_rejected(self, curves_csv, tmp_path, capsys,
+                                                    command, key, value):
+        path = tmp_path / "dests.json"
+        path.write_text(json.dumps({key: value}))
+        code, stdout, stderr = run(capsys, command, "--in", curves_csv, "--h", "0.15",
+                                   "--seed", "3", "--config", str(path))
+        assert code == EXIT_PARSE and stdout == ""
+        assert key in stderr
 
     def test_unknown_config_key(self, curves_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

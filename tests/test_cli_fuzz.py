@@ -9,7 +9,7 @@ import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from funcband import write_curves_csv
@@ -94,6 +94,10 @@ def _cases(draw):
 
 @settings(max_examples=300)
 @given(case=_cases())
+# a basis of 20 functions on 2 design points once crashed the gof test
+@example(case=(["gof", "--in", "{dir}/a.csv", "--h", "0.5", "--alpha", "0.05",
+                "--basis", "poly:19", "--grid-size", "5", "--seed", "0"],
+               {"a.csv": gen_model1(3, 2, seed_or_rng=0)}))
 def test_random_flag_mixes_exit_cleanly(case):
     argv, files = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from funcband import (
+    DegenerateVarianceError,
     FunctionalSample,
     SupQuantileRequest,
     RankDeficiencyError,
@@ -260,6 +261,15 @@ class TestScbGofTest:
         b = sup_quantile(SupQuantileRequest(corr + noise, 0.05, 13000, seed)).threshold
         assert abs(b - a) <= 1e-12 * a
 
+    @pytest.mark.parametrize("degree", [9, 12])
+    def test_basis_as_wide_as_the_design_is_degenerate(self, degree):
+        # L = 10 or 13 >= p = 10: I - P is zero, so no residual is left to test
+        sample = gen_model3(20, 10, seed_or_rng=1)
+        with pytest.warns(UserWarning, match="orthogonal"):
+            model = polynomial_basis(degree)
+        with pytest.raises(DegenerateVarianceError, match=f"L={degree + 1} .* p=10"):
+            scb_gof_test(sample, model, make_eval_grid(20), 0.3)
+
 
 def _record_draws(monkeypatch):
     """Widths of the normal buffers ``simulate_sup_norms`` fills, and the
@@ -281,7 +291,7 @@ def _record_draws(monkeypatch):
     return widths, requests
 
 
-def _refuse_dense_root(table):
+def _refuse_dense_root(table, correlation=False):
     raise AssertionError("dense square root taken")
 
 
@@ -304,7 +314,7 @@ class TestLowRankFactor:
     def test_draws_p_minus_L_normals_per_path(self, monkeypatch):
         sample = gen_model3(50, 50, seed_or_rng=21, hypothesis="h0")
         widths, _ = _record_draws(monkeypatch)
-        monkeypatch.setattr(supnorm, "_sqrt_factor", _refuse_dense_root)
+        monkeypatch.setattr(supnorm, "_psd_root", _refuse_dense_root)
         report = scb_gof_test(sample, self.MODEL, make_eval_grid(100), 0.035, seed=2)
         assert widths == [48] * 7       # 13000 paths in chunks of 2048
         assert report.diagnostics["clipped_mass"] == 0.0

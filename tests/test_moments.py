@@ -16,7 +16,7 @@ from funcband import (
     shrink_correlation,
     uniform_design_grid,
 )
-from funcband.moments import CorrelationField
+from funcband.moments import CorrelationField, _psd_root
 from funcband.simlab import gen_model1, ou_covariance
 from funcband.smoothing import fit_mean
 
@@ -201,3 +201,40 @@ class TestPsdRepair:
         twice, mass2 = psd_repair(once)
         np.testing.assert_allclose(twice, once, atol=1e-12)
         assert mass2 <= 1e-12
+
+
+class TestPsdRoot:
+    @pytest.mark.parametrize("correlation", [False, True])
+    def test_positive_definite_root_is_the_plain_eigen_root(self, correlation):
+        x = make_eval_grid(30).points
+        table = ou_covariance(x[:, None], x[None, :])
+        if correlation:
+            table = table / table[0, 0]
+        root, mass = _psd_root(table, correlation)
+        vals, vecs = np.linalg.eigh(0.5 * (table + table.T))
+        assert vals.min() > 1e-12 * vals.max() and mass == 0.0
+        np.testing.assert_array_equal(root, (vecs * np.sqrt(vals)[None, :]) @ vecs.T)
+
+    def test_negative_eigenvalues_dropped_to_a_unit_diagonal(self):
+        rng = np.random.default_rng(14)
+        pert = rng.standard_normal((8, 8))
+        table = np.clip(0.5 * (pert + pert.T), -0.95, 0.95)   # entries of a correlation
+        np.fill_diagonal(table, 1.0)
+        vals = np.linalg.eigvalsh(table)
+        assert vals.min() < 0.0
+        root, mass = _psd_root(table, correlation=True)
+        np.testing.assert_allclose(np.diag(root.T @ root), 1.0, rtol=0, atol=1e-14)
+        assert np.linalg.eigvalsh(root.T @ root).min() >= -1e-14
+        dropped = np.abs(vals[vals <= 1e-12 * vals.max()]).sum() / np.abs(vals).sum()
+        assert mass == pytest.approx(dropped, rel=1e-12)
+
+    def test_rank_deficient_covariance_keeps_its_scale(self):
+        # rank 3 on 10 points: the rounding-level eigenvalues are dropped, and
+        # a covariance, unlike a correlation, is not rescaled
+        f = np.random.default_rng(15).standard_normal((10, 3)) * np.arange(1.0, 11.0)[:, None]
+        table = f @ f.T
+        root, mass = _psd_root(table)
+        assert 0.0 < mass < 1e-12
+        np.testing.assert_allclose(root.T @ root, table, rtol=0, atol=1e-12 * table.max())
+        unit, _ = _psd_root(table / np.sqrt(np.outer(np.diag(table), np.diag(table))), True)
+        np.testing.assert_allclose(np.diag(unit.T @ unit), 1.0, rtol=0, atol=1e-14)

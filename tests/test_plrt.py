@@ -65,6 +65,36 @@ class TestPvalueCalibration:
         with pytest.raises(FuncbandError, match="degenerate"):
             plrt_pvalue(a_mat, sigma)
 
+    @pytest.mark.parametrize("case, named", [
+        ("nan in A", "non-finite"), ("nan in Sigma/n", "non-finite"),
+        ("asymmetric Sigma/n", "Sigma/n table is not symmetric"), ("sizes", "3 x 3 but")])
+    def test_tables_checked(self, case, named):
+        a_mat, sigma = np.diag([1.0, -1.0, 0.5]), np.eye(3)
+        if case == "nan in A":
+            a_mat[0, 1] = a_mat[1, 0] = np.nan
+        elif case == "nan in Sigma/n":
+            sigma[2, 2] = np.nan
+        elif case == "asymmetric Sigma/n":
+            sigma[1, 0] = 0.5
+        else:
+            sigma = np.eye(4)
+        with pytest.raises(FuncbandError, match=named):
+            plrt_pvalue(a_mat, sigma)
+
+    def test_singular_sigma_matches_its_factor(self):
+        # Sigma/n = F F' of rank 4 on 12 points defeats Cholesky; the root
+        # that replaces it gives the p-value of F itself
+        rng = np.random.default_rng(16)
+        factor = rng.standard_normal((12, 4))
+        a = rng.standard_normal((12, 12))
+        a_mat = a + a.T
+        sigma = factor @ factor.T
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(sigma)
+        p = plrt_pvalue(a_mat, sigma)
+        assert 0.0 < p < 1.0
+        assert p == pytest.approx(plrt_module._factor_pvalue(a_mat, factor, None), abs=1e-12)
+
 
 def _quad_positive_tail(lam):
     """The Imhof p-value by scipy's QUADPACK on the unmapped integral."""

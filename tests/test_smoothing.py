@@ -17,6 +17,8 @@ from funcband import (
     GridError,
     IllPosedBandwidthError,
     SingularDesignError,
+    SupQuantileRequest,
+    bootstrap_scb,
     cv_bandwidth,
     epanechnikov,
     fit_mean,
@@ -32,7 +34,7 @@ from funcband import (
 )
 from funcband import smoothing
 from funcband.grids import eval_grid_from_points
-from funcband.simlab import gen_model1
+from funcband.simlab import ModelSpec, gen_model1
 
 
 class TestKernels:
@@ -266,15 +268,32 @@ def test_bandwidth_must_be_finite_and_positive(h):
             normal_scb(sample, make_eval_grid(20), h, paths=200)
 
 
+_SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
+
+
 @pytest.mark.parametrize("call, named", [
     (lambda: make_design_grid(5, (4,)), "densities"),
     (lambda: make_eval_grid(2.5), "size=2.5"),
     (lambda: polynomial_basis(1.5), "degree=1.5"),
     (lambda: kernel_by_name(3), "kernel 3"),
     (lambda: Bandwidth.of("a"), "h='a'"),
+    (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, paths=1000.5),
+     "paths=1000.5"),
+    (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, paths="1000"),
+     "paths='1000'"),
+    (lambda: SupQuantileRequest(np.eye(3), 0.05, 1000.5, 0), "paths=1000.5"),
+    (lambda: bootstrap_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, bootstraps=100.5),
+     "bootstraps=100.5"),
+    (lambda: ModelSpec(**{**_SPEC, "n": 20.5}), "n=20.5"),
+    (lambda: ModelSpec(**{**_SPEC, "reps": 1.5}), "reps=1.5"),
+    (lambda: make_design_grid("uniform", 4), "sizes=4"),
+    (lambda: make_design_grid("uniform", (4.5,)), "sizes[0]=4.5"),
 ], ids=["make_design_grid", "make_eval_grid", "polynomial_basis", "kernel_by_name",
-        "Bandwidth.of"])
+        "Bandwidth.of", "normal_scb paths float", "normal_scb paths str",
+        "SupQuantileRequest paths", "bootstrap_scb bootstraps", "ModelSpec n", "ModelSpec reps",
+        "make_design_grid scalar sizes", "make_design_grid float size"])
 def test_mistyped_argument_raises_funcband_error(call, named):
     with pytest.raises(FuncbandError) as err:
         call()
     assert named in str(err.value)
+

@@ -15,7 +15,8 @@ from funcband import (
     simulate_sup_norms,
     sup_quantile,
 )
-from funcband.supnorm import _quantile_stderr, _sqrt_factor, _thin_root, order_statistic_quantile
+from funcband.moments import _psd_root
+from funcband.supnorm import _quantile_stderr, _thin_root, order_statistic_quantile
 
 
 def _request(table, gamma=0.05, paths=20000, seed=0):
@@ -96,7 +97,7 @@ class TestThinRoot:
         table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0].table
         thin = np.empty((m, m))
         _thin_root(curves, mean, sd, lam)(np.eye(m), thin)     # I L = L
-        dense, mass = _sqrt_factor(table)
+        dense, mass = _psd_root(table, correlation=True)
         assert mass == 0.0
         np.testing.assert_allclose(thin @ thin, table, rtol=0, atol=1e-12)
         # A root of the float table is uncertain by its rounding (about m eps)
