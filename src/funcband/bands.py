@@ -25,6 +25,7 @@ from .moments import (
     empirical_variance,
     correlation_from_covariance,
     shrink_correlation,
+    _shrinkage_intensity,
 )
 from .smoothing import Bandwidth, Kernel, epanechnikov, fit_mean
 from .supnorm import (
@@ -118,6 +119,9 @@ class BandResult:
 def band_covers(band: BandResult, values: np.ndarray) -> bool:
     """True iff the curve lies within the band at every grid point."""
     values = np.asarray(values, dtype=float)
+    if values.shape != band.center.shape:
+        raise FuncbandError(f"curve of shape {values.shape} does not match the band's "
+                            f"grid of shape {band.center.shape}")
     dev = np.abs(values - band.center)
     return bool(np.all(dev <= band.half_width))
 
@@ -133,11 +137,10 @@ def _checked_variance(mean_fit) -> np.ndarray:
     return sigma2
 
 
-def _sigma_and_correlation(mean_fit, shrinkage: ShrinkageSpec):
-    sigma2 = _checked_variance(mean_fit)
+def _shrunk_correlation(mean_fit, sigma2, lam: float):
+    """The correlation of the smoothed curves shrunk with intensity ``lam``."""
     corr = empirical_correlation(mean_fit.curves, mean_fit.grid, mean_fit.mean, sigma2)
-    shrunk, lam = shrink_correlation(corr, shrinkage, curves=mean_fit.curves)
-    return np.sqrt(sigma2), shrunk, lam
+    return shrink_correlation(corr, ShrinkageSpec(lam))[0]
 
 
 def _provenance(h, kernel, seed, **extra) -> dict:
@@ -175,12 +178,16 @@ def _gaussian_band(*args) -> BandResult:
 def _curve_parts(method, divisor, sample, eval, h, kernel, gamma, paths, seed, shrinkage):
     """``_gaussian_parts`` of the band mu_hat +/- c sigma_hat / divisor built
     from the smoothed curves of ``sample``, drawn through their thin root
-    where it applies."""
+    where it applies; the m x m shrunk correlation is built only where it
+    does not."""
     mean_fit = fit_mean(sample, eval, h, kernel)
-    sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
+    sigma2 = _checked_variance(mean_fit)
+    sigma = np.sqrt(sigma2)
+    lam = _shrinkage_intensity(shrinkage, mean_fit.curves)
+    root = _thin_root(mean_fit.curves, mean_fit.mean, sigma, lam)
+    corr = _shrunk_correlation(mean_fit, sigma2, lam) if root is None else None
     return _gaussian_parts(method, eval, mean_fit.mean, sigma, corr, divisor, gamma, paths,
-                           sample.n_points, seed, h, kernel, lam,
-                           _thin_root(mean_fit.curves, mean_fit.mean, sigma, lam))
+                           sample.n_points, seed, h, kernel, lam, root)
 
 
 def normal_scb(
@@ -328,7 +335,10 @@ def two_sample_scb(
     fits, covs, lams = [], [], []
     for sample, h in ((sample_a, h_a), (sample_b, h_b)):
         mean_fit = fit_mean(sample, eval, h, kernel)
-        sigma, corr, lam = _sigma_and_correlation(mean_fit, shrinkage)
+        sigma2 = _checked_variance(mean_fit)
+        sigma = np.sqrt(sigma2)
+        lam = _shrinkage_intensity(shrinkage, mean_fit.curves)
+        corr = _shrunk_correlation(mean_fit, sigma2, lam)
         cov = corr.table * np.outer(sigma, sigma) / sample.n_curves
         fits.append(mean_fit)
         covs.append(cov)

@@ -9,6 +9,7 @@ inputs, flags, and seed.  Exit codes: 0 ok, 2 parse/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -62,9 +63,13 @@ def _open_unit(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must lie in (0,1), got {text}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="funcband")
+    """The parser, built once.  No flag may be abbreviated, so a truncated
+    ``--config`` key or flag is an error rather than another flag."""
+    parser = argparse.ArgumentParser(prog="funcband", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p, level_flag="--level", level_default=0.95):
         p.add_argument("--in", dest="infile", required=True, help="wide curves CSV")
@@ -80,30 +85,30 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--config", help="JSON config file overriding flags")
 
-    p_scb = sub.add_parser("scb", help="simultaneous confidence band for the mean curve")
+    p_scb = add_parser("scb", help="simultaneous confidence band for the mean curve")
     common(p_scb)
     p_scb.add_argument("--method", choices=["normal", "bootstrap"], default="normal")
     p_scb.add_argument("--B", dest="bootstraps", type=int, default=2500)
 
-    p_gof = sub.add_parser("gof", help="sup-norm goodness-of-fit test")
+    p_gof = add_parser("gof", help="sup-norm goodness-of-fit test")
     common(p_gof, level_flag="--alpha", level_default=0.05)
     p_gof.add_argument("--basis", default="poly:1",
                        help="'poly:K' or 'tab:FILE' (wide CSV of basis values)")
     p_gof.add_argument("--also-plrt", action="store_true",
                        help="also run the pseudo-likelihood ratio benchmark")
 
-    p_cmp = sub.add_parser("compare", help="two-sample mean curve comparison")
+    p_cmp = add_parser("compare", help="two-sample mean curve comparison")
     common(p_cmp, level_flag="--alpha", level_default=0.05)
     p_cmp.add_argument("--in2", help="second curves CSV")
     p_cmp.add_argument("--label-column", action="store_true",
                        help="first field of each row is a class label")
     p_cmp.add_argument("--labels", help="comma-separated pair of labels to compare")
 
-    p_pred = sub.add_parser("predict", help="prediction band for new curves")
+    p_pred = add_parser("predict", help="prediction band for new curves")
     common(p_pred)
     p_pred.add_argument("--test", help="held-out curves CSV to score coverage on")
 
-    p_sim = sub.add_parser("simulate", help="replicated coverage/size/power experiment")
+    p_sim = add_parser("simulate", help="replicated coverage/size/power experiment")
     p_sim.add_argument("--model", required=True, choices=["1", "2", "3"])
     p_sim.add_argument("--hypothesis", choices=["h0", "hn"], default="h0")
     p_sim.add_argument("--n", type=int, required=True)

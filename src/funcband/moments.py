@@ -117,8 +117,8 @@ def empirical_correlation(
         j = int(np.argmin(sigma2))
         raise DegenerateVarianceError(f"zero variance at grid point index {j}")
     sigma = np.sqrt(sigma2)
-    cross = curves.T @ curves - n * np.outer(mean, mean)
-    table = cross / ((n - 1) * np.outer(sigma, sigma))
+    dev = curves - mean[None, :]
+    table = dev.T @ dev / ((n - 1) * np.outer(sigma, sigma))
     return CorrelationField(grid=grid, table=table)
 
 
@@ -128,6 +128,13 @@ def schafer_strimmer_lambda(curves: np.ndarray) -> float:
     lambda = sum_{a != b} var_hat(r_ab) / sum_{a != b} r_ab^2, clipped to
     [0,1], with var_hat(r_ab) the empirical variance of the products of the
     standardized observations.
+
+    With W = Xs'Xs = (n-1) R and W2 = (Xs^2)'(Xs^2) for the n x m
+    standardized curves Xs, var_hat(r_ab) = n (W2_ab - W_ab^2 / n) / (n-1)^3,
+    and for n <= m both off-diagonal sums reduce to n x n quantities:
+    sum_{a != b} W_ab^2 = ||Xs Xs'||_F^2 - sum_a (col sum of Xs^2)_a^2 and
+    sum_{a != b} W2_ab = sum_k (row sum of Xs^2)_k^2 - sum Xs^4.  For n > m
+    the m x m sums are taken directly.  The cost is O(n m min(n, m)).
     """
     x = np.asarray(curves, dtype=float)
     n, m = x.shape
@@ -138,28 +145,36 @@ def schafer_strimmer_lambda(curves: np.ndarray) -> float:
     if np.any(sd <= 0):
         raise DegenerateVarianceError("zero variance column in shrinkage input")
     xs = (x - mean[None, :]) / sd[None, :]
-    w_sum = xs.T @ xs                       # = (n-1) * r_ab
-    w2_sum = (xs * xs).T @ (xs * xs)
-    var_r = n / (n - 1.0) ** 3 * (w2_sum - w_sum * w_sum / n)
-    r = w_sum / (n - 1.0)
-    off = ~np.eye(m, dtype=bool)
-    denom = float(np.sum(r[off] ** 2))
+    sq = xs * xs
+    if n <= m:
+        gram = xs @ xs.T
+        w_off = float(np.sum(gram * gram)) - float(np.sum(sq.sum(axis=0) ** 2))
+        w2_off = float(np.sum(sq.sum(axis=1) ** 2)) - float(np.sum(sq * sq))
+    else:   # m x m is the smaller table; summing its off-diagonal cancels nothing
+        off = ~np.eye(m, dtype=bool)
+        w_off = float(np.sum((xs.T @ xs)[off] ** 2))
+        w2_off = float(np.sum((sq.T @ sq)[off]))
+    denom = w_off / (n - 1.0) ** 2          # sum_{a != b} r_ab^2
     if denom <= 0:
         return 1.0
-    lam = float(np.sum(var_r[off])) / denom
+    lam = n / (n - 1.0) ** 3 * (w2_off - w_off / n) / denom
     return min(max(lam, 0.0), 1.0)
+
+
+def _shrinkage_intensity(spec: ShrinkageSpec, curves: np.ndarray | None) -> float:
+    """lambda: the spec's intensity, or else the analytic one of ``curves``."""
+    if spec.intensity is not None:
+        return float(spec.intensity)
+    if curves is None:
+        raise FuncbandError("data-estimated shrinkage needs the underlying curves")
+    return schafer_strimmer_lambda(curves)
 
 
 def shrink_correlation(
     raw: CorrelationField, spec: ShrinkageSpec, curves: np.ndarray | None = None
 ) -> tuple[CorrelationField, float]:
     """Convex combination (1-lambda) raw + lambda I; returns (field, lambda)."""
-    if spec.intensity is not None:
-        lam = float(spec.intensity)
-    else:
-        if curves is None:
-            raise FuncbandError("data-estimated shrinkage needs the underlying curves")
-        lam = schafer_strimmer_lambda(curves)
+    lam = _shrinkage_intensity(spec, curves)
     m = raw.table.shape[0]
     table = (1.0 - lam) * raw.table + lam * np.eye(m)
     return CorrelationField(grid=raw.grid, table=table), lam

@@ -11,8 +11,10 @@ L takes one of three forms:
 * thin: for a shrunk empirical correlation (1-lam) Xs'Xs/(n-1) + lam I of
   n < m/2 curves, sqrt(lam) I + V diag(d) V' from the thin SVD of the
   n x m standardized deviations Xs, applied by two k x m x n products;
-  w = m.  The bands pass it with the request; the result differs from the
-  dense root by rounding only;
+  w = m.  The bands pass it with the request in place of a table: such a
+  request builds its m x m table from the root only when ``table()`` is
+  asked for, and the draw never asks.  The result differs from the dense
+  root by rounding only;
 * factor: an exact r x m root of a rank-r table, such as the goodness-of-fit
   correlation of rank p - L < m, applied by one k x r x m product; w = r.
 
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FuncbandError, _check_int
+from .errors import FactorizationError, FuncbandError, _check_int
 from .moments import CorrelationField, _psd_root
 
 __all__ = [
@@ -84,30 +86,44 @@ def default_path_count(p: int) -> int:
 
 @dataclass(frozen=True)
 class SupQuantileRequest:
-    correlation: CorrelationField | np.ndarray
+    correlation: CorrelationField | np.ndarray | None
     level: float            # gamma, the tail probability
     paths: int
     seed: int
-    # The bands' thin root of a shrunk empirical correlation, as _thin_root's
-    # times(z, out, scratch), or a pair (L, clipped mass) of a w x m factor L
-    # with L'L = table(); None draws through the dense root of table().
-    _root: Callable | tuple | None = field(default=None, repr=False, compare=False)
+    # The bands' _ThinRoot of a shrunk empirical correlation, or a pair
+    # (L, clipped mass) of a w x m factor L with L'L = table(); None draws
+    # through the dense root of table().  A request with a thin root needs
+    # no correlation: its table() is then built from the root, only when asked.
+    _root: _ThinRoot | tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_level(self.level)
         _check_int("seed", self.seed)
-        table = self.table()
-        _check_draws("paths", self.paths, table.shape[0] if table.ndim else 1, 100)
+        if self.correlation is None and not isinstance(self._root, _ThinRoot):
+            raise FuncbandError("a sup-norm request needs a correlation table")
+        _check_draws("paths", self.paths, self._size, 100)
 
     def table(self) -> np.ndarray:
         c = self.correlation
+        if c is None:
+            return self._root.table()
         return c.table if isinstance(c, CorrelationField) else np.asarray(c, dtype=float)
+
+    @property
+    def _size(self) -> int:
+        """m, the number of grid points of a path, taken from the root if any."""
+        if isinstance(self._root, _ThinRoot):
+            return self._root.size
+        if self._root is not None:
+            return self._root[0].shape[1]
+        table = self.table()
+        return table.shape[0] if table.ndim else 1
 
     @cached_property
     def _times(self) -> tuple[Callable, float, int]:
         """The root's ``times(z, out, scratch)``, clipped mass and width, built once."""
-        if callable(self._root):
-            return self._root, 0.0, self.table().shape[0]
+        if isinstance(self._root, _ThinRoot):
+            return self._root, 0.0, self._root.size
         factor, mass = self._root or _psd_root(self.table(), correlation=True)
         return (lambda z, out, scratch=None: np.matmul(z, factor, out=out)), mass, len(factor)
 
@@ -120,30 +136,52 @@ class SupQuantileResult:
 
 
 def _thin_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):
-    """``times(z, out, scratch)``, which sets and returns out = z L for the
-    symmetric square root L of the shrunk correlation (1-lam) Xs'Xs/(n-1) +
-    lam I of n ``curves`` on m points, Xs = (curves - mean) / sigma; or None
-    where the dense root is used instead: for 2n >= m, where two k x m x n
-    products save little over one k x m x m, and for lam below
-    _THIN_MIN_LAMBDA.
-
-    With the thin SVD Xs = U diag(s) V', L = a I + V diag(d) V' where
-    a = sqrt(lam) and d = sqrt((1-lam) s^2/(n-1) + lam) - a.  ``times`` puts
-    a z in ``scratch``, a new array if None (z itself if z is not read again)."""
+    """The ``_ThinRoot`` of the shrunk correlation (1-lam) Xs'Xs/(n-1) + lam I
+    of n ``curves`` on m points, Xs = (curves - mean) / sigma; or None where
+    the dense root is used instead: for 2n >= m, where two k x m x n products
+    save little over one k x m x m, and for lam below _THIN_MIN_LAMBDA."""
     n, m = curves.shape
     if 2 * n >= m or lam < _THIN_MIN_LAMBDA:
         return None
-    _, s, vt = np.linalg.svd((curves - mean) / sigma, full_matrices=False)
-    a = sqrt(lam)
-    d = np.sqrt((1.0 - lam) * s * s / (n - 1) + lam) - a
+    return _ThinRoot(curves, mean, sigma, lam)
 
-    def times(z, out, scratch=None):
-        t = z @ vt.T
-        t *= d
-        np.matmul(t, vt, out=out)
-        return np.add(out, np.multiply(z, a, out=scratch), out=out)
 
-    return times
+class _ThinRoot:
+    """The symmetric square root L = a I + V diag(d) V' of the shrunk
+    correlation (1-lam) Xs'Xs/(n-1) + lam I of n curves on m points,
+    Xs = (curves - mean) / sigma, from the thin SVD Xs = U diag(s) V', with
+    a = sqrt(lam) and d = sqrt((1-lam) s^2/(n-1) + lam) - a.  Nothing is
+    clipped; no m x m array is formed unless ``table`` is called."""
+
+    def __init__(self, curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):
+        n, self.size = curves.shape
+        self._xs = (curves - mean) / sigma
+        self._lam = lam
+        try:
+            _, s, self._vt = np.linalg.svd(self._xs, full_matrices=False)
+        except np.linalg.LinAlgError:
+            raise FactorizationError("thin square root: SVD did not converge") from None
+        self._a = sqrt(lam)
+        self._d = np.sqrt((1.0 - lam) * s * s / (n - 1) + lam) - self._a
+        if not all(np.all(np.isfinite(v)) for v in (self._d, self._vt, sigma)):
+            raise FactorizationError("thin square root contains non-finite entries")
+
+    def __call__(self, z, out, scratch=None):
+        """Set and return out = z L; a z goes to ``scratch``, a new array if
+        None (z itself if z is not read again)."""
+        t = z @ self._vt.T
+        t *= self._d
+        np.matmul(t, self._vt, out=out)
+        return np.add(out, np.multiply(z, self._a, out=scratch), out=out)
+
+    def table(self) -> np.ndarray:
+        """The m x m correlation table L'L, entries clipped to [-1,1] and unit
+        diagonal as in ``CorrelationField``."""
+        xs = self._xs
+        table = np.clip(xs.T @ xs / (len(xs) - 1), -1.0, 1.0)
+        table *= 1.0 - self._lam
+        np.fill_diagonal(table, 1.0)
+        return table
 
 
 def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
@@ -165,7 +203,7 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     if any((r.seed, r.paths, w) != (request.seed, request.paths, roots[0][2])
            for r, (_, _, w) in zip(requests, roots)):
         raise FuncbandError("requests simulated together must share seed, paths and width")
-    sizes = [r.table().shape[0] for r in requests]
+    sizes = [r._size for r in requests]
     values = np.empty((len(roots), request.paths))
     starts = iter(range(0, request.paths, _CHUNK))      # map_philox_chunks goes in order
     z = np.empty((min(_CHUNK, request.paths), roots[0][2]))

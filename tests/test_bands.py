@@ -1,5 +1,6 @@
 """Normal, bootstrap, two-sample, and prediction bands."""
 
+import re
 from math import sqrt
 
 import numpy as np
@@ -23,7 +24,7 @@ from funcband import (
     two_sample_scb,
     uniform_design_grid,
 )
-from funcband import bands, supnorm
+from funcband import bands, moments, supnorm
 from funcband.bands import _bootstrap_sup_stats
 from funcband.simlab import gen_model1, m1_mean
 from funcband.smoothing import fit_mean
@@ -76,6 +77,13 @@ class TestBandResult:
         np.testing.assert_allclose(b.half_width, s * a.half_width, atol=1e-9)
         truth = m1_mean(eval_grid.points)
         assert band_covers(a, truth) == band_covers(b, s * truth)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 60), (60, 1)])
+    def test_curve_of_another_shape_rejected(self, sample50, eval_grid, shape):
+        band = normal_scb(sample50, eval_grid, 0.05, paths=200, seed=1)
+        for check in (lambda v: band_covers(band, v), band.covers):
+            with pytest.raises(FuncbandError, match=re.escape(f"{shape}") + r".*\(60,\)"):
+                check(np.zeros(shape))
 
 
 class TestNormalScb:
@@ -281,6 +289,10 @@ def _refuse_dense_root(table, correlation=False):
     raise AssertionError("dense square root taken")
 
 
+def _refuse_table(*args, **kwargs):
+    raise AssertionError("m x m correlation built")
+
+
 class TestSquareRootChoice:
     """Mean and prediction bands of n < m/2 curves draw through the thin root
     of the shrunk correlation, and the goodness-of-fit band with p - L < m
@@ -306,6 +318,39 @@ class TestSquareRootChoice:
             assert band.threshold == pytest.approx(dense.threshold, rel=1e-12, abs=0)
             np.testing.assert_allclose(band.half_width, dense.half_width, rtol=1e-12, atol=0)
             np.testing.assert_array_equal(band.center, dense.center)
+
+    def test_thin_path_builds_no_table(self, monkeypatch):
+        # 2n < m: the draw needs lambda and the thin root, not the m x m
+        # correlation; the request still gives its table when asked
+        grid = uniform_design_grid(15, 15)
+        rng = np.random.default_rng(23)
+        values = np.sin(2 * np.pi * grid.points[:, 0]) + rng.standard_normal((40, 225))
+        cases = [(FunctionalSample(grid=grid, values=values), make_eval_grid(25, dim=2),
+                  (0.2, 0.2), normal_scb),
+                 (gen_model1(10, 30, seed_or_rng=24), make_eval_grid(100), 0.1,
+                  prediction_band)]
+        requests, run = [], bands.sup_quantile
+        with monkeypatch.context() as patch:
+            patch.setattr(moments, "CorrelationField", _refuse_table)
+            patch.setattr(bands, "empirical_correlation", _refuse_table)
+            patch.setattr(bands, "sup_quantile", lambda r: requests.append(r) or run(r))
+            built = [build(sample, eval, h, seed=5) for sample, eval, h, build in cases]
+        for (sample, eval, h, _), band, request in zip(cases, built, requests):
+            fit = fit_mean(sample, eval, h)
+            raw = moments.empirical_correlation(fit.curves, eval)
+            lam = band.details["shrinkage_lambda"]
+            dense = moments.shrink_correlation(raw, ShrinkageSpec(lam))[0].table
+            assert request.correlation is None and dense.shape == (eval.n_points,) * 2
+            np.testing.assert_allclose(request.table(), dense, rtol=0, atol=1e-14)
+
+    def test_overflowing_thin_input_raises(self):
+        # sigma_hat^2 overflows to inf; the dense path raised on its NaN table
+        grid = uniform_design_grid(15, 15)
+        values = 1e160 * np.random.default_rng(25).standard_normal((40, 225))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FuncbandError, match="non-finite"):
+            normal_scb(FunctionalSample(grid=grid, values=values), make_eval_grid(25, dim=2),
+                       (0.2, 0.2), seed=1)
 
     @pytest.mark.parametrize("case", ["lambda 0", "2n >= m", "two-sample", "gof"])
     def test_dense_root_kept(self, case, monkeypatch):

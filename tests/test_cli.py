@@ -463,3 +463,28 @@ class TestConfig:
             capsys, "scb", "--in", curves_csv, "--h", "0.2", "--seed", "25",
             "--config", str(cfg))
         assert code == EXIT_PARSE
+
+    def test_abbreviated_key_rejected(self, curves_csv, tmp_path, capsys):
+        # "grid" is a prefix of --grid-size; it must not be taken for it
+        cfg = tmp_path / "prefix.json"
+        cfg.write_text(json.dumps({"grid": 5}))
+        code, stdout, stderr = run(
+            capsys, "scb", "--in", curves_csv, "--h", "0.2", "--seed", "26",
+            "--config", str(cfg))
+        assert code == EXIT_PARSE and stdout == ""
+        assert "--grid" in stderr
+
+
+def test_abbreviated_flag_rejected(curves_csv, capsys):
+    code, stdout, stderr = run(capsys, "scb", "--in", curves_csv, "--h", "0.2", "--seed", "26",
+                               "--grid", "5")
+    assert code == EXIT_PARSE and stdout == ""
+    assert "--grid" in stderr
+
+
+def test_parser_built_once(curves_csv, capsys):
+    argv = ("scb", "--in", curves_csv, "--h", "0.2", "--grid-size", "10", "--paths", "200",
+            "--seed", "27")
+    first = run(capsys, *argv)
+    assert run(capsys, *argv) == first and first[0] == EXIT_OK
+    assert cli._build_parser() is cli._build_parser()

@@ -107,6 +107,41 @@ class TestShrinkage:
             lam = schafer_strimmer_lambda(rng.standard_normal((8, 12)))
             assert 0.0 <= lam <= 1.0
 
+    @staticmethod
+    def _lambda_oracle(x):
+        """The unclipped Schafer-Strimmer lambda, summed over the m x m table."""
+        n, m = x.shape
+        xs = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
+        w, w2 = xs.T @ xs, (xs * xs).T @ (xs * xs)
+        var_r = n / (n - 1.0) ** 3 * (w2 - w * w / n)
+        off = ~np.eye(m, dtype=bool)
+        return var_r[off].sum() / ((w / (n - 1.0))[off] ** 2).sum()
+
+    @pytest.mark.parametrize("n, m", [(5, 40), (40, 625), (12, 12), (60, 9), (3, 20), (3, 3)])
+    def test_lambda_matches_table_formula(self, n, m):
+        rng = np.random.default_rng(n * m)
+        for x in (rng.standard_normal((n, m)).cumsum(axis=1) + 3.0,    # correlated
+                  rng.standard_normal((n, m)) * rng.uniform(0.5, 2.0, m)):
+            raw = self._lambda_oracle(x)
+            assert raw >= 0.0
+            assert schafer_strimmer_lambda(x) == pytest.approx(min(raw, 1.0), rel=1e-13, abs=0)
+
+    def test_lambda_clips_to_one(self):
+        # independent columns; this draw's unclipped lambda is about 1.19
+        x = np.random.default_rng(3).standard_normal((10, 10))
+        assert self._lambda_oracle(x) > 1.0
+        assert schafer_strimmer_lambda(x) == 1.0
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_lambda_clips_to_zero(self, n):
+        # every column an affine image of one balanced +-1 pattern: each product of
+        # standardized values is constant across curves, so every var_hat(r_ab)
+        # and lambda are zero; computed, they are zero up to a few ulps of 1
+        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        x = np.outer(signs, np.linspace(1.0, 3.0, 15)) + np.arange(15.0)
+        assert abs(self._lambda_oracle(x)) < 1e-15
+        assert 0.0 <= schafer_strimmer_lambda(x) < 1e-15
+
     def test_shrunk_output_is_psd(self):
         # [DERIVED] 5 curves on 50 points: shrunk correlation PSD every trial
         rng = np.random.default_rng(7)

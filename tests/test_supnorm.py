@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import kstest, norm
 
 from funcband import (
+    FactorizationError,
     FuncbandError,
     ShrinkageSpec,
     SupQuantileRequest,
@@ -105,6 +106,34 @@ class TestThinRoot:
         eps = np.finfo(float).eps
         tol = max(1e-12, 8 * eps * m / (2 * np.sqrt(lam)))
         np.testing.assert_allclose(thin, dense, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_table_built_from_the_root(self, n):
+        m, lam = 40, 0.3
+        curves = _curves(n, m, seed=n + 10)
+        mean, sd = curves.mean(axis=0), curves.std(axis=0, ddof=1)
+        raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
+        dense = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0].table
+        request = SupQuantileRequest(None, 0.05, 1000, 0, _root=_thin_root(curves, mean, sd, lam))
+        np.testing.assert_allclose(request.table(), dense, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("where", ["curve", "sigma", "lambda"])
+    def test_non_finite_input_raises(self, where):
+        curves = _curves(5, 40, seed=4)
+        mean, sd, lam = curves.mean(axis=0), curves.std(axis=0, ddof=1), 0.2
+        if where == "curve":
+            curves[2, 7] = np.nan
+        elif where == "sigma":
+            sd[3] = np.inf
+        else:
+            lam = np.nan
+        # NaN curves fail in the SVD, an infinite sigma or NaN lambda after it
+        with pytest.raises(FactorizationError, match="thin square root"):
+            _thin_root(curves, mean, sd, lam)
+
+    def test_request_needs_a_table_or_thin_root(self):
+        with pytest.raises(FuncbandError, match="correlation table"):
+            SupQuantileRequest(None, 0.05, 1000, 0)
 
     @pytest.mark.parametrize("n, lam", [(20, 0.5), (30, 0.5), (5, 0.0), (5, 9e-7)])
     def test_dense_root_where_thin_does_not_apply(self, n, lam):
