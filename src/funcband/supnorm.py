@@ -111,11 +111,9 @@ class SupQuantileRequest:
 
     @property
     def _size(self) -> int:
-        """m, the number of grid points of a path, taken from the root if any."""
+        """m, the number of grid points of a path; a thin root knows it."""
         if isinstance(self._root, _ThinRoot):
             return self._root.size
-        if self._root is not None:
-            return self._root[0].shape[1]
         table = self.table()
         return table.shape[0] if table.ndim else 1
 
@@ -136,10 +134,9 @@ class SupQuantileResult:
 
 
 def _thin_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):
-    """The ``_ThinRoot`` of the shrunk correlation (1-lam) Xs'Xs/(n-1) + lam I
-    of n ``curves`` on m points, Xs = (curves - mean) / sigma; or None where
-    the dense root is used instead: for 2n >= m, where two k x m x n products
-    save little over one k x m x m, and for lam below _THIN_MIN_LAMBDA."""
+    """The ``_ThinRoot`` of n ``curves`` on m points, or None where the dense
+    root is used instead: for 2n >= m, where two k x m x n products save
+    little over one k x m x m, and for lam below _THIN_MIN_LAMBDA."""
     n, m = curves.shape
     if 2 * n >= m or lam < _THIN_MIN_LAMBDA:
         return None
