@@ -16,25 +16,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, FuncbandError, GridError, _check_int
+from .errors import DegenerateVarianceError, FuncbandError, GridError, _check_finite, _check_int
 from .grids import EvalGrid, FunctionalSample
 from .moments import (
     CovarianceField,
     ShrinkageSpec,
-    empirical_correlation,
     empirical_variance,
     correlation_from_covariance,
-    shrink_correlation,
     _shrinkage_intensity,
+    _shrunk_table,
 )
 from .smoothing import Bandwidth, Kernel, epanechnikov, fit_mean
 from .supnorm import (
     SupQuantileRequest,
+    _MatrixRoot,
+    _ThinRoot,
     _check_draws,
     _check_level,
     _quantile_stderr,
     _sup_quantile_of,
-    _thin_root,
     default_path_count,
     map_philox_chunks,
     order_statistic_quantile,
@@ -127,20 +127,33 @@ def band_covers(band: BandResult, values: np.ndarray) -> bool:
 
 
 def _checked_variance(mean_fit) -> np.ndarray:
-    """sigma_hat^2 of the smoothed curves; needs n >= 2 and no zero variance."""
+    """sigma_hat^2 of the smoothed curves; needs n >= 2 and a finite, nonzero
+    variance everywhere."""
     if mean_fit.curves.shape[0] < 2:
         raise DegenerateVarianceError("band construction needs n >= 2 curves")
-    sigma2 = empirical_variance(mean_fit.curves, mean_fit.mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma2 = empirical_variance(mean_fit.curves, mean_fit.mean)
+    _check_finite("variance", sigma2)
     if np.any(sigma2 <= 0):
         j = int(np.argmin(sigma2))
         raise DegenerateVarianceError(f"zero variance at evaluation point index {j}")
     return sigma2
 
 
-def _shrunk_correlation(mean_fit, sigma2, lam: float):
-    """The correlation of the smoothed curves shrunk with intensity ``lam``."""
-    corr = empirical_correlation(mean_fit.curves, mean_fit.grid, mean_fit.mean, sigma2)
-    return shrink_correlation(corr, ShrinkageSpec(lam))[0]
+# The thin root is taken only for shrinkage intensities at or above this:
+# every eigenvalue of the shrunk table is then at least lambda, far above
+# moments._EIG_RTOL and eigh's rounding, so the dense root would drop nothing.
+_THIN_MIN_LAMBDA = 1e-6
+
+
+def _curve_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):
+    """The root of the correlation of n ``curves`` on m points shrunk with
+    intensity ``lam``: thin for 2n < m and lam >= _THIN_MIN_LAMBDA, else the
+    dense root, as two k x m x n products would save little over one k x m x m."""
+    n, m = curves.shape
+    if 2 * n < m and lam >= _THIN_MIN_LAMBDA:
+        return _ThinRoot(curves, mean, sigma, lam)
+    return _MatrixRoot.of(_shrunk_table((curves - mean) / sigma, lam))
 
 
 def _provenance(h, kernel, seed, **extra) -> dict:
@@ -152,11 +165,11 @@ def _provenance(h, kernel, seed, **extra) -> dict:
 
 
 def _gaussian_parts(method, eval, center, sigma, corr, divisor, gamma, paths, p, seed,
-                    h, kernel, lam, root=None):
+                    h, kernel, lam):
     """The sup-norm request of the Gaussian band center +/- c sigma / divisor,
     with c the Monte-Carlo sup-norm quantile of the Gaussian process with
-    correlation ``corr``, drawn through ``root`` when given, and the function
-    that makes the band from the request's ``SupQuantileResult``.
+    correlation ``corr`` (a table or a root), and the function that makes
+    the band from the request's ``SupQuantileResult``.
     ``divisor`` is sqrt(n) for a mean band and 1.0 for a prediction band, and
     ``paths`` defaults by the design size ``p``."""
     n_paths = paths if paths is not None else default_path_count(p)
@@ -167,7 +180,7 @@ def _gaussian_parts(method, eval, center, sigma, corr, divisor, gamma, paths, p,
         return BandResult(eval, center, res.threshold * sigma / divisor, res.threshold,
                           1.0 - gamma, method, details)
 
-    return SupQuantileRequest(corr, gamma, n_paths, seed, _root=root), band
+    return SupQuantileRequest(corr, gamma, n_paths, seed), band
 
 
 def _gaussian_band(*args) -> BandResult:
@@ -177,17 +190,13 @@ def _gaussian_band(*args) -> BandResult:
 
 def _curve_parts(method, divisor, sample, eval, h, kernel, gamma, paths, seed, shrinkage):
     """``_gaussian_parts`` of the band mu_hat +/- c sigma_hat / divisor built
-    from the smoothed curves of ``sample``, drawn through their thin root
-    where it applies; the m x m shrunk correlation is built only where it
-    does not."""
+    from the smoothed curves of ``sample``, drawn through their ``_curve_root``."""
     mean_fit = fit_mean(sample, eval, h, kernel)
-    sigma2 = _checked_variance(mean_fit)
-    sigma = np.sqrt(sigma2)
+    sigma = np.sqrt(_checked_variance(mean_fit))
     lam = _shrinkage_intensity(shrinkage, mean_fit.curves)
-    root = _thin_root(mean_fit.curves, mean_fit.mean, sigma, lam)
-    corr = _shrunk_correlation(mean_fit, sigma2, lam) if root is None else None
-    return _gaussian_parts(method, eval, mean_fit.mean, sigma, corr, divisor, gamma, paths,
-                           sample.n_points, seed, h, kernel, lam, root)
+    root = _curve_root(mean_fit.curves, mean_fit.mean, sigma, lam)
+    return _gaussian_parts(method, eval, mean_fit.mean, sigma, root, divisor, gamma, paths,
+                           sample.n_points, seed, h, kernel, lam)
 
 
 def normal_scb(
@@ -335,11 +344,10 @@ def two_sample_scb(
     fits, covs, lams = [], [], []
     for sample, h in ((sample_a, h_a), (sample_b, h_b)):
         mean_fit = fit_mean(sample, eval, h, kernel)
-        sigma2 = _checked_variance(mean_fit)
-        sigma = np.sqrt(sigma2)
+        sigma = np.sqrt(_checked_variance(mean_fit))
         lam = _shrinkage_intensity(shrinkage, mean_fit.curves)
-        corr = _shrunk_correlation(mean_fit, sigma2, lam)
-        cov = corr.table * np.outer(sigma, sigma) / sample.n_curves
+        corr = _shrunk_table((mean_fit.curves - mean_fit.mean) / sigma, lam)
+        cov = corr * np.outer(sigma, sigma) / sample.n_curves
         fits.append(mean_fit)
         covs.append(cov)
         lams.append(lam)
@@ -402,7 +410,6 @@ def split_half_bandwidth(
         try:
             request, band = _curve_parts("prediction", 1.0, build, eval, b, kernel, gamma,
                                          paths, seed, shrinkage)
-            request._times      # take the root now, so that one that fails skips b
         except FuncbandError:
             continue
         pending.append((b, request, band))

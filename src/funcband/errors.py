@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the integer-argument
-check that every entry point shares."""
+and finiteness checks that every entry point shares."""
 
 import numpy as np
 
@@ -44,3 +44,11 @@ def _check_int(name: str, value, low: int = 0, error: type = FuncbandError) -> N
     """Raise ``error`` naming ``name`` unless ``value`` is an integer >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise error(f"{name} must be an integer >= {low}, got {name}={value!r}")
+
+
+def _check_finite(what: str, values: np.ndarray) -> None:
+    """Raise SampleValidationError naming the first point index (row of
+    ``values``) that holds a non-finite entry."""
+    bad = ~np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if bad.any():
+        raise SampleValidationError(f"non-finite {what} at point index {int(np.argmax(bad))}")

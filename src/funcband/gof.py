@@ -19,9 +19,9 @@ import numpy as np
 from .bands import BandResult, _gaussian_band
 from .errors import DegenerateVarianceError, FuncbandError, RankDeficiencyError, _check_int
 from .grids import DesignGrid, EvalGrid, FunctionalSample
-from .moments import (CovarianceField, ShrinkageSpec, _kept_eigenvalues,
-                      correlation_from_covariance, empirical_data_covariance)
+from .moments import CovarianceField, ShrinkageSpec, _kept_eigenvalues, empirical_data_covariance
 from .smoothing import Kernel, weight_matrix
+from .supnorm import _MatrixRoot
 
 __all__ = [
     "BasisModel",
@@ -281,21 +281,25 @@ def scb_gof_test(
     """Sup-norm test of the parametric model; T = sqrt(n) || r / sigma_Gamma ||_inf.
 
     Gamma_hat = A A' with A = W Q C, C C' = Q' S_hat Q less the eigenvalues that
-    moments._kept_eigenvalues drops (their share is the clipped mass).  If C has
-    r < m columns, paths take r normals through the factor A' / sigma_Gamma."""
+    moments._kept_eigenvalues drops (their share is the clipped mass).  Paths draw
+    through its correlation's root F = (A / sigma_Gamma)', r x m, or if r > m the
+    m x m R of F = Q R (R'R = F'F)."""
     r, wq, q = _residual_map(sample, model, eval, h, kernel)
     g, lam = _projected_covariance(sample, q, shrinkage)
     vals, vecs = np.linalg.eigh(g)
     keep, mass = _kept_eigenvalues(vals)
     a = wq @ (vecs[:, keep] * np.sqrt(vals[keep]))
-    gamma_hat = CovarianceField(grid=eval, table=a @ a.T)
-    rho_gamma = correlation_from_covariance(gamma_hat)
-    sigma_gamma = np.sqrt(np.diag(gamma_hat.table))
+    sigma_gamma = np.linalg.norm(a, axis=1)
+    if np.any(sigma_gamma <= 0):
+        j = int(np.argmin(sigma_gamma))
+        raise DegenerateVarianceError(f"zero variance at grid point index {j}")
+    factor = (a / sigma_gamma[:, None]).T
+    if len(factor) > len(r):
+        factor = np.linalg.qr(factor, mode="r")
     n = sample.n_curves
     t_stat = sqrt(n) * float(np.max(np.abs(r / sigma_gamma)))
-    band = _gaussian_band("gof-residual", eval, r, sigma_gamma, rho_gamma, sqrt(n), alpha,
-                          paths, sample.n_points, seed, h, kernel, lam,
-                          ((a / sigma_gamma[:, None]).T, mass) if a.shape[1] < len(r) else None)
+    band = _gaussian_band("gof-residual", eval, r, sigma_gamma, _MatrixRoot(factor, mass),
+                          sqrt(n), alpha, paths, sample.n_points, seed, h, kernel, lam)
     return GofReport(
         statistic=t_stat,
         threshold=band.threshold,

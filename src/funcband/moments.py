@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, FactorizationError, FuncbandError
+from .errors import DegenerateVarianceError, FactorizationError, FuncbandError, _check_finite
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 
 __all__ = [
@@ -91,6 +91,8 @@ class ShrinkageSpec:
 def empirical_variance(curves: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
     """Pointwise sample variance of the rows of ``curves`` with divisor n-1."""
     curves = np.asarray(curves, dtype=float)
+    if curves.ndim != 2:
+        raise FuncbandError(f"curves must be an (n, m) array, got shape {curves.shape}")
     n = curves.shape[0]
     if n < 2:
         raise DegenerateVarianceError("variance estimation needs n >= 2 curves")
@@ -108,7 +110,6 @@ def empirical_correlation(
 ) -> CorrelationField:
     """Empirical correlation of the rows of ``curves`` across grid points."""
     curves = np.asarray(curves, dtype=float)
-    n = curves.shape[0]
     if mean is None:
         mean = curves.mean(axis=0)
     if sigma2 is None:
@@ -116,9 +117,7 @@ def empirical_correlation(
     if np.any(sigma2 <= 0):
         j = int(np.argmin(sigma2))
         raise DegenerateVarianceError(f"zero variance at grid point index {j}")
-    sigma = np.sqrt(sigma2)
-    dev = curves - mean[None, :]
-    table = dev.T @ dev / ((n - 1) * np.outer(sigma, sigma))
+    table = _shrunk_table((curves - mean) / np.sqrt(sigma2), 0.0)
     return CorrelationField(grid=grid, table=table)
 
 
@@ -138,6 +137,7 @@ def schafer_strimmer_lambda(curves: np.ndarray) -> float:
     """
     x = np.asarray(curves, dtype=float)
     n, m = x.shape
+    _check_finite("curves", x.T)
     if n < 3:
         return 1.0  # too few curves to estimate the estimator's variance
     mean = x.mean(axis=0)
@@ -168,6 +168,15 @@ def _shrinkage_intensity(spec: ShrinkageSpec, curves: np.ndarray | None) -> floa
     if curves is None:
         raise FuncbandError("data-estimated shrinkage needs the underlying curves")
     return schafer_strimmer_lambda(curves)
+
+
+def _shrunk_table(xs: np.ndarray, lam: float) -> np.ndarray:
+    """(1-lam) R + lam I for the correlation R = Xs'Xs/(n-1) of the n x m standardized
+    deviations Xs, entries clipped to [-1,1] and unit diagonal as in ``CorrelationField``."""
+    table = np.clip(xs.T @ xs / (len(xs) - 1), -1.0, 1.0)
+    table *= 1.0 - lam
+    np.fill_diagonal(table, 1.0)
+    return table
 
 
 def shrink_correlation(
@@ -207,7 +216,10 @@ def empirical_data_covariance(
     """
     y = sample.values
     dev = _centered_curves(sample)
-    cov = CovarianceField(grid=sample.grid, table=dev.T @ dev / (y.shape[0] - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = dev.T @ dev / (y.shape[0] - 1)
+    _check_finite("covariance", table)
+    cov = CovarianceField(grid=sample.grid, table=table)
     if spec is None:
         return cov, 0.0
     shrunk, lam = shrink_correlation(correlation_from_covariance(cov), spec, curves=y)
@@ -238,7 +250,7 @@ def _psd_root(table: np.ndarray, correlation: bool = False) -> tuple[np.ndarray,
     the eigenvalues dropped by ``_kept_eigenvalues`` zeroed, and their share
     of the eigenvalue mass.  For a correlation that lost mass, the columns of
     L are rescaled so that L'L has a unit diagonal."""
-    vals, vecs = np.linalg.eigh(_check_symmetric(table, "input"))
+    vals, vecs = np.linalg.eigh(_check_symmetric(table, "correlation" if correlation else "input"))
     keep, mass = _kept_eigenvalues(vals)
     root = (vecs * np.sqrt(np.where(keep, vals, 0.0))[None, :]) @ vecs.T
     if correlation and mass > 0.0:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, FuncbandError, IntegrationError
+from .errors import DegenerateVarianceError, FuncbandError, IntegrationError, SampleValidationError
 from .gof import BasisModel, _design_matrix, _projector
 from .grids import DesignGrid, FunctionalSample
 from .moments import CovarianceField, _centered_curves, _check_symmetric, _psd_root
@@ -80,8 +80,13 @@ def plrt_statistic(
     ybar = sample.column_means()
     res0 = ybar - p_mat @ ybar
     res1 = ybar - s_mat @ ybar
-    rss0 = float(res0 @ res0)
-    rss1 = float(res1 @ res1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rss0 = float(res0 @ res0)
+        rss1 = float(res1 @ res1)
+        if not (isfinite(rss0) and isfinite(rss1)):
+            j = int(np.argmax(np.maximum(np.abs(res0), np.abs(res1))))
+            raise SampleValidationError(f"non-finite residual sum of squares (largest residual "
+                                        f"at point index {j})")
     # scale-relative zero test: an exactly reproduced mean leaves only roundoff
     if rss1 <= 1e-24 * max(float(ybar @ ybar), 1e-300):
         raise DegenerateVarianceError("perfect smooth fit: RSS_1 = 0")

@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridError, IllPosedBandwidthError, SingularDesignError
+from .errors import (FuncbandError, GridError, IllPosedBandwidthError, SampleValidationError,
+                     SingularDesignError)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 
 __all__ = [
@@ -132,6 +133,8 @@ def weight_matrix(
     to one is at most _DET_RTOL there (active points on a common hyperplane).
     """
     kernel = kernel or epanechnikov()
+    if not isinstance(kernel, Kernel):
+        raise FuncbandError(f"kernel must be a Kernel (see kernel_by_name), got kernel={kernel!r}")
     if grid.dim != eval.dim:
         raise GridError("design and evaluation grids must share the dimension")
     h = Bandwidth.of(h, grid.dim)
@@ -203,7 +206,11 @@ def cv_score(sample: FunctionalSample, h, kernel: Kernel | None = None) -> float
     # leave-one-out mean smooth: (n * S ybar - S y_i) / (n - 1)
     loo = (n * smoothed_mean[None, :] - smoothed_rows) / (n - 1)
     resid = sample.values - loo
-    return float(np.sum(resid * resid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = float(np.sum(resid * resid))
+    if not np.isfinite(score):
+        raise SampleValidationError(f"non-finite cross-validation score at h={h}")
+    return score
 
 
 def cv_bandwidth(

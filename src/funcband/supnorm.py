@@ -3,20 +3,17 @@
 Sample paths are z L with z a row of w standard normals and L a w x m
 root of the m x m correlation table (L'L = table); the threshold is the
 ceil((1-gamma) N)-th order statistic of the simulated sup-absolute values.
-L takes one of three forms:
+A root has a ``size`` m, a ``width`` w, the clipped eigenvalue ``mass``, a
+``table()`` and the product z L.  It is one of two kinds:
 
-* dense: the m x m symmetric root of the table from ``moments._psd_root``
-  (one eigendecomposition, which also repairs a table that is not PSD),
-  applied by one k x m x m product per chunk; w = m;
+* matrix: a w x m array L, applied by one k x w x m product per chunk: the
+  m x m symmetric root of a table from ``moments._psd_root`` (which also
+  repairs a table that is not PSD), or the goodness-of-fit test's exact
+  factor of its rank-r correlation, w = min(r, m);
 * thin: for a shrunk empirical correlation (1-lam) Xs'Xs/(n-1) + lam I of
   n < m/2 curves, sqrt(lam) I + V diag(d) V' from the thin SVD of the
   n x m standardized deviations Xs, applied by two k x m x n products;
-  w = m.  The bands pass it with the request in place of a table: such a
-  request builds its m x m table from the root only when ``table()`` is
-  asked for, and the draw never asks.  The result differs from the dense
-  root by rounding only;
-* factor: an exact r x m root of a rank-r table, such as the goodness-of-fit
-  correlation of rank p - L < m, applied by one k x r x m product; w = r.
+  w = m.  Only ``table()`` forms an m x m array, and the draw never calls it.
 
 Paths are drawn in chunks of at most 2048 into one normal buffer and one
 product buffer allocated per call.  Randomness is counter-based (Philox)
@@ -27,14 +24,12 @@ Requests with the same seed, paths and width w can share one draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import ceil, sqrt
-from typing import Callable
 
 import numpy as np
 
 from .errors import FactorizationError, FuncbandError, _check_int
-from .moments import CorrelationField, _psd_root
+from .moments import CorrelationField, _psd_root, _shrunk_table
 
 __all__ = [
     "SupQuantileRequest",
@@ -49,10 +44,6 @@ _CHUNK = 2048
 # Order statistics closer than this, relative to the quantile, count as tied:
 # bootstrap resamples that draw the same curves give z* equal up to rounding.
 _TIE_RTOL = 1e-8
-# The thin root is taken only for shrinkage intensities at or above this:
-# every eigenvalue of the shrunk table is then at least lambda, far above
-# moments._EIG_RTOL and eigh's rounding, so the dense root would drop nothing.
-_THIN_MIN_LAMBDA = 1e-6
 # Largest number of random numbers one call may draw: standard normals
 # (paths x grid points) or bootstrap indices (resamples x curves).
 _MAX_DRAWS = 10**8
@@ -77,6 +68,7 @@ def _check_draws(name: str, count, per_draw: int, low: int = 1) -> None:
 
 def default_path_count(p: int) -> int:
     """Path-count schedule by design size: 8000 / 10000 / 13000."""
+    _check_int("p", p, 1)
     if p <= 10:
         return 8000
     if p <= 20:
@@ -84,66 +76,31 @@ def default_path_count(p: int) -> int:
     return 13000
 
 
-@dataclass(frozen=True)
-class SupQuantileRequest:
-    correlation: CorrelationField | np.ndarray | None
-    level: float            # gamma, the tail probability
-    paths: int
-    seed: int
-    # The bands' _ThinRoot of a shrunk empirical correlation, or a pair
-    # (L, clipped mass) of a w x m factor L with L'L = table(); None draws
-    # through the dense root of table().  A request with a thin root needs
-    # no correlation: its table() is then built from the root, only when asked.
-    _root: _ThinRoot | tuple | None = field(default=None, repr=False, compare=False)
+class _MatrixRoot:
+    """A w x m root ``factor`` L of an m x m correlation table (L'L = table),
+    made by dropping the share ``mass`` of the table's eigenvalue mass.  A
+    root made from a table by ``of`` keeps that table for ``table()``."""
 
-    def __post_init__(self):
-        _check_level(self.level)
-        _check_int("seed", self.seed)
-        if self.correlation is None and not isinstance(self._root, _ThinRoot):
-            raise FuncbandError("a sup-norm request needs a correlation table")
-        _check_draws("paths", self.paths, self._size, 100)
+    def __init__(self, factor: np.ndarray, mass: float = 0.0, table: np.ndarray | None = None):
+        self.factor = factor
+        self.width, self.size = factor.shape
+        self.mass = mass
+        self._table = table
+
+    @classmethod
+    def of(cls, table: np.ndarray) -> _MatrixRoot:
+        """The m x m symmetric root of a correlation table, from ``_psd_root``."""
+        return cls(*_psd_root(table, correlation=True), table)
+
+    def __call__(self, z, out, scratch=None):
+        """Set and return out = z L."""
+        return np.matmul(z, self.factor, out=out)
 
     def table(self) -> np.ndarray:
-        c = self.correlation
-        if c is None:
-            return self._root.table()
-        return c.table if isinstance(c, CorrelationField) else np.asarray(c, dtype=float)
-
-    @property
-    def _size(self) -> int:
-        """m, the number of grid points of a path; a thin root knows it."""
-        if isinstance(self._root, _ThinRoot):
-            return self._root.size
-        table = self.table()
-        return table.shape[0] if table.ndim else 1
-
-    @cached_property
-    def _times(self) -> tuple[Callable, float, int]:
-        """The root's ``times(z, out, scratch)``, clipped mass and width, built once."""
-        if isinstance(self._root, _ThinRoot):
-            return self._root, 0.0, self._root.size
-        factor, mass = self._root or _psd_root(self.table(), correlation=True)
-        return (lambda z, out, scratch=None: np.matmul(z, factor, out=out)), mass, len(factor)
+        return self.factor.T @ self.factor if self._table is None else self._table
 
 
-@dataclass(frozen=True)
-class SupQuantileResult:
-    threshold: float
-    stderr: float
-    clipped_mass: float
-
-
-def _thin_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):
-    """The ``_ThinRoot`` of n ``curves`` on m points, or None where the dense
-    root is used instead: for 2n >= m, where two k x m x n products save
-    little over one k x m x m, and for lam below _THIN_MIN_LAMBDA."""
-    n, m = curves.shape
-    if 2 * n >= m or lam < _THIN_MIN_LAMBDA:
-        return None
-    return _ThinRoot(curves, mean, sigma, lam)
-
-
-class _ThinRoot:
+class _ThinRoot(_MatrixRoot):
     """The symmetric square root L = a I + V diag(d) V' of the shrunk
     correlation (1-lam) Xs'Xs/(n-1) + lam I of n curves on m points,
     Xs = (curves - mean) / sigma, from the thin SVD Xs = U diag(s) V', with
@@ -151,7 +108,8 @@ class _ThinRoot:
     clipped; no m x m array is formed unless ``table`` is called."""
 
     def __init__(self, curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):
-        n, self.size = curves.shape
+        self.width = self.size = curves.shape[1]
+        self.mass = 0.0
         self._xs = (curves - mean) / sigma
         self._lam = lam
         try:
@@ -159,7 +117,7 @@ class _ThinRoot:
         except np.linalg.LinAlgError:
             raise FactorizationError("thin square root: SVD did not converge") from None
         self._a = sqrt(lam)
-        self._d = np.sqrt((1.0 - lam) * s * s / (n - 1) + lam) - self._a
+        self._d = np.sqrt((1.0 - lam) * s * s / (len(curves) - 1) + lam) - self._a
         if not all(np.all(np.isfinite(v)) for v in (self._d, self._vt, sigma)):
             raise FactorizationError("thin square root contains non-finite entries")
 
@@ -172,13 +130,40 @@ class _ThinRoot:
         return np.add(out, np.multiply(z, self._a, out=scratch), out=out)
 
     def table(self) -> np.ndarray:
-        """The m x m correlation table L'L, entries clipped to [-1,1] and unit
-        diagonal as in ``CorrelationField``."""
-        xs = self._xs
-        table = np.clip(xs.T @ xs / (len(xs) - 1), -1.0, 1.0)
-        table *= 1.0 - self._lam
-        np.fill_diagonal(table, 1.0)
-        return table
+        return _shrunk_table(self._xs, self._lam)
+
+
+@dataclass(frozen=True)
+class SupQuantileRequest:
+    """Draw ``paths`` sup-norms of the Gaussian process with correlation
+    ``correlation``: an m x m table, a ``CorrelationField`` or a root.  The
+    root drawn through, ``root``, is built once: for a table, ``_MatrixRoot.of``."""
+
+    correlation: CorrelationField | np.ndarray | _MatrixRoot
+    level: float            # gamma, the tail probability
+    paths: int
+    seed: int
+    root: _MatrixRoot = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_level(self.level)
+        _check_int("seed", self.seed)
+        root = self.correlation
+        if not isinstance(root, _MatrixRoot):
+            root = _MatrixRoot.of(np.asarray(getattr(root, "table", root), dtype=float))
+        object.__setattr__(self, "root", root)
+        _check_draws("paths", self.paths, root.size, 100)
+
+    def table(self) -> np.ndarray:
+        """The given table, or the root's own table."""
+        return self.root.table()
+
+
+@dataclass(frozen=True)
+class SupQuantileResult:
+    threshold: float
+    stderr: float
+    clipped_mass: float
 
 
 def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
@@ -191,38 +176,40 @@ def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
 
 
 def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
-    """Simulate sup-absolute values of the Gaussian process; deterministic
-    given the seed.  Uses the request's thin root (nothing is clipped then) or
-    factor when it has one, else the dense root of its table.  Returns (values,
-    clipped mass), or with ``more`` requests a list of such pairs, one each."""
+    """Simulate sup-absolute values of the Gaussian process through the
+    request's root; deterministic given the seed.  Returns (values, clipped
+    mass), or with ``more`` requests a list of such pairs, one each."""
     requests = (request, *more)
-    roots = [r._times for r in requests]
-    if any((r.seed, r.paths, w) != (request.seed, request.paths, roots[0][2])
-           for r, (_, _, w) in zip(requests, roots)):
+    roots = [r.root for r in requests]
+    width = roots[0].width
+    if any((r.seed, r.paths, root.width) != (request.seed, request.paths, width)
+           for r, root in zip(requests, roots)):
         raise FuncbandError("requests simulated together must share seed, paths and width")
-    sizes = [r._size for r in requests]
     values = np.empty((len(roots), request.paths))
     starts = iter(range(0, request.paths, _CHUNK))      # map_philox_chunks goes in order
-    z = np.empty((min(_CHUNK, request.paths), roots[0][2]))
-    y = np.empty(len(z) * max(sizes))
+    z = np.empty((min(_CHUNK, request.paths), width))
+    y = np.empty(len(z) * max(root.size for root in roots))
 
     def draw(rng, k):
         zk, start = z[:k], next(starts)
         rng.standard_normal(out=zk)
-        for (times, _, _), m, v in zip(roots, sizes, values):
-            yk = y[:k * m].reshape(k, m)
+        for root, v in zip(roots, values):
+            yk = y[:k * root.size].reshape(k, root.size)
             # A thin root may overwrite the normals only when no other root reads them.
-            np.abs(times(zk, yk, None if more else zk), out=yk).max(axis=1, out=v[start:start + k])
+            np.abs(root(zk, yk, None if more else zk), out=yk).max(axis=1, out=v[start:start + k])
 
     map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
-    pairs = [(v, mass) for v, (_, mass, _) in zip(values, roots)]
+    pairs = [(v, root.mass) for v, root in zip(values, roots)]
     return pairs if more else pairs[0]
 
 
 def order_statistic_quantile(values: np.ndarray, gamma: float) -> float:
     """ceil((1-gamma) N)-th order statistic (1-based, no interpolation)."""
+    _check_level(gamma)
     values = np.sort(np.asarray(values, dtype=float))
     n = values.size
+    if n == 0:
+        raise FuncbandError("values must hold at least one value, got values of size 0")
     k = min(max(ceil((1.0 - gamma) * n), 1), n)
     return float(values[k - 1])
 

@@ -1,6 +1,7 @@
 """Normal, bootstrap, two-sample, and prediction bands."""
 
 import re
+import warnings
 from math import sqrt
 
 import numpy as np
@@ -17,6 +18,7 @@ from funcband import (
     bootstrap_scb,
     make_eval_grid,
     normal_scb,
+    plrt_test,
     polynomial_basis,
     prediction_band,
     scb_gof_test,
@@ -295,9 +297,9 @@ def _refuse_table(*args, **kwargs):
 
 class TestSquareRootChoice:
     """Mean and prediction bands of n < m/2 curves draw through the thin root
-    of the shrunk correlation, and the goodness-of-fit band with p - L < m
-    through its rank-(p - L) factor; every other Gaussian band takes the
-    dense root."""
+    of the shrunk correlation, and the goodness-of-fit band through its
+    factor (or that factor's QR when p - L > m); every other Gaussian band
+    takes the dense root."""
 
     def test_thin_root_for_few_curves(self, monkeypatch):
         grid = uniform_design_grid(15, 15)
@@ -312,7 +314,7 @@ class TestSquareRootChoice:
         with monkeypatch.context() as patch:
             patch.setattr(supnorm, "_psd_root", _refuse_dense_root)
             thin = [call() for call in calls]
-        monkeypatch.setattr(bands, "_thin_root", lambda *args: None)
+        monkeypatch.setattr(bands, "_THIN_MIN_LAMBDA", np.inf)     # always the dense root
         for band, dense in zip(thin, (call() for call in calls)):
             assert band.details["clipped_mass"] == 0.0
             assert band.threshold == pytest.approx(dense.threshold, rel=1e-12, abs=0)
@@ -332,7 +334,8 @@ class TestSquareRootChoice:
         requests, run = [], bands.sup_quantile
         with monkeypatch.context() as patch:
             patch.setattr(moments, "CorrelationField", _refuse_table)
-            patch.setattr(bands, "empirical_correlation", _refuse_table)
+            patch.setattr(bands, "_shrunk_table", _refuse_table)
+            patch.setattr(supnorm, "_shrunk_table", _refuse_table)
             patch.setattr(bands, "sup_quantile", lambda r: requests.append(r) or run(r))
             built = [build(sample, eval, h, seed=5) for sample, eval, h, build in cases]
         for (sample, eval, h, _), band, request in zip(cases, built, requests):
@@ -340,7 +343,8 @@ class TestSquareRootChoice:
             raw = moments.empirical_correlation(fit.curves, eval)
             lam = band.details["shrinkage_lambda"]
             dense = moments.shrink_correlation(raw, ShrinkageSpec(lam))[0].table
-            assert request.correlation is None and dense.shape == (eval.n_points,) * 2
+            assert isinstance(request.root, supnorm._ThinRoot)
+            assert request.correlation is request.root and dense.shape == (eval.n_points,) * 2
             np.testing.assert_allclose(request.table(), dense, rtol=0, atol=1e-14)
 
     def test_overflowing_thin_input_raises(self):
@@ -351,6 +355,26 @@ class TestSquareRootChoice:
                 pytest.raises(FuncbandError, match="non-finite"):
             normal_scb(FunctionalSample(grid=grid, values=values), make_eval_grid(25, dim=2),
                        (0.2, 0.2), seed=1)
+
+    @pytest.mark.parametrize("entry", ["normal_scb", "prediction_band", "bootstrap_scb",
+                                       "two_sample_scb", "scb_gof_test", "plrt_test"])
+    def test_overflowing_curves_named_without_numpy_warnings(self, entry):
+        # curves near 1e160 overflow sigma_hat^2, the data covariance or the RSS
+        small = gen_model1(50, 50, seed_or_rng=26)
+        big = FunctionalSample(grid=small.grid, values=1e160 * small.values)
+        eval, line = make_eval_grid(100), polynomial_basis(1)
+        call = {
+            "normal_scb": lambda: normal_scb(big, eval, 0.05, paths=500),
+            "prediction_band": lambda: prediction_band(big, eval, 0.05, paths=500),
+            "bootstrap_scb": lambda: bootstrap_scb(big, eval, 0.05, bootstraps=200),
+            "two_sample_scb": lambda: two_sample_scb(small, big, eval, 0.05, paths=500),
+            "scb_gof_test": lambda: scb_gof_test(big, line, eval, 0.05, paths=500),
+            "plrt_test": lambda: plrt_test(big, line, 0.05),
+        }[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SampleValidationError, match="non-finite .* point index"):
+                call()
 
     @pytest.mark.parametrize("case", ["lambda 0", "2n >= m", "two-sample", "gof"])
     def test_dense_root_kept(self, case, monkeypatch):
@@ -363,16 +387,18 @@ class TestSquareRootChoice:
                                           paths=500, seed=1),
             "two-sample": lambda: two_sample_scb(few, gen_model1(10, 30, seed_or_rng=21), grid,
                                                  0.1, paths=500, seed=1),
-            # p - L = 108 >= m: the factor would be no narrower than the dense root
+            # p - L = 108 > m: drawn through the m x m R of its factor's QR, not _psd_root
             "gof": lambda: scb_gof_test(gen_model1(10, 110, seed_or_rng=22), polynomial_basis(1),
                                         grid, 0.1, paths=500, seed=1),
         }[case]
-        taken = []
+        taken, requests, run = [], [], bands.sup_quantile
         dense_root = supnorm._psd_root
         monkeypatch.setattr(supnorm, "_psd_root", lambda table, correlation=False:
                             taken.append(table.shape) or dense_root(table, correlation))
+        monkeypatch.setattr(bands, "sup_quantile", lambda r: requests.append(r) or run(r))
         build()
-        assert taken == [(100, 100)]
+        assert taken == ([] if case == "gof" else [(100, 100)])
+        assert [(r.root.width, r.root.size) for r in requests] == [(100, 100)]
 
 
 def test_gaussian_bands_share_details_keys(sample50, eval_grid):

@@ -11,6 +11,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import funcband
@@ -41,8 +42,11 @@ def test_simulate_sup_norms_takes_request_first():
     assert params[0] == "request"
 
 
-def test_each_workload_op_runs_traced(bench, tmp_path):
+def test_each_workload_op_runs_traced(bench, tmp_path, monkeypatch):
     tracing, workloads = bench
+    drawn, work = [], tracing.COMPUTED["supnorm.simulate_sup_norms"]
+    monkeypatch.setitem(tracing.COMPUTED, "supnorm.simulate_sup_norms",
+                        lambda args: drawn.extend((args["request"], *args["more"])) or work(args))
     tracer = tracing.Tracer()          # fails if a TRACED name is missing
     for index, (name, make) in enumerate(workloads.WORKLOADS.items()):
         (tmp_path / name).mkdir()
@@ -55,5 +59,12 @@ def test_each_workload_op_runs_traced(bench, tmp_path):
         finally:
             tracer.uninstall()
         assert result.problems == [] and result.failed == 0, name
+        # the tracer sizes the draw from request.table(): an m x m correlation
+        for request in drawn:
+            m = request.root.size
+            table = request.table()
+            assert table.shape == (m, m), name
+            np.testing.assert_allclose(np.diag(table), 1.0, rtol=0, atol=1e-12, err_msg=name)
+        drawn.clear()
     assert tracer.summary()["problems"] == []
     assert tracer.computed["supnorm.normals_drawn"] > 0

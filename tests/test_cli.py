@@ -71,6 +71,19 @@ class TestScb:
         assert code == EXIT_PARSE
         assert "level" in stderr
 
+    @pytest.mark.parametrize("h", ["0.15", "cv"])
+    def test_overflowing_curves_exit_2(self, tmp_path, capsys, h):
+        # curves near 1e160 overflow the variance: named, with nothing from numpy
+        sample = gen_model1(20, 30, seed_or_rng=0)
+        path = tmp_path / "big.csv"
+        write_curves_csv(path, FunctionalSample(grid=sample.grid, values=1e160 * sample.values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run(capsys, "scb", "--in", str(path), "--h", h,
+                                       "--grid-size", "30", "--seed", "1")
+        assert code == EXIT_PARSE and stdout == ""
+        assert "non-finite" in stderr and "Traceback" not in stderr
+
     def test_bad_h_candidates(self, curves_csv, capsys):
         code, _, stderr = run(
             capsys, "scb", "--in", curves_csv, "--h", "cv", "--h-candidates", "a,b",

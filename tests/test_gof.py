@@ -306,7 +306,7 @@ class TestLowRankFactor:
         eval = make_eval_grid(100)
         _, requests = _record_draws(monkeypatch)
         scb_gof_test(sample, self.MODEL, eval, 0.035, paths=500, seed=1)
-        factor, mass = requests[0]._root
+        factor, mass = requests[0].root.factor, requests[0].root.mass
         assert factor.shape == (48, 100) and mass == 0.0
         rho = correlation_from_covariance(gamma_n_plugin(sample, self.MODEL, eval, 0.035)[0])
         np.testing.assert_allclose(factor.T @ factor, rho.table, rtol=0, atol=1e-12)
@@ -319,10 +319,13 @@ class TestLowRankFactor:
         assert widths == [48] * 7       # 13000 paths in chunks of 2048
         assert report.diagnostics["clipped_mass"] == 0.0
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_threshold_agrees_with_dense_root(self, seed):
+    @pytest.mark.parametrize("seed, p", [pytest.param(0, 50, id="0"), pytest.param(1, 50, id="1"),
+                                         pytest.param(2, 50, id="2"),
+                                         # p - L = 148 > m: drawn through the QR's R
+                                         pytest.param(0, 150, id="0-p150")])
+    def test_threshold_agrees_with_dense_root(self, seed, p):
         # same Gaussian law, other draws: the thresholds differ by Monte-Carlo noise
-        sample = gen_model3(50, 50, seed_or_rng=30 + seed, hypothesis="h0")
+        sample = gen_model3(50, p, seed_or_rng=30 + seed, hypothesis="h0")
         eval = make_eval_grid(100)
         report = scb_gof_test(sample, self.MODEL, eval, 0.035, seed=seed)
         rho = correlation_from_covariance(gamma_n_plugin(sample, self.MODEL, eval, 0.035)[0])
@@ -345,8 +348,9 @@ class TestLowRankFactor:
         assert np.all(np.isfinite(report.band.half_width))
 
     def test_dense_root_on_a_short_grid(self, monkeypatch):
-        # p - L = 48 >= m = 20: the factor is no narrower than the dense root
+        # p - L = 48 > m = 20: drawn through the 20 x 20 R of the factor's QR
         sample = gen_model3(50, 50, seed_or_rng=23, hypothesis="h0")
         widths, requests = _record_draws(monkeypatch)
+        monkeypatch.setattr(supnorm, "_psd_root", _refuse_dense_root)
         scb_gof_test(sample, self.MODEL, make_eval_grid(20), 0.1, paths=500, seed=4)
-        assert requests[0]._root is None and widths == [20]
+        assert requests[0].root.factor.shape == (20, 20) and widths == [20]

@@ -20,6 +20,8 @@ from funcband import (
     SupQuantileRequest,
     bootstrap_scb,
     cv_bandwidth,
+    default_path_count,
+    empirical_variance,
     epanechnikov,
     fit_mean,
     kernel_by_name,
@@ -27,7 +29,9 @@ from funcband import (
     make_design_grid,
     make_eval_grid,
     normal_scb,
+    plrt_test,
     polynomial_basis,
+    schafer_strimmer_lambda,
     truncated_gaussian,
     uniform_design_grid,
     weight_matrix,
@@ -35,6 +39,7 @@ from funcband import (
 from funcband import smoothing
 from funcband.grids import eval_grid_from_points
 from funcband.simlab import ModelSpec, gen_model1
+from funcband.supnorm import order_statistic_quantile
 
 
 class TestKernels:
@@ -288,10 +293,29 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
     (lambda: ModelSpec(**{**_SPEC, "reps": 1.5}), "reps=1.5"),
     (lambda: make_design_grid("uniform", 4), "sizes=4"),
     (lambda: make_design_grid("uniform", (4.5,)), "sizes[0]=4.5"),
+    (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, kernel="gauss"),
+     "kernel='gauss'"),
+    (lambda: bootstrap_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, kernel="gauss"),
+     "kernel='gauss'"),
+    (lambda: fit_mean(gen_model1(10, 20), make_eval_grid(20), 0.2, "gauss"), "kernel='gauss'"),
+    (lambda: weight_matrix(uniform_design_grid(20), make_eval_grid(20), 0.2, "gauss"),
+     "kernel='gauss'"),
+    (lambda: cv_bandwidth(gen_model1(10, 20), [0.2], "gauss"), "kernel='gauss'"),
+    (lambda: plrt_test(gen_model1(10, 20), polynomial_basis(1), 0.2, "gauss"), "kernel='gauss'"),
+    (lambda: order_statistic_quantile(np.arange(5.0), math.nan), "gamma=nan"),
+    (lambda: order_statistic_quantile([], 0.05), "values"),
+    (lambda: order_statistic_quantile(np.arange(5.0), 1.5), "gamma=1.5"),
+    (lambda: default_path_count("x"), "p='x'"),
+    (lambda: schafer_strimmer_lambda(np.full((5, 4), math.nan)), "non-finite curves"),
+    (lambda: empirical_variance(np.arange(5.0)), "curves must be"),
 ], ids=["make_design_grid", "make_eval_grid", "polynomial_basis", "kernel_by_name",
         "Bandwidth.of", "normal_scb paths float", "normal_scb paths str",
         "SupQuantileRequest paths", "bootstrap_scb bootstraps", "ModelSpec n", "ModelSpec reps",
-        "make_design_grid scalar sizes", "make_design_grid float size"])
+        "make_design_grid scalar sizes", "make_design_grid float size",
+        "normal_scb kernel", "bootstrap_scb kernel", "fit_mean kernel", "weight_matrix kernel",
+        "cv_bandwidth kernel", "plrt_test kernel", "order_statistic_quantile nan",
+        "order_statistic_quantile empty", "order_statistic_quantile 1.5",
+        "default_path_count str", "schafer_strimmer_lambda nan", "empirical_variance 1-D"])
 def test_mistyped_argument_raises_funcband_error(call, named):
     with pytest.raises(FuncbandError) as err:
         call()

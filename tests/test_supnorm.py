@@ -11,13 +11,19 @@ from funcband import (
     SupQuantileRequest,
     default_path_count,
     empirical_correlation,
+    gamma_n_plugin,
     make_eval_grid,
+    polynomial_basis,
+    scb_gof_test,
     shrink_correlation,
     simulate_sup_norms,
     sup_quantile,
 )
-from funcband.moments import _psd_root
-from funcband.supnorm import _quantile_stderr, _thin_root, order_statistic_quantile
+from funcband import bands
+from funcband.bands import _curve_root
+from funcband.moments import _psd_root, correlation_from_covariance
+from funcband.simlab import gen_model3
+from funcband.supnorm import _MatrixRoot, _ThinRoot, _quantile_stderr, order_statistic_quantile
 
 
 def _request(table, gamma=0.05, paths=20000, seed=0):
@@ -97,7 +103,7 @@ class TestThinRoot:
         raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
         table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0].table
         thin = np.empty((m, m))
-        _thin_root(curves, mean, sd, lam)(np.eye(m), thin)     # I L = L
+        _ThinRoot(curves, mean, sd, lam)(np.eye(m), thin)     # I L = L
         dense, mass = _psd_root(table, correlation=True)
         assert mass == 0.0
         np.testing.assert_allclose(thin @ thin, table, rtol=0, atol=1e-12)
@@ -114,7 +120,7 @@ class TestThinRoot:
         mean, sd = curves.mean(axis=0), curves.std(axis=0, ddof=1)
         raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
         dense = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0].table
-        request = SupQuantileRequest(None, 0.05, 1000, 0, _root=_thin_root(curves, mean, sd, lam))
+        request = SupQuantileRequest(_ThinRoot(curves, mean, sd, lam), 0.05, 1000, 0)
         np.testing.assert_allclose(request.table(), dense, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("where", ["curve", "sigma", "lambda"])
@@ -129,7 +135,7 @@ class TestThinRoot:
             lam = np.nan
         # NaN curves fail in the SVD, an infinite sigma or NaN lambda after it
         with pytest.raises(FactorizationError, match="thin square root"):
-            _thin_root(curves, mean, sd, lam)
+            _ThinRoot(curves, mean, sd, lam)
 
     def test_request_needs_a_table_or_thin_root(self):
         with pytest.raises(FuncbandError, match="correlation table"):
@@ -139,7 +145,8 @@ class TestThinRoot:
     def test_dense_root_where_thin_does_not_apply(self, n, lam):
         # 2n >= m, or lambda below 1e-6
         curves = _curves(n, 40, seed=3)
-        assert _thin_root(curves, curves.mean(axis=0), curves.std(axis=0, ddof=1), lam) is None
+        root = _curve_root(curves, curves.mean(axis=0), curves.std(axis=0, ddof=1), lam)
+        assert type(root) is _MatrixRoot and root.factor.shape == (40, 40)
 
 
 def _shrunk_request(n, m, lam, seed, paths, thin=True):
@@ -150,9 +157,8 @@ def _shrunk_request(n, m, lam, seed, paths, thin=True):
     sd = curves.std(axis=0, ddof=1)
     raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
     table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0]
-    root = _thin_root(curves, mean, sd, lam) if thin else None
-    assert (root is not None) == thin
-    return SupQuantileRequest(table, 0.05, paths, seed, _root=root)
+    return SupQuantileRequest(_ThinRoot(curves, mean, sd, lam) if thin else table, 0.05, paths,
+                              seed)
 
 
 class TestSharedDraw:
@@ -188,7 +194,7 @@ def _factor_request(r, m, seed, paths, mass=0.0):
     its r x m factor, which claims ``mass`` clipped."""
     x = np.random.default_rng(seed + 200).standard_normal((m, r))
     factor = (x / np.linalg.norm(x, axis=1)[:, None]).T
-    return SupQuantileRequest(factor.T @ factor, 0.05, paths, seed, _root=(factor, mass))
+    return SupQuantileRequest(_MatrixRoot(factor, mass), 0.05, paths, seed)
 
 
 class TestFactorRoot:
@@ -201,7 +207,7 @@ class TestFactorRoot:
         streams = np.random.SeedSequence(5).spawn(2)
         z = np.vstack([np.random.Generator(np.random.Philox(s)).standard_normal((k, 7))
                        for k, s in zip((2048, 37), streams)])
-        np.testing.assert_array_equal(values, np.abs(z @ request._root[0]).max(axis=1))
+        np.testing.assert_array_equal(values, np.abs(z @ request.root.factor).max(axis=1))
         assert mass == 1e-3
 
     def test_shares_a_draw_by_width(self):
@@ -213,6 +219,55 @@ class TestFactorRoot:
             assert np.array_equal(values, alone) and mass == alone_mass
         with pytest.raises(FuncbandError, match="must share seed, paths and width"):
             simulate_sup_norms(_factor_request(39, 60, 3, self.PATHS), requests[1])
+
+
+def _gof_case(monkeypatch, n, p, shrinkage):
+    """The root and clipped mass of ``scb_gof_test`` on m3 under H0 with a
+    line model on m = 100 points, and the plug-in correlation it draws from."""
+    sample, model = gen_model3(n, p, seed_or_rng=n + p), polynomial_basis(1)
+    eval = make_eval_grid(100)
+    requests, run = [], bands.sup_quantile
+    monkeypatch.setattr(bands, "sup_quantile", lambda r: requests.append(r) or run(r))
+    report = scb_gof_test(sample, model, eval, 0.035, paths=500, seed=1, shrinkage=shrinkage)
+    cov = gamma_n_plugin(sample, model, eval, 0.035, shrinkage=shrinkage)[0]
+    rho = correlation_from_covariance(cov).table
+    return requests[0].root, report.diagnostics["clipped_mass"], rho
+
+
+def _table_case(monkeypatch):
+    table = np.exp(-5.0 * np.abs(np.subtract.outer(np.arange(40), np.arange(40))) / 40)
+    return SupQuantileRequest(table, 0.05, 1000, 0).root, 0.0, table
+
+
+def _thin_case(monkeypatch):
+    curves = _curves(8, 40, seed=31)
+    mean, sd = curves.mean(axis=0), curves.std(axis=0, ddof=1)
+    raw = empirical_correlation(curves, make_eval_grid(40), mean, sd**2)
+    table = shrink_correlation(raw, ShrinkageSpec(intensity=0.2))[0].table
+    return _curve_root(curves, mean, sd, 0.2), 0.0, table
+
+
+class TestRootProtocol:
+    """Every root is a width x size array L, applied as z L, with L'L its
+    table(): the given table, the gof factor's correlation or the shrunk
+    correlation, each checked against a table built without the root."""
+
+    @pytest.mark.parametrize("make, kind, width, size", [
+        (_table_case, _MatrixRoot, 40, 40),
+        # no shrinkage and n - 1 = 9 < p - L: a rank-9 factor that drops rounding mass
+        (lambda mp: _gof_case(mp, 10, 50, None), _MatrixRoot, 9, 100),
+        # p - L = 148 > m: the m x m R of the factor's QR
+        (lambda mp: _gof_case(mp, 50, 150, ShrinkageSpec()), _MatrixRoot, 100, 100),
+        (_thin_case, _ThinRoot, 40, 40),
+    ], ids=["dense table", "gof r < m", "gof r > m", "thin"])
+    def test_identity_gives_a_root_of_the_table(self, make, kind, width, size, monkeypatch):
+        root, mass, oracle = make(monkeypatch)
+        assert type(root) is kind
+        assert (root.width, root.size, root.mass) == (width, size, mass)
+        assert (mass > 0.0) == (width == 9)
+        factor = root(np.eye(width), np.empty((width, size)))      # I L = L
+        np.testing.assert_allclose(factor.T @ factor, root.table(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(root.table(), oracle, rtol=0, atol=1e-12)
 
 
 class TestQuantileStderr:
