@@ -26,7 +26,7 @@ from .moments import (
     _shrinkage_intensity,
     _shrunk_table,
 )
-from .smoothing import Bandwidth, Kernel, epanechnikov, fit_mean
+from .smoothing import _BANDWIDTH_ERRORS, Bandwidth, Kernel, epanechnikov, fit_mean
 from .supnorm import (
     SupQuantileRequest,
     _MatrixRoot,
@@ -224,16 +224,19 @@ _BOOT_ATTEMPTS = 100
 _BOOT_VAR_RTOL = 1e-2
 
 
-def _resample_z(curves, mean, powers, idx):
+def _resample_z(curves, mean, powers, idx, buffers):
     """z* of each resample (row of ``idx``) and a mask of the degenerate ones,
-    where every resampled curve has the same value at some point."""
+    where every resampled curve has the same value at some point, computed in
+    the first rows of ``buffers`` (sums, dev, ss, scratch, flag)."""
     k, n = idx.shape
     counts = np.bincount((idx + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
-    sums = counts.reshape(k, n).astype(float) @ powers
+    sums, dev, ss, scratch, flag = (b[:k] for b in buffers)
+    np.matmul(counts.reshape(k, n).astype(float), powers, out=sums)
     m = mean.size
-    dev = sums[:, :m] / n                            # mu* - mu_hat
-    ss = sums[:, m:] - sums[:, :m] * dev             # (n-1) var*
-    near = np.flatnonzero(np.any(ss <= _BOOT_VAR_RTOL * sums[:, m:], axis=1))
+    np.divide(sums[:, :m], n, out=dev)               # mu* - mu_hat
+    np.subtract(sums[:, m:], np.multiply(sums[:, :m], dev, out=scratch), out=ss)  # (n-1) var*
+    np.less_equal(ss, np.multiply(_BOOT_VAR_RTOL, sums[:, m:], out=scratch), out=flag)
+    near = np.flatnonzero(np.any(flag, axis=1))
     degenerate = np.zeros(k, dtype=bool)
     if near.size:
         boot = curves[idx[near]]
@@ -241,7 +244,8 @@ def _resample_z(curves, mean, powers, idx):
         dev[near] = boot.mean(axis=1) - mean
         ss[near] = boot.var(axis=1, ddof=1) * (n - 1)
         ss[degenerate] = np.inf
-    z = sqrt(n) * np.max(np.abs(dev) / np.sqrt(ss / (n - 1)), axis=1)
+    np.sqrt(np.divide(ss, n - 1, out=scratch), out=scratch)
+    z = sqrt(n) * np.max(np.divide(np.abs(dev, out=dev), scratch, out=dev), axis=1)
     return z, degenerate
 
 
@@ -251,12 +255,15 @@ def _bootstrap_sup_stats(curves, mean, bootstraps, seed):
     Each chunk of at most 512 resamples draws its index rows in one call on
     its Philox substream; degenerate rows are then redrawn, in row order,
     from the same generator, up to 100 draws per resample in all."""
-    n = curves.shape[0]
+    n, m = curves.shape
     dev = curves - mean[None, :]
     powers = np.hstack([dev, dev * dev])           # [X, X^2], X centred at mu_hat
+    shape = (min(_BOOT_CHUNK, bootstraps), m)      # one set of buffers for every chunk
+    buffers = (np.empty((shape[0], 2 * m)), np.empty(shape), np.empty(shape), np.empty(shape),
+               np.empty(shape, bool))
 
     def draw(rng, k):
-        z, bad = _resample_z(curves, mean, powers, rng.integers(0, n, size=(k, n)))
+        z, bad = _resample_z(curves, mean, powers, rng.integers(0, n, size=(k, n)), buffers)
         rows = np.flatnonzero(bad)
         redraws = 0
         for _ in range(_BOOT_ATTEMPTS - 1):
@@ -264,7 +271,7 @@ def _bootstrap_sup_stats(curves, mean, bootstraps, seed):
                 break
             redraws += rows.size
             z[rows], bad = _resample_z(curves, mean, powers,
-                                       rng.integers(0, n, size=(rows.size, n)))
+                                       rng.integers(0, n, size=(rows.size, n)), buffers)
             rows = rows[bad]
         if rows.size:
             raise DegenerateVarianceError(
@@ -390,7 +397,9 @@ def split_half_bandwidth(
     half per candidate bandwidth, and return the candidate whose coverage of
     the second half is closest to the target level (ties to the smaller h).
     The candidates are compared on common random numbers: their bands share
-    one draw of the Gaussian paths, each equal to its own ``prediction_band``."""
+    one draw of the Gaussian paths, each equal to its own ``prediction_band``.
+    A candidate is skipped only where the smoother is ill-posed or singular, as
+    in ``cv_bandwidth``."""
     _check_int("seed", seed)
     _check_level(gamma)
     if paths is not None:
@@ -410,7 +419,7 @@ def split_half_bandwidth(
         try:
             request, band = _curve_parts("prediction", 1.0, build, eval, b, kernel, gamma,
                                          paths, seed, shrinkage)
-        except FuncbandError:
+        except _BANDWIDTH_ERRORS:
             continue
         pending.append((b, request, band))
     if not pending:

@@ -52,14 +52,15 @@ class PlrtReport:
         return json.dumps(self.to_dict())
 
 
-def _design_plan(grid: DesignGrid, model: BasisModel, h, kernel: Kernel | None) -> tuple:
-    """What ``plrt_statistic`` needs from the design grid, basis, h and kernel
-    alone: (grid, P, S, (I-P)'(I-P), (I-S)'(I-S)) for the least-squares
-    projector P and the local linear smoother S at the design points."""
+def _design_plan(grid: DesignGrid, model: BasisModel, h, kernel: Kernel | None,
+                 known_factor: np.ndarray | None = None) -> tuple:
+    """What a replication needs from the design alone: (grid, P, S, (I-P)'(I-P),
+    (I-S)'(I-S), F) for the least-squares projector P and the local linear
+    smoother S at the design points, and F the known mode's factor of Sigma/n."""
     p_mat = _projector(_design_matrix(model, grid))
     s_mat = weight_matrix(grid, grid.as_eval(), h, kernel)
     m0, m1 = np.eye(grid.n_points) - p_mat, np.eye(grid.n_points) - s_mat
-    return grid, p_mat, s_mat, m0.T @ m0, m1.T @ m1
+    return grid, p_mat, s_mat, m0.T @ m0, m1.T @ m1, known_factor
 
 
 def plrt_statistic(
@@ -74,7 +75,7 @@ def plrt_statistic(
     the ``_design_plan`` of the sample's grid, model, h and kernel, built
     here when not given.
     """
-    grid, p_mat, s_mat, g0, g1 = _plan or _design_plan(sample.grid, model, h, kernel)
+    grid, p_mat, s_mat, g0, g1, _ = _plan or _design_plan(sample.grid, model, h, kernel)
     if sample.grid is not grid and not np.array_equal(sample.grid.points, grid.points):
         raise FuncbandError("the PLRT design plan was built on another design grid")
     ybar = sample.column_means()
@@ -149,7 +150,8 @@ def _imhof_positive_tail(lambdas: np.ndarray) -> tuple[float, float]:
     panels.
     """
     lam = np.asarray(lambdas, dtype=float)
-    lam = lam / np.abs(lam).max()  # the event {Q > 0} is scale-invariant
+    lam = lam / np.abs(lam).max()            # {Q > 0} is scale-invariant: to max 1, which
+    lam = lam / np.sqrt(np.mean(lam * lam))  # cannot overflow, then to RMS 1 (fewer rounds)
     edges = np.linspace(0.0, 1.0, _IMHOF_PANELS + 1)
     new_lo, new_hi = edges[:-1], edges[1:]
     lo = hi = val = err = np.empty(0)  # the panels kept so far
@@ -195,11 +197,15 @@ def plrt_pvalue(a_mat: np.ndarray, sigma_over_n: np.ndarray,
     if a_mat.shape != sigma_over_n.shape:
         raise FuncbandError(f"the quadratic form is {a_mat.shape[0]} x {a_mat.shape[0]} but "
                             f"Sigma/n is {sigma_over_n.shape[0]} x {sigma_over_n.shape[0]}")
+    return _factor_pvalue(a_mat, _sigma_factor(sigma_over_n), diagnostics)
+
+
+def _sigma_factor(sigma_over_n: np.ndarray) -> np.ndarray:
+    """F with F F' = a checked Sigma/n: Cholesky, or ``moments._psd_root`` if it fails."""
     try:
-        factor = np.linalg.cholesky(sigma_over_n)
+        return np.linalg.cholesky(sigma_over_n)
     except np.linalg.LinAlgError:
-        factor = _psd_root(sigma_over_n)[0]
-    return _factor_pvalue(a_mat, factor, diagnostics)
+        return _psd_root(sigma_over_n)[0]
 
 
 def _factor_pvalue(a_mat: np.ndarray, factor: np.ndarray, diagnostics: dict | None) -> float:
@@ -252,17 +258,20 @@ def plrt_test(
     _plan: tuple | None = None,
 ) -> PlrtReport:
     """Full PLRT: statistic, covariance estimate per the chosen mode, p-value.
-    ``_plan`` is passed on to ``plrt_statistic``."""
+    ``_plan`` goes to ``plrt_statistic``; its factor, if any, stands for ``known_covariance``."""
     f_stat, a_mat, info = plrt_statistic(sample, model, h, kernel, _plan)
     n = sample.n_curves
     if covariance_mode == "known":
-        if known_covariance is None:
-            raise FuncbandError("covariance_mode='known' requires known_covariance")
-        table = getattr(known_covariance, "table", known_covariance)
-        p = plrt_pvalue(a_mat, CovarianceField(grid=sample.grid, table=table).table / n, info)
+        factor = _plan[-1] if _plan else None
+        if factor is None:
+            if known_covariance is None:
+                raise FuncbandError("covariance_mode='known' requires known_covariance")
+            table = getattr(known_covariance, "table", known_covariance)
+            factor = _sigma_factor(CovarianceField(grid=sample.grid, table=table).table / n)
+        p = _factor_pvalue(a_mat, factor, info)
     elif covariance_mode == "parametric-ar1":
         info["ar1_sigma2"], info["ar1_rho"], cov = ar1_covariance_fit(sample)
-        p = plrt_pvalue(a_mat, cov.table / n, info)
+        p = _factor_pvalue(a_mat, _sigma_factor(cov.table / n), info)
     elif covariance_mode == "nonparametric":
         # X~'/sqrt(n(n-1)) factors Sigma_hat/n, whose rank <= n-1 defeats Cholesky
         p = _factor_pvalue(a_mat, _centered_curves(sample).T / sqrt(n * (n - 1)), info)

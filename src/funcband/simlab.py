@@ -23,8 +23,8 @@ from .bands import band_covers, bootstrap_scb, normal_scb
 from .errors import FuncbandError, _check_int
 from .gof import polynomial_basis, scb_gof_test
 from .grids import DesignGrid, FunctionalSample, make_eval_grid, uniform_design_grid
-from .moments import CorrelationField, ShrinkageSpec, _psd_root
-from .plrt import _design_plan, plrt_test
+from .moments import CorrelationField, CovarianceField, ShrinkageSpec, _psd_root
+from .plrt import _design_plan, _sigma_factor, plrt_test
 from .smoothing import Bandwidth, kernel_by_name, weight_matrix
 from .supnorm import (SupQuantileRequest, _check_draws, _check_level, default_path_count,
                       sup_quantile)
@@ -128,13 +128,10 @@ def bump_function(x) -> np.ndarray:
     return out
 
 
-def m3_mean(x, n: int, hypothesis: str) -> np.ndarray:
+def m3_mean(x, n: int) -> np.ndarray:
+    """The linear trend plus the bump scaled by log(n)/sqrt(n): model 3 under hn."""
     x = np.asarray(x, dtype=float)
-    if hypothesis == "h0":
-        return x.copy()
-    if hypothesis == "hn":
-        return x + log(n) / sqrt(n) * bump_function(x)
-    raise FuncbandError(f"unknown hypothesis {hypothesis!r}")
+    return x + log(n) / sqrt(n) * bump_function(x)
 
 
 @lru_cache(maxsize=32)
@@ -152,6 +149,14 @@ def _ou_sqrt(p: int) -> np.ndarray:
     return _psd_root(ou_covariance(x[:, None], x[None, :]))[0]
 
 
+@lru_cache(maxsize=32)
+def _design_mean(model: str, n: int, p: int) -> np.ndarray:
+    """The mean of ``model`` on the uniform design grid of size p, read-only."""
+    mean = true_mean(model, _uniform_grid(p).points, n)
+    mean.setflags(write=False)
+    return mean
+
+
 def _as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
@@ -167,7 +172,7 @@ def gen_model1(n: int, p: int, seed_or_rng=0) -> FunctionalSample:
     """Polynomial trend plus Gaussian exponentially-correlated curves, no noise."""
     rng = _as_rng(seed_or_rng)
     grid = _uniform_grid(p)
-    values = m1_mean(grid.points)[None, :] + _ou_curves(n, p, rng)
+    values = _design_mean("m1", n, p)[None, :] + _ou_curves(n, p, rng)
     return FunctionalSample(grid=grid, values=values)
 
 
@@ -181,16 +186,18 @@ def gen_model2(n: int, p: int, seed_or_rng=0) -> FunctionalSample:
     z = (sqrt(2.0) / 6.0 * (eta1 - 1.0)[:, None] * np.sin(np.pi * x)[None, :]
          + 2.0 / 3.0 * (eta2 - 1.0)[:, None] * (x - 0.5)[None, :])
     noise = 0.1 * rng.standard_normal((n, p))
-    values = m2_mean(x)[None, :] + z + noise
+    values = _design_mean("m2", n, p)[None, :] + z + noise
     return FunctionalSample(grid=grid, values=values)
 
 
 def gen_model3(n: int, p: int, seed_or_rng=0, hypothesis: str = "h0") -> FunctionalSample:
     """Linear trend (optionally plus the scaled bump) with the same Gaussian
     curve process as model 1."""
+    if hypothesis not in ("h0", "hn"):
+        raise FuncbandError(f"unknown hypothesis {hypothesis!r}")
     rng = _as_rng(seed_or_rng)
     grid = _uniform_grid(p)
-    values = m3_mean(grid.points, n, hypothesis)[None, :] + _ou_curves(n, p, rng)
+    values = _design_mean(f"m3-{hypothesis}", n, p)[None, :] + _ou_curves(n, p, rng)
     return FunctionalSample(grid=grid, values=values)
 
 
@@ -200,9 +207,8 @@ _MODELS = {
     "m1": (lambda n, p, rng: gen_model1(n, p, rng), lambda x, n: m1_mean(x), ou_covariance),
     "m2": (lambda n, p, rng: gen_model2(n, p, rng), lambda x, n: m2_mean(x), m2_covariance),
     "m3-h0": (lambda n, p, rng: gen_model3(n, p, rng, "h0"),
-              lambda x, n: m3_mean(x, n, "h0"), ou_covariance),
-    "m3-hn": (lambda n, p, rng: gen_model3(n, p, rng, "hn"),
-              lambda x, n: m3_mean(x, n, "hn"), ou_covariance),
+              lambda x, n: np.array(x, dtype=float), ou_covariance),
+    "m3-hn": (lambda n, p, rng: gen_model3(n, p, rng, "hn"), m3_mean, ou_covariance),
 }
 
 
@@ -313,8 +319,9 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
         basis = polynomial_basis(1)
     known = plan = None     # the PLRT design plan: built by replication 1, again while it raises
     if method == "plrt-known":
-        x = _uniform_grid(spec.p).points
-        known = analytic_covariance(spec.model)(x[:, None], x[None, :])
+        grid = _uniform_grid(spec.p)
+        cov = analytic_covariance(spec.model)(grid.points[:, None], grid.points[None, :])
+        known = _sigma_factor(CovarianceField(grid=grid, table=cov).table / spec.n)
     truth = true_mean(spec.model, eval.points, spec.n)
 
     for rng, sup_seed in _rep_rngs(spec.seed, spec.reps):
@@ -336,9 +343,8 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
                 hits += report.reject
                 thresholds.append(report.threshold)
             else:
-                plan = plan or _design_plan(sample.grid, basis, spec.h, kern)
-                report = plrt_test(sample, basis, spec.h, kern, _PLRT_MODES[method], known,
-                                   _plan=plan)
+                plan = plan or _design_plan(sample.grid, basis, spec.h, kern, known)
+                report = plrt_test(sample, basis, spec.h, kern, _PLRT_MODES[method], _plan=plan)
                 hits += report.pvalue < spec.level
                 thresholds.append(float("nan"))
         except FuncbandError:

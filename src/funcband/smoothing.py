@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _DET_RTOL = 1e-10
+_BANDWIDTH_ERRORS = (IllPosedBandwidthError, SingularDesignError)  # a search skips these
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def cv_bandwidth(
     for b in cands:
         try:
             scores[b] = cv_score(sample, b, kernel)
-        except (IllPosedBandwidthError, SingularDesignError) as exc:
+        except _BANDWIDTH_ERRORS as exc:
             warnings.warn(f"skipping ill-posed candidate h={b}: {exc}")
     if not scores:
         raise IllPosedBandwidthError("all candidate bandwidths are ill-posed")

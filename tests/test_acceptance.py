@@ -68,6 +68,7 @@ def _report(num, name, ok, detail):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_1_mean_band_coverage_table():
     targets = {
         (20, 20, 0.1): (0.957, 3.11),
@@ -97,6 +98,7 @@ def test_criterion_2_known_covariance_threshold():
     _report(2, "known-covariance threshold", ok, f"c = {c:.3f} vs 2.73 +/- 0.08")
 
 
+@pytest.mark.slow
 def test_criterion_3_bootstrap_vs_normal_small_n():
     spec = ModelSpec(model="m2", n=10, p=50, h=0.05, reps=500, seed=300,
                      bootstraps=500)
@@ -110,6 +112,7 @@ def test_criterion_3_bootstrap_vs_normal_small_n():
             f"gap {boot.rate - normal.rate:.3f} >= 0.1")
 
 
+@pytest.mark.slow
 def test_criterion_4_lack_of_fit_size():
     spec = ModelSpec(model="m3-h0", n=50, p=50, h=0.035, reps=2000, seed=400)
     scb = run_experiment(spec, "gof-scb")
@@ -123,6 +126,7 @@ def test_criterion_4_lack_of_fit_size():
             f"0.050+/-0.01, plrt-np {npar.rate:.3f} vs 0.049+/-0.02")
 
 
+@pytest.mark.slow
 def test_criterion_5_local_alternative_power():
     spec = ModelSpec(model="m3-hn", n=50, p=50, h=0.05, reps=1000, seed=500)
     scb = run_experiment(spec, "gof-scb")
@@ -263,6 +267,7 @@ def test_criterion_8_oracle_equivalence():
             f"limit-Gamma diag rel dev {rel.max():.3f} < 0.10")
 
 
+@pytest.mark.slow
 def test_criterion_9_two_sample_comparison():
     eval = make_eval_grid(100)
     ok_same = True

@@ -290,6 +290,16 @@ class TestPredict:
             "--seed", "19")
         assert code == EXIT_OK
 
+    def test_split_bandwidth_names_overflowing_curves(self, tmp_path, capsys):
+        # a data error is named, not reported as an unusable bandwidth
+        sample = gen_model1(20, 30, seed_or_rng=0)
+        path = str(tmp_path / "big.csv")
+        write_curves_csv(path, FunctionalSample(grid=sample.grid, values=1e160 * sample.values))
+        code, stdout, stderr = run(capsys, "predict", "--in", path, "--h", "split",
+                                   "--test", path, "--seed", "1")
+        assert code == EXIT_PARSE and stdout == ""
+        assert "non-finite variance at point index 0" in stderr and "candidate" not in stderr
+
     @pytest.mark.parametrize("flags, named", [(["--paths", "5"], "paths=5")])
     def test_split_bandwidth_names_bad_argument(self, curves_csv, curves_csv_b, capsys,
                                                 flags, named):

@@ -135,6 +135,18 @@ class TestImhofIntegral:
         with pytest.raises(IntegrationError, match=r"error estimate .* above the tolerance"):
             plrt_module._imhof_positive_tail(np.array([1.0, -1e-6]))
 
+    @pytest.mark.parametrize("mode", ["known", "nonparametric", "parametric-ar1"])
+    def test_test_spectra_need_no_refinement(self, mode, monkeypatch):
+        # scaled to unit RMS, the spectra of m3-hn samples converge on the
+        # starting panels; scaled by their largest |lambda| most need a second round
+        monkeypatch.setattr(plrt_module, "_IMHOF_ROUNDS", 1)
+        for seed in range(3):
+            sample = gen_model3(50, 50, seed_or_rng=seed, hypothesis="hn")
+            x = sample.grid.points
+            report = plrt_test(sample, polynomial_basis(1), 0.05, None, mode,
+                               ou_covariance(x[:, None], x[None, :]))
+            assert 0.0 <= report.pvalue <= 1.0
+
     def test_report_carries_error_estimate(self):
         sample = gen_model3(50, 50, seed_or_rng=3)
         report = plrt_test(sample, polynomial_basis(1), 0.05)
@@ -272,6 +284,24 @@ class TestDesignPlan:
             assert report.pvalue == pytest.approx(_eigh_pvalue(a_mat, sigma / spec.n), abs=1e-12)
             hits += report.pvalue < spec.level
         assert 0 < hits < spec.reps and row.rate == hits / spec.reps
+
+    @pytest.mark.parametrize("mode", ["known", "nonparametric", "parametric-ar1"])
+    def test_plan_is_bit_identical(self, mode):
+        # in known mode the plan's factor stands for the covariance
+        basis = polynomial_basis(1)
+        for seed in range(3):
+            sample = gen_model3(50, 50, seed_or_rng=75 + seed, hypothesis="hn")
+            x = sample.grid.points
+            known = ou_covariance(x[:, None], x[None, :])
+            factor = plrt_module._sigma_factor(known / 50) if mode == "known" else None
+            plan = plrt_module._design_plan(sample.grid, basis, 0.05, None, factor)
+            planned = plrt_test(sample, basis, 0.05, None, mode, _plan=plan)
+            plain = plrt_test(sample, basis, 0.05, None, mode, known)
+            assert (planned.statistic, planned.pvalue) == (plain.statistic, plain.pvalue)
+            if mode != "nonparametric":
+                _f, a_mat, _ = plrt_statistic(sample, basis, 0.05)
+                sigma = known if mode == "known" else ar1_covariance_fit(sample)[2].table
+                assert plain.pvalue == plrt_pvalue(a_mat, sigma / 50)
 
     @pytest.mark.parametrize("points", [uniform_design_grid(30).points,
                                         np.linspace(0.01, 0.99, 40)])

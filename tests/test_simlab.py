@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from funcband import FuncbandError
+from funcband import FuncbandError, uniform_design_grid
 from funcband.simlab import (
     ExperimentRow,
     ExperimentTable,
     ModelSpec,
     _connector_coefs,
+    _design_mean,
     _hump,
     _hump_d1,
     _hump_d2,
@@ -109,6 +110,18 @@ class TestGenerators:
         assert hn[5] > x[5]
         with pytest.raises(FuncbandError):
             true_mean("m4", x, 50)
+
+    @pytest.mark.parametrize("model", ["m1", "m2", "m3-h0", "m3-hn"])
+    def test_cached_design_mean_is_read_only(self, model):
+        mean = _design_mean(model, 50, 40)
+        assert mean is _design_mean(model, 50, 40) and not mean.flags.writeable
+        with pytest.raises(ValueError):
+            mean[0] = 1.0
+        np.testing.assert_array_equal(mean, true_mean(model, uniform_design_grid(40).points, 50))
+
+    def test_unknown_hypothesis(self):
+        with pytest.raises(FuncbandError, match="hypothesis"):
+            gen_model3(10, 20, 0, hypothesis="h1")
 
     def test_generator_determinism(self):
         a = gen_model2(10, 15, seed_or_rng=3)
