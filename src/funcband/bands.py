@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, FuncbandError, GridError, _check_finite, _check_int
+from .errors import (DegenerateVarianceError, FuncbandError, GridError, IllPosedBandwidthError,
+                     _check_finite, _check_int)
 from .grids import EvalGrid, FunctionalSample
 from .moments import (
     CovarianceField,
@@ -33,13 +34,10 @@ from .supnorm import (
     _ThinRoot,
     _check_draws,
     _check_level,
-    _quantile_stderr,
-    _sup_quantile_of,
+    _sorted_quantile,
     default_path_count,
     map_philox_chunks,
-    order_statistic_quantile,
     simulate_sup_norms,
-    sup_quantile,
 )
 
 __all__ = [
@@ -156,47 +154,38 @@ def _curve_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: fl
     return _MatrixRoot.of(_shrunk_table((curves - mean) / sigma, lam))
 
 
-def _provenance(h, kernel, seed, **extra) -> dict:
-    d = {"h": Bandwidth.of(h, 1).values if np.isscalar(h) or isinstance(h, Bandwidth) else h,
-         "kernel": (kernel or epanechnikov()).name,
-         "seed": seed}
-    d.update(extra)
-    return d
+def _band(method, eval, center, sigma, divisor, sups, gamma, h, kernel, seed, **details):
+    """The band center +/- c sigma / divisor, with c the order-statistic
+    quantile of the sup-norm draws ``sups`` (sorted here in place); ``details``
+    gains the provenance and c's standard error."""
+    c, se = _sorted_quantile(sups, gamma)
+    details = {"h": Bandwidth.of(h, 1).values if np.isscalar(h) or isinstance(h, Bandwidth) else h,
+               "kernel": (kernel or epanechnikov()).name, "seed": seed, **details,
+               "threshold_stderr": se}
+    return BandResult(eval, center, c * sigma / divisor, c, 1.0 - gamma, method, details)
 
 
-def _gaussian_parts(method, eval, center, sigma, corr, divisor, gamma, paths, p, seed,
-                    h, kernel, lam):
-    """The sup-norm request of the Gaussian band center +/- c sigma / divisor,
-    with c the Monte-Carlo sup-norm quantile of the Gaussian process with
-    correlation ``corr`` (a table or a root), and the function that makes
-    the band from the request's ``SupQuantileResult``.
-    ``divisor`` is sqrt(n) for a mean band and 1.0 for a prediction band, and
-    ``paths`` defaults by the design size ``p``."""
+def _gaussian_bands(method, eval, parts, divisor, gamma, paths, p, seed, kernel) -> list:
+    """The band center +/- c sigma / divisor of each part (center, sigma, corr,
+    lam, h), c drawn for the Gaussian process with correlation ``corr`` (a table
+    or a root) in one ``simulate_sup_norms`` call.  ``divisor`` is sqrt(n) for
+    a mean band, 1.0 for a prediction band; ``paths`` defaults by design size p."""
     n_paths = paths if paths is not None else default_path_count(p)
-
-    def band(res) -> BandResult:
-        details = _provenance(h, kernel, seed, paths=n_paths, shrinkage_lambda=lam,
-                              clipped_mass=res.clipped_mass, threshold_stderr=res.stderr)
-        return BandResult(eval, center, res.threshold * sigma / divisor, res.threshold,
-                          1.0 - gamma, method, details)
-
-    return SupQuantileRequest(corr, gamma, n_paths, seed), band
+    drawn = simulate_sup_norms(*(SupQuantileRequest(corr, gamma, n_paths, seed)
+                                 for _, _, corr, _, _ in parts))
+    return [_band(method, eval, center, sigma, divisor, sups, gamma, h, kernel, seed,
+                  paths=n_paths, shrinkage_lambda=lam, clipped_mass=mass)
+            for (center, sigma, _, lam, h), (sups, mass)
+            in zip(parts, drawn if len(parts) > 1 else [drawn])]
 
 
-def _gaussian_band(*args) -> BandResult:
-    request, band = _gaussian_parts(*args)
-    return band(sup_quantile(request))
-
-
-def _curve_parts(method, divisor, sample, eval, h, kernel, gamma, paths, seed, shrinkage):
-    """``_gaussian_parts`` of the band mu_hat +/- c sigma_hat / divisor built
+def _curve_part(sample, eval, h, kernel, shrinkage) -> tuple:
+    """The ``_gaussian_bands`` part of mu_hat +/- c sigma_hat / divisor built
     from the smoothed curves of ``sample``, drawn through their ``_curve_root``."""
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma = np.sqrt(_checked_variance(mean_fit))
     lam = _shrinkage_intensity(shrinkage, mean_fit.curves)
-    root = _curve_root(mean_fit.curves, mean_fit.mean, sigma, lam)
-    return _gaussian_parts(method, eval, mean_fit.mean, sigma, root, divisor, gamma, paths,
-                           sample.n_points, seed, h, kernel, lam)
+    return mean_fit.mean, sigma, _curve_root(mean_fit.curves, mean_fit.mean, sigma, lam), lam, h
 
 
 def normal_scb(
@@ -210,9 +199,8 @@ def normal_scb(
     shrinkage: ShrinkageSpec = ShrinkageSpec(),
 ) -> BandResult:
     """Gaussian-limit simultaneous band for the mean curve."""
-    request, band = _curve_parts("normal", sqrt(sample.n_curves), sample, eval, h, kernel,
-                                 gamma, paths, seed, shrinkage)
-    return band(sup_quantile(request))
+    return _gaussian_bands("normal", eval, [_curve_part(sample, eval, h, kernel, shrinkage)],
+                           sqrt(sample.n_curves), gamma, paths, sample.n_points, seed, kernel)[0]
 
 
 _BOOT_CHUNK = 512
@@ -307,19 +295,8 @@ def bootstrap_scb(
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma = np.sqrt(_checked_variance(mean_fit))
     z_star, redraws = _bootstrap_sup_stats(mean_fit.curves, mean_fit.mean, bootstraps, seed)
-    z_star.sort()
-    c = order_statistic_quantile(z_star, gamma)
-    return BandResult(
-        grid=eval,
-        center=mean_fit.mean,
-        half_width=c * sigma / sqrt(sample.n_curves),
-        threshold=c,
-        level=1.0 - gamma,
-        method="bootstrap",
-        details=_provenance(h, kernel, seed, bootstraps=bootstraps,
-                            threshold_stderr=_quantile_stderr(z_star, gamma),
-                            redraws=redraws),
-    )
+    return _band("bootstrap", eval, mean_fit.mean, sigma, sqrt(sample.n_curves), z_star, gamma,
+                 h, kernel, seed, bootstraps=bootstraps, redraws=redraws)
 
 
 @dataclass(frozen=True)
@@ -361,9 +338,9 @@ def two_sample_scb(
     diff_cov = covs[0] + covs[1]
     corr_diff = correlation_from_covariance(CovarianceField(grid=eval, table=diff_cov))
     center = fits[0].mean - fits[1].mean
-    band = _gaussian_band("two-sample", eval, center, np.sqrt(np.diag(diff_cov)), corr_diff,
-                          1.0, alpha, paths, sample_a.n_points, seed, (h_a, h_b), kernel,
-                          tuple(lams))
+    part = (center, np.sqrt(np.diag(diff_cov)), corr_diff, tuple(lams), (h_a, h_b))
+    band, = _gaussian_bands("two-sample", eval, [part], 1.0, alpha, paths, sample_a.n_points,
+                            seed, kernel)
     reject = bool(np.any(np.abs(center) > band.half_width))
     return TwoSampleResult(band=band, reject=reject)
 
@@ -379,9 +356,8 @@ def prediction_band(
     shrinkage: ShrinkageSpec = ShrinkageSpec(),
 ) -> BandResult:
     """Band intended to contain a new curve: mu_hat +/- c sigma_hat (no sqrt(n))."""
-    request, band = _curve_parts("prediction", 1.0, sample, eval, h, kernel, gamma, paths,
-                                 seed, shrinkage)
-    return band(sup_quantile(request))
+    return _gaussian_bands("prediction", eval, [_curve_part(sample, eval, h, kernel, shrinkage)],
+                           1.0, gamma, paths, sample.n_points, seed, kernel)[0]
 
 
 def split_half_bandwidth(
@@ -398,8 +374,8 @@ def split_half_bandwidth(
     the second half is closest to the target level (ties to the smaller h).
     The candidates are compared on common random numbers: their bands share
     one draw of the Gaussian paths, each equal to its own ``prediction_band``.
-    A candidate is skipped only where the smoother is ill-posed or singular, as
-    in ``cv_bandwidth``."""
+    A candidate is skipped only where the smoother is ill-posed or singular, and
+    none left raises IllPosedBandwidthError, as in ``cv_bandwidth``."""
     _check_int("seed", seed)
     _check_level(gamma)
     if paths is not None:
@@ -414,19 +390,16 @@ def split_half_bandwidth(
     build = FunctionalSample(grid=sample.grid, values=sample.values[:half])
     holdout = sample.values[half:]
     eval = sample.grid.as_eval()
-    pending = []
+    parts = []
     for b in cands:
         try:
-            request, band = _curve_parts("prediction", 1.0, build, eval, b, kernel, gamma,
-                                         paths, seed, shrinkage)
+            parts.append(_curve_part(build, eval, b, kernel, shrinkage))
         except _BANDWIDTH_ERRORS:
             continue
-        pending.append((b, request, band))
-    if not pending:
-        raise FuncbandError("no candidate bandwidth was usable")
-    drawn = simulate_sup_norms(*(request for _, request, _ in pending))
-    coverages = {}
-    for (b, request, band), sups in zip(pending, drawn if len(pending) > 1 else [drawn]):
-        band = band(_sup_quantile_of(request, *sups))
-        coverages[b] = float(np.mean([band.covers(row) for row in holdout]))
+    if not parts:
+        raise IllPosedBandwidthError("no candidate bandwidth was usable")
+    built = _gaussian_bands("prediction", eval, parts, 1.0, gamma, paths, build.n_points, seed,
+                            kernel)
+    coverages = {part[4]: float(np.mean([band.covers(row) for row in holdout]))
+                 for part, band in zip(parts, built)}
     return Bandwidth(min(coverages, key=lambda b: abs(coverages[b] - (1.0 - gamma)))), coverages

@@ -162,8 +162,6 @@ def _candidates(args, sample):
 
 def _resolve_h(args, sample, kernel):
     h = args.h
-    if isinstance(h, (int, float)):
-        return float(h)
     if h == "cv":
         best, _ = cv_bandwidth(sample, _candidates(args, sample), kernel)
         return best.values[0]

@@ -16,8 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bands import BandResult, _gaussian_band
-from .errors import DegenerateVarianceError, FuncbandError, RankDeficiencyError, _check_int
+from .bands import BandResult, _gaussian_bands
+from .errors import (DegenerateVarianceError, FuncbandError, GridError, RankDeficiencyError,
+                     _check_int)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 from .moments import CovarianceField, ShrinkageSpec, _kept_eigenvalues, empirical_data_covariance
 from .smoothing import Kernel, weight_matrix
@@ -82,6 +83,9 @@ def basis_model(functions: Sequence[Callable], density: Callable | None = None) 
     functions fail the weighted-orthogonality check."""
     if not functions:
         raise FuncbandError("basis model needs at least one function")
+    for i, f in enumerate(functions):
+        if not callable(f):
+            raise FuncbandError(f"basis functions must be callable, got functions[{i}]={f!r}")
     model = BasisModel(tuple(functions), density)
     gram = _gram(model)
     off = np.abs(gram - np.diag(np.diag(gram)))
@@ -219,6 +223,8 @@ def limit_gamma(
 
     where <.> integrates against the design density (trapezoidal rule).
     """
+    if eval.dim != 1:
+        raise GridError(f"limit_gamma supports d=1 evaluation grids, got d={eval.dim}")
     u = np.linspace(0.0, 1.0, _QUAD_POINTS)
     fu = model.weight(u)
     phi_u = model.matrix(u)                      # (q, L)
@@ -298,8 +304,9 @@ def scb_gof_test(
         factor = np.linalg.qr(factor, mode="r")
     n = sample.n_curves
     t_stat = sqrt(n) * float(np.max(np.abs(r / sigma_gamma)))
-    band = _gaussian_band("gof-residual", eval, r, sigma_gamma, _MatrixRoot(factor, mass),
-                          sqrt(n), alpha, paths, sample.n_points, seed, h, kernel, lam)
+    part = (r, sigma_gamma, _MatrixRoot(factor, mass), lam, h)
+    band, = _gaussian_bands("gof-residual", eval, [part], sqrt(n), alpha, paths, sample.n_points,
+                            seed, kernel)
     return GofReport(
         statistic=t_stat,
         threshold=band.threshold,

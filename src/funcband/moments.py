@@ -5,6 +5,7 @@ through, which also repairs tables that are not positive semidefinite."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -84,8 +85,10 @@ class ShrinkageSpec:
     intensity: float | None = None
 
     def __post_init__(self):
-        if self.intensity is not None and not 0.0 <= self.intensity <= 1.0:
-            raise FuncbandError("shrinkage intensity must lie in [0,1]")
+        if self.intensity is not None and not (isinstance(self.intensity, Real)
+                                               and 0.0 <= self.intensity <= 1.0):
+            raise FuncbandError(f"shrinkage intensity must lie in [0,1], "
+                                f"got intensity={self.intensity!r}")
 
 
 def empirical_variance(curves: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, sqrt
+from numbers import Real
 
 import numpy as np
 
-from .errors import FactorizationError, FuncbandError, _check_int
+from .errors import FactorizationError, FuncbandError, _check_finite, _check_int
 from .moments import CorrelationField, _psd_root, _shrunk_table
 
 __all__ = [
@@ -50,8 +51,8 @@ _MAX_DRAWS = 10**8
 
 
 def _check_level(gamma: float) -> None:
-    """Reject a tail probability outside the open interval (0,1)."""
-    if not 0.0 < gamma < 1.0:
+    """Reject a tail probability that is not a real number in (0,1)."""
+    if not (isinstance(gamma, Real) and 0.0 < gamma < 1.0):
         raise FuncbandError(f"level (gamma) must lie in (0,1), got gamma={gamma!r}")
 
 
@@ -203,45 +204,42 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     return pairs if more else pairs[0]
 
 
-def order_statistic_quantile(values: np.ndarray, gamma: float) -> float:
-    """ceil((1-gamma) N)-th order statistic (1-based, no interpolation)."""
-    _check_level(gamma)
-    values = np.sort(np.asarray(values, dtype=float))
+def _sorted_quantile(values: np.ndarray, gamma: float) -> tuple[float, float]:
+    """(c, se) of ``values``, sorted here in place: the ceil((1-gamma) N)-th order
+    statistic (1-based, no interpolation) and its binomial-quantile asymptotic
+    standard error, with a finite-difference density estimate from a window of
+    about sqrt(N) nearby order statistics.  The window doubles until its ends
+    differ by more than rounding, so ties at the quantile widen it instead of
+    reading as an exact threshold; se is 0 only when all N values tie."""
+    values.sort()
     n = values.size
-    if n == 0:
-        raise FuncbandError("values must hold at least one value, got values of size 0")
     k = min(max(ceil((1.0 - gamma) * n), 1), n)
-    return float(values[k - 1])
-
-
-def _quantile_stderr(sorted_vals: np.ndarray, gamma: float) -> float:
-    """Binomial-quantile asymptotic standard error with a finite-difference
-    density estimate from nearby order statistics.  The window of about
-    sqrt(N) order statistics doubles until its ends differ by more than
-    rounding, so ties at the quantile widen it instead of reading as an exact
-    threshold; 0 only when all N values tie."""
-    n = sorted_vals.size
-    k = min(max(ceil((1.0 - gamma) * n), 1), n)
+    c = float(values[k - 1])
     half = max(1, int(0.5 * sqrt(n)))
     while True:
         lo = max(k - half, 1)
         hi = min(k + half, n)
-        spread = float(sorted_vals[hi - 1] - sorted_vals[lo - 1])
-        if spread > _TIE_RTOL * abs(float(sorted_vals[k - 1])):
+        spread = float(values[hi - 1] - values[lo - 1])
+        if spread > _TIE_RTOL * abs(c):
             break
         if lo == 1 and hi == n:
-            return 0.0
+            return c, 0.0
         half *= 2
     density = (hi - lo) / n / spread
-    return sqrt(gamma * (1.0 - gamma) / n) / density
+    return c, sqrt(gamma * (1.0 - gamma) / n) / density
+
+
+def order_statistic_quantile(values: np.ndarray, gamma: float) -> float:
+    """ceil((1-gamma) N)-th order statistic (1-based, no interpolation) of the
+    N finite ``values`` of a 1-D array."""
+    _check_level(gamma)
+    values = np.array(values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise FuncbandError(f"values must be a nonempty 1-D array, got shape {values.shape}")
+    _check_finite("values", values)
+    return _sorted_quantile(values, gamma)[0]
 
 
 def sup_quantile(request: SupQuantileRequest) -> SupQuantileResult:
-    return _sup_quantile_of(request, *simulate_sup_norms(request))
-
-
-def _sup_quantile_of(request, values, mass) -> SupQuantileResult:
-    values.sort()
-    c = order_statistic_quantile(values, request.level)
-    se = _quantile_stderr(values, request.level)
-    return SupQuantileResult(threshold=c, stderr=se, clipped_mass=mass)
+    values, mass = simulate_sup_norms(request)
+    return SupQuantileResult(*_sorted_quantile(values, request.level), clipped_mass=mass)

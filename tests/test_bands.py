@@ -331,12 +331,12 @@ class TestSquareRootChoice:
                   (0.2, 0.2), normal_scb),
                  (gen_model1(10, 30, seed_or_rng=24), make_eval_grid(100), 0.1,
                   prediction_band)]
-        requests, run = [], bands.sup_quantile
+        requests, run = [], bands.simulate_sup_norms
         with monkeypatch.context() as patch:
             patch.setattr(moments, "CorrelationField", _refuse_table)
             patch.setattr(bands, "_shrunk_table", _refuse_table)
             patch.setattr(supnorm, "_shrunk_table", _refuse_table)
-            patch.setattr(bands, "sup_quantile", lambda r: requests.append(r) or run(r))
+            patch.setattr(bands, "simulate_sup_norms", lambda *r: requests.extend(r) or run(*r))
             built = [build(sample, eval, h, seed=5) for sample, eval, h, build in cases]
         for (sample, eval, h, _), band, request in zip(cases, built, requests):
             fit = fit_mean(sample, eval, h)
@@ -391,11 +391,11 @@ class TestSquareRootChoice:
             "gof": lambda: scb_gof_test(gen_model1(10, 110, seed_or_rng=22), polynomial_basis(1),
                                         grid, 0.1, paths=500, seed=1),
         }[case]
-        taken, requests, run = [], [], bands.sup_quantile
+        taken, requests, run = [], [], bands.simulate_sup_norms
         dense_root = supnorm._psd_root
         monkeypatch.setattr(supnorm, "_psd_root", lambda table, correlation=False:
                             taken.append(table.shape) or dense_root(table, correlation))
-        monkeypatch.setattr(bands, "sup_quantile", lambda r: requests.append(r) or run(r))
+        monkeypatch.setattr(bands, "simulate_sup_norms", lambda *r: requests.extend(r) or run(*r))
         build()
         assert taken == ([] if case == "gof" else [(100, 100)])
         assert [(r.root.width, r.root.size) for r in requests] == [(100, 100)]
@@ -410,6 +410,33 @@ def test_gaussian_bands_share_details_keys(sample50, eval_grid):
     keys = {"h", "kernel", "seed", "paths", "shrinkage_lambda", "clipped_mass",
             "threshold_stderr"}
     assert [set(b.details) for b in bands] == [keys] * 4
+
+
+def _recording(fn, draws):
+    """``fn``, recording a copy of the draw it returns before the band sorts it."""
+    def call(*args):
+        out = fn(*args)
+        draws.append(out[0].copy())
+        return out
+    return call
+
+
+@pytest.mark.parametrize("kind", ["normal", "bootstrap"])
+def test_threshold_is_the_quantile_of_its_draw(kind, sample50, eval_grid, monkeypatch):
+    # the band's c and its standard error come from the very sup-norm draw made for it
+    draws = []
+    if kind == "normal":
+        monkeypatch.setattr(bands, "simulate_sup_norms",
+                            _recording(bands.simulate_sup_norms, draws))
+        band = normal_scb(sample50, eval_grid, 0.05, paths=3000, seed=2)
+    else:
+        monkeypatch.setattr(bands, "_bootstrap_sup_stats",
+                            _recording(bands._bootstrap_sup_stats, draws))
+        band = bootstrap_scb(sample50, eval_grid, 0.05, bootstraps=700, seed=2)
+    assert len(draws) == 1
+    c, se = supnorm._sorted_quantile(draws[0], 0.05)
+    assert (band.threshold, band.details["threshold_stderr"]) == (c, se)
+    assert c == order_statistic_quantile(draws[0], 0.05) and se > 0
 
 
 class TestSplitHalfBandwidth:
@@ -434,9 +461,9 @@ class TestSplitHalfBandwidth:
         sample = gen_model1(12, 30, seed_or_rng=503)
         once = split_half_bandwidth(sample, [0.2, 0.1], seed=18)
         built = []
-        parts = bands._curve_parts
-        monkeypatch.setattr(bands, "_curve_parts",
-                            lambda *args: built.append(args[4]) or parts(*args))
+        part = bands._curve_part
+        monkeypatch.setattr(bands, "_curve_part",
+                            lambda *args: built.append(args[2]) or part(*args))
         assert split_half_bandwidth(sample, [0.1, 0.2, 0.1, 0.2], seed=18) == once
         assert built == [(0.1,), (0.2,)]
 

@@ -66,5 +66,11 @@ def test_each_workload_op_runs_traced(bench, tmp_path, monkeypatch):
             assert table.shape == (m, m), name
             np.testing.assert_allclose(np.diag(table), 1.0, rtol=0, atol=1e-12, err_msg=name)
         drawn.clear()
-    assert tracer.summary()["problems"] == []
+    summary = tracer.summary()
+    assert summary["problems"] == []
+    # one draw per Gaussian band or shared candidate set: a change that splits
+    # or duplicates a draw shows here
+    calls = {name: summary["calls"][index].get("supnorm.simulate_sup_norms", 0)
+             for index, name in enumerate(workloads.WORKLOADS)}
+    assert calls == {"sim-gauss": 2, "sim-boot-plrt": 0, "cli-session": 6, "lib-2d": 1}
     assert tracer.computed["supnorm.normals_drawn"] > 0

@@ -310,6 +310,18 @@ class TestPredict:
         assert code == EXIT_PARSE
         assert named in stderr and "candidate" not in stderr and stdout == ""
 
+    @pytest.mark.parametrize("h", ["split", "cv"])
+    def test_no_usable_bandwidth_is_ill_posed(self, tmp_path, capsys, h):
+        # every candidate leaves some grid point without enough active design points
+        path = str(tmp_path / "curves.csv")
+        write_curves_csv(path, gen_model1(20, 50, seed_or_rng=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")       # cv_bandwidth warns per skipped candidate
+            code, stdout, stderr = run(capsys, "predict", "--in", path, "--h", h,
+                                       "--h-candidates", "0.001,0.002", "--seed", "0")
+        assert code == EXIT_ILL_POSED and stdout == ""
+        assert stderr.startswith("ill-posed")
+
 
 class TestSimulate:
     def test_row_csv(self, capsys):

@@ -275,7 +275,7 @@ def _record_draws(monkeypatch):
     """Widths of the normal buffers ``simulate_sup_norms`` fills, and the
     sup-norm requests the bands make, appended as they happen."""
     widths, requests = [], []
-    chunks, quantile = supnorm.map_philox_chunks, bands.sup_quantile
+    chunks, simulate = supnorm.map_philox_chunks, bands.simulate_sup_norms
 
     class Rng:
         def __init__(self, rng):
@@ -287,7 +287,8 @@ def _record_draws(monkeypatch):
 
     monkeypatch.setattr(supnorm, "map_philox_chunks", lambda total, chunk, seed, draw: chunks(
         total, chunk, seed, lambda rng, k: draw(Rng(rng), k)))
-    monkeypatch.setattr(bands, "sup_quantile", lambda r: requests.append(r) or quantile(r))
+    monkeypatch.setattr(bands, "simulate_sup_norms",
+                        lambda *r: requests.extend(r) or simulate(*r))
     return widths, requests
 
 

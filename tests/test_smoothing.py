@@ -16,8 +16,10 @@ from funcband import (
     FunctionalSample,
     GridError,
     IllPosedBandwidthError,
+    ShrinkageSpec,
     SingularDesignError,
     SupQuantileRequest,
+    basis_model,
     bootstrap_scb,
     cv_bandwidth,
     default_path_count,
@@ -25,6 +27,7 @@ from funcband import (
     epanechnikov,
     fit_mean,
     kernel_by_name,
+    limit_gamma,
     local_linear_weights,
     make_design_grid,
     make_eval_grid,
@@ -321,3 +324,23 @@ def test_mistyped_argument_raises_funcband_error(call, named):
         call()
     assert named in str(err.value)
 
+
+@pytest.mark.parametrize("call, error, named", [
+    (lambda: limit_gamma(lambda x, y: np.minimum(x, y), polynomial_basis(1),
+                         make_eval_grid(5, dim=2)), GridError, "supports d=1"),
+    (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, gamma="0.05", paths=200),
+     FuncbandError, "gamma='0.05'"),
+    (lambda: ShrinkageSpec(intensity="0.5"), FuncbandError, "intensity='0.5'"),
+    (lambda: basis_model([1.0]), FuncbandError, "functions[0]=1.0"),
+    (lambda: basis_model([np.sin, "cos"]), FuncbandError, "functions[1]='cos'"),
+    (lambda: order_statistic_quantile([1.0, math.nan, 2.0], 0.05), FuncbandError,
+     "non-finite values at point index 1"),
+    (lambda: order_statistic_quantile(2.0, 0.05), FuncbandError, "got shape ()"),
+], ids=["limit_gamma 2-d", "normal_scb gamma str", "ShrinkageSpec intensity str",
+        "basis_model float", "basis_model str", "order_statistic_quantile nan value",
+        "order_statistic_quantile scalar"])
+def test_malformed_input_raises_named_error(call, error, named):
+    # each once leaked a numpy or Python error, or returned nan
+    with pytest.raises(error) as err:
+        call()
+    assert named in str(err.value)

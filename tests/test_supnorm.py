@@ -23,7 +23,7 @@ from funcband import bands
 from funcband.bands import _curve_root
 from funcband.moments import _psd_root, correlation_from_covariance
 from funcband.simlab import gen_model3
-from funcband.supnorm import _MatrixRoot, _ThinRoot, _quantile_stderr, order_statistic_quantile
+from funcband.supnorm import _MatrixRoot, _ThinRoot, _sorted_quantile, order_statistic_quantile
 
 
 def _request(table, gamma=0.05, paths=20000, seed=0):
@@ -226,8 +226,8 @@ def _gof_case(monkeypatch, n, p, shrinkage):
     line model on m = 100 points, and the plug-in correlation it draws from."""
     sample, model = gen_model3(n, p, seed_or_rng=n + p), polynomial_basis(1)
     eval = make_eval_grid(100)
-    requests, run = [], bands.sup_quantile
-    monkeypatch.setattr(bands, "sup_quantile", lambda r: requests.append(r) or run(r))
+    requests, run = [], bands.simulate_sup_norms
+    monkeypatch.setattr(bands, "simulate_sup_norms", lambda *r: requests.extend(r) or run(*r))
     report = scb_gof_test(sample, model, eval, 0.035, paths=500, seed=1, shrinkage=shrinkage)
     cov = gamma_n_plugin(sample, model, eval, 0.035, shrinkage=shrinkage)[0]
     rho = correlation_from_covariance(cov).table
@@ -275,8 +275,8 @@ class TestQuantileStderr:
         # 2500 values on 7 atoms: the order statistics next to the 0.95
         # quantile all tie, yet the quantile is not known exactly
         vals = np.repeat(np.arange(7.0), [400, 300, 300, 400, 400, 350, 350])
-        assert _quantile_stderr(vals, 0.05) > 0.0
-        assert _quantile_stderr(np.full(100, 2.0), 0.05) == 0.0
+        assert _sorted_quantile(vals, 0.05)[1] > 0.0
+        assert _sorted_quantile(np.full(100, 2.0), 0.05) == (2.0, 0.0)
 
 
 class TestSupQuantile:
