@@ -19,7 +19,6 @@ from .grids import (
     make_eval_grid,
     read_curves_csv,
     uniform_design_grid,
-    validate_sample,
     write_curves_csv,
 )
 from .smoothing import (
@@ -34,8 +33,6 @@ from .smoothing import (
     weight_matrix,
 )
 from .moments import (
-    CorrelationField,
-    CovarianceField,
     ShrinkageSpec,
     empirical_correlation,
     empirical_data_covariance,

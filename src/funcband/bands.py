@@ -20,12 +20,11 @@ from .errors import (DegenerateVarianceError, FuncbandError, GridError, IllPosed
                      _check_finite, _check_int)
 from .grids import EvalGrid, FunctionalSample
 from .moments import (
-    CovarianceField,
     ShrinkageSpec,
     empirical_variance,
-    correlation_from_covariance,
     _shrinkage_intensity,
     _shrunk_table,
+    _unit_correlation,
 )
 from .smoothing import _BANDWIDTH_ERRORS, Bandwidth, Kernel, epanechnikov, fit_mean
 from .supnorm import (
@@ -336,9 +335,9 @@ def two_sample_scb(
         covs.append(cov)
         lams.append(lam)
     diff_cov = covs[0] + covs[1]
-    corr_diff = correlation_from_covariance(CovarianceField(grid=eval, table=diff_cov))
+    sd = np.sqrt(np.diag(diff_cov))
     center = fits[0].mean - fits[1].mean
-    part = (center, np.sqrt(np.diag(diff_cov)), corr_diff, tuple(lams), (h_a, h_b))
+    part = (center, sd, _unit_correlation(diff_cov / np.outer(sd, sd)), tuple(lams), (h_a, h_b))
     band, = _gaussian_bands("two-sample", eval, [part], 1.0, alpha, paths, sample_a.n_points,
                             seed, kernel)
     reject = bool(np.any(np.abs(center) > band.half_width))

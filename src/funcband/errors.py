@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the integer-argument
-and finiteness checks that every entry point shares."""
+"""Exception hierarchy shared across the package, and the integer-argument,
+type and finiteness checks that every entry point shares."""
 
 import numpy as np
 
@@ -44,6 +44,12 @@ def _check_int(name: str, value, low: int = 0, error: type = FuncbandError) -> N
     """Raise ``error`` naming ``name`` unless ``value`` is an integer >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise error(f"{name} must be an integer >= {low}, got {name}={value!r}")
+
+
+def _check_type(name: str, value, cls: type, error: type = FuncbandError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise error(f"{name} must be a {cls.__name__}, got {name}={value!r}")
 
 
 def _check_finite(what: str, values: np.ndarray) -> None:

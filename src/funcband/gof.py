@@ -20,7 +20,7 @@ from .bands import BandResult, _gaussian_bands
 from .errors import (DegenerateVarianceError, FuncbandError, GridError, RankDeficiencyError,
                      _check_int)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
-from .moments import CovarianceField, ShrinkageSpec, _kept_eigenvalues, empirical_data_covariance
+from .moments import ShrinkageSpec, _check_covariance, _kept_eigenvalues, empirical_data_covariance
 from .smoothing import Kernel, weight_matrix
 from .supnorm import _MatrixRoot
 
@@ -86,6 +86,8 @@ def basis_model(functions: Sequence[Callable], density: Callable | None = None) 
     for i, f in enumerate(functions):
         if not callable(f):
             raise FuncbandError(f"basis functions must be callable, got functions[{i}]={f!r}")
+    if density is not None and not callable(density):
+        raise FuncbandError(f"density must be callable or None, got density={density!r}")
     model = BasisModel(tuple(functions), density)
     gram = _gram(model)
     off = np.abs(gram - np.diag(np.diag(gram)))
@@ -181,7 +183,7 @@ def _residual_map(sample, model, eval, h, kernel) -> tuple[np.ndarray, np.ndarra
 def _projected_covariance(sample, q, shrinkage) -> tuple[np.ndarray, float]:
     """(Q' S_hat Q, lambda) for the shrunk empirical covariance S_hat."""
     data_cov, lam = empirical_data_covariance(sample, shrinkage)
-    return q.T @ data_cov.table @ q, lam
+    return q.T @ data_cov @ q, lam
 
 
 def residual_process(
@@ -202,27 +204,31 @@ def gamma_n_plugin(
     h,
     kernel: Kernel | None = None,
     shrinkage: ShrinkageSpec | None = ShrinkageSpec(),
-) -> tuple[CovarianceField, float]:
-    """Plug-in covariance of sqrt(n) r: W(x)'(I-P) S_hat (I-P) W(x'), with
+) -> tuple[np.ndarray, float]:
+    """Plug-in covariance table of sqrt(n) r: W(x)'(I-P) S_hat (I-P) W(x'), with
     S_hat the (optionally shrunk) empirical covariance of the raw data."""
     _, wq, q = _residual_map(sample, model, eval, h, kernel)
     g, lam = _projected_covariance(sample, q, shrinkage)
     table = wq @ g @ wq.T
-    return CovarianceField(grid=eval, table=0.5 * (table + table.T)), lam
+    return 0.5 * (table + table.T), lam
 
 
 def limit_gamma(
     covariance: Callable[[np.ndarray, np.ndarray], np.ndarray],
     model: BasisModel,
     eval: EvalGrid,
-) -> CovarianceField:
-    """Limit covariance of sqrt(n) r by weighted quadrature:
+) -> np.ndarray:
+    """Limit covariance table of sqrt(n) r by weighted quadrature:
 
     Gamma(x,x') = R(x,x') + sum_kl phi_k(x) phi_l(x') <<R phi_k phi_l>>
                  - sum_l <R(x,.) phi_l> phi_l(x') - sum_l <R(x',.) phi_l> phi_l(x)
 
-    where <.> integrates against the design density (trapezoidal rule).
+    where <.> integrates against the design density (trapezoidal rule).  The
+    table R of ``covariance`` on the evaluation and quadrature points is
+    checked as a caller's covariance table.
     """
+    if not callable(covariance):
+        raise FuncbandError(f"covariance must be callable, got covariance={covariance!r}")
     if eval.dim != 1:
         raise GridError(f"limit_gamma supports d=1 evaluation grids, got d={eval.dim}")
     u = np.linspace(0.0, 1.0, _QUAD_POINTS)
@@ -230,8 +236,9 @@ def limit_gamma(
     phi_u = model.matrix(u)                      # (q, L)
     x = eval.points
     phi_x = model.matrix(x)                      # (m, L)
-    r_xu = covariance(x[:, None], u[None, :])    # (m, q)
-    r_uv = covariance(u[:, None], u[None, :])    # (q, q)
+    m, nodes = x.size, np.concatenate([x, u])
+    r = _check_covariance(covariance(nodes[:, None], nodes[None, :]), nodes.size)
+    r_xu, r_uv = r[:m, m:], r[m:, m:]            # (m, q), (q, q)
 
     wgt = np.ones(_QUAD_POINTS)
     wgt[0] = wgt[-1] = 0.5
@@ -241,13 +248,8 @@ def limit_gamma(
     single = r_xu @ (wf[:, None] * phi_u)        # (m, L): int R(x,u) phi_l(u) f(u) du
     double = phi_u.T @ (np.outer(wf, wf) * r_uv) @ phi_u   # (L, L)
 
-    table = (
-        covariance(x[:, None], x[None, :])
-        + phi_x @ double @ phi_x.T
-        - single @ phi_x.T
-        - phi_x @ single.T
-    )
-    return CovarianceField(grid=eval, table=0.5 * (table + table.T))
+    table = r[:m, :m] + phi_x @ double @ phi_x.T - single @ phi_x.T - phi_x @ single.T
+    return 0.5 * (table + table.T)
 
 
 @dataclass(frozen=True)

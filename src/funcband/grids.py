@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, SampleValidationError, _check_int
+from .errors import GridError, SampleValidationError, _check_int, _check_type
 
 __all__ = [
     "DesignGrid",
@@ -22,7 +22,6 @@ __all__ = [
     "make_design_grid",
     "uniform_design_grid",
     "make_eval_grid",
-    "validate_sample",
     "read_curves_csv",
     "write_curves_csv",
 ]
@@ -112,14 +111,29 @@ class EvalGrid:
 @dataclass(frozen=True)
 class FunctionalSample:
     """n discretized curves observed on a common design grid; construction
-    raises SampleValidationError unless ``validate_sample`` accepts it."""
+    raises SampleValidationError unless the grid is a DesignGrid and the
+    values are 2-d, with at least one curve, one value per design point, all
+    finite."""
 
     grid: DesignGrid
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        validate_sample(self)
+        _check_type("grid", self.grid, DesignGrid, SampleValidationError)
+        values = _readonly(self.values)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 2:
+            raise SampleValidationError(f"values must be 2-d, got shape {values.shape}")
+        n, p = values.shape
+        if n < 1:
+            raise SampleValidationError("need at least one curve")
+        if p != self.grid.n_points:
+            raise SampleValidationError(f"rows have {p} entries but the design grid has "
+                                        f"{self.grid.n_points} points")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise SampleValidationError(f"non-finite entry at curve {i}, design point {j}")
 
     @property
     def n_curves(self) -> int:
@@ -249,26 +263,6 @@ def design_grid_from_points(points: np.ndarray) -> DesignGrid:
     if points.ndim != 1:
         raise GridError("observed design points are supported for d=1 only")
     return DesignGrid(dim=1, points=points, axes=(points,), sizes=(points.size,))
-
-
-def validate_sample(sample: FunctionalSample) -> FunctionalSample:
-    """Return the sample unchanged iff all structural invariants hold:
-    2-d values, at least one curve, one value per design point, all finite."""
-    values = sample.values
-    if values.ndim != 2:
-        raise SampleValidationError(f"values must be 2-d, got shape {values.shape}")
-    n, p = values.shape
-    if n < 1:
-        raise SampleValidationError("need at least one curve")
-    if p != sample.grid.n_points:
-        raise SampleValidationError(
-            f"rows have {p} entries but the design grid has {sample.grid.n_points} points"
-        )
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise SampleValidationError(f"non-finite entry at curve {i}, design point {j}")
-    return sample
 
 
 # ---------------------------------------------------------------------------

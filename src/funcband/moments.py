@@ -9,12 +9,11 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, FactorizationError, FuncbandError, _check_finite
-from .grids import DesignGrid, EvalGrid, FunctionalSample
+from .errors import (DegenerateVarianceError, FactorizationError, FuncbandError, _check_finite,
+                     _check_type)
+from .grids import FunctionalSample
 
 __all__ = [
-    "CovarianceField",
-    "CorrelationField",
     "ShrinkageSpec",
     "empirical_variance",
     "empirical_correlation",
@@ -43,35 +42,24 @@ def _check_symmetric(table: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (table + table.T)
 
 
-@dataclass(frozen=True)
-class CovarianceField:
-    """Symmetric covariance values C(x_a, x_b) on a grid."""
-
-    grid: EvalGrid | DesignGrid
-    table: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", _check_symmetric(self.table, "covariance"))
-        if self.table.shape[0] != self.grid.n_points:
-            raise FuncbandError("covariance table size must match the grid")
-        if np.any(np.diag(self.table) < 0):
-            raise FuncbandError("covariance diagonal must be nonnegative")
+def _check_covariance(table: np.ndarray, size: int | None = None,
+                      what: str = "covariance") -> np.ndarray:
+    """A caller's covariance or correlation table, symmetrized by
+    ``_check_symmetric``; raises unless it also has ``size`` rows (when given)
+    and a nonnegative diagonal."""
+    table = _check_symmetric(table, what)
+    if size is not None and table.shape[0] != size:
+        raise FuncbandError(f"{what} table size must match the grid")
+    if np.any(np.diag(table) < 0):
+        raise FuncbandError(f"{what} diagonal must be nonnegative")
+    return table
 
 
-@dataclass(frozen=True)
-class CorrelationField:
-    """Symmetric correlation values with unit diagonal, entries in [-1,1]."""
-
-    grid: EvalGrid | DesignGrid
-    table: np.ndarray
-
-    def __post_init__(self):
-        table = _check_symmetric(self.table, "correlation")
-        if table.shape[0] != self.grid.n_points:
-            raise FuncbandError("correlation table size must match the grid")
-        table = np.clip(table, -1.0, 1.0)
-        np.fill_diagonal(table, 1.0)
-        object.__setattr__(self, "table", table)
+def _unit_correlation(table: np.ndarray) -> np.ndarray:
+    """A copy of the table with entries clipped to [-1,1] and a unit diagonal."""
+    table = np.clip(table, -1.0, 1.0)
+    np.fill_diagonal(table, 1.0)
+    return table
 
 
 @dataclass(frozen=True)
@@ -107,11 +95,10 @@ def empirical_variance(curves: np.ndarray, mean: np.ndarray | None = None) -> np
 
 def empirical_correlation(
     curves: np.ndarray,
-    grid,
     mean: np.ndarray | None = None,
     sigma2: np.ndarray | None = None,
-) -> CorrelationField:
-    """Empirical correlation of the rows of ``curves`` across grid points."""
+) -> np.ndarray:
+    """Empirical correlation table of the rows of ``curves`` across grid points."""
     curves = np.asarray(curves, dtype=float)
     if mean is None:
         mean = curves.mean(axis=0)
@@ -120,8 +107,7 @@ def empirical_correlation(
     if np.any(sigma2 <= 0):
         j = int(np.argmin(sigma2))
         raise DegenerateVarianceError(f"zero variance at grid point index {j}")
-    table = _shrunk_table((curves - mean) / np.sqrt(sigma2), 0.0)
-    return CorrelationField(grid=grid, table=table)
+    return _shrunk_table((curves - mean) / np.sqrt(sigma2), 0.0)
 
 
 def schafer_strimmer_lambda(curves: np.ndarray) -> float:
@@ -166,6 +152,7 @@ def schafer_strimmer_lambda(curves: np.ndarray) -> float:
 
 def _shrinkage_intensity(spec: ShrinkageSpec, curves: np.ndarray | None) -> float:
     """lambda: the spec's intensity, or else the analytic one of ``curves``."""
+    _check_type("shrinkage", spec, ShrinkageSpec)
     if spec.intensity is not None:
         return float(spec.intensity)
     if curves is None:
@@ -175,7 +162,7 @@ def _shrinkage_intensity(spec: ShrinkageSpec, curves: np.ndarray | None) -> floa
 
 def _shrunk_table(xs: np.ndarray, lam: float) -> np.ndarray:
     """(1-lam) R + lam I for the correlation R = Xs'Xs/(n-1) of the n x m standardized
-    deviations Xs, entries clipped to [-1,1] and unit diagonal as in ``CorrelationField``."""
+    deviations Xs, entries clipped to [-1,1] and unit diagonal as in ``_unit_correlation``."""
     table = np.clip(xs.T @ xs / (len(xs) - 1), -1.0, 1.0)
     table *= 1.0 - lam
     np.fill_diagonal(table, 1.0)
@@ -183,22 +170,24 @@ def _shrunk_table(xs: np.ndarray, lam: float) -> np.ndarray:
 
 
 def shrink_correlation(
-    raw: CorrelationField, spec: ShrinkageSpec, curves: np.ndarray | None = None
-) -> tuple[CorrelationField, float]:
-    """Convex combination (1-lambda) raw + lambda I; returns (field, lambda)."""
+    raw: np.ndarray, spec: ShrinkageSpec, curves: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Convex combination (1-lambda) raw + lambda I of the correlation table
+    ``raw`` (clipped to [-1,1], unit diagonal); returns (table, lambda)."""
+    raw = _unit_correlation(_check_covariance(raw, what="correlation"))
     lam = _shrinkage_intensity(spec, curves)
-    m = raw.table.shape[0]
-    table = (1.0 - lam) * raw.table + lam * np.eye(m)
-    return CorrelationField(grid=raw.grid, table=table), lam
+    return _unit_correlation((1.0 - lam) * raw + lam * np.eye(len(raw))), lam
 
 
-def correlation_from_covariance(cov: CovarianceField) -> CorrelationField:
-    diag = np.diag(cov.table)
+def correlation_from_covariance(table: np.ndarray) -> np.ndarray:
+    """The correlation table C_ab / sqrt(C_aa C_bb) of a covariance table."""
+    table = _check_covariance(table)
+    diag = np.diag(table)
     if np.any(diag <= 0):
         j = int(np.argmin(diag))
         raise DegenerateVarianceError(f"zero variance at grid point index {j}")
     sd = np.sqrt(diag)
-    return CorrelationField(grid=cov.grid, table=cov.table / np.outer(sd, sd))
+    return _unit_correlation(table / np.outer(sd, sd))
 
 
 def _centered_curves(sample: FunctionalSample) -> np.ndarray:
@@ -211,23 +200,22 @@ def _centered_curves(sample: FunctionalSample) -> np.ndarray:
 
 def empirical_data_covariance(
     sample: FunctionalSample, spec: ShrinkageSpec | None = None
-) -> tuple[CovarianceField, float]:
-    """Sample covariance of the raw data across units, optionally shrunk.
+) -> tuple[np.ndarray, float]:
+    """Sample covariance table of the raw data across units, optionally shrunk.
 
     Shrinkage acts on the correlation scale (variances preserved).  Returns
-    (field, lambda); lambda is 0 when no shrinkage spec is given.
+    (table, lambda); lambda is 0 when no shrinkage spec is given.
     """
     y = sample.values
     dev = _centered_curves(sample)
     with np.errstate(over="ignore", invalid="ignore"):
         table = dev.T @ dev / (y.shape[0] - 1)
     _check_finite("covariance", table)
-    cov = CovarianceField(grid=sample.grid, table=table)
     if spec is None:
-        return cov, 0.0
-    shrunk, lam = shrink_correlation(correlation_from_covariance(cov), spec, curves=y)
-    sd = np.sqrt(np.diag(cov.table))
-    return CovarianceField(grid=sample.grid, table=shrunk.table * np.outer(sd, sd)), lam
+        return table, 0.0
+    shrunk, lam = shrink_correlation(correlation_from_covariance(table), spec, curves=y)
+    sd = np.sqrt(np.diag(table))
+    return shrunk * np.outer(sd, sd), lam
 
 
 def psd_repair(table: np.ndarray, correlation: bool = False) -> tuple[np.ndarray, float]:
@@ -253,7 +241,8 @@ def _psd_root(table: np.ndarray, correlation: bool = False) -> tuple[np.ndarray,
     the eigenvalues dropped by ``_kept_eigenvalues`` zeroed, and their share
     of the eigenvalue mass.  For a correlation that lost mass, the columns of
     L are rescaled so that L'L has a unit diagonal."""
-    vals, vecs = np.linalg.eigh(_check_symmetric(table, "correlation" if correlation else "input"))
+    vals, vecs = np.linalg.eigh(_check_covariance(table, what="correlation") if correlation
+                                else _check_symmetric(table, "input"))
     keep, mass = _kept_eigenvalues(vals)
     root = (vecs * np.sqrt(np.where(keep, vals, 0.0))[None, :]) @ vecs.T
     if correlation and mass > 0.0:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateVarianceError, FuncbandError, IntegrationError, SampleValidationError
 from .gof import BasisModel, _design_matrix, _projector
 from .grids import DesignGrid, FunctionalSample
-from .moments import CovarianceField, _centered_curves, _check_symmetric, _psd_root
+from .moments import _centered_curves, _check_covariance, _check_symmetric, _psd_root
 from .smoothing import Kernel, weight_matrix
 
 __all__ = [
@@ -190,10 +190,11 @@ def plrt_pvalue(a_mat: np.ndarray, sigma_over_n: np.ndarray,
     ``diagnostics`` is a dict, the p-value's absolute error estimate is
     stored under ``imhof_abserr`` (0 when every lambda_i has the same sign).
     Raises FuncbandError when A or Sigma/n is not a finite symmetric table,
-    when their sizes differ, or when every lambda_i is zero (a degenerate form).
+    when Sigma/n has a negative diagonal entry, when their sizes differ, or
+    when every lambda_i is zero (a degenerate form).
     """
     a_mat = _check_symmetric(a_mat, "quadratic form")
-    sigma_over_n = _check_symmetric(sigma_over_n, "Sigma/n")
+    sigma_over_n = _check_covariance(sigma_over_n, what="Sigma/n")
     if a_mat.shape != sigma_over_n.shape:
         raise FuncbandError(f"the quadratic form is {a_mat.shape[0]} x {a_mat.shape[0]} but "
                             f"Sigma/n is {sigma_over_n.shape[0]} x {sigma_over_n.shape[0]}")
@@ -224,7 +225,7 @@ def _factor_pvalue(a_mat: np.ndarray, factor: np.ndarray, diagnostics: dict | No
     return p
 
 
-def ar1_covariance_fit(sample: FunctionalSample) -> tuple[float, float, CovarianceField]:
+def ar1_covariance_fit(sample: FunctionalSample) -> tuple[float, float, np.ndarray]:
     """AR(1) covariance fit across design points: sigma2 * rho^|j-k|.
 
     sigma2 averages the per-point sample variances; rho is the pooled lag-1
@@ -244,8 +245,7 @@ def ar1_covariance_fit(sample: FunctionalSample) -> tuple[float, float, Covarian
     rho = (num / den) * p / (p - 1) if den > 0 else 0.0
     rho = min(max(rho, -0.999), 0.999)
     lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    table = sigma2 * rho**lags
-    return sigma2, rho, CovarianceField(grid=sample.grid, table=table)
+    return sigma2, rho, sigma2 * rho**lags
 
 
 def plrt_test(
@@ -254,7 +254,7 @@ def plrt_test(
     h,
     kernel: Kernel | None = None,
     covariance_mode: CovarianceMode = "nonparametric",
-    known_covariance: np.ndarray | CovarianceField | None = None,
+    known_covariance: np.ndarray | None = None,
     _plan: tuple | None = None,
 ) -> PlrtReport:
     """Full PLRT: statistic, covariance estimate per the chosen mode, p-value.
@@ -266,12 +266,11 @@ def plrt_test(
         if factor is None:
             if known_covariance is None:
                 raise FuncbandError("covariance_mode='known' requires known_covariance")
-            table = getattr(known_covariance, "table", known_covariance)
-            factor = _sigma_factor(CovarianceField(grid=sample.grid, table=table).table / n)
+            factor = _sigma_factor(_check_covariance(known_covariance, sample.n_points) / n)
         p = _factor_pvalue(a_mat, factor, info)
     elif covariance_mode == "parametric-ar1":
         info["ar1_sigma2"], info["ar1_rho"], cov = ar1_covariance_fit(sample)
-        p = _factor_pvalue(a_mat, _sigma_factor(cov.table / n), info)
+        p = _factor_pvalue(a_mat, _sigma_factor(cov / n), info)
     elif covariance_mode == "nonparametric":
         # X~'/sqrt(n(n-1)) factors Sigma_hat/n, whose rank <= n-1 defeats Cholesky
         p = _factor_pvalue(a_mat, _centered_curves(sample).T / sqrt(n * (n - 1)), info)

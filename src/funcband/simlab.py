@@ -20,10 +20,10 @@ from math import log, sqrt
 import numpy as np
 
 from .bands import band_covers, bootstrap_scb, normal_scb
-from .errors import FuncbandError, _check_int
+from .errors import FuncbandError, _check_int, _check_type
 from .gof import polynomial_basis, scb_gof_test
 from .grids import DesignGrid, FunctionalSample, make_eval_grid, uniform_design_grid
-from .moments import CorrelationField, CovarianceField, ShrinkageSpec, _psd_root
+from .moments import ShrinkageSpec, _psd_root, correlation_from_covariance
 from .plrt import _design_plan, _sigma_factor, plrt_test
 from .smoothing import Bandwidth, kernel_by_name, weight_matrix
 from .supnorm import (SupQuantileRequest, _check_draws, _check_level, default_path_count,
@@ -251,6 +251,7 @@ class ModelSpec:
         kernel_by_name(self.kernel)
         _check_level(self.level)
         Bandwidth.of(self.h)
+        _check_type("shrinkage", self.shrinkage, ShrinkageSpec)
         for name, low in (("seed", 0), ("n", 2), ("p", 2), ("reps", 0), ("grid_size", 1)):
             _check_int(name, getattr(self, name), low)
         _check_draws("paths", self.paths if self.paths is not None else default_path_count(self.p),
@@ -319,9 +320,8 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
         basis = polynomial_basis(1)
     known = plan = None     # the PLRT design plan: built by replication 1, again while it raises
     if method == "plrt-known":
-        grid = _uniform_grid(spec.p)
-        cov = analytic_covariance(spec.model)(grid.points[:, None], grid.points[None, :])
-        known = _sigma_factor(CovarianceField(grid=grid, table=cov).table / spec.n)
+        x = _uniform_grid(spec.p).points
+        known = _sigma_factor(analytic_covariance(spec.model)(x[:, None], x[None, :]) / spec.n)
     truth = true_mean(spec.model, eval.points, spec.n)
 
     for rng, sup_seed in _rep_rngs(spec.seed, spec.reps):
@@ -389,11 +389,8 @@ def known_R_threshold(
         xd = design.points
         w = weight_matrix(design, eval, h)
         r = w @ cov_fn(xd[:, None], xd[None, :]) @ w.T
-        r = 0.5 * (r + r.T)
     else:
         x = eval.points
         r = cov_fn(x[:, None], x[None, :])
-    sd = np.sqrt(np.diag(r))
-    corr = CorrelationField(grid=eval, table=r / np.outer(sd, sd))
-    res = sup_quantile(SupQuantileRequest(corr, gamma, paths, seed))
-    return res.threshold
+    return sup_quantile(SupQuantileRequest(correlation_from_covariance(r), gamma, paths,
+                                           seed)).threshold

@@ -30,7 +30,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import FactorizationError, FuncbandError, _check_finite, _check_int
-from .moments import CorrelationField, _psd_root, _shrunk_table
+from .moments import _psd_root, _shrunk_table
 
 __all__ = [
     "SupQuantileRequest",
@@ -137,10 +137,10 @@ class _ThinRoot(_MatrixRoot):
 @dataclass(frozen=True)
 class SupQuantileRequest:
     """Draw ``paths`` sup-norms of the Gaussian process with correlation
-    ``correlation``: an m x m table, a ``CorrelationField`` or a root.  The
-    root drawn through, ``root``, is built once: for a table, ``_MatrixRoot.of``."""
+    ``correlation``: an m x m table or a root.  The root drawn through,
+    ``root``, is built once: for a table, ``_MatrixRoot.of``."""
 
-    correlation: CorrelationField | np.ndarray | _MatrixRoot
+    correlation: np.ndarray | _MatrixRoot
     level: float            # gamma, the tail probability
     paths: int
     seed: int
@@ -151,7 +151,7 @@ class SupQuantileRequest:
         _check_int("seed", self.seed)
         root = self.correlation
         if not isinstance(root, _MatrixRoot):
-            root = _MatrixRoot.of(np.asarray(getattr(root, "table", root), dtype=float))
+            root = _MatrixRoot.of(np.asarray(root, dtype=float))
         object.__setattr__(self, "root", root)
         _check_draws("paths", self.paths, root.size, 100)
 
@@ -233,7 +233,10 @@ def order_statistic_quantile(values: np.ndarray, gamma: float) -> float:
     """ceil((1-gamma) N)-th order statistic (1-based, no interpolation) of the
     N finite ``values`` of a 1-D array."""
     _check_level(gamma)
-    values = np.array(values, dtype=float)
+    try:
+        values = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FuncbandError(f"values must be real numbers: {exc}") from None
     if values.ndim != 1 or values.size == 0:
         raise FuncbandError(f"values must be a nonempty 1-D array, got shape {values.shape}")
     _check_finite("values", values)

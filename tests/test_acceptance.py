@@ -255,10 +255,10 @@ def test_criterion_8_oracle_equivalence():
     grid = uniform_design_grid(200)
     lim = limit_gamma(ou_covariance, model, eval_grid_from_points(grid.points))
     w = weight_matrix(grid, eval, 0.02)
-    lim_diag = np.diag(w @ lim.table @ w.T)
+    lim_diag = np.diag(w @ lim @ w.T)
     plug, _ = gamma_n_plugin(gen_model3(5000, 200, seed_or_rng=81), model, eval,
                              0.02, shrinkage=None)
-    rel = np.abs(np.diag(plug.table) - lim_diag) / lim_diag
+    rel = np.abs(np.diag(plug) - lim_diag) / lim_diag
     ok_g = rel.max() < 0.10
 
     _report(8, "oracle equivalence", ok_w and ok_p and ok_g,

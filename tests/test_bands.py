@@ -333,16 +333,17 @@ class TestSquareRootChoice:
                   prediction_band)]
         requests, run = [], bands.simulate_sup_norms
         with monkeypatch.context() as patch:
-            patch.setattr(moments, "CorrelationField", _refuse_table)
+            patch.setattr(moments, "_unit_correlation", _refuse_table)
+            patch.setattr(bands, "_unit_correlation", _refuse_table)
             patch.setattr(bands, "_shrunk_table", _refuse_table)
             patch.setattr(supnorm, "_shrunk_table", _refuse_table)
             patch.setattr(bands, "simulate_sup_norms", lambda *r: requests.extend(r) or run(*r))
             built = [build(sample, eval, h, seed=5) for sample, eval, h, build in cases]
         for (sample, eval, h, _), band, request in zip(cases, built, requests):
             fit = fit_mean(sample, eval, h)
-            raw = moments.empirical_correlation(fit.curves, eval)
+            raw = moments.empirical_correlation(fit.curves)
             lam = band.details["shrinkage_lambda"]
-            dense = moments.shrink_correlation(raw, ShrinkageSpec(lam))[0].table
+            dense = moments.shrink_correlation(raw, ShrinkageSpec(lam))[0]
             assert isinstance(request.root, supnorm._ThinRoot)
             assert request.correlation is request.root and dense.shape == (eval.n_points,) * 2
             np.testing.assert_allclose(request.table(), dense, rtol=0, atol=1e-14)

@@ -162,7 +162,7 @@ class TestGammaPlugin:
         gamma, lam = gamma_n_plugin(sample, model, eval, 0.9, shrinkage=None)
         w = weight_matrix(grid, eval, 0.9)
         wv = w @ v
-        np.testing.assert_allclose(gamma.table, 2.0 * np.outer(wv, wv), atol=1e-10)
+        np.testing.assert_allclose(gamma, 2.0 * np.outer(wv, wv), atol=1e-10)
 
     def test_symmetric_and_psd(self):
         rng = np.random.default_rng(6)
@@ -170,8 +170,8 @@ class TestGammaPlugin:
         for rep in range(10):
             sample = gen_model3(8, 30, seed_or_rng=600 + rep)
             gamma, _ = gamma_n_plugin(sample, polynomial_basis(1), eval, 0.12)
-            np.testing.assert_allclose(gamma.table, gamma.table.T, atol=1e-12)
-            vals = np.linalg.eigvalsh(gamma.table)
+            np.testing.assert_allclose(gamma, gamma.T, atol=1e-12)
+            vals = np.linalg.eigvalsh(gamma)
             assert vals.min() >= -1e-8 * max(vals.max(), 1e-30)
 
 
@@ -183,7 +183,7 @@ class TestLimitGamma:
         eval = make_eval_grid(20)
         gamma = limit_gamma(lambda x, y: 2.5 * np.ones(np.broadcast(x, y).shape),
                             model, eval)
-        np.testing.assert_allclose(gamma.table, 0.0, atol=1e-8)
+        np.testing.assert_allclose(gamma, 0.0, atol=1e-8)
 
     def test_basis_orthogonal_to_covariance_range(self):
         # R(u,v) = sin(2 pi u) sin(2 pi v) has range orthogonal to constants
@@ -193,7 +193,7 @@ class TestLimitGamma:
             np.broadcast(x, y).shape)
         gamma = limit_gamma(cov, model, eval)
         expected = cov(eval.points[:, None], eval.points[None, :])
-        np.testing.assert_allclose(gamma.table, expected, atol=1e-6)
+        np.testing.assert_allclose(gamma, expected, atol=1e-6)
 
 
 class TestScbGofTest:
@@ -253,7 +253,7 @@ class TestScbGofTest:
         # correlation moves the threshold only by rounding (about 1e-8 without)
         sample = gen_model3(50, 50, seed_or_rng=seed, hypothesis="hn")
         gamma_hat, _ = gamma_n_plugin(sample, polynomial_basis(1), make_eval_grid(100), 0.035)
-        corr = correlation_from_covariance(gamma_hat).table
+        corr = correlation_from_covariance(gamma_hat)
         noise = np.random.default_rng(seed).standard_normal(corr.shape)
         noise = 0.5e-15 * (noise + noise.T)
         np.fill_diagonal(noise, 0.0)
@@ -310,7 +310,7 @@ class TestLowRankFactor:
         factor, mass = requests[0].root.factor, requests[0].root.mass
         assert factor.shape == (48, 100) and mass == 0.0
         rho = correlation_from_covariance(gamma_n_plugin(sample, self.MODEL, eval, 0.035)[0])
-        np.testing.assert_allclose(factor.T @ factor, rho.table, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(factor.T @ factor, rho, rtol=0, atol=1e-12)
 
     def test_draws_p_minus_L_normals_per_path(self, monkeypatch):
         sample = gen_model3(50, 50, seed_or_rng=21, hypothesis="h0")

@@ -17,7 +17,6 @@ from funcband import (
     make_eval_grid,
     read_curves_csv,
     uniform_design_grid,
-    validate_sample,
     write_curves_csv,
 )
 from funcband.grids import _tabulated_cdf, design_grid_from_points, eval_grid_from_points
@@ -130,23 +129,26 @@ def test_constructors_leave_caller_arrays_writeable():
 
 
 class TestValidateSample:
+    """Constructing a FunctionalSample is its validation."""
+
     def _sample(self, values):
         return FunctionalSample(grid=uniform_design_grid(values.shape[1]),
                                 values=values)
 
     def test_accepts_well_formed(self):
         s = self._sample(np.ones((3, 5)))
-        assert validate_sample(s) is s
+        np.testing.assert_array_equal(s.values, np.ones((3, 5)))
+        assert s.n_curves == 3 and s.n_points == 5
 
     def test_rejects_nan_with_location(self):
         values = np.ones((3, 5))
         values[1, 3] = np.nan
         with pytest.raises(SampleValidationError, match=r"curve 1.*point 3"):
-            validate_sample(self._sample(values))
+            self._sample(values)
 
     def test_rejects_row_length_mismatch(self):
         with pytest.raises(SampleValidationError, match="4"):
-            validate_sample(FunctionalSample(grid=uniform_design_grid(5), values=np.ones((3, 4))))
+            FunctionalSample(grid=uniform_design_grid(5), values=np.ones((3, 4)))
 
 
 class TestCurvesCsv:

@@ -5,19 +5,25 @@ import pytest
 
 from funcband import (
     DegenerateVarianceError,
+    FuncbandError,
     FunctionalSample,
     ShrinkageSpec,
+    SupQuantileRequest,
     empirical_correlation,
     empirical_data_covariance,
     empirical_variance,
+    limit_gamma,
     make_eval_grid,
+    plrt_pvalue,
+    plrt_test,
+    polynomial_basis,
     psd_repair,
     schafer_strimmer_lambda,
     shrink_correlation,
     uniform_design_grid,
 )
-from funcband.moments import CorrelationField, _psd_root
-from funcband.simlab import gen_model1, ou_covariance
+from funcband.moments import _psd_root, correlation_from_covariance
+from funcband.simlab import gen_model1, gen_model3, ou_covariance
 from funcband.smoothing import fit_mean
 
 
@@ -60,46 +66,46 @@ class TestEmpiricalCorrelation:
     def test_unit_diagonal(self):
         rng = np.random.default_rng(2)
         curves = rng.standard_normal((6, 8))
-        corr = empirical_correlation(curves, make_eval_grid(8))
-        np.testing.assert_array_equal(np.diag(corr.table), 1.0)
-        assert np.abs(corr.table).max() <= 1.0
+        corr = empirical_correlation(curves)
+        np.testing.assert_array_equal(np.diag(corr), 1.0)
+        assert np.abs(corr).max() <= 1.0
 
     def test_two_curves_rank_one(self):
         rng = np.random.default_rng(3)
         curves = rng.standard_normal((2, 10))
-        corr = empirical_correlation(curves, make_eval_grid(10))
-        np.testing.assert_allclose(np.abs(corr.table), 1.0, atol=1e-10)
+        corr = empirical_correlation(curves)
+        np.testing.assert_allclose(np.abs(corr), 1.0, atol=1e-10)
 
     def test_degenerate_variance_reported(self):
         curves = np.ones((4, 3))
         curves[:, 1] = [1.0, 2.0, 3.0, 4.0]
         with pytest.raises(DegenerateVarianceError):
-            empirical_correlation(curves, make_eval_grid(3))
+            empirical_correlation(curves)
 
     def test_ou_correlation_monte_carlo(self):
         # [DERIVED] raw model-1 data: corr at lag 0.05 is exp(20 log(0.9) 0.05) = 0.9
         sample = gen_model1(200, 40, seed_or_rng=11)
-        corr = empirical_correlation(sample.values, sample.grid)
+        corr = empirical_correlation(sample.values)
         i, j = 12, 14  # x = 0.3125 and 0.3625, lag exactly 0.05
         assert abs(sample.grid.points[j] - sample.grid.points[i] - 0.05) < 1e-12
-        assert abs(corr.table[i, j] - 0.9) < 0.05
+        assert abs(corr[i, j] - 0.9) < 0.05
 
 
 class TestShrinkage:
     def test_lambda_zero_is_identity_map(self):
         rng = np.random.default_rng(4)
         curves = rng.standard_normal((6, 5))
-        raw = empirical_correlation(curves, make_eval_grid(5))
+        raw = empirical_correlation(curves)
         out, lam = shrink_correlation(raw, ShrinkageSpec(intensity=0.0))
         assert lam == 0.0
-        np.testing.assert_array_equal(out.table, raw.table)
+        np.testing.assert_array_equal(out, raw)
 
     def test_lambda_one_is_identity_correlation(self):
         rng = np.random.default_rng(5)
         curves = rng.standard_normal((6, 5))
-        raw = empirical_correlation(curves, make_eval_grid(5))
+        raw = empirical_correlation(curves)
         out, lam = shrink_correlation(raw, ShrinkageSpec(intensity=1.0))
-        np.testing.assert_array_equal(out.table, np.eye(5))
+        np.testing.assert_array_equal(out, np.eye(5))
 
     def test_analytic_lambda_in_unit_interval(self):
         rng = np.random.default_rng(6)
@@ -145,21 +151,20 @@ class TestShrinkage:
     def test_shrunk_output_is_psd(self):
         # [DERIVED] 5 curves on 50 points: shrunk correlation PSD every trial
         rng = np.random.default_rng(7)
-        grid = make_eval_grid(50)
         for _ in range(100):
             curves = rng.standard_normal((5, 50)) @ np.diag(rng.uniform(0.5, 2, 50))
-            raw = empirical_correlation(curves, grid)
+            raw = empirical_correlation(curves)
             out, _lam = shrink_correlation(raw, ShrinkageSpec(), curves)
-            vals = np.linalg.eigvalsh(out.table)
+            vals = np.linalg.eigvalsh(out)
             assert vals.min() >= -1e-8 * vals.max()
 
     def test_preserves_symmetry_and_diagonal(self):
         rng = np.random.default_rng(8)
         curves = rng.standard_normal((10, 7))
-        raw = empirical_correlation(curves, make_eval_grid(7))
+        raw = empirical_correlation(curves)
         out, _ = shrink_correlation(raw, ShrinkageSpec(), curves)
-        np.testing.assert_array_equal(out.table, out.table.T)
-        np.testing.assert_array_equal(np.diag(out.table), 1.0)
+        np.testing.assert_array_equal(out, out.T)
+        np.testing.assert_array_equal(np.diag(out), 1.0)
 
 
 class TestEmpiricalDataCovariance:
@@ -169,7 +174,7 @@ class TestEmpiricalDataCovariance:
 
     def test_identical_rows_zero(self):
         cov, lam = empirical_data_covariance(self._sample(np.tile(np.arange(4.0), (3, 1))))
-        np.testing.assert_array_equal(cov.table, 0.0)
+        np.testing.assert_array_equal(cov, 0.0)
 
     def test_localized_spread(self):
         values = np.zeros((2, 4))
@@ -177,7 +182,7 @@ class TestEmpiricalDataCovariance:
         cov, _ = empirical_data_covariance(self._sample(values))
         expected = np.zeros((4, 4))
         expected[0, 0] = 2.0  # var of {0, 2} with divisor n-1
-        np.testing.assert_allclose(cov.table, expected, atol=1e-14)
+        np.testing.assert_allclose(cov, expected, atol=1e-14)
 
     def test_monte_carlo_matches_ou(self):
         # [DERIVED] 1000 model-1 draws, no shrinkage: entrywise within 0.01 of R
@@ -186,14 +191,14 @@ class TestEmpiricalDataCovariance:
         assert lam == 0.0
         x = sample.grid.points
         r = ou_covariance(x[:, None], x[None, :])
-        assert np.abs(cov.table - r).max() < 0.01
+        assert np.abs(cov - r).max() < 0.01
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(10)
         values = rng.standard_normal((7, 5))
         cov_a, _ = empirical_data_covariance(self._sample(values))
         cov_b, _ = empirical_data_covariance(self._sample(values[::-1]))
-        np.testing.assert_allclose(cov_a.table, cov_b.table, atol=1e-12)
+        np.testing.assert_allclose(cov_a, cov_b, atol=1e-12)
 
     def test_shrinkage_preserves_variances(self):
         rng = np.random.default_rng(11)
@@ -201,7 +206,7 @@ class TestEmpiricalDataCovariance:
         raw, _ = empirical_data_covariance(sample, None)
         shrunk, lam = empirical_data_covariance(sample, ShrinkageSpec())
         assert lam > 0.0
-        np.testing.assert_allclose(np.diag(shrunk.table), np.diag(raw.table), atol=1e-12)
+        np.testing.assert_allclose(np.diag(shrunk), np.diag(raw), atol=1e-12)
 
 
 class TestPsdRepair:
@@ -273,3 +278,47 @@ class TestPsdRoot:
         np.testing.assert_allclose(root.T @ root, table, rtol=0, atol=1e-12 * table.max())
         unit, _ = _psd_root(table / np.sqrt(np.outer(np.diag(table), np.diag(table))), True)
         np.testing.assert_allclose(np.diag(unit.T @ unit), 1.0, rtol=0, atol=1e-14)
+
+
+def _exp_table(p):
+    """exp(-5 |j - k| / p): a valid p x p covariance and correlation table."""
+    return np.exp(-5.0 * np.abs(np.subtract.outer(np.arange(p), np.arange(p))) / p)
+
+
+def _with(table, index, value):
+    table = table.copy()
+    table[index] = value
+    return table
+
+
+_DEFECTS = {
+    "nan": lambda t: _with(t, (3, 3), np.nan),
+    "asymmetric": lambda t: _with(t, (0, 1), t[0, 1] + 0.5),
+    "wrong-size": lambda t: t[:-1],
+    "negative-diagonal": lambda t: _with(t, (2, 2), -1.0),
+}
+
+# each boundary where a caller's covariance or correlation table enters, fed
+# ``defect`` of a valid table
+_BOUNDARIES = {
+    "plrt_test known": lambda defect: plrt_test(
+        gen_model3(20, 30, seed_or_rng=0), polynomial_basis(1), 0.1,
+        covariance_mode="known", known_covariance=defect(_exp_table(30))),
+    "limit_gamma": lambda defect: limit_gamma(
+        lambda x, y: defect(np.exp(-5.0 * np.abs(x - y))), polynomial_basis(1), make_eval_grid(5)),
+    "plrt_pvalue": lambda defect: plrt_pvalue(np.diag(np.linspace(-1.0, 1.0, 30)),
+                                              defect(_exp_table(30))),
+    "correlation_from_covariance": lambda defect: correlation_from_covariance(
+        defect(_exp_table(30))),
+    "shrink_correlation": lambda defect: shrink_correlation(defect(_exp_table(30)),
+                                                            ShrinkageSpec(0.1)),
+    "SupQuantileRequest": lambda defect: SupQuantileRequest(defect(_exp_table(30)), 0.05, 1000, 0),
+}
+
+
+@pytest.mark.parametrize("defect", _DEFECTS)
+@pytest.mark.parametrize("boundary", _BOUNDARIES)
+def test_caller_table_checked_where_it_enters(boundary, defect):
+    _BOUNDARIES[boundary](lambda t: t)     # the valid table passes
+    with pytest.raises(FuncbandError):
+        _BOUNDARIES[boundary](_DEFECTS[defect])

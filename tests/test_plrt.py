@@ -257,7 +257,7 @@ class TestFactorRoutes:
             sample = gen_model3(n, 40, seed_or_rng=33 + seed, hypothesis="hn")
             report = plrt_test(sample, polynomial_basis(1), 0.08)
             _f, a_mat, _ = plrt_statistic(sample, polynomial_basis(1), 0.08)
-            sigma = empirical_data_covariance(sample, None)[0].table / n
+            sigma = empirical_data_covariance(sample, None)[0] / n
             assert report.pvalue == pytest.approx(_eigh_pvalue(a_mat, sigma), abs=1e-12)
 
 
@@ -279,8 +279,8 @@ class TestDesignPlan:
             sample = gen_model3(spec.n, spec.p, rng, "hn")
             report = plrt_test(sample, basis, spec.h, None, mode, known)
             _f, a_mat, _ = plrt_statistic(sample, basis, spec.h)
-            sigma = {"known": known, "parametric-ar1": ar1_covariance_fit(sample)[2].table,
-                     "nonparametric": empirical_data_covariance(sample, None)[0].table}[mode]
+            sigma = {"known": known, "parametric-ar1": ar1_covariance_fit(sample)[2],
+                     "nonparametric": empirical_data_covariance(sample, None)[0]}[mode]
             assert report.pvalue == pytest.approx(_eigh_pvalue(a_mat, sigma / spec.n), abs=1e-12)
             hits += report.pvalue < spec.level
         assert 0 < hits < spec.reps and row.rate == hits / spec.reps
@@ -300,7 +300,7 @@ class TestDesignPlan:
             assert (planned.statistic, planned.pvalue) == (plain.statistic, plain.pvalue)
             if mode != "nonparametric":
                 _f, a_mat, _ = plrt_statistic(sample, basis, 0.05)
-                sigma = known if mode == "known" else ar1_covariance_fit(sample)[2].table
+                sigma = known if mode == "known" else ar1_covariance_fit(sample)[2]
                 assert plain.pvalue == plrt_pvalue(a_mat, sigma / 50)
 
     @pytest.mark.parametrize("points", [uniform_design_grid(30).points,
@@ -334,7 +334,7 @@ class TestAr1Fit:
         s2, rho, cov = ar1_covariance_fit(sample)
         assert abs(rho) < 0.05
         assert s2 == pytest.approx(1.0, abs=0.1)
-        np.testing.assert_allclose(np.diag(cov.table), s2, atol=1e-12)
+        np.testing.assert_allclose(np.diag(cov), s2, atol=1e-12)
 
     def test_recovers_exponential_decay(self):
         # [DERIVED] lag-1 autocorrelation of the curve process on a p-point

@@ -23,6 +23,7 @@ from funcband import (
     bootstrap_scb,
     cv_bandwidth,
     default_path_count,
+    empirical_data_covariance,
     empirical_variance,
     epanechnikov,
     fit_mean,
@@ -34,8 +35,11 @@ from funcband import (
     normal_scb,
     plrt_test,
     polynomial_basis,
+    prediction_band,
     schafer_strimmer_lambda,
+    scb_gof_test,
     truncated_gaussian,
+    two_sample_scb,
     uniform_design_grid,
     weight_matrix,
 )
@@ -311,6 +315,20 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
     (lambda: default_path_count("x"), "p='x'"),
     (lambda: schafer_strimmer_lambda(np.full((5, 4), math.nan)), "non-finite curves"),
     (lambda: empirical_variance(np.arange(5.0)), "curves must be"),
+    (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, shrinkage=0.5),
+     "shrinkage=0.5"),
+    (lambda: prediction_band(gen_model1(10, 20), make_eval_grid(20), 0.2, shrinkage=0.5),
+     "shrinkage=0.5"),
+    (lambda: two_sample_scb(gen_model1(10, 20), gen_model1(10, 20, seed_or_rng=1),
+                            make_eval_grid(20), 0.2, shrinkage=0.5), "shrinkage=0.5"),
+    (lambda: scb_gof_test(gen_model1(10, 20), polynomial_basis(1), make_eval_grid(20), 0.2,
+                          shrinkage=0.5), "shrinkage=0.5"),
+    (lambda: empirical_data_covariance(gen_model1(10, 20), 0.5), "shrinkage=0.5"),
+    (lambda: ModelSpec(**_SPEC, shrinkage=1), "shrinkage=1"),
+    (lambda: limit_gamma(1.0, polynomial_basis(1), make_eval_grid(5)), "covariance=1.0"),
+    (lambda: basis_model([np.sin], density=1.0), "density=1.0"),
+    (lambda: FunctionalSample(grid="g", values=np.ones((3, 5))), "grid='g'"),
+    (lambda: order_statistic_quantile(["a"], 0.05), "values must be real numbers"),
 ], ids=["make_design_grid", "make_eval_grid", "polynomial_basis", "kernel_by_name",
         "Bandwidth.of", "normal_scb paths float", "normal_scb paths str",
         "SupQuantileRequest paths", "bootstrap_scb bootstraps", "ModelSpec n", "ModelSpec reps",
@@ -318,7 +336,12 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
         "normal_scb kernel", "bootstrap_scb kernel", "fit_mean kernel", "weight_matrix kernel",
         "cv_bandwidth kernel", "plrt_test kernel", "order_statistic_quantile nan",
         "order_statistic_quantile empty", "order_statistic_quantile 1.5",
-        "default_path_count str", "schafer_strimmer_lambda nan", "empirical_variance 1-D"])
+        "default_path_count str", "schafer_strimmer_lambda nan", "empirical_variance 1-D",
+        "normal_scb shrinkage float", "prediction_band shrinkage float",
+        "two_sample_scb shrinkage float", "scb_gof_test shrinkage float",
+        "empirical_data_covariance shrinkage float", "ModelSpec shrinkage int",
+        "limit_gamma covariance float", "basis_model density float",
+        "FunctionalSample grid str", "order_statistic_quantile str"])
 def test_mistyped_argument_raises_funcband_error(call, named):
     with pytest.raises(FuncbandError) as err:
         call()

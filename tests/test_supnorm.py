@@ -100,8 +100,8 @@ class TestThinRoot:
         curves = _curves(n, m, seed=n)
         mean = curves.mean(axis=0)
         sd = curves.std(axis=0, ddof=1)
-        raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
-        table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0].table
+        raw = empirical_correlation(curves, mean, sd**2)
+        table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0]
         thin = np.empty((m, m))
         _ThinRoot(curves, mean, sd, lam)(np.eye(m), thin)     # I L = L
         dense, mass = _psd_root(table, correlation=True)
@@ -118,8 +118,8 @@ class TestThinRoot:
         m, lam = 40, 0.3
         curves = _curves(n, m, seed=n + 10)
         mean, sd = curves.mean(axis=0), curves.std(axis=0, ddof=1)
-        raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
-        dense = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0].table
+        raw = empirical_correlation(curves, mean, sd**2)
+        dense = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0]
         request = SupQuantileRequest(_ThinRoot(curves, mean, sd, lam), 0.05, 1000, 0)
         np.testing.assert_allclose(request.table(), dense, rtol=0, atol=1e-14)
 
@@ -155,7 +155,7 @@ def _shrunk_request(n, m, lam, seed, paths, thin=True):
     curves = _curves(n, m, seed=seed + 100)
     mean = curves.mean(axis=0)
     sd = curves.std(axis=0, ddof=1)
-    raw = empirical_correlation(curves, make_eval_grid(m), mean, sd**2)
+    raw = empirical_correlation(curves, mean, sd**2)
     table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0]
     return SupQuantileRequest(_ThinRoot(curves, mean, sd, lam) if thin else table, 0.05, paths,
                               seed)
@@ -230,7 +230,7 @@ def _gof_case(monkeypatch, n, p, shrinkage):
     monkeypatch.setattr(bands, "simulate_sup_norms", lambda *r: requests.extend(r) or run(*r))
     report = scb_gof_test(sample, model, eval, 0.035, paths=500, seed=1, shrinkage=shrinkage)
     cov = gamma_n_plugin(sample, model, eval, 0.035, shrinkage=shrinkage)[0]
-    rho = correlation_from_covariance(cov).table
+    rho = correlation_from_covariance(cov)
     return requests[0].root, report.diagnostics["clipped_mass"], rho
 
 
@@ -242,8 +242,8 @@ def _table_case(monkeypatch):
 def _thin_case(monkeypatch):
     curves = _curves(8, 40, seed=31)
     mean, sd = curves.mean(axis=0), curves.std(axis=0, ddof=1)
-    raw = empirical_correlation(curves, make_eval_grid(40), mean, sd**2)
-    table = shrink_correlation(raw, ShrinkageSpec(intensity=0.2))[0].table
+    raw = empirical_correlation(curves, mean, sd**2)
+    table = shrink_correlation(raw, ShrinkageSpec(intensity=0.2))[0]
     return _curve_root(curves, mean, sd, 0.2), 0.0, table
 
 
