@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DegenerateVarianceError, FuncbandError, GridError, IllPosedBandwidthError,
-                     _check_finite, _check_int)
+                     SampleValidationError, _check_finite, _check_int, _check_type)
 from .grids import EvalGrid, FunctionalSample
 from .moments import (
     ShrinkageSpec,
@@ -26,7 +26,8 @@ from .moments import (
     _shrunk_table,
     _unit_correlation,
 )
-from .smoothing import _BANDWIDTH_ERRORS, Bandwidth, Kernel, epanechnikov, fit_mean
+from .smoothing import (_BANDWIDTH_ERRORS, Bandwidth, Kernel, _bandwidth_candidates, epanechnikov,
+                        fit_mean)
 from .supnorm import (
     SupQuantileRequest,
     _MatrixRoot,
@@ -115,6 +116,7 @@ class BandResult:
 
 def band_covers(band: BandResult, values: np.ndarray) -> bool:
     """True iff the curve lies within the band at every grid point."""
+    _check_type("band", band, BandResult)
     values = np.asarray(values, dtype=float)
     if values.shape != band.center.shape:
         raise FuncbandError(f"curve of shape {values.shape} does not match the band's "
@@ -288,6 +290,7 @@ def bootstrap_scb(
     recomputed directly; those with an exactly constant point are redrawn.
     ``details`` reports the threshold's standard error and the redraw count.
     """
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     _check_level(gamma)
     _check_int("seed", seed)
     _check_draws("bootstraps", bootstraps, sample.n_curves)
@@ -318,6 +321,8 @@ def two_sample_scb(
 ) -> TwoSampleResult:
     """Band for the difference of two mean curves; rejects equality iff the
     zero line exits the band somewhere."""
+    _check_type("sample_a", sample_a, FunctionalSample, SampleValidationError)
+    _check_type("sample_b", sample_b, FunctionalSample, SampleValidationError)
     if sample_a.grid.n_points != sample_b.grid.n_points or not np.allclose(
         sample_a.grid.points, sample_b.grid.points
     ):
@@ -382,9 +387,7 @@ def split_half_bandwidth(
     n = sample.n_curves
     if n < 4:
         raise FuncbandError("split-half selection needs n >= 4 curves")
-    cands = sorted({Bandwidth.of(c, sample.grid.dim).values for c in candidates})
-    if not cands:
-        raise FuncbandError("empty candidate bandwidth list")
+    cands = _bandwidth_candidates(candidates, sample.grid.dim)
     half = n // 2
     build = FunctionalSample(grid=sample.grid, values=sample.values[:half])
     holdout = sample.values[half:]

@@ -2,7 +2,9 @@
 
 Subcommands: scb | gof | compare | predict | simulate.  All stochastic
 subcommands require an explicit --seed and are pure functions of their
-inputs, flags, and seed.  Exit codes: 0 ok, 2 parse/config error,
+inputs, flags, and seed.  Each runner returns its summary and its --out
+writers; ``main`` writes every file, then prints the summary, so a subcommand
+that fails prints nothing on stdout.  Exit codes: 0 ok, 2 parse/config error,
 3 degenerate statistics, 4 ill-posed bandwidth.
 """
 
@@ -73,11 +75,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, level_flag="--level", level_default=0.95):
         p.add_argument("--in", dest="infile", required=True, help="wide curves CSV")
-        p.add_argument("--out", help="output path prefix (writes PREFIX.csv and PREFIX.json)")
         p.add_argument(level_flag, dest="level", type=_open_unit, default=level_default)
         p.add_argument("--h", default="cv", help="bandwidth: a number, 'cv', or 'split'")
         p.add_argument("--h-candidates", type=_float_list,
                        help="comma-separated candidate bandwidths")
+
+    def shared(p):
+        p.add_argument("--out", help="output path prefix (writes PREFIX.csv and PREFIX.json)")
         p.add_argument("--kernel", default="epanechnikov",
                        choices=["epanechnikov", "gauss"])
         p.add_argument("--grid-size", type=int, default=100)
@@ -119,15 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of: " + ",".join(METHODS))
     p_sim.add_argument("--level", type=_open_unit, default=0.05,
                        help="gamma for bands / alpha for tests")
-    p_sim.add_argument("--kernel", default="epanechnikov",
-                       choices=["epanechnikov", "gauss"])
-    p_sim.add_argument("--grid-size", type=int, default=100)
-    p_sim.add_argument("--paths", type=int)
     p_sim.add_argument("--B", dest="bootstraps", type=int, default=2500)
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--out", help="output path prefix")
     p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sim.add_argument("--config", help="JSON config file overriding flags")
+    for p in sub.choices.values():
+        shared(p)
     return parser
 
 
@@ -153,27 +152,30 @@ def _load_sample(path, label_column=False):
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from None
 
 
-def _candidates(args, sample):
-    if getattr(args, "h_candidates", None):
-        return args.h_candidates
-    p = sample.n_points
-    return [k / p for k in _DEFAULT_CANDIDATE_STEPS if k / p <= 0.5] or [2.0 / p]
-
-
 def _resolve_h(args, sample, kernel):
-    h = args.h
-    if h == "cv":
-        best, _ = cv_bandwidth(sample, _candidates(args, sample), kernel)
-        return best.values[0]
-    if h == "split":
-        best, _ = split_half_bandwidth(
-            sample, _candidates(args, sample), gamma=1.0 - args.level,
-            kernel=kernel, paths=args.paths, seed=args.seed)
-        return best.values[0]
-    try:
-        return float(h)
-    except ValueError:
-        raise CliError(f"bad --h value {h!r}", EXIT_PARSE) from None
+    """--h as a number, or the bandwidth that cv or split picks from
+    --h-candidates (by default k/p for the steps k with k/p <= 0.5)."""
+    if args.h not in ("cv", "split"):
+        try:
+            return float(args.h)
+        except ValueError:
+            raise CliError(f"bad --h value {args.h!r}", EXIT_PARSE) from None
+    p = sample.n_points
+    cands = (args.h_candidates
+             or [k / p for k in _DEFAULT_CANDIDATE_STEPS if k / p <= 0.5] or [2.0 / p])
+    if args.h == "cv":
+        best, _ = cv_bandwidth(sample, cands, kernel)
+    else:
+        best, _ = split_half_bandwidth(sample, cands, gamma=1.0 - args.level, kernel=kernel,
+                                       paths=args.paths, seed=args.seed)
+    return best.values[0]
+
+
+def _smoothing(args, *samples):
+    """The kernel, one resolved bandwidth per sample, and the evaluation grid."""
+    kernel = kernel_by_name(args.kernel)
+    hs = [_resolve_h(args, sample, kernel) for sample in samples]
+    return kernel, hs, make_eval_grid(args.grid_size)
 
 
 def _write_out(path, write) -> None:
@@ -185,34 +187,26 @@ def _write_out(path, write) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}", EXIT_PARSE) from None
 
 
-def _write_band(args, band, extra=None):
-    payload = band.to_dict()
-    if extra:
-        payload.update(extra)
-    if args.out:
-        _write_out(args.out + ".csv", band.write_csv)
-        _write_out(args.out + ".json", lambda fh: json.dump(payload, fh))
+def _band_outputs(band, **extra):
+    """The band's ``--out`` files: the CSV table, and its JSON with ``extra``."""
+    return {".csv": band.write_csv, ".json": lambda fh: json.dump({**band.to_dict(), **extra}, fh)}
 
 
-def _band_summary(tag, sample, h, band):
+def _band_summary(tag, sample, h, band, tail=""):
     return (f"{tag}  n={sample.n_curves} p={sample.n_points} h={h:.6g} "
             f"level={band.level:g} c={band.threshold:.4f} "
-            f"half_width=[{band.half_width.min():.4g}, {band.half_width.max():.4g}]")
+            f"half_width=[{band.half_width.min():.4g}, {band.half_width.max():.4g}]{tail}\n")
 
 
-def _run_scb(args) -> int:
+def _run_scb(args) -> tuple[str, dict]:
     sample = _load_sample(args.infile)
-    kernel = kernel_by_name(args.kernel)
-    h = _resolve_h(args, sample, kernel)
-    eval = make_eval_grid(args.grid_size)
+    kernel, (h,), eval = _smoothing(args, sample)
     gamma = 1.0 - args.level
     if args.method == "bootstrap":
         band = bootstrap_scb(sample, eval, h, kernel, gamma, args.bootstraps, args.seed)
     else:
         band = normal_scb(sample, eval, h, kernel, gamma, args.paths, args.seed)
-    _write_band(args, band)
-    print(_band_summary(f"scb[{args.method}]", sample, h, band))
-    return EXIT_OK
+    return _band_summary(f"scb[{args.method}]", sample, h, band), _band_outputs(band)
 
 
 def _parse_basis(spec: str):
@@ -237,28 +231,23 @@ def _parse_basis(spec: str):
     raise CliError(f"bad basis spec {spec!r} (use poly:K or tab:FILE)", EXIT_PARSE)
 
 
-def _run_gof(args) -> int:
+def _run_gof(args) -> tuple[str, dict]:
     sample = _load_sample(args.infile)
-    kernel = kernel_by_name(args.kernel)
     basis = _parse_basis(args.basis)
-    h = _resolve_h(args, sample, kernel)
-    eval = make_eval_grid(args.grid_size)
+    kernel, (h,), eval = _smoothing(args, sample)
     report = scb_gof_test(sample, basis, eval, h, kernel, args.level, args.paths, args.seed)
-    if args.out:
-        _write_out(args.out + ".json", lambda fh: fh.write(report.to_json()))
-        _write_out(args.out + ".csv", report.band.write_csv)
-    print(f"gof  T={report.statistic:.4f} c_alpha={report.threshold:.4f} "
-          f"alpha={report.alpha:g} reject={report.reject}")
+    text = (f"gof  T={report.statistic:.4f} c_alpha={report.threshold:.4f} "
+            f"alpha={report.alpha:g} reject={report.reject}\n")
+    outputs = {".json": lambda fh: fh.write(report.to_json()), ".csv": report.band.write_csv}
     if args.also_plrt:
         plrt = plrt_test(sample, basis, h, kernel, "nonparametric")
-        if args.out:
-            _write_out(args.out + ".plrt.json", lambda fh: fh.write(plrt.to_json()))
-        print(f"plrt F={plrt.statistic:.4f} p={plrt.pvalue:.4g} "
-              f"reject={plrt.pvalue < args.level}")
-    return EXIT_OK
+        text += (f"plrt F={plrt.statistic:.4f} p={plrt.pvalue:.4g} "
+                 f"reject={plrt.pvalue < args.level}\n")
+        outputs[".plrt.json"] = lambda fh: fh.write(plrt.to_json())
+    return text, outputs
 
 
-def _run_compare(args) -> int:
+def _run_compare(args) -> tuple[str, dict]:
     if args.label_column:
         samples = _load_sample(args.infile, label_column=True)
         labels = (args.labels.split(",") if args.labels else list(samples)[:2])
@@ -268,25 +257,17 @@ def _run_compare(args) -> int:
     else:
         if not args.in2:
             raise CliError("compare needs --in2 or --label-column", EXIT_PARSE)
-        sample_a = _load_sample(args.infile)
-        sample_b = _load_sample(args.in2)
-    kernel = kernel_by_name(args.kernel)
-    h_a = _resolve_h(args, sample_a, kernel)
-    h_b = _resolve_h(args, sample_b, kernel)
-    eval = make_eval_grid(args.grid_size)
+        sample_a, sample_b = _load_sample(args.infile), _load_sample(args.in2)
+    kernel, (h_a, h_b), eval = _smoothing(args, sample_a, sample_b)
     result = two_sample_scb(sample_a, sample_b, eval, h_a, h_b, kernel, args.level,
                             args.paths, args.seed)
-    _write_band(args, result.band, {"reject": result.reject})
-    print(f"compare  c={result.band.threshold:.4f} alpha={args.level:g} "
-          f"reject={result.reject}")
-    return EXIT_OK
+    return (f"compare  c={result.band.threshold:.4f} alpha={args.level:g} "
+            f"reject={result.reject}\n"), _band_outputs(result.band, reject=result.reject)
 
 
-def _run_predict(args) -> int:
+def _run_predict(args) -> tuple[str, dict]:
     sample = _load_sample(args.infile)
-    kernel = kernel_by_name(args.kernel)
-    h = _resolve_h(args, sample, kernel)
-    eval = make_eval_grid(args.grid_size)
+    kernel, (h,), eval = _smoothing(args, sample)
     gamma = 1.0 - args.level
     band = prediction_band(sample, eval, h, kernel, gamma, args.paths, args.seed)
     extra = {}
@@ -295,19 +276,16 @@ def _run_predict(args) -> int:
         # score raw test curves against the band evaluated at the design points
         design_band = prediction_band(sample, test.grid.as_eval(), h, kernel, gamma,
                                       args.paths, args.seed)
-        cov = float(np.mean([design_band.covers(row) for row in test.values]))
-        extra["test_coverage"] = cov
-    _write_band(args, band, extra)
-    msg = _band_summary("predict", sample, h, band)
-    if "test_coverage" in extra:
-        msg += f" test_coverage={extra['test_coverage']:.4f}"
-    print(msg)
-    return EXIT_OK
+        extra["test_coverage"] = float(np.mean([design_band.covers(row) for row in test.values]))
+    tail = f" test_coverage={extra['test_coverage']:.4f}" if extra else ""
+    return _band_summary("predict", sample, h, band, tail), _band_outputs(band, **extra)
 
 
-def _run_simulate(args) -> int:
+def _run_simulate(args) -> tuple[str, dict]:
     model = {"1": "m1", "2": "m2"}.get(args.model, "m3-" + args.hypothesis)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    if not methods:
+        raise CliError(f"no method given in --method {args.method!r}", EXIT_PARSE)
     for m in methods:
         if m not in METHODS:
             raise CliError(f"unknown method {m!r}", EXIT_PARSE)
@@ -315,14 +293,10 @@ def _run_simulate(args) -> int:
                      level=args.level, reps=args.reps, seed=args.seed,
                      grid_size=args.grid_size, paths=args.paths,
                      bootstraps=args.bootstraps)
-    table = ExperimentTable()
-    for m in methods:
-        table.rows.append(run_experiment(spec, m))
-    if args.out:
-        _write_out(args.out + ".csv", lambda fh: fh.write(table.to_csv()))
-        _write_out(args.out + ".json", lambda fh: fh.write(table.to_json()))
-    print(table.to_csv() if args.format == "csv" else table.to_json(), end="")
-    return EXIT_OK
+    table = ExperimentTable([run_experiment(spec, m) for m in methods])
+    text = table.to_csv() if args.format == "csv" else table.to_json()
+    return text, {".csv": lambda fh: fh.write(table.to_csv()),
+                  ".json": lambda fh: fh.write(table.to_json())}
 
 
 _RUNNERS = {
@@ -341,7 +315,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(argv + _config_args(args.config))
-        return _RUNNERS[args.command](args)
+        text, outputs = _RUNNERS[args.command](args)
+        if args.out:
+            for suffix, write in outputs.items():
+                _write_out(args.out + suffix, write)
+        sys.stdout.write(text)
+        return EXIT_OK
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     except CliError as exc:

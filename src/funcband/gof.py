@@ -18,7 +18,7 @@ import numpy as np
 
 from .bands import BandResult, _gaussian_bands
 from .errors import (DegenerateVarianceError, FuncbandError, GridError, RankDeficiencyError,
-                     _check_int)
+                     _check_int, _check_type)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 from .moments import ShrinkageSpec, _check_covariance, _kept_eigenvalues, empirical_data_covariance
 from .smoothing import Kernel, weight_matrix
@@ -66,16 +66,19 @@ class BasisModel:
         return np.asarray(self.density(x), dtype=float)
 
 
+def _quadrature(model: BasisModel) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoidal nodes u on [0,1] and weights times the design density f(u),
+    so that weights @ g(u) approximates the weighted integral of g."""
+    u = np.linspace(0.0, 1.0, _QUAD_POINTS)
+    wgt = np.full(_QUAD_POINTS, 1.0 / (_QUAD_POINTS - 1))
+    wgt[0] = wgt[-1] = 0.5 / (_QUAD_POINTS - 1)
+    return u, wgt * model.weight(u)
+
+
 def _gram(model: BasisModel) -> np.ndarray:
-    x = np.linspace(0.0, 1.0, _QUAD_POINTS)
-    phi = model.matrix(x)
-    w = model.weight(x)
-    return np.array(
-        [
-            [np.trapezoid(phi[:, k] * phi[:, l] * w, x) for l in range(model.size)]
-            for k in range(model.size)
-        ]
-    )
+    u, wf = _quadrature(model)
+    phi = model.matrix(u)
+    return phi.T @ (wf[:, None] * phi)
 
 
 def basis_model(functions: Sequence[Callable], density: Callable | None = None) -> BasisModel:
@@ -145,6 +148,7 @@ class LsFit:
 
 
 def _design_matrix(model: BasisModel, grid: DesignGrid) -> np.ndarray:
+    _check_type("model", model, BasisModel)
     if grid.dim != 1:
         raise FuncbandError("goodness-of-fit supports d=1 designs")
     phi = model.matrix(grid.points)
@@ -231,19 +235,13 @@ def limit_gamma(
         raise FuncbandError(f"covariance must be callable, got covariance={covariance!r}")
     if eval.dim != 1:
         raise GridError(f"limit_gamma supports d=1 evaluation grids, got d={eval.dim}")
-    u = np.linspace(0.0, 1.0, _QUAD_POINTS)
-    fu = model.weight(u)
+    u, wf = _quadrature(model)
     phi_u = model.matrix(u)                      # (q, L)
     x = eval.points
     phi_x = model.matrix(x)                      # (m, L)
     m, nodes = x.size, np.concatenate([x, u])
     r = _check_covariance(covariance(nodes[:, None], nodes[None, :]), nodes.size)
     r_xu, r_uv = r[:m, m:], r[m:, m:]            # (m, q), (q, q)
-
-    wgt = np.ones(_QUAD_POINTS)
-    wgt[0] = wgt[-1] = 0.5
-    wgt *= (u[-1] - u[0]) / (_QUAD_POINTS - 1)
-    wf = wgt * fu
 
     single = r_xu @ (wf[:, None] * phi_u)        # (m, L): int R(x,u) phi_l(u) f(u) du
     double = phi_u.T @ (np.outer(wf, wf) * r_uv) @ phi_u   # (L, L)

@@ -69,8 +69,9 @@ def m2_covariance(x, xp) -> np.ndarray:
     """Two-factor covariance: var(chi2_1) = 2 and var(Exp(1)) = 1."""
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
-    return (2.0 * (sqrt(2.0) / 6.0) ** 2 * np.sin(np.pi * x) * np.sin(np.pi * xp)
-            + (2.0 / 3.0) ** 2 * (x - 0.5) * (xp - 0.5))
+    # each product of an x and an x' factor is formed first, so R(x,x') = R(x',x) exactly
+    return (2.0 * (sqrt(2.0) / 6.0) ** 2 * (np.sin(np.pi * x) * np.sin(np.pi * xp))
+            + (2.0 / 3.0) ** 2 * ((x - 0.5) * (xp - 0.5)))
 
 
 def _hump(x):

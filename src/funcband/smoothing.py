@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (FuncbandError, GridError, IllPosedBandwidthError, SampleValidationError,
-                     SingularDesignError)
+from .errors import (GridError, IllPosedBandwidthError, SampleValidationError, SingularDesignError,
+                     _check_type)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 
 __all__ = [
@@ -133,9 +134,10 @@ def weight_matrix(
     SingularDesignError if the determinant of S_i with its diagonal scaled
     to one is at most _DET_RTOL there (active points on a common hyperplane).
     """
+    _check_type("grid", grid, DesignGrid, GridError)
+    _check_type("eval", eval, EvalGrid, GridError)
     kernel = kernel or epanechnikov()
-    if not isinstance(kernel, Kernel):
-        raise FuncbandError(f"kernel must be a Kernel (see kernel_by_name), got kernel={kernel!r}")
+    _check_type("kernel", kernel, Kernel)
     if grid.dim != eval.dim:
         raise GridError("design and evaluation grids must share the dimension")
     h = Bandwidth.of(h, grid.dim)
@@ -186,6 +188,7 @@ def fit_mean(
     sample: FunctionalSample, eval: EvalGrid, h, kernel: Kernel | None = None
 ) -> MeanFit:
     """Smooth the sample mean; also returns the n per-curve smooths."""
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     w = weight_matrix(sample.grid, eval, h, kernel)
     curves = sample.values @ w.T
     return MeanFit(grid=eval, mean=curves.mean(axis=0), curves=curves)
@@ -214,6 +217,16 @@ def cv_score(sample: FunctionalSample, h, kernel: Kernel | None = None) -> float
     return score
 
 
+def _bandwidth_candidates(candidates, dim: int) -> list:
+    """The distinct candidate bandwidths as sorted value tuples; GridError if
+    ``candidates`` is not iterable or is empty."""
+    _check_type("candidates", candidates, Iterable, GridError)
+    cands = sorted({Bandwidth.of(c, dim).values for c in candidates})
+    if not cands:
+        raise GridError("empty candidate bandwidth list")
+    return cands
+
+
 def cv_bandwidth(
     sample: FunctionalSample, candidates: Sequence, kernel: Kernel | None = None
 ):
@@ -222,11 +235,8 @@ def cv_bandwidth(
     Ill-posed candidates are skipped with a warning and duplicates scored once;
     ties break toward the smallest bandwidth.  Returns (Bandwidth, scores dict).
     """
-    cands = sorted({Bandwidth.of(c, sample.grid.dim).values for c in candidates})
-    if not cands:
-        raise GridError("empty candidate bandwidth list")
     scores = {}
-    for b in cands:
+    for b in _bandwidth_candidates(candidates, sample.grid.dim):
         try:
             scores[b] = cv_score(sample, b, kernel)
         except _BANDWIDTH_ERRORS as exc:

@@ -199,6 +199,16 @@ class TestGof:
         assert 0.0 <= plrt["p_value"] <= 1.0
         assert 0.0 <= plrt["diagnostics"]["imhof_abserr"] <= 1e-12
 
+    def test_unwritable_plrt_output_prints_nothing(self, curves_csv, tmp_path, capsys):
+        # files are written before the summary is printed, so a failure prints no gof line
+        out = str(tmp_path / "gp")
+        (tmp_path / "gp.plrt.json").mkdir()
+        code, stdout, stderr = run(
+            capsys, "gof", "--in", curves_csv, "--out", out, "--h", "0.15",
+            "--grid-size", "20", "--paths", "200", "--seed", "12", "--also-plrt")
+        assert code == EXIT_PARSE and stdout == ""
+        assert f"cannot write {out}.plrt.json" in stderr
+
     def test_tabulated_basis(self, curves_csv, tmp_path, capsys):
         xs = (np.arange(1, 31) - 0.5) / 30
         tab = tmp_path / "basis.csv"
@@ -352,6 +362,13 @@ class TestSimulate:
             "--h", "0.2", "--reps", "1", "--seed", "22", "--method", "magic")
         assert code == EXIT_PARSE
 
+    def test_empty_method_list(self, capsys):
+        code, stdout, stderr = run(
+            capsys, "simulate", "--model", "1", "--n", "8", "--p", "20",
+            "--h", "0.2", "--reps", "1", "--seed", "22", "--method", ",")
+        assert code == EXIT_PARSE and stdout == ""
+        assert "no method given" in stderr
+
     @pytest.mark.parametrize("flag, value, named", [
         ("--reps", "-2", "reps=-2"), ("--paths", "5", "paths=5"), ("--h", "-0.1", "h=(-0.1,)"),
         ("--seed", "-1", "seed=-1"), ("--B", "0", "bootstraps=0"),
@@ -459,16 +476,26 @@ class TestConfig:
         ("gof", {"alpha": 0.1}, "alpha=0.1"), ("compare", {"alpha": 0.1}, "alpha=0.1"),
         ("scb", {"level": 0.9}, "level=0.9"), ("scb", {"B": 60, "method": "bootstrap"},
                                                "scb[bootstrap]"),
-        ("gof", {"also-plrt": True}, "plrt F=")])
+        ("gof", {"also-plrt": True}, "plrt F="),
+        # the flags every subcommand shares; "config" names this file again
+        *[(command, {"out": "{tmp}/o", "kernel": "gauss", "grid-size": 15, "paths": 150,
+                     "seed": 4, "config": "{tmp}/flags.json"}, shown)
+          for command, shown in [("scb", "scb[normal]"), ("gof", "gof  T="),
+                                 ("compare", "compare  c="), ("predict", "predict  n="),
+                                 ("simulate", "normal-scb")]]])
     def test_keys_are_flag_names(self, curves_csv, curves_csv_b, tmp_path, capsys, command,
                                  cfg, shown):
         path = tmp_path / "flags.json"
-        path.write_text(json.dumps(cfg))
-        extra = ["--in2", curves_csv_b] if command == "compare" else []
-        code, stdout, _ = run(capsys, command, "--in", curves_csv, *extra, "--h", "0.15",
-                              "--grid-size", "20", "--paths", "200", "--seed", "3",
-                              "--config", str(path))
+        path.write_text(json.dumps(cfg).replace("{tmp}", str(tmp_path)))
+        if command == "simulate":
+            head = ["--model", "1", "--n", "8", "--p", "20", "--h", "0.2", "--reps", "1"]
+        else:
+            extra = ["--in2", curves_csv_b] if command == "compare" else []
+            head = ["--in", curves_csv, *extra, "--h", "0.15"]
+        code, stdout, _ = run(capsys, command, *head, "--grid-size", "20", "--paths", "200",
+                              "--seed", "3", "--config", str(path))
         assert code == EXIT_OK and shown in stdout
+        assert "out" not in cfg or (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("command, key, value", [
         ("gof", "level", 0.1), ("scb", "bootstraps", 60), ("scb", "infile", "x.csv"),

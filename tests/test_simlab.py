@@ -94,6 +94,11 @@ class TestGenerators:
         sd = np.sqrt(analytic)
         assert 0.29 < sd.min() < 0.30 and 0.34 < sd.max() < 0.35
 
+    def test_model2_covariance_exactly_symmetric(self):
+        x = np.linspace(0.0, 1.0, 30)
+        c = m2_covariance(x[:, None], x[None, :])
+        assert np.array_equal(c, c.T)
+
     def test_model3_hypotheses_share_noise(self):
         h0 = gen_model3(50, 40, seed_or_rng=7, hypothesis="h0")
         hn = gen_model3(50, 40, seed_or_rng=7, hypothesis="hn")

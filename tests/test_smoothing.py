@@ -37,7 +37,9 @@ from funcband import (
     polynomial_basis,
     prediction_band,
     schafer_strimmer_lambda,
+    band_covers,
     scb_gof_test,
+    split_half_bandwidth,
     truncated_gaussian,
     two_sample_scb,
     uniform_design_grid,
@@ -329,6 +331,16 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
     (lambda: basis_model([np.sin], density=1.0), "density=1.0"),
     (lambda: FunctionalSample(grid="g", values=np.ones((3, 5))), "grid='g'"),
     (lambda: order_statistic_quantile(["a"], 0.05), "values must be real numbers"),
+    (lambda: normal_scb(gen_model1(10, 20), "grid", 0.2), "eval='grid'"),
+    (lambda: prediction_band(gen_model1(10, 20), None, 0.2), "eval=None"),
+    (lambda: bootstrap_scb("s", make_eval_grid(20), 0.2), "sample='s'"),
+    (lambda: two_sample_scb(gen_model1(10, 20), None, make_eval_grid(20), 0.2), "sample_b=None"),
+    (lambda: scb_gof_test(gen_model1(10, 20), "poly", make_eval_grid(20), 0.2), "model='poly'"),
+    (lambda: plrt_test(gen_model1(10, 20), "poly", 0.2), "model='poly'"),
+    (lambda: fit_mean("s", make_eval_grid(20), 0.2), "sample='s'"),
+    (lambda: band_covers("b", np.zeros(20)), "band='b'"),
+    (lambda: cv_bandwidth(gen_model1(10, 20), 0.1), "candidates=0.1"),
+    (lambda: split_half_bandwidth(gen_model1(10, 20), 0.1), "candidates=0.1"),
 ], ids=["make_design_grid", "make_eval_grid", "polynomial_basis", "kernel_by_name",
         "Bandwidth.of", "normal_scb paths float", "normal_scb paths str",
         "SupQuantileRequest paths", "bootstrap_scb bootstraps", "ModelSpec n", "ModelSpec reps",
@@ -341,7 +353,11 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
         "two_sample_scb shrinkage float", "scb_gof_test shrinkage float",
         "empirical_data_covariance shrinkage float", "ModelSpec shrinkage int",
         "limit_gamma covariance float", "basis_model density float",
-        "FunctionalSample grid str", "order_statistic_quantile str"])
+        "FunctionalSample grid str", "order_statistic_quantile str", "normal_scb eval str",
+        "prediction_band eval None", "bootstrap_scb sample str", "two_sample_scb sample None",
+        "scb_gof_test model str", "plrt_test model str", "fit_mean sample str",
+        "band_covers band str", "cv_bandwidth candidates float",
+        "split_half_bandwidth candidates float"])
 def test_mistyped_argument_raises_funcband_error(call, named):
     with pytest.raises(FuncbandError) as err:
         call()
