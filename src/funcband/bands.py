@@ -380,6 +380,7 @@ def split_half_bandwidth(
     one draw of the Gaussian paths, each equal to its own ``prediction_band``.
     A candidate is skipped only where the smoother is ill-posed or singular, and
     none left raises IllPosedBandwidthError, as in ``cv_bandwidth``."""
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     _check_int("seed", seed)
     _check_level(gamma)
     if paths is not None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bands import BandResult, _gaussian_bands
 from .errors import (DegenerateVarianceError, FuncbandError, GridError, RankDeficiencyError,
-                     _check_int, _check_type)
+                     SampleValidationError, _check_int, _check_type)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 from .moments import ShrinkageSpec, _check_covariance, _kept_eigenvalues, empirical_data_covariance
 from .smoothing import Kernel, weight_matrix
@@ -160,6 +160,7 @@ def _design_matrix(model: BasisModel, grid: DesignGrid) -> np.ndarray:
 
 def ls_fit(sample: FunctionalSample, model: BasisModel) -> LsFit:
     """Least squares fit of the averaged data on the model span."""
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     phi = _design_matrix(model, sample.grid)
     ybar = sample.column_means()
     theta, *_ = np.linalg.lstsq(phi, ybar, rcond=None)
@@ -175,6 +176,7 @@ def _residual_map(sample, model, eval, h, kernel) -> tuple[np.ndarray, np.ndarra
     """(r, W Q, Q): the residuals r = W Q Q' ybar smoothed by the (m, p)
     smoother W, with Q the (p, p - L) orthonormal complement of the basis
     columns at the design points, so that I - P = Q Q'."""
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     phi = _design_matrix(model, sample.grid)
     if phi.shape[1] >= phi.shape[0]:
         raise DegenerateVarianceError(f"a basis of L={phi.shape[1]} functions leaves no residual "
@@ -233,6 +235,8 @@ def limit_gamma(
     """
     if not callable(covariance):
         raise FuncbandError(f"covariance must be callable, got covariance={covariance!r}")
+    _check_type("model", model, BasisModel)
+    _check_type("eval", eval, EvalGrid, GridError)
     if eval.dim != 1:
         raise GridError(f"limit_gamma supports d=1 evaluation grids, got d={eval.dim}")
     u, wf = _quadrature(model)

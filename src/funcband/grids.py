@@ -323,6 +323,7 @@ def read_curves_csv(path_or_file, label_column: bool = False):
 
 
 def write_curves_csv(path_or_file, sample: FunctionalSample) -> None:
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     if sample.grid.dim != 1:
         raise GridError("curves CSV supports d=1 only")
 

@@ -9,8 +9,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import (DegenerateVarianceError, FactorizationError, FuncbandError, _check_finite,
-                     _check_type)
+from .errors import (DegenerateVarianceError, FactorizationError, FuncbandError,
+                     SampleValidationError, _check_finite, _check_type)
 from .grids import FunctionalSample
 
 __all__ = [
@@ -206,6 +206,7 @@ def empirical_data_covariance(
     Shrinkage acts on the correlation scale (variances preserved).  Returns
     (table, lambda); lambda is 0 when no shrinkage spec is given.
     """
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     y = sample.values
     dev = _centered_curves(sample)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,7 +214,10 @@ def empirical_data_covariance(
     _check_finite("covariance", table)
     if spec is None:
         return table, 0.0
-    shrunk, lam = shrink_correlation(correlation_from_covariance(table), spec, curves=y)
+    # a correlation of a checked table: shrinking it needs no second check
+    corr = correlation_from_covariance(table)
+    lam = _shrinkage_intensity(spec, y)
+    shrunk = _unit_correlation((1.0 - lam) * corr + lam * np.eye(len(corr)))
     sd = np.sqrt(np.diag(table))
     return shrunk * np.outer(sd, sd), lam
 

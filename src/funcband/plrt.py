@@ -20,7 +20,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, FuncbandError, IntegrationError, SampleValidationError
+from .errors import (DegenerateVarianceError, FuncbandError, IntegrationError,
+                     SampleValidationError, _check_type)
 from .gof import BasisModel, _design_matrix, _projector
 from .grids import DesignGrid, FunctionalSample
 from .moments import _centered_curves, _check_covariance, _check_symmetric, _psd_root
@@ -75,6 +76,7 @@ def plrt_statistic(
     the ``_design_plan`` of the sample's grid, model, h and kernel, built
     here when not given.
     """
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     grid, p_mat, s_mat, g0, g1, _ = _plan or _design_plan(sample.grid, model, h, kernel)
     if sample.grid is not grid and not np.array_equal(sample.grid.points, grid.points):
         raise FuncbandError("the PLRT design plan was built on another design grid")
@@ -231,6 +233,7 @@ def ar1_covariance_fit(sample: FunctionalSample) -> tuple[float, float, np.ndarr
     sigma2 averages the per-point sample variances; rho is the pooled lag-1
     autocorrelation of the residual rows, clipped to (-1, 1).
     """
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     y = sample.values
     n, p = y.shape
     if n < 2 or p < 2:

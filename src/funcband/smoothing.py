@@ -145,6 +145,7 @@ def weight_matrix(
     with np.errstate(over="ignore"):    # a subnormal h sends far offsets to +-inf
         u = diff / np.asarray(h.values)[None, :, None]
     k = math.prod(kernel(u[:, a]) for a in range(grid.dim))    # (m, p)
+    del u
     active = (k > 0).sum(axis=1)
     need = grid.dim + 1
     if np.any(active < need):
@@ -158,15 +159,20 @@ def weight_matrix(
     s[:, 0, 0] = k.sum(axis=1)
     s[:, 0, 1:] = s[:, 1:, 0] = kd.sum(axis=2)
     s[:, 1:, 1:] = kd @ diff.transpose(0, 2, 1)
+    del kd
     if np.any(np.linalg.det(s) <= _DET_RTOL * np.prod(np.diagonal(s, axis1=1, axis2=2), axis=1)):
         raise SingularDesignError("singular local design (active points on a hyperplane)")
     row = np.linalg.solve(s, np.eye(need)[0])   # (m, d+1): S^-1 e1, S^-1 is symmetric
-    w = k * (row[:, :1] + np.einsum("ma,map->mp", row[:, 1:], diff))
-    return w / w.sum(axis=1, keepdims=True)
+    w = np.einsum("ma,map->mp", row[:, 1:], diff)
+    w += row[:, :1]
+    w *= k
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def local_linear_weights(grid: DesignGrid, x, h, kernel: Kernel | None = None) -> WeightVector:
     """Local linear weights at a single point, in sparse form."""
+    _check_type("grid", grid, DesignGrid, GridError)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     pts = x_arr if grid.dim == 1 else x_arr.reshape(1, -1)
     eval_grid = EvalGrid(dim=grid.dim, points=pts, axes=tuple(x_arr[:, None]))
@@ -200,6 +206,7 @@ def cv_score(sample: FunctionalSample, h, kernel: Kernel | None = None) -> float
     CV(h) = sum_i sum_j (Y_ij - mu_hat^(-i)(x_j; h))^2 with mu_hat^(-i) the
     smoothed mean of the sample with curve i removed.
     """
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     n = sample.n_curves
     if n < 2:
         raise GridError("cross validation needs n >= 2")

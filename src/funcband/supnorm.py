@@ -15,10 +15,16 @@ A root has a ``size`` m, a ``width`` w, the clipped eigenvalue ``mass``, a
   n x m standardized deviations Xs, applied by two k x m x n products;
   w = m.  Only ``table()`` forms an m x m array, and the draw never calls it.
 
-Paths are drawn in chunks of at most 2048 into one normal buffer and one
-product buffer allocated per call.  Randomness is counter-based (Philox)
-with per-chunk substreams, so a given seed gives bit-identical output.
-Requests with the same seed, paths and width w can share one draw.
+A chunk of at most 2048 paths sets the randomness: each has its own
+counter-based (Philox) substream, so a given seed gives bit-identical
+output.  A block sets the memory: the rows of a chunk that are filled,
+multiplied and reduced to their sups at once, in one normal buffer and one
+product buffer allocated per call.  A block has 2048 rows, halved until one
+buffer of rows x max(w, m) doubles is at most 8 MiB: grids of up to 512
+points draw a chunk in one block, wider ones in blocks of 4 to 8 MiB.  The
+blocks of a chunk fill in turn from its generator, so they draw the same
+normals in the same order as one fill of the chunk.  Requests with the same
+seed, paths and width w can share one draw.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ __all__ = [
 ]
 
 _CHUNK = 2048
+# Largest size of one draw buffer.  Halving the block keeps a buffer above
+# 4 MiB, where numpy still advises huge pages; smaller blocks ran slower.
+_BLOCK_BYTES = 8 * 2**20
 # Order statistics closer than this, relative to the quantile, count as tied:
 # bootstrap resamples that draw the same curves give z* equal up to rounding.
 _TIE_RTOL = 1e-8
@@ -179,7 +188,11 @@ def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
 def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     """Simulate sup-absolute values of the Gaussian process through the
     request's root; deterministic given the seed.  Returns (values, clipped
-    mass), or with ``more`` requests a list of such pairs, one each."""
+    mass), or with ``more`` requests a list of such pairs, one each.
+
+    Each chunk of at most 2048 paths (one Philox substream) is filled,
+    multiplied and reduced to its sups in blocks of rows: 2048, halved until
+    a normal or product buffer of rows x max(w, m) doubles is at most 8 MiB."""
     requests = (request, *more)
     roots = [r.root for r in requests]
     width = roots[0].width
@@ -188,16 +201,23 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
         raise FuncbandError("requests simulated together must share seed, paths and width")
     values = np.empty((len(roots), request.paths))
     starts = iter(range(0, request.paths, _CHUNK))      # map_philox_chunks goes in order
-    z = np.empty((min(_CHUNK, request.paths), width))
-    y = np.empty(len(z) * max(root.size for root in roots))
+    columns = max(width, *(root.size for root in roots))
+    rows = _CHUNK
+    while rows > 1 and rows * columns * 8 > _BLOCK_BYTES:
+        rows //= 2
+    z = np.empty((min(rows, request.paths), width))
+    y = np.empty(len(z) * columns)
 
     def draw(rng, k):
-        zk, start = z[:k], next(starts)
-        rng.standard_normal(out=zk)
-        for root, v in zip(roots, values):
-            yk = y[:k * root.size].reshape(k, root.size)
-            # A thin root may overwrite the normals only when no other root reads them.
-            np.abs(root(zk, yk, None if more else zk), out=yk).max(axis=1, out=v[start:start + k])
+        start = next(starts)
+        for at in range(start, start + k, rows):
+            zk = z[:min(rows, start + k - at)]
+            rng.standard_normal(out=zk)
+            for root, v in zip(roots, values):
+                yk = y[:len(zk) * root.size].reshape(len(zk), root.size)
+                # A thin root may overwrite the normals only when no other root reads them.
+                np.abs(root(zk, yk, None if more else zk), out=yk).max(
+                    axis=1, out=v[at:at + len(zk)])
 
     map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
     pairs = [(v, root.mass) for v, root in zip(values, roots)]

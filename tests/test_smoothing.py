@@ -1,5 +1,6 @@
 """Kernels, local linear weights (d=1, d=2), curve smoothing, and CV bandwidth."""
 
+import io
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from conftest import oracle_weights_1d, oracle_weights_2d
 
 from funcband import (
     Bandwidth,
+    ar1_covariance_fit,
     FuncbandError,
     FunctionalSample,
     GridError,
@@ -27,15 +29,19 @@ from funcband import (
     empirical_variance,
     epanechnikov,
     fit_mean,
+    gamma_n_plugin,
     kernel_by_name,
     limit_gamma,
     local_linear_weights,
+    ls_fit,
     make_design_grid,
     make_eval_grid,
     normal_scb,
+    plrt_statistic,
     plrt_test,
     polynomial_basis,
     prediction_band,
+    residual_process,
     schafer_strimmer_lambda,
     band_covers,
     scb_gof_test,
@@ -44,6 +50,7 @@ from funcband import (
     two_sample_scb,
     uniform_design_grid,
     weight_matrix,
+    write_curves_csv,
 )
 from funcband import smoothing
 from funcband.grids import eval_grid_from_points
@@ -341,6 +348,20 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
     (lambda: band_covers("b", np.zeros(20)), "band='b'"),
     (lambda: cv_bandwidth(gen_model1(10, 20), 0.1), "candidates=0.1"),
     (lambda: split_half_bandwidth(gen_model1(10, 20), 0.1), "candidates=0.1"),
+    (lambda: scb_gof_test("s", polynomial_basis(1), make_eval_grid(20), 0.2), "sample='s'"),
+    (lambda: plrt_test("s", polynomial_basis(1), 0.2), "sample='s'"),
+    (lambda: plrt_statistic("s", polynomial_basis(1), 0.2), "sample='s'"),
+    (lambda: ls_fit("s", polynomial_basis(1)), "sample='s'"),
+    (lambda: split_half_bandwidth("s", [0.1]), "sample='s'"),
+    (lambda: empirical_data_covariance("s"), "sample='s'"),
+    (lambda: write_curves_csv(io.StringIO(), "s"), "sample='s'"),
+    (lambda: limit_gamma(np.minimum.outer, "poly", make_eval_grid(5)), "model='poly'"),
+    (lambda: limit_gamma(np.minimum.outer, polynomial_basis(1), "g"), "eval='g'"),
+    (lambda: local_linear_weights("g", 0.5, 0.2), "grid='g'"),
+    (lambda: gamma_n_plugin("s", polynomial_basis(1), make_eval_grid(20), 0.2), "sample='s'"),
+    (lambda: residual_process("s", polynomial_basis(1), make_eval_grid(20), 0.2), "sample='s'"),
+    (lambda: smoothing.cv_score("s", 0.2), "sample='s'"),
+    (lambda: ar1_covariance_fit("s"), "sample='s'"),
 ], ids=["make_design_grid", "make_eval_grid", "polynomial_basis", "kernel_by_name",
         "Bandwidth.of", "normal_scb paths float", "normal_scb paths str",
         "SupQuantileRequest paths", "bootstrap_scb bootstraps", "ModelSpec n", "ModelSpec reps",
@@ -357,7 +378,12 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
         "prediction_band eval None", "bootstrap_scb sample str", "two_sample_scb sample None",
         "scb_gof_test model str", "plrt_test model str", "fit_mean sample str",
         "band_covers band str", "cv_bandwidth candidates float",
-        "split_half_bandwidth candidates float"])
+        "split_half_bandwidth candidates float", "scb_gof_test sample str",
+        "plrt_test sample str", "plrt_statistic sample str", "ls_fit sample str",
+        "split_half_bandwidth sample str", "empirical_data_covariance sample str",
+        "write_curves_csv sample str", "limit_gamma model str", "limit_gamma eval str",
+        "local_linear_weights grid str", "gamma_n_plugin sample str",
+        "residual_process sample str", "cv_score sample str", "ar1_covariance_fit sample str"])
 def test_mistyped_argument_raises_funcband_error(call, named):
     with pytest.raises(FuncbandError) as err:
         call()

@@ -1,5 +1,7 @@
 """Gaussian sup-norm simulation and order-statistic quantiles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, norm
@@ -19,7 +21,7 @@ from funcband import (
     simulate_sup_norms,
     sup_quantile,
 )
-from funcband import bands
+from funcband import bands, supnorm
 from funcband.bands import _curve_root
 from funcband.moments import _psd_root, correlation_from_covariance
 from funcband.simlab import gen_model3
@@ -219,6 +221,71 @@ class TestFactorRoot:
             assert np.array_equal(values, alone) and mass == alone_mass
         with pytest.raises(FuncbandError, match="must share seed, paths and width"):
             simulate_sup_norms(_factor_request(39, 60, 3, self.PATHS), requests[1])
+
+
+def _thin_request(n, m, seed, paths):
+    """A request drawn through the thin root of n random-walk curves on m points."""
+    curves = _curves(n, m, seed=seed + 100)
+    root = _ThinRoot(curves, curves.mean(axis=0), curves.std(axis=0, ddof=1), 0.2)
+    return SupQuantileRequest(root, 0.05, paths, seed)
+
+
+class TestBlockedDraw:
+    """A chunk of 2048 paths is drawn in blocks of rows whose buffers hold at
+    most 8 MiB each; the blocks give the values of one unblocked chunk."""
+
+    @pytest.mark.parametrize("request_, rows", [
+        (lambda: _shrunk_request(5, 512, 0.2, 1, 2500), [2048, 452]),
+        (lambda: _shrunk_request(5, 513, 0.2, 1, 2500), [1024, 1024, 452]),
+        (lambda: _thin_request(40, 625, 1, 2500), [1024, 1024, 452]),
+        (lambda: _factor_request(20, 1100, 1, 2500), [512] * 4 + [452]),
+    ], ids=["dense m=512", "dense m=513", "thin m=625", "factor w=20 m=1100"])
+    def test_block_rows_bound_the_buffers(self, request_, rows, monkeypatch):
+        # 2048 rows of at most 512 doubles fill 8 MiB; wider grids halve the block
+        fills, chunks = [], supnorm.map_philox_chunks
+
+        class Rng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                fills.append(len(out))
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(supnorm, "map_philox_chunks", lambda total, chunk, seed, draw: chunks(
+            total, chunk, seed, lambda rng, k: draw(Rng(rng), k)))
+        simulate_sup_norms(request_())
+        assert fills == rows
+
+    @pytest.mark.parametrize("request_", [
+        lambda: _shrunk_request(5, 600, 0.2, 2, 2048 + 1500, thin=False),
+        lambda: _thin_request(40, 1100, 2, 2048 + 1500),
+    ], ids=["dense m=600", "thin m=1100"])
+    def test_matches_one_fill_per_chunk(self, request_):
+        # the oracle fills each chunk's normals at once from its own substream;
+        # 1500 paths in the last chunk are one full block and a partial one
+        request = request_()
+        root = request.root
+        streams = np.random.SeedSequence(request.seed).spawn(2)
+        oracle = []
+        for k, stream in zip((2048, 1500), streams):
+            z = np.random.Generator(np.random.Philox(stream)).standard_normal((k, root.width))
+            oracle.append(np.abs(root(z, np.empty((k, root.size)))).max(axis=1))
+        values, _ = simulate_sup_norms(request)
+        np.testing.assert_allclose(values, np.concatenate(oracle), rtol=1e-13, atol=0)
+
+    def test_buffers_stay_under_8_mib_each(self):
+        # unblocked, the normal and product buffers of 2048 x 2000 doubles
+        # took 65 MB; blocked, 512 x 2000 doubles each
+        request = _thin_request(40, 2000, 3, 2 * 2048 + 300)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            simulate_sup_norms(request)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 def _gof_case(monkeypatch, n, p, shrinkage):
