@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DegenerateVarianceError, FuncbandError, GridError, IllPosedBandwidthError,
-                     SampleValidationError, _check_finite, _check_int, _check_type)
+                     SampleValidationError, _as_float_array, _check_finite, _check_int,
+                     _check_type)
 from .grids import EvalGrid, FunctionalSample
 from .moments import (
     ShrinkageSpec,
@@ -117,7 +118,7 @@ class BandResult:
 def band_covers(band: BandResult, values: np.ndarray) -> bool:
     """True iff the curve lies within the band at every grid point."""
     _check_type("band", band, BandResult)
-    values = np.asarray(values, dtype=float)
+    values = _as_float_array("values", values)
     if values.shape != band.center.shape:
         raise FuncbandError(f"curve of shape {values.shape} does not match the band's "
                             f"grid of shape {band.center.shape}")
@@ -392,17 +393,16 @@ def split_half_bandwidth(
     half = n // 2
     build = FunctionalSample(grid=sample.grid, values=sample.values[:half])
     holdout = sample.values[half:]
-    eval = sample.grid.as_eval()
     parts = []
     for b in cands:
         try:
-            parts.append(_curve_part(build, eval, b, kernel, shrinkage))
+            parts.append(_curve_part(build, sample.grid, b, kernel, shrinkage))
         except _BANDWIDTH_ERRORS:
             continue
     if not parts:
         raise IllPosedBandwidthError("no candidate bandwidth was usable")
-    built = _gaussian_bands("prediction", eval, parts, 1.0, gamma, paths, build.n_points, seed,
-                            kernel)
+    built = _gaussian_bands("prediction", sample.grid, parts, 1.0, gamma, paths, build.n_points,
+                            seed, kernel)
     coverages = {part[4]: float(np.mean([band.covers(row) for row in holdout]))
                  for part, band in zip(parts, built)}
     return Bandwidth(min(coverages, key=lambda b: abs(coverages[b] - (1.0 - gamma)))), coverages

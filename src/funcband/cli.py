@@ -274,7 +274,7 @@ def _run_predict(args) -> tuple[str, dict]:
     if args.test:
         test = _load_sample(args.test)
         # score raw test curves against the band evaluated at the design points
-        design_band = prediction_band(sample, test.grid.as_eval(), h, kernel, gamma,
+        design_band = prediction_band(sample, test.grid, h, kernel, gamma,
                                       args.paths, args.seed)
         extra["test_coverage"] = float(np.mean([design_band.covers(row) for row in test.values]))
     tail = f" test_coverage={extra['test_coverage']:.4f}" if extra else ""

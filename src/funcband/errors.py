@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package, and the integer-argument,
-type and finiteness checks that every entry point shares."""
+type, numeric-array and finiteness checks that every entry point shares."""
+
+import reprlib
 
 import numpy as np
 
@@ -46,10 +48,22 @@ def _check_int(name: str, value, low: int = 0, error: type = FuncbandError) -> N
         raise error(f"{name} must be an integer >= {low}, got {name}={value!r}")
 
 
-def _check_type(name: str, value, cls: type, error: type = FuncbandError) -> None:
-    """Raise ``error`` naming ``name`` unless ``value`` is an instance of ``cls``."""
+def _check_type(name: str, value, cls: type | tuple, error: type = FuncbandError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an instance of ``cls``
+    (a class or a tuple of classes)."""
     if not isinstance(value, cls):
-        raise error(f"{name} must be a {cls.__name__}, got {name}={value!r}")
+        what = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+        raise error(f"{name} must be a {what}, got {name}={value!r}")
+
+
+def _as_float_array(name: str, value, error: type = FuncbandError) -> np.ndarray:
+    """``value`` as a float array; raise ``error`` naming ``name`` if it holds
+    something that is not a number."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an array of numbers, "
+                    f"got {name}={reprlib.repr(value)}") from None
 
 
 def _check_finite(what: str, values: np.ndarray) -> None:

@@ -1,19 +1,25 @@
 """Design grids, evaluation grids, and functional samples.
 
-A design grid holds the fixed measurement locations x_j in [0,1]^d, generated
-by a product density: along axis k, point j solves F_k(x) = (j - 0.5) / p_k
-where F_k is the CDF of a positive continuous density on [0,1].  Dimensions
-d in {1, 2} are supported.
+A grid is its axes: one or two strictly increasing point sequences in [0,1],
+whose product, in row-major order, gives its points, dimension d in {1, 2}
+and size.  A design grid holds the fixed measurement locations x_j of a
+sample.  ``make_design_grid`` generates them by a product density: along
+axis k, point j solves F_k(x) = (j - 0.5) / p_k where F_k is the CDF of a
+positive continuous density on [0,1].  Every design grid is also an
+evaluation grid, at which smooths are taken at the design points.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import GridError, SampleValidationError, _check_int, _check_type
+from .errors import GridError, SampleValidationError, _as_float_array, _check_int, _check_type
 
 __all__ = [
     "DesignGrid",
@@ -29,74 +35,54 @@ __all__ = [
 _BISECT_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    """A read-only C-contiguous float copy; the caller's array stays writeable."""
-    a = np.array(a, dtype=float, order="C")
+def _readonly(a, name: str, error: type) -> np.ndarray:
+    """A read-only C-contiguous float copy of ``a``, or ``error`` naming ``name``
+    if ``a`` holds a non-number; the caller's array stays writeable."""
+    a = np.array(_as_float_array(name, a, error), order="C")
     a.setflags(write=False)
     return a
 
 
-def _check_axes(axes: tuple[np.ndarray, ...], kind: str) -> None:
-    """Reject an axis with a point outside [0,1] or NaN, or whose points do
-    not strictly increase."""
-    for axis in axes:
-        if not np.all((axis >= 0.0) & (axis <= 1.0)):
-            raise GridError(f"{kind} points must be finite and lie in [0,1]")
-        if np.any(np.diff(axis) <= 0):
-            raise GridError(f"{kind} points must be strictly increasing per axis")
-
-
-@dataclass(frozen=True)
-class DesignGrid:
-    """Ordered design locations in [0,1]^dim on a product grid.
-
-    ``points`` has shape (p,) for dim=1 or (p, 2) for dim=2, in row-major
-    product order (last axis fastest).  ``axes`` holds the per-axis point
-    sequences.
-    """
-
-    dim: int
-    points: np.ndarray
-    axes: tuple[np.ndarray, ...]
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _readonly(self.points))
-        object.__setattr__(self, "axes", tuple(_readonly(a) for a in self.axes))
-        if self.dim not in (1, 2):
-            raise GridError(f"dim must be 1 or 2, got {self.dim}")
-        if int(np.prod(self.sizes)) != self.n_points:
-            raise GridError("total point count must equal the product of per-axis sizes")
-        _check_axes(self.axes, "design")
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-    def coords(self) -> np.ndarray:
-        """Points as a (p, dim) array regardless of dim."""
-        pts = self.points
-        return pts[:, None] if self.dim == 1 else pts
-
-    def as_eval(self) -> "EvalGrid":
-        """The design points as an evaluation grid."""
-        return EvalGrid(dim=self.dim, points=self.points, axes=self.axes)
-
-
 @dataclass(frozen=True)
 class EvalGrid:
-    """Ordered evaluation locations in [0,1]^dim."""
+    """Ordered evaluation locations in [0,1]^dim: the product grid of
+    ``axes``, one nonempty strictly increasing point sequence per axis.
 
-    dim: int
-    points: np.ndarray
+    ``points`` has shape (m,) for dim=1 or (m, 2) for dim=2, in row-major
+    product order (last axis fastest); it is computed once from ``axes``.
+    """
+
     axes: tuple[np.ndarray, ...]
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    kind: ClassVar[str] = "evaluation"
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _readonly(self.points))
-        object.__setattr__(self, "axes", tuple(_readonly(a) for a in self.axes))
-        if self.n_points == 0:
-            raise GridError("evaluation grid must be nonempty")
-        _check_axes(self.axes, "evaluation")
+        if not isinstance(self.axes, (tuple, list)):
+            raise GridError(f"{self.kind} axes must be a tuple of arrays, got axes={self.axes!r}")
+        if len(self.axes) not in (1, 2):
+            raise GridError(f"a {self.kind} grid has 1 or 2 axes, got {len(self.axes)}")
+        axes = tuple(_readonly(a, f"{self.kind} axes[{k}]", GridError)
+                     for k, a in enumerate(self.axes))
+        for axis in axes:
+            if axis.ndim != 1 or axis.size == 0:
+                raise GridError(f"each {self.kind} axis must be a nonempty 1-d array, "
+                                f"got shape {axis.shape}")
+            if not np.all((axis >= 0.0) & (axis <= 1.0)):
+                raise GridError(f"{self.kind} points must be finite and lie in [0,1]")
+            if np.any(np.diff(axis) <= 0):
+                raise GridError(f"{self.kind} points must be strictly increasing per axis")
+        if len(axes) == 1:
+            points = axes[0]
+        else:
+            g1, g2 = np.meshgrid(*axes, indexing="ij")
+            points = np.column_stack([g1.ravel(), g2.ravel()])
+            points.setflags(write=False)
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "points", points)
+
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
 
     @property
     def n_points(self) -> int:
@@ -106,6 +92,13 @@ class EvalGrid:
         """Points as a (m, dim) array regardless of dim."""
         pts = self.points
         return pts[:, None] if self.dim == 1 else pts
+
+
+class DesignGrid(EvalGrid):
+    """The design locations x_j of a sample; as an evaluation grid it puts
+    a smooth at the design points."""
+
+    kind = "design"
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ class FunctionalSample:
 
     def __post_init__(self):
         _check_type("grid", self.grid, DesignGrid, SampleValidationError)
-        values = _readonly(self.values)
+        values = _readonly(self.values, "values", SampleValidationError)
         object.__setattr__(self, "values", values)
         if values.ndim != 2:
             raise SampleValidationError(f"values must be 2-d, got shape {values.shape}")
@@ -224,13 +217,7 @@ def make_design_grid(densities, sizes) -> DesignGrid:
         densities = [densities] * dim
     if not isinstance(densities, (list, tuple)) or len(densities) != dim:
         raise GridError(f"densities must be 'uniform' or one density spec per axis ({dim})")
-    axes = tuple(_axis_points(d, s) for d, s in zip(densities, sizes))
-    if dim == 1:
-        points = axes[0]
-    else:
-        g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        points = np.column_stack([g1.ravel(), g2.ravel()])
-    return DesignGrid(dim=dim, points=points, axes=axes, sizes=sizes)
+    return DesignGrid(tuple(_axis_points(d, s) for d, s in zip(densities, sizes)))
 
 
 def uniform_design_grid(*sizes) -> DesignGrid:
@@ -240,34 +227,22 @@ def uniform_design_grid(*sizes) -> DesignGrid:
 def make_eval_grid(size: int = 100, dim: int = 1) -> EvalGrid:
     """Equispaced evaluation grid on [0,1]^dim (default 100 points, d=1)."""
     _check_int("size", size, 1, GridError)
-    axis = np.linspace(0.0, 1.0, size)
-    if dim == 1:
-        return EvalGrid(dim=1, points=axis, axes=(axis,))
-    if dim == 2:
-        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.column_stack([g1.ravel(), g2.ravel()])
-        return EvalGrid(dim=2, points=pts, axes=(axis, axis))
-    raise GridError("only dimensions 1 and 2 are supported")
-
-
-def eval_grid_from_points(points: np.ndarray) -> EvalGrid:
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        return EvalGrid(dim=1, points=points, axes=(points,))
-    raise GridError("explicit evaluation points are supported for d=1 only")
-
-
-def design_grid_from_points(points: np.ndarray) -> DesignGrid:
-    """Wrap observed 1-d design points whose generating density is unknown."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 1:
-        raise GridError("observed design points are supported for d=1 only")
-    return DesignGrid(dim=1, points=points, axes=(points,), sizes=(points.size,))
+    if dim not in (1, 2):
+        raise GridError("only dimensions 1 and 2 are supported")
+    return EvalGrid((np.linspace(0.0, 1.0, size),) * int(dim))
 
 
 # ---------------------------------------------------------------------------
 # Wide CSV format: line 1 = design points, lines 2..n+1 = one curve per line.
 # ---------------------------------------------------------------------------
+
+def _opened(path_or_file, mode: str):
+    """The caller's open file, left open, or the file at a path opened in ``mode``."""
+    if hasattr(path_or_file, "read" if mode == "r" else "write"):
+        return contextlib.nullcontext(path_or_file)
+    _check_type("path_or_file", path_or_file, (str, bytes, os.PathLike), SampleValidationError)
+    return open(path_or_file, mode, newline="")
+
 
 def read_curves_csv(path_or_file, label_column: bool = False):
     """Read a wide-format curves CSV.
@@ -275,13 +250,7 @@ def read_curves_csv(path_or_file, label_column: bool = False):
     Returns a FunctionalSample, or a dict label -> FunctionalSample when
     ``label_column`` is set (first field of each curve row is the label).
     """
-    if hasattr(path_or_file, "read"):
-        fh = path_or_file
-        close = False
-    else:
-        fh = open(path_or_file, newline="")
-        close = True
-    try:
+    with _opened(path_or_file, "r") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -309,7 +278,7 @@ def read_curves_csv(path_or_file, label_column: bool = False):
             rows.append(vals)
         if not rows:
             raise SampleValidationError("no curves in file")
-        grid = design_grid_from_points(points)
+        grid = DesignGrid((points,))
         values = np.array(rows, dtype=float)
         if not label_column:
             return FunctionalSample(grid=grid, values=values)
@@ -317,23 +286,13 @@ def read_curves_csv(path_or_file, label_column: bool = False):
         # preserve first-seen order
         return {lab: FunctionalSample(grid=grid, values=values[labels_arr == lab])
                 for lab in dict.fromkeys(labels)}
-    finally:
-        if close:
-            fh.close()
 
 
 def write_curves_csv(path_or_file, sample: FunctionalSample) -> None:
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
     if sample.grid.dim != 1:
         raise GridError("curves CSV supports d=1 only")
-
-    def _write(fh):
+    with _opened(path_or_file, "w") as fh:
         fh.write(",".join(repr(float(x)) for x in sample.grid.points) + "\n")
         for row in sample.values:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            _write(fh)

@@ -10,7 +10,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import (DegenerateVarianceError, FactorizationError, FuncbandError,
-                     SampleValidationError, _check_finite, _check_type)
+                     SampleValidationError, _as_float_array, _check_finite, _check_type)
 from .grids import FunctionalSample
 
 __all__ = [
@@ -79,11 +79,17 @@ class ShrinkageSpec:
                                 f"got intensity={self.intensity!r}")
 
 
-def empirical_variance(curves: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise sample variance of the rows of ``curves`` with divisor n-1."""
-    curves = np.asarray(curves, dtype=float)
+def _curve_array(curves) -> np.ndarray:
+    """``curves`` as an (n, m) float array, or a FuncbandError naming it."""
+    curves = _as_float_array("curves", curves)
     if curves.ndim != 2:
         raise FuncbandError(f"curves must be an (n, m) array, got shape {curves.shape}")
+    return curves
+
+
+def empirical_variance(curves: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise sample variance of the rows of ``curves`` with divisor n-1."""
+    curves = _curve_array(curves)
     n = curves.shape[0]
     if n < 2:
         raise DegenerateVarianceError("variance estimation needs n >= 2 curves")
@@ -124,7 +130,7 @@ def schafer_strimmer_lambda(curves: np.ndarray) -> float:
     sum_{a != b} W2_ab = sum_k (row sum of Xs^2)_k^2 - sum Xs^4.  For n > m
     the m x m sums are taken directly.  The cost is O(n m min(n, m)).
     """
-    x = np.asarray(curves, dtype=float)
+    x = _curve_array(curves)
     n, m = x.shape
     _check_finite("curves", x.T)
     if n < 3:
@@ -228,7 +234,7 @@ def psd_repair(table: np.ndarray, correlation: bool = False) -> tuple[np.ndarray
     Returns (L'L, mass) for the root L and the dropped mass of ``_psd_root``;
     for a correlation table the diagonal is one up to rounding.
     """
-    root, mass = _psd_root(table, correlation)
+    root, mass = _psd_root(_as_float_array("table", table), correlation)
     return root.T @ root, mass
 
 

@@ -21,7 +21,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import (DegenerateVarianceError, FuncbandError, IntegrationError,
-                     SampleValidationError, _check_type)
+                     SampleValidationError, _as_float_array, _check_type)
 from .gof import BasisModel, _design_matrix, _projector
 from .grids import DesignGrid, FunctionalSample
 from .moments import _centered_curves, _check_covariance, _check_symmetric, _psd_root
@@ -59,7 +59,7 @@ def _design_plan(grid: DesignGrid, model: BasisModel, h, kernel: Kernel | None,
     (I-S)'(I-S), F) for the least-squares projector P and the local linear
     smoother S at the design points, and F the known mode's factor of Sigma/n."""
     p_mat = _projector(_design_matrix(model, grid))
-    s_mat = weight_matrix(grid, grid.as_eval(), h, kernel)
+    s_mat = weight_matrix(grid, grid, h, kernel)
     m0, m1 = np.eye(grid.n_points) - p_mat, np.eye(grid.n_points) - s_mat
     return grid, p_mat, s_mat, m0.T @ m0, m1.T @ m1, known_factor
 
@@ -269,7 +269,8 @@ def plrt_test(
         if factor is None:
             if known_covariance is None:
                 raise FuncbandError("covariance_mode='known' requires known_covariance")
-            factor = _sigma_factor(_check_covariance(known_covariance, sample.n_points) / n)
+            table = _as_float_array("known_covariance", known_covariance)
+            factor = _sigma_factor(_check_covariance(table, sample.n_points) / n)
         p = _factor_pvalue(a_mat, factor, info)
     elif covariance_mode == "parametric-ar1":
         info["ar1_sigma2"], info["ar1_rho"], cov = ar1_covariance_fit(sample)

@@ -169,18 +169,24 @@ def _ou_curves(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((n, p)) @ _ou_sqrt(p)
 
 
+def _rng_and_grid(n: int, p: int, seed_or_rng) -> tuple:
+    """A generator's rng and its uniform design grid of size p, after
+    checking the curve count n and the grid size p."""
+    _check_int("n", n, 1)
+    _check_int("p", p, 2)
+    return _as_rng(seed_or_rng), _uniform_grid(p)
+
+
 def gen_model1(n: int, p: int, seed_or_rng=0) -> FunctionalSample:
     """Polynomial trend plus Gaussian exponentially-correlated curves, no noise."""
-    rng = _as_rng(seed_or_rng)
-    grid = _uniform_grid(p)
+    rng, grid = _rng_and_grid(n, p, seed_or_rng)
     values = _design_mean("m1", n, p)[None, :] + _ou_curves(n, p, rng)
     return FunctionalSample(grid=grid, values=values)
 
 
 def gen_model2(n: int, p: int, seed_or_rng=0) -> FunctionalSample:
     """Oscillating trend, two-factor non-Gaussian curves, N(0, 0.1^2) noise."""
-    rng = _as_rng(seed_or_rng)
-    grid = _uniform_grid(p)
+    rng, grid = _rng_and_grid(n, p, seed_or_rng)
     x = grid.points
     eta1 = rng.chisquare(1, size=n)
     eta2 = rng.exponential(1.0, size=n)
@@ -196,8 +202,7 @@ def gen_model3(n: int, p: int, seed_or_rng=0, hypothesis: str = "h0") -> Functio
     curve process as model 1."""
     if hypothesis not in ("h0", "hn"):
         raise FuncbandError(f"unknown hypothesis {hypothesis!r}")
-    rng = _as_rng(seed_or_rng)
-    grid = _uniform_grid(p)
+    rng, grid = _rng_and_grid(n, p, seed_or_rng)
     values = _design_mean(f"m3-{hypothesis}", n, p)[None, :] + _ou_curves(n, p, rng)
     return FunctionalSample(grid=grid, values=values)
 
@@ -308,6 +313,7 @@ def _rep_rngs(seed: int, reps: int):
 
 def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
     """Replication loop producing one coverage/size/power table row."""
+    _check_type("spec", spec, ModelSpec)
     if method not in METHODS:
         raise FuncbandError(f"unknown method {method!r}")
     kern = kernel_by_name(spec.kernel)

@@ -12,12 +12,13 @@ import math
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (GridError, IllPosedBandwidthError, SampleValidationError, SingularDesignError,
-                     _check_type)
+                     _as_float_array, _check_type)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 
 __all__ = [
@@ -90,7 +91,9 @@ class Bandwidth:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.values or not all(0 < h < math.inf for h in self.values):
+        _check_type("values", self.values, tuple, GridError)
+        if not self.values or not all(isinstance(h, Real) and 0 < h < math.inf
+                                      for h in self.values):
             raise GridError(f"bandwidths must be finite and positive, got h={self.values}")
 
     @classmethod
@@ -173,10 +176,8 @@ def weight_matrix(
 def local_linear_weights(grid: DesignGrid, x, h, kernel: Kernel | None = None) -> WeightVector:
     """Local linear weights at a single point, in sparse form."""
     _check_type("grid", grid, DesignGrid, GridError)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    pts = x_arr if grid.dim == 1 else x_arr.reshape(1, -1)
-    eval_grid = EvalGrid(dim=grid.dim, points=pts, axes=tuple(x_arr[:, None]))
-    row = weight_matrix(grid, eval_grid, h, kernel)[0]
+    x_arr = np.atleast_1d(_as_float_array("x", x, GridError))
+    row = weight_matrix(grid, EvalGrid(tuple(x_arr[:, None])), h, kernel)[0]
     idx = np.nonzero(row)[0]
     return WeightVector(indices=idx, weights=row[idx])
 
@@ -185,7 +186,6 @@ def local_linear_weights(grid: DesignGrid, x, h, kernel: Kernel | None = None) -
 class MeanFit:
     """Smoothed mean together with the per-curve smooths it averages."""
 
-    grid: EvalGrid
     mean: np.ndarray        # (m,)
     curves: np.ndarray      # (n, m), row i = smooth of curve i
 
@@ -197,7 +197,7 @@ def fit_mean(
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
     w = weight_matrix(sample.grid, eval, h, kernel)
     curves = sample.values @ w.T
-    return MeanFit(grid=eval, mean=curves.mean(axis=0), curves=curves)
+    return MeanFit(mean=curves.mean(axis=0), curves=curves)
 
 
 def cv_score(sample: FunctionalSample, h, kernel: Kernel | None = None) -> float:
@@ -210,7 +210,7 @@ def cv_score(sample: FunctionalSample, h, kernel: Kernel | None = None) -> float
     n = sample.n_curves
     if n < 2:
         raise GridError("cross validation needs n >= 2")
-    s = weight_matrix(sample.grid, sample.grid.as_eval(), h, kernel)  # (p, p)
+    s = weight_matrix(sample.grid, sample.grid, h, kernel)  # (p, p)
     ybar = sample.column_means()
     smoothed_mean = s @ ybar
     smoothed_rows = sample.values @ s.T       # (n, p)
@@ -242,6 +242,7 @@ def cv_bandwidth(
     Ill-posed candidates are skipped with a warning and duplicates scored once;
     ties break toward the smallest bandwidth.  Returns (Bandwidth, scores dict).
     """
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
     scores = {}
     for b in _bandwidth_candidates(candidates, sample.grid.dim):
         try:

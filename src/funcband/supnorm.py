@@ -35,7 +35,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import FactorizationError, FuncbandError, _check_finite, _check_int
+from .errors import FactorizationError, FuncbandError, _as_float_array, _check_finite, _check_int
 from .moments import _psd_root, _shrunk_table
 
 __all__ = [
@@ -160,7 +160,7 @@ class SupQuantileRequest:
         _check_int("seed", self.seed)
         root = self.correlation
         if not isinstance(root, _MatrixRoot):
-            root = _MatrixRoot.of(np.asarray(root, dtype=float))
+            root = _MatrixRoot.of(_as_float_array("correlation", root))
         object.__setattr__(self, "root", root)
         _check_draws("paths", self.paths, root.size, 100)
 

@@ -31,7 +31,6 @@ from funcband import (
     two_sample_scb,
     uniform_design_grid,
 )
-from funcband.grids import eval_grid_from_points
 from funcband.simlab import (
     ModelSpec,
     gen_model1,
@@ -253,7 +252,7 @@ def test_criterion_8_oracle_equivalence():
     model = polynomial_basis(1)
     eval = make_eval_grid(50)
     grid = uniform_design_grid(200)
-    lim = limit_gamma(ou_covariance, model, eval_grid_from_points(grid.points))
+    lim = limit_gamma(ou_covariance, model, grid)
     w = weight_matrix(grid, eval, 0.02)
     lim_diag = np.diag(w @ lim @ w.T)
     plug, _ = gamma_n_plugin(gen_model3(5000, 200, seed_or_rng=81), model, eval,

@@ -477,7 +477,7 @@ def _split_half_by_loop(sample, candidates, seed, paths=None, gamma=0.05):
     best, best_gap, coverages = None, None, {}
     for h in sorted(set(candidates)):
         try:
-            band = prediction_band(build, sample.grid.as_eval(), h, None, gamma, paths, seed)
+            band = prediction_band(build, sample.grid, h, None, gamma, paths, seed)
         except FuncbandError:
             continue
         cov = float(np.mean([band.covers(row) for row in sample.values[half:]]))

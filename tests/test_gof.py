@@ -22,7 +22,7 @@ from funcband import (
     uniform_design_grid,
 )
 from funcband import bands, supnorm
-from funcband.grids import eval_grid_from_points
+from funcband.grids import EvalGrid
 from funcband.moments import correlation_from_covariance
 from funcband.simlab import bump_function, gen_model3
 from funcband.smoothing import weight_matrix
@@ -158,7 +158,7 @@ class TestGammaPlugin:
         mu = np.array([0.5, 1.0, 1.5])
         sample = FunctionalSample(grid=grid, values=np.vstack([mu + v, mu - v]))
         model = polynomial_basis(0)
-        eval = eval_grid_from_points(np.array([0.2, 0.8]))
+        eval = EvalGrid((np.array([0.2, 0.8]),))
         gamma, lam = gamma_n_plugin(sample, model, eval, 0.9, shrinkage=None)
         w = weight_matrix(grid, eval, 0.9)
         wv = w @ v

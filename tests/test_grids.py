@@ -4,22 +4,25 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcband import (
     DesignGrid,
     EvalGrid,
     FunctionalSample,
+    FuncbandError,
     GridError,
     SampleValidationError,
+    local_linear_weights,
     make_design_grid,
     make_eval_grid,
     read_curves_csv,
     uniform_design_grid,
+    weight_matrix,
     write_curves_csv,
 )
-from funcband.grids import _tabulated_cdf, design_grid_from_points, eval_grid_from_points
+from funcband.grids import _tabulated_cdf
 
 
 class TestMakeDesignGrid:
@@ -113,16 +116,67 @@ class TestEvalGrid:
 def test_grids_reject_non_finite_points(bad):
     points = np.array([0.05, bad, 0.5, 0.9])
     with pytest.raises(GridError, match="design points must be finite"):
-        design_grid_from_points(points)
+        DesignGrid((points,))
     with pytest.raises(GridError, match="evaluation points must be finite"):
-        eval_grid_from_points(points)
+        EvalGrid((points,))
+
+
+_AXIS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).map(lambda v: np.unique(np.abs(v)))
+
+
+@settings(derandomize=True)
+@given(st.lists(_AXIS, min_size=1, max_size=2))
+def test_grid_is_its_axes(axes):
+    grid = DesignGrid(tuple(axes))
+    product = np.meshgrid(*axes, indexing="ij")
+    expected = axes[0] if len(axes) == 1 else np.column_stack([g.ravel() for g in product])
+    for g in (grid, EvalGrid(tuple(axes))):
+        np.testing.assert_array_equal(g.points, expected)
+        assert g.dim == len(axes) and g.coords().shape == (g.n_points, g.dim)
+
+    def weights(eval):
+        try:
+            return weight_matrix(grid, eval, 2.0)
+        except FuncbandError as exc:    # too few or collinear points: the same either way
+            return type(exc)
+
+    on_design, on_eval = weights(grid), weights(EvalGrid(grid.axes))
+    if isinstance(on_design, type):
+        assert on_design is on_eval
+    else:
+        np.testing.assert_array_equal(on_design, on_eval)
+
+
+@pytest.mark.parametrize("axes", [
+    (np.array([]),),
+    (np.array([0.2, 0.4]),) * 3,
+    (np.array([[0.2, 0.4], [0.6, 0.8]]),),
+    (np.array([0.2, np.nan]),),
+    (np.array([0.2, 1.5]),),
+    (np.array([-0.1, 0.5]),),
+    (np.array([0.4, 0.4]),),
+    (np.array([0.6, 0.4]),),
+    (["a", "b"],),
+], ids=["empty", "three axes", "2-d axis", "nan", "above 1", "below 0", "repeated",
+        "decreasing", "non-numeric"])
+@pytest.mark.parametrize("cls, kind", [(DesignGrid, "design"), (EvalGrid, "evaluation")])
+def test_malformed_axes_raise_grid_error(axes, cls, kind):
+    with pytest.raises(GridError, match=kind):
+        cls(axes)
+
+
+def test_weights_at_a_point_of_the_wrong_dimension_rejected():
+    # two coordinates on a 1-d design once returned the weights at the first
+    # and silently dropped the second
+    with pytest.raises(GridError):
+        local_linear_weights(uniform_design_grid(20), [0.3, 0.6], 0.2)
 
 
 def test_constructors_leave_caller_arrays_writeable():
     v = np.linspace(0.1, 0.9, 5)
     values = np.ones((3, 5))
-    grid = DesignGrid(dim=1, points=v, axes=(v,), sizes=(5,))
-    eval = EvalGrid(dim=1, points=v, axes=(v,))
+    grid = DesignGrid((v,))
+    eval = EvalGrid((v,))
     FunctionalSample(grid=grid, values=values)
     assert v.flags.writeable and values.flags.writeable
     assert not grid.points.flags.writeable and not eval.points.flags.writeable

@@ -27,7 +27,7 @@ from funcband import (
     polynomial_basis,
     uniform_design_grid,
 )
-from funcband.grids import design_grid_from_points
+from funcband.grids import DesignGrid
 from funcband.moments import empirical_data_covariance
 from funcband.simlab import ModelSpec, gen_model3, m2_covariance, ou_covariance
 
@@ -306,7 +306,7 @@ class TestDesignPlan:
     @pytest.mark.parametrize("points", [uniform_design_grid(30).points,
                                         np.linspace(0.01, 0.99, 40)])
     def test_plan_on_another_grid_rejected(self, points):
-        plan = plrt_module._design_plan(design_grid_from_points(points),
+        plan = plrt_module._design_plan(DesignGrid((points,)),
                                         polynomial_basis(1), 0.1, None)
         sample = gen_model3(20, 40, seed_or_rng=72)
         with pytest.raises(FuncbandError, match="another design grid"):

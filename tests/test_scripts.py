@@ -38,3 +38,17 @@ def test_reproduce_tables_runs():
     assert [(r["n"], r["method"]) for r in rows] == [
         (n, m) for n in ("10", "20", "50") for m in ("normal-scb", "bootstrap-scb")]
     assert all(r["reps"] == "2" and r["failures"] == "0" for r in rows)
+
+
+def test_output_digests_runs():
+    src = str(Path(funcband.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digests.py")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120, check=True)
+    lines = [line.split() for line in out.stdout.strip().splitlines()]
+    names = [name for name, _ in lines]
+    assert {"normal-1d", "normal-2d", "bootstrap", "prediction", "two-sample", "gof",
+            "plrt-known", "csv-round-trip"} <= set(names)
+    assert len(set(names)) == len(names)
+    assert all(len(sha) == 16 and int(sha, 16) >= 0 for _, sha in lines)

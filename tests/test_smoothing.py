@@ -41,6 +41,8 @@ from funcband import (
     plrt_test,
     polynomial_basis,
     prediction_band,
+    psd_repair,
+    read_curves_csv,
     residual_process,
     schafer_strimmer_lambda,
     band_covers,
@@ -53,8 +55,8 @@ from funcband import (
     write_curves_csv,
 )
 from funcband import smoothing
-from funcband.grids import eval_grid_from_points
-from funcband.simlab import ModelSpec, gen_model1
+from funcband.grids import EvalGrid
+from funcband.simlab import ModelSpec, gen_model1, run_experiment
 from funcband.supnorm import order_statistic_quantile
 
 
@@ -134,7 +136,7 @@ class TestWeights1d:
         p, h = 200, 0.1
         grid = uniform_design_grid(p)
         xs = np.linspace(0.0, 1.0, 101)
-        w = weight_matrix(grid, eval_grid_from_points(xs), h)
+        w = weight_matrix(grid, EvalGrid((xs,)), h)
         # calibrate C on coarse pairs, check it holds for fine pairs
         def ratio(i, j):
             inc = np.abs(w[i] - w[j]).max()
@@ -362,6 +364,26 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
     (lambda: residual_process("s", polynomial_basis(1), make_eval_grid(20), 0.2), "sample='s'"),
     (lambda: smoothing.cv_score("s", 0.2), "sample='s'"),
     (lambda: ar1_covariance_fit("s"), "sample='s'"),
+    (lambda: FunctionalSample(grid=uniform_design_grid(5), values="abc"), "values='abc'"),
+    (lambda: FunctionalSample(grid=uniform_design_grid(2), values=[[1, "a"]]),
+     "values=[[1, 'a']]"),
+    (lambda: EvalGrid(("abc",)), "evaluation axes[0]='abc'"),
+    (lambda: local_linear_weights(uniform_design_grid(20), "a", 0.2), "x='a'"),
+    (lambda: band_covers(normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, paths=200),
+                         "abc"), "values='abc'"),
+    (lambda: plrt_test(gen_model1(10, 20), polynomial_basis(1), 0.2, covariance_mode="known",
+                       known_covariance="x"), "known_covariance='x'"),
+    (lambda: SupQuantileRequest("abc", 0.05, 1000, 0), "correlation='abc'"),
+    (lambda: empirical_variance("abc"), "curves='abc'"),
+    (lambda: psd_repair("abc"), "table='abc'"),
+    (lambda: schafer_strimmer_lambda("abc"), "curves='abc'"),
+    (lambda: schafer_strimmer_lambda(np.arange(5.0)), "curves must be"),
+    (lambda: cv_bandwidth("s", [0.1]), "sample='s'"),
+    (lambda: run_experiment("s", "normal-scb"), "spec='s'"),
+    (lambda: gen_model1("a", 10), "n='a'"),
+    (lambda: Bandwidth(("a",)), "h=('a',)"),
+    (lambda: read_curves_csv(None), "path_or_file=None"),
+    (lambda: write_curves_csv(3.5, gen_model1(10, 20)), "path_or_file=3.5"),
 ], ids=["make_design_grid", "make_eval_grid", "polynomial_basis", "kernel_by_name",
         "Bandwidth.of", "normal_scb paths float", "normal_scb paths str",
         "SupQuantileRequest paths", "bootstrap_scb bootstraps", "ModelSpec n", "ModelSpec reps",
@@ -383,7 +405,13 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
         "split_half_bandwidth sample str", "empirical_data_covariance sample str",
         "write_curves_csv sample str", "limit_gamma model str", "limit_gamma eval str",
         "local_linear_weights grid str", "gamma_n_plugin sample str",
-        "residual_process sample str", "cv_score sample str", "ar1_covariance_fit sample str"])
+        "residual_process sample str", "cv_score sample str", "ar1_covariance_fit sample str",
+        "FunctionalSample values str", "FunctionalSample values mixed", "EvalGrid axis str",
+        "local_linear_weights x str", "band_covers values str", "plrt_test known_covariance str",
+        "SupQuantileRequest correlation str", "empirical_variance str", "psd_repair str",
+        "schafer_strimmer_lambda str", "schafer_strimmer_lambda 1-D",
+        "cv_bandwidth sample str", "run_experiment spec str", "gen_model1 n str",
+        "Bandwidth values str", "read_curves_csv None", "write_curves_csv path float"])
 def test_mistyped_argument_raises_funcband_error(call, named):
     with pytest.raises(FuncbandError) as err:
         call()
