@@ -22,6 +22,8 @@ from funcband import (
     FunctionalSample,
     bootstrap_scb,
     cv_bandwidth,
+    empirical_data_covariance,
+    gamma_n_plugin,
     local_linear_weights,
     make_design_grid,
     make_eval_grid,
@@ -72,6 +74,16 @@ def cases():
                                      paths=PATHS, seed=6))
 
     yield "normal-2d", normal_2d
+
+    def normal_2d_eval():
+        # a 2-D evaluation grid off the design, the bandwidth a tuple per axis
+        grid = uniform_design_grid(8, 8)
+        rng = np.random.default_rng(17)
+        sample = FunctionalSample(grid=grid, values=grid.points[:, 0] * grid.points[:, 1]
+                                  + rng.standard_normal((15, grid.n_points)))
+        return band_parts(normal_scb(sample, make_eval_grid(10, 2), (0.3, 0.3), seed=18))
+
+    yield "normal-2d-eval", normal_2d_eval
     yield "bootstrap", lambda: band_parts(bootstrap_scb(s1, eval50, 0.1, bootstraps=300, seed=7))
     yield "prediction", lambda: band_parts(prediction_band(s1, eval50, 0.1, paths=PATHS, seed=8))
 
@@ -98,6 +110,8 @@ def cases():
         return (report.statistic, report.threshold, report.reject) + band_parts(report.band)
 
     yield "gof", gof
+    yield "gamma-n-plugin", lambda: gamma_n_plugin(s3, line, eval50, 0.1)
+    yield "data-covariance", lambda: empirical_data_covariance(s1)
 
     def plrt(mode, **known):
         def run():
@@ -158,14 +172,17 @@ def cases():
 
     yield "cli-predict-test", cli_predict
 
-    def simlab_row():
-        spec = ModelSpec(model="m1", n=20, p=20, h=0.1, reps=2, seed=16, grid_size=30,
-                         paths=PATHS)
-        row = run_experiment(spec, "normal-scb").to_dict()
-        del row["wall_time"]
-        return sorted(row.items())
+    def simlab_row(model, method, seed):
+        def run():
+            spec = ModelSpec(model=model, n=20, p=20, h=0.1, reps=2, seed=seed, grid_size=30,
+                             paths=PATHS)
+            row = run_experiment(spec, method).to_dict()
+            del row["wall_time"]
+            return sorted(row.items())
+        return run
 
-    yield "simlab-normal-scb", simlab_row
+    yield "simlab-normal-scb", simlab_row("m1", "normal-scb", 16)
+    yield "simlab-gof-scb", simlab_row("m3-h0", "gof-scb", 19)
 
 
 def main() -> int:

@@ -33,7 +33,6 @@ from .smoothing import (
     weight_matrix,
 )
 from .moments import (
-    ShrinkageSpec,
     empirical_correlation,
     empirical_data_covariance,
     empirical_variance,

@@ -9,7 +9,6 @@ empirical correlation of the smoothed curves.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import Sequence
@@ -19,14 +18,8 @@ import numpy as np
 from .errors import (DegenerateVarianceError, FuncbandError, GridError, IllPosedBandwidthError,
                      SampleValidationError, _as_float_array, _check_finite, _check_int,
                      _check_type)
-from .grids import EvalGrid, FunctionalSample
-from .moments import (
-    ShrinkageSpec,
-    empirical_variance,
-    _shrinkage_intensity,
-    _shrunk_table,
-    _unit_correlation,
-)
+from .grids import EvalGrid, FunctionalSample, _opened
+from .moments import _shrunk_table, _unit_correlation, empirical_variance, schafer_strimmer_lambda
 from .smoothing import (_BANDWIDTH_ERRORS, Bandwidth, Kernel, _bandwidth_candidates, epanechnikov,
                         fit_mean)
 from .supnorm import (
@@ -53,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandResult:
     """A simultaneous band: center +/- half_width at confidence ``level``."""
 
@@ -63,7 +56,7 @@ class BandResult:
     threshold: float
     level: float
     method: str
-    details: dict = field(default_factory=dict, compare=False)
+    details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.center.shape != (self.grid.n_points,):
@@ -95,24 +88,14 @@ class BandResult:
             "upper": self.upper.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     def write_csv(self, path_or_file) -> None:
         if self.grid.dim != 1:
             raise GridError("band CSV output supports d=1 only")
-
-        def _write(fh):
+        with _opened(path_or_file, "w") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "center", "lower", "upper"])
             for x, c, lo, up in zip(self.grid.points, self.center, self.lower, self.upper):
                 writer.writerow([repr(float(x)), repr(float(c)), repr(float(lo)), repr(float(up))])
-
-        if hasattr(path_or_file, "write"):
-            _write(path_or_file)
-        else:
-            with open(path_or_file, "w", newline="") as fh:
-                _write(fh)
 
 
 def band_covers(band: BandResult, values: np.ndarray) -> bool:
@@ -161,7 +144,7 @@ def _band(method, eval, center, sigma, divisor, sups, gamma, h, kernel, seed, **
     quantile of the sup-norm draws ``sups`` (sorted here in place); ``details``
     gains the provenance and c's standard error."""
     c, se = _sorted_quantile(sups, gamma)
-    details = {"h": Bandwidth.of(h, 1).values if np.isscalar(h) or isinstance(h, Bandwidth) else h,
+    details = {"h": h.values if isinstance(h, Bandwidth) else (float(h),) if np.isscalar(h) else h,
                "kernel": (kernel or epanechnikov()).name, "seed": seed, **details,
                "threshold_stderr": se}
     return BandResult(eval, center, c * sigma / divisor, c, 1.0 - gamma, method, details)
@@ -181,12 +164,12 @@ def _gaussian_bands(method, eval, parts, divisor, gamma, paths, p, seed, kernel)
             in zip(parts, drawn if len(parts) > 1 else [drawn])]
 
 
-def _curve_part(sample, eval, h, kernel, shrinkage) -> tuple:
+def _curve_part(sample, eval, h, kernel) -> tuple:
     """The ``_gaussian_bands`` part of mu_hat +/- c sigma_hat / divisor built
     from the smoothed curves of ``sample``, drawn through their ``_curve_root``."""
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma = np.sqrt(_checked_variance(mean_fit))
-    lam = _shrinkage_intensity(shrinkage, mean_fit.curves)
+    lam = schafer_strimmer_lambda(mean_fit.curves)
     return mean_fit.mean, sigma, _curve_root(mean_fit.curves, mean_fit.mean, sigma, lam), lam, h
 
 
@@ -198,10 +181,9 @@ def normal_scb(
     gamma: float = 0.05,
     paths: int | None = None,
     seed: int = 0,
-    shrinkage: ShrinkageSpec = ShrinkageSpec(),
 ) -> BandResult:
     """Gaussian-limit simultaneous band for the mean curve."""
-    return _gaussian_bands("normal", eval, [_curve_part(sample, eval, h, kernel, shrinkage)],
+    return _gaussian_bands("normal", eval, [_curve_part(sample, eval, h, kernel)],
                            sqrt(sample.n_curves), gamma, paths, sample.n_points, seed, kernel)[0]
 
 
@@ -302,7 +284,7 @@ def bootstrap_scb(
                  h, kernel, seed, bootstraps=bootstraps, redraws=redraws)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoSampleResult:
     band: BandResult
     reject: bool
@@ -318,7 +300,6 @@ def two_sample_scb(
     alpha: float = 0.05,
     paths: int | None = None,
     seed: int = 0,
-    shrinkage: ShrinkageSpec = ShrinkageSpec(),
 ) -> TwoSampleResult:
     """Band for the difference of two mean curves; rejects equality iff the
     zero line exits the band somewhere."""
@@ -334,7 +315,7 @@ def two_sample_scb(
     for sample, h in ((sample_a, h_a), (sample_b, h_b)):
         mean_fit = fit_mean(sample, eval, h, kernel)
         sigma = np.sqrt(_checked_variance(mean_fit))
-        lam = _shrinkage_intensity(shrinkage, mean_fit.curves)
+        lam = schafer_strimmer_lambda(mean_fit.curves)
         corr = _shrunk_table((mean_fit.curves - mean_fit.mean) / sigma, lam)
         cov = corr * np.outer(sigma, sigma) / sample.n_curves
         fits.append(mean_fit)
@@ -358,10 +339,9 @@ def prediction_band(
     gamma: float = 0.05,
     paths: int | None = None,
     seed: int = 0,
-    shrinkage: ShrinkageSpec = ShrinkageSpec(),
 ) -> BandResult:
     """Band intended to contain a new curve: mu_hat +/- c sigma_hat (no sqrt(n))."""
-    return _gaussian_bands("prediction", eval, [_curve_part(sample, eval, h, kernel, shrinkage)],
+    return _gaussian_bands("prediction", eval, [_curve_part(sample, eval, h, kernel)],
                            1.0, gamma, paths, sample.n_points, seed, kernel)[0]
 
 
@@ -372,7 +352,6 @@ def split_half_bandwidth(
     kernel: Kernel | None = None,
     paths: int | None = None,
     seed: int = 0,
-    shrinkage: ShrinkageSpec = ShrinkageSpec(),
 ):
     """Split the training curves in half, build a prediction band on the first
     half per candidate bandwidth, and return the candidate whose coverage of
@@ -396,7 +375,7 @@ def split_half_bandwidth(
     parts = []
     for b in cands:
         try:
-            parts.append(_curve_part(build, sample.grid, b, kernel, shrinkage))
+            parts.append(_curve_part(build, sample.grid, b, kernel))
         except _BANDWIDTH_ERRORS:
             continue
     if not parts:

@@ -20,7 +20,7 @@ from .bands import BandResult, _gaussian_bands
 from .errors import (DegenerateVarianceError, FuncbandError, GridError, RankDeficiencyError,
                      SampleValidationError, _check_int, _check_type)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
-from .moments import ShrinkageSpec, _check_covariance, _kept_eigenvalues, empirical_data_covariance
+from .moments import _check_covariance, _kept_eigenvalues, empirical_data_covariance
 from .smoothing import Kernel, weight_matrix
 from .supnorm import _MatrixRoot
 
@@ -141,7 +141,7 @@ def polynomial_basis(degree: int, density: Callable | None = None) -> BasisModel
     return basis_model(funcs, density)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LsFit:
     theta: np.ndarray
     fitted_design: np.ndarray   # fitted values at the design points
@@ -187,7 +187,7 @@ def _residual_map(sample, model, eval, h, kernel) -> tuple[np.ndarray, np.ndarra
 
 
 def _projected_covariance(sample, q, shrinkage) -> tuple[np.ndarray, float]:
-    """(Q' S_hat Q, lambda) for the shrunk empirical covariance S_hat."""
+    """(Q' S_hat Q, lambda) for the empirical covariance S_hat, shrunk if ``shrinkage``."""
     data_cov, lam = empirical_data_covariance(sample, shrinkage)
     return q.T @ data_cov @ q, lam
 
@@ -209,7 +209,7 @@ def gamma_n_plugin(
     eval: EvalGrid,
     h,
     kernel: Kernel | None = None,
-    shrinkage: ShrinkageSpec | None = ShrinkageSpec(),
+    shrinkage: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Plug-in covariance table of sqrt(n) r: W(x)'(I-P) S_hat (I-P) W(x'), with
     S_hat the (optionally shrunk) empirical covariance of the raw data."""
@@ -254,14 +254,14 @@ def limit_gamma(
     return 0.5 * (table + table.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GofReport:
     statistic: float
     threshold: float
     alpha: float
     reject: bool
     band: BandResult
-    diagnostics: dict = field(default_factory=dict, compare=False)
+    diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -286,7 +286,7 @@ def scb_gof_test(
     alpha: float = 0.05,
     paths: int | None = None,
     seed: int = 0,
-    shrinkage: ShrinkageSpec | None = ShrinkageSpec(),
+    shrinkage: bool = True,
 ) -> GofReport:
     """Sup-norm test of the parametric model; T = sqrt(n) || r / sigma_Gamma ||_inf.
 

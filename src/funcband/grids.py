@@ -43,7 +43,7 @@ def _readonly(a, name: str, error: type) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalGrid:
     """Ordered evaluation locations in [0,1]^dim: the product grid of
     ``axes``, one nonempty strictly increasing point sequence per axis.
@@ -101,7 +101,7 @@ class DesignGrid(EvalGrid):
     kind = "design"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalSample:
     """n discretized curves observed on a common design grid; construction
     raises SampleValidationError unless the grid is a DesignGrid and the

@@ -4,9 +4,6 @@ through, which also repairs tables that are not positive semidefinite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from numbers import Real
-
 import numpy as np
 
 from .errors import (DegenerateVarianceError, FactorizationError, FuncbandError,
@@ -14,7 +11,6 @@ from .errors import (DegenerateVarianceError, FactorizationError, FuncbandError,
 from .grids import FunctionalSample
 
 __all__ = [
-    "ShrinkageSpec",
     "empirical_variance",
     "empirical_correlation",
     "schafer_strimmer_lambda",
@@ -31,7 +27,7 @@ _EIG_RTOL = 1e-12
 
 
 def _check_symmetric(table: np.ndarray, what: str) -> np.ndarray:
-    table = np.asarray(table, dtype=float)
+    table = _as_float_array(what, table)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise FuncbandError(f"{what} table must be square")
     if not np.all(np.isfinite(table)):
@@ -62,23 +58,6 @@ def _unit_correlation(table: np.ndarray) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class ShrinkageSpec:
-    """Shrinkage toward the identity correlation.
-
-    ``intensity`` is the mixing weight lambda in [0,1]; None means estimate
-    it from the data with the analytic (Schafer-Strimmer) formula.
-    """
-
-    intensity: float | None = None
-
-    def __post_init__(self):
-        if self.intensity is not None and not (isinstance(self.intensity, Real)
-                                               and 0.0 <= self.intensity <= 1.0):
-            raise FuncbandError(f"shrinkage intensity must lie in [0,1], "
-                                f"got intensity={self.intensity!r}")
-
-
 def _curve_array(curves) -> np.ndarray:
     """``curves`` as an (n, m) float array, or a FuncbandError naming it."""
     curves = _as_float_array("curves", curves)
@@ -105,7 +84,7 @@ def empirical_correlation(
     sigma2: np.ndarray | None = None,
 ) -> np.ndarray:
     """Empirical correlation table of the rows of ``curves`` across grid points."""
-    curves = np.asarray(curves, dtype=float)
+    curves = _curve_array(curves)
     if mean is None:
         mean = curves.mean(axis=0)
     if sigma2 is None:
@@ -156,16 +135,6 @@ def schafer_strimmer_lambda(curves: np.ndarray) -> float:
     return min(max(lam, 0.0), 1.0)
 
 
-def _shrinkage_intensity(spec: ShrinkageSpec, curves: np.ndarray | None) -> float:
-    """lambda: the spec's intensity, or else the analytic one of ``curves``."""
-    _check_type("shrinkage", spec, ShrinkageSpec)
-    if spec.intensity is not None:
-        return float(spec.intensity)
-    if curves is None:
-        raise FuncbandError("data-estimated shrinkage needs the underlying curves")
-    return schafer_strimmer_lambda(curves)
-
-
 def _shrunk_table(xs: np.ndarray, lam: float) -> np.ndarray:
     """(1-lam) R + lam I for the correlation R = Xs'Xs/(n-1) of the n x m standardized
     deviations Xs, entries clipped to [-1,1] and unit diagonal as in ``_unit_correlation``."""
@@ -175,13 +144,12 @@ def _shrunk_table(xs: np.ndarray, lam: float) -> np.ndarray:
     return table
 
 
-def shrink_correlation(
-    raw: np.ndarray, spec: ShrinkageSpec, curves: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
+def shrink_correlation(raw: np.ndarray, curves: np.ndarray) -> tuple[np.ndarray, float]:
     """Convex combination (1-lambda) raw + lambda I of the correlation table
-    ``raw`` (clipped to [-1,1], unit diagonal); returns (table, lambda)."""
+    ``raw`` (clipped to [-1,1], unit diagonal), with lambda the analytic
+    intensity of ``curves``; returns (table, lambda)."""
     raw = _unit_correlation(_check_covariance(raw, what="correlation"))
-    lam = _shrinkage_intensity(spec, curves)
+    lam = schafer_strimmer_lambda(curves)
     return _unit_correlation((1.0 - lam) * raw + lam * np.eye(len(raw))), lam
 
 
@@ -205,24 +173,26 @@ def _centered_curves(sample: FunctionalSample) -> np.ndarray:
 
 
 def empirical_data_covariance(
-    sample: FunctionalSample, spec: ShrinkageSpec | None = None
+    sample: FunctionalSample, shrinkage: bool = False
 ) -> tuple[np.ndarray, float]:
     """Sample covariance table of the raw data across units, optionally shrunk.
 
-    Shrinkage acts on the correlation scale (variances preserved).  Returns
-    (table, lambda); lambda is 0 when no shrinkage spec is given.
+    Shrinkage acts on the correlation scale (variances preserved), with the
+    analytic intensity of the curves.  Returns (table, lambda); lambda is 0
+    without shrinkage.
     """
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
+    _check_type("shrinkage", shrinkage, bool)
     y = sample.values
     dev = _centered_curves(sample)
     with np.errstate(over="ignore", invalid="ignore"):
         table = dev.T @ dev / (y.shape[0] - 1)
     _check_finite("covariance", table)
-    if spec is None:
+    if not shrinkage:
         return table, 0.0
     # a correlation of a checked table: shrinking it needs no second check
     corr = correlation_from_covariance(table)
-    lam = _shrinkage_intensity(spec, y)
+    lam = schafer_strimmer_lambda(y)
     shrunk = _unit_correlation((1.0 - lam) * corr + lam * np.eye(len(corr)))
     sd = np.sqrt(np.diag(table))
     return shrunk * np.outer(sd, sd), lam

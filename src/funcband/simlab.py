@@ -20,10 +20,10 @@ from math import log, sqrt
 import numpy as np
 
 from .bands import band_covers, bootstrap_scb, normal_scb
-from .errors import FuncbandError, _check_int, _check_type
+from .errors import FuncbandError, _as_float_array, _check_int, _check_type
 from .gof import polynomial_basis, scb_gof_test
 from .grids import DesignGrid, FunctionalSample, make_eval_grid, uniform_design_grid
-from .moments import ShrinkageSpec, _psd_root, correlation_from_covariance
+from .moments import _psd_root, correlation_from_covariance
 from .plrt import _design_plan, _sigma_factor, plrt_test
 from .smoothing import Bandwidth, kernel_by_name, weight_matrix
 from .supnorm import (SupQuantileRequest, _check_draws, _check_level, default_path_count,
@@ -116,7 +116,7 @@ def _connector_coefs():
 def bump_function(x) -> np.ndarray:
     """The C^2 bump: zero outside [0.4, 0.6], Gaussian hump on (0.45, 0.55],
     quintic Hermite connectors in between."""
-    x = np.asarray(x, dtype=float)
+    x = _as_float_array("x", x)
     left, right = _connector_coefs()
     out = np.zeros_like(x)
     powers = x[..., None] ** np.arange(6, dtype=float)
@@ -250,14 +250,12 @@ class ModelSpec:
     grid_size: int = 100
     paths: int | None = None
     bootstraps: int = 2500
-    shrinkage: ShrinkageSpec = field(default_factory=ShrinkageSpec)
 
     def __post_init__(self):
         _model(self.model)
         kernel_by_name(self.kernel)
         _check_level(self.level)
         Bandwidth.of(self.h)
-        _check_type("shrinkage", self.shrinkage, ShrinkageSpec)
         for name, low in (("seed", 0), ("n", 2), ("p", 2), ("reps", 0), ("grid_size", 1)):
             _check_int(name, getattr(self, name), low)
         _check_draws("paths", self.paths if self.paths is not None else default_path_count(self.p),
@@ -335,8 +333,7 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
         sample = generate(spec.model, spec.n, spec.p, rng)
         try:
             if method == "normal-scb":
-                band = normal_scb(sample, eval, spec.h, kern, spec.level, paths,
-                                  sup_seed, spec.shrinkage)
+                band = normal_scb(sample, eval, spec.h, kern, spec.level, paths, sup_seed)
                 hits += band_covers(band, truth)
                 thresholds.append(band.threshold)
             elif method == "bootstrap-scb":
@@ -345,8 +342,8 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
                 hits += band_covers(band, truth)
                 thresholds.append(band.threshold)
             elif method == "gof-scb":
-                report = scb_gof_test(sample, basis, eval, spec.h, kern, spec.level,
-                                      paths, sup_seed, spec.shrinkage)
+                report = scb_gof_test(sample, basis, eval, spec.h, kern, spec.level, paths,
+                                      sup_seed)
                 hits += report.reject
                 thresholds.append(report.threshold)
             else:

@@ -111,7 +111,7 @@ class Bandwidth:
         return cls(vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Sparse local linear weights at a single evaluation point."""
 
@@ -182,7 +182,7 @@ def local_linear_weights(grid: DesignGrid, x, h, kernel: Kernel | None = None) -
     return WeightVector(indices=idx, weights=row[idx])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanFit:
     """Smoothed mean together with the per-curve smooths it averages."""
 

@@ -35,7 +35,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import FactorizationError, FuncbandError, _as_float_array, _check_finite, _check_int
+from .errors import (FactorizationError, FuncbandError, _as_float_array, _check_finite, _check_int,
+                     _check_type)
 from .moments import _psd_root, _shrunk_table
 
 __all__ = [
@@ -143,7 +144,7 @@ class _ThinRoot(_MatrixRoot):
         return _shrunk_table(self._xs, self._lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupQuantileRequest:
     """Draw ``paths`` sup-norms of the Gaussian process with correlation
     ``correlation``: an m x m table or a root.  The root drawn through,
@@ -153,7 +154,7 @@ class SupQuantileRequest:
     level: float            # gamma, the tail probability
     paths: int
     seed: int
-    root: _MatrixRoot = field(init=False, repr=False, compare=False)
+    root: _MatrixRoot = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_level(self.level)
@@ -194,6 +195,8 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     multiplied and reduced to its sups in blocks of rows: 2048, halved until
     a normal or product buffer of rows x max(w, m) doubles is at most 8 MiB."""
     requests = (request, *more)
+    for r in requests:
+        _check_type("request", r, SupQuantileRequest)
     roots = [r.root for r in requests]
     width = roots[0].width
     if any((r.seed, r.paths, root.width) != (request.seed, request.paths, width)

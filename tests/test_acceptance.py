@@ -256,7 +256,7 @@ def test_criterion_8_oracle_equivalence():
     w = weight_matrix(grid, eval, 0.02)
     lim_diag = np.diag(w @ lim @ w.T)
     plug, _ = gamma_n_plugin(gen_model3(5000, 200, seed_or_rng=81), model, eval,
-                             0.02, shrinkage=None)
+                             0.02, shrinkage=False)
     rel = np.abs(np.diag(plug) - lim_diag) / lim_diag
     ok_g = rel.max() < 0.10
 

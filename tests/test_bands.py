@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from funcband import (
+    Bandwidth,
     DegenerateVarianceError,
     FuncbandError,
     FunctionalSample,
     GridError,
     SampleValidationError,
-    ShrinkageSpec,
     band_covers,
     bootstrap_scb,
+    cv_bandwidth,
     make_eval_grid,
     normal_scb,
     plrt_test,
@@ -343,7 +344,7 @@ class TestSquareRootChoice:
             fit = fit_mean(sample, eval, h)
             raw = moments.empirical_correlation(fit.curves)
             lam = band.details["shrinkage_lambda"]
-            dense = moments.shrink_correlation(raw, ShrinkageSpec(lam))[0]
+            dense = (1.0 - lam) * raw + lam * np.eye(len(raw))
             assert isinstance(request.root, supnorm._ThinRoot)
             assert request.correlation is request.root and dense.shape == (eval.n_points,) * 2
             np.testing.assert_allclose(request.table(), dense, rtol=0, atol=1e-14)
@@ -382,8 +383,7 @@ class TestSquareRootChoice:
         few = gen_model1(10, 30, seed_or_rng=19)
         grid = make_eval_grid(100)
         build = {
-            "lambda 0": lambda: normal_scb(few, grid, 0.1, paths=500, seed=1,
-                                           shrinkage=ShrinkageSpec(intensity=0.0)),
+            "lambda 0": lambda: normal_scb(few, grid, 0.1, paths=500, seed=1),
             "2n >= m": lambda: normal_scb(gen_model1(50, 30, seed_or_rng=20), grid, 0.1,
                                           paths=500, seed=1),
             "two-sample": lambda: two_sample_scb(few, gen_model1(10, 30, seed_or_rng=21), grid,
@@ -392,6 +392,8 @@ class TestSquareRootChoice:
             "gof": lambda: scb_gof_test(gen_model1(10, 110, seed_or_rng=22), polynomial_basis(1),
                                         grid, 0.1, paths=500, seed=1),
         }[case]
+        if case == "lambda 0":
+            monkeypatch.setattr(bands, "schafer_strimmer_lambda", lambda curves: 0.0)
         taken, requests, run = [], [], bands.simulate_sup_norms
         dense_root = supnorm._psd_root
         monkeypatch.setattr(supnorm, "_psd_root", lambda table, correlation=False:
@@ -411,6 +413,28 @@ def test_gaussian_bands_share_details_keys(sample50, eval_grid):
     keys = {"h", "kernel", "seed", "paths", "shrinkage_lambda", "clipped_mass",
             "threshold_stderr"}
     assert [set(b.details) for b in bands] == [keys] * 4
+
+
+@pytest.mark.parametrize("build", [normal_scb, bootstrap_scb])
+def test_bandwidth_object_gives_the_tuple_band(build):
+    # a 2-d Bandwidth once failed in the band's provenance, after the band was built
+    grid = uniform_design_grid(8, 8)
+    values = grid.points[:, 0] + np.random.default_rng(27).standard_normal((15, 64))
+    sample, eval = FunctionalSample(grid=grid, values=values), make_eval_grid(10, 2)
+    kwargs = {"paths": 500} if build is normal_scb else {"bootstraps": 200}
+    a = build(sample, eval, Bandwidth((0.3, 0.3)), seed=1, **kwargs)
+    b = build(sample, eval, (0.3, 0.3), seed=1, **kwargs)
+    assert a.threshold == b.threshold and a.details["h"] == b.details["h"] == (0.3, 0.3)
+    np.testing.assert_array_equal(a.center, b.center)
+    np.testing.assert_array_equal(a.half_width, b.half_width)
+
+
+def test_cv_bandwidth_result_passed_back_as_h(sample50, eval_grid):
+    best, _ = cv_bandwidth(sample50, [0.05, 0.1])
+    band = normal_scb(sample50, eval_grid, best, paths=500, seed=1)
+    scalar = normal_scb(sample50, eval_grid, best.values[0], paths=500, seed=1)
+    assert band.details["h"] == scalar.details["h"] == best.values
+    np.testing.assert_array_equal(band.half_width, scalar.half_width)
 
 
 def _recording(fn, draws):

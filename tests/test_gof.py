@@ -159,7 +159,7 @@ class TestGammaPlugin:
         sample = FunctionalSample(grid=grid, values=np.vstack([mu + v, mu - v]))
         model = polynomial_basis(0)
         eval = EvalGrid((np.array([0.2, 0.8]),))
-        gamma, lam = gamma_n_plugin(sample, model, eval, 0.9, shrinkage=None)
+        gamma, lam = gamma_n_plugin(sample, model, eval, 0.9, shrinkage=False)
         w = weight_matrix(grid, eval, 0.9)
         wv = w @ v
         np.testing.assert_allclose(gamma, 2.0 * np.outer(wv, wv), atol=1e-10)
@@ -341,7 +341,7 @@ class TestLowRankFactor:
         sample = gen_model3(10, 50, seed_or_rng=22, hypothesis="h0")
         widths, _ = _record_draws(monkeypatch)
         report = scb_gof_test(sample, self.MODEL, make_eval_grid(100), 0.035, seed=3,
-                              shrinkage=None)
+                              shrinkage=False)
         assert set(widths) == {9}
         assert 0.0 < report.diagnostics["clipped_mass"] < 1e-12
         assert report.band.details["clipped_mass"] == report.diagnostics["clipped_mass"]

@@ -182,6 +182,16 @@ def test_constructors_leave_caller_arrays_writeable():
     assert not grid.points.flags.writeable and not eval.points.flags.writeable
 
 
+def test_grids_compare_by_identity():
+    # the generated field-wise == compared the axis arrays and raised
+    grid = uniform_design_grid(5)
+    assert (grid == uniform_design_grid(5)) is False
+    assert grid == grid
+    assert len({grid, uniform_design_grid(5), grid}) == 2
+    sample = FunctionalSample(grid=grid, values=np.ones((2, 5)))
+    assert sample == sample and (sample != FunctionalSample(grid=grid, values=np.ones((2, 5))))
+
+
 class TestValidateSample:
     """Constructing a FunctionalSample is its validation."""
 

@@ -7,7 +7,6 @@ from funcband import (
     DegenerateVarianceError,
     FuncbandError,
     FunctionalSample,
-    ShrinkageSpec,
     SupQuantileRequest,
     empirical_correlation,
     empirical_data_covariance,
@@ -22,6 +21,7 @@ from funcband import (
     shrink_correlation,
     uniform_design_grid,
 )
+from funcband import moments
 from funcband.moments import _psd_root, correlation_from_covariance
 from funcband.simlab import gen_model1, gen_model3, ou_covariance
 from funcband.smoothing import fit_mean
@@ -92,19 +92,21 @@ class TestEmpiricalCorrelation:
 
 
 class TestShrinkage:
-    def test_lambda_zero_is_identity_map(self):
+    def test_lambda_zero_is_identity_map(self, monkeypatch):
         rng = np.random.default_rng(4)
         curves = rng.standard_normal((6, 5))
         raw = empirical_correlation(curves)
-        out, lam = shrink_correlation(raw, ShrinkageSpec(intensity=0.0))
+        monkeypatch.setattr(moments, "schafer_strimmer_lambda", lambda x: 0.0)
+        out, lam = shrink_correlation(raw, curves)
         assert lam == 0.0
         np.testing.assert_array_equal(out, raw)
 
-    def test_lambda_one_is_identity_correlation(self):
+    def test_lambda_one_is_identity_correlation(self, monkeypatch):
         rng = np.random.default_rng(5)
         curves = rng.standard_normal((6, 5))
         raw = empirical_correlation(curves)
-        out, lam = shrink_correlation(raw, ShrinkageSpec(intensity=1.0))
+        monkeypatch.setattr(moments, "schafer_strimmer_lambda", lambda x: 1.0)
+        out, lam = shrink_correlation(raw, curves)
         np.testing.assert_array_equal(out, np.eye(5))
 
     def test_analytic_lambda_in_unit_interval(self):
@@ -154,7 +156,7 @@ class TestShrinkage:
         for _ in range(100):
             curves = rng.standard_normal((5, 50)) @ np.diag(rng.uniform(0.5, 2, 50))
             raw = empirical_correlation(curves)
-            out, _lam = shrink_correlation(raw, ShrinkageSpec(), curves)
+            out, _lam = shrink_correlation(raw, curves)
             vals = np.linalg.eigvalsh(out)
             assert vals.min() >= -1e-8 * vals.max()
 
@@ -162,7 +164,7 @@ class TestShrinkage:
         rng = np.random.default_rng(8)
         curves = rng.standard_normal((10, 7))
         raw = empirical_correlation(curves)
-        out, _ = shrink_correlation(raw, ShrinkageSpec(), curves)
+        out, _ = shrink_correlation(raw, curves)
         np.testing.assert_array_equal(out, out.T)
         np.testing.assert_array_equal(np.diag(out), 1.0)
 
@@ -187,7 +189,7 @@ class TestEmpiricalDataCovariance:
     def test_monte_carlo_matches_ou(self):
         # [DERIVED] 1000 model-1 draws, no shrinkage: entrywise within 0.01 of R
         sample = gen_model1(1000, 20, seed_or_rng=9)
-        cov, lam = empirical_data_covariance(sample, None)
+        cov, lam = empirical_data_covariance(sample, False)
         assert lam == 0.0
         x = sample.grid.points
         r = ou_covariance(x[:, None], x[None, :])
@@ -203,8 +205,8 @@ class TestEmpiricalDataCovariance:
     def test_shrinkage_preserves_variances(self):
         rng = np.random.default_rng(11)
         sample = self._sample(rng.standard_normal((6, 5)) * np.array([1, 2, 3, 4, 5.0]))
-        raw, _ = empirical_data_covariance(sample, None)
-        shrunk, lam = empirical_data_covariance(sample, ShrinkageSpec())
+        raw, _ = empirical_data_covariance(sample, False)
+        shrunk, lam = empirical_data_covariance(sample, True)
         assert lam > 0.0
         np.testing.assert_allclose(np.diag(shrunk), np.diag(raw), atol=1e-12)
 
@@ -310,8 +312,8 @@ _BOUNDARIES = {
                                               defect(_exp_table(30))),
     "correlation_from_covariance": lambda defect: correlation_from_covariance(
         defect(_exp_table(30))),
-    "shrink_correlation": lambda defect: shrink_correlation(defect(_exp_table(30)),
-                                                            ShrinkageSpec(0.1)),
+    "shrink_correlation": lambda defect: shrink_correlation(
+        defect(_exp_table(30)), np.random.default_rng(0).standard_normal((5, 30))),
     "SupQuantileRequest": lambda defect: SupQuantileRequest(defect(_exp_table(30)), 0.05, 1000, 0),
 }
 

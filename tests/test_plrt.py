@@ -257,7 +257,7 @@ class TestFactorRoutes:
             sample = gen_model3(n, 40, seed_or_rng=33 + seed, hypothesis="hn")
             report = plrt_test(sample, polynomial_basis(1), 0.08)
             _f, a_mat, _ = plrt_statistic(sample, polynomial_basis(1), 0.08)
-            sigma = empirical_data_covariance(sample, None)[0] / n
+            sigma = empirical_data_covariance(sample, False)[0] / n
             assert report.pvalue == pytest.approx(_eigh_pvalue(a_mat, sigma), abs=1e-12)
 
 
@@ -280,7 +280,7 @@ class TestDesignPlan:
             report = plrt_test(sample, basis, spec.h, None, mode, known)
             _f, a_mat, _ = plrt_statistic(sample, basis, spec.h)
             sigma = {"known": known, "parametric-ar1": ar1_covariance_fit(sample)[2],
-                     "nonparametric": empirical_data_covariance(sample, None)[0]}[mode]
+                     "nonparametric": empirical_data_covariance(sample, False)[0]}[mode]
             assert report.pvalue == pytest.approx(_eigh_pvalue(a_mat, sigma / spec.n), abs=1e-12)
             hits += report.pvalue < spec.level
         assert 0 < hits < spec.reps and row.rate == hits / spec.reps

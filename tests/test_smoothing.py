@@ -18,13 +18,13 @@ from funcband import (
     FunctionalSample,
     GridError,
     IllPosedBandwidthError,
-    ShrinkageSpec,
     SingularDesignError,
     SupQuantileRequest,
     basis_model,
     bootstrap_scb,
     cv_bandwidth,
     default_path_count,
+    empirical_correlation,
     empirical_data_covariance,
     empirical_variance,
     epanechnikov,
@@ -37,6 +37,7 @@ from funcband import (
     make_design_grid,
     make_eval_grid,
     normal_scb,
+    plrt_pvalue,
     plrt_statistic,
     plrt_test,
     polynomial_basis,
@@ -47,7 +48,10 @@ from funcband import (
     schafer_strimmer_lambda,
     band_covers,
     scb_gof_test,
+    shrink_correlation,
+    simulate_sup_norms,
     split_half_bandwidth,
+    sup_quantile,
     truncated_gaussian,
     two_sample_scb,
     uniform_design_grid,
@@ -56,7 +60,7 @@ from funcband import (
 )
 from funcband import smoothing
 from funcband.grids import EvalGrid
-from funcband.simlab import ModelSpec, gen_model1, run_experiment
+from funcband.simlab import ModelSpec, bump_function, gen_model1, run_experiment
 from funcband.supnorm import order_statistic_quantile
 
 
@@ -326,16 +330,11 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
     (lambda: default_path_count("x"), "p='x'"),
     (lambda: schafer_strimmer_lambda(np.full((5, 4), math.nan)), "non-finite curves"),
     (lambda: empirical_variance(np.arange(5.0)), "curves must be"),
-    (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, shrinkage=0.5),
-     "shrinkage=0.5"),
-    (lambda: prediction_band(gen_model1(10, 20), make_eval_grid(20), 0.2, shrinkage=0.5),
-     "shrinkage=0.5"),
-    (lambda: two_sample_scb(gen_model1(10, 20), gen_model1(10, 20, seed_or_rng=1),
-                            make_eval_grid(20), 0.2, shrinkage=0.5), "shrinkage=0.5"),
     (lambda: scb_gof_test(gen_model1(10, 20), polynomial_basis(1), make_eval_grid(20), 0.2,
                           shrinkage=0.5), "shrinkage=0.5"),
     (lambda: empirical_data_covariance(gen_model1(10, 20), 0.5), "shrinkage=0.5"),
-    (lambda: ModelSpec(**_SPEC, shrinkage=1), "shrinkage=1"),
+    (lambda: gamma_n_plugin(gen_model1(10, 20), polynomial_basis(1), make_eval_grid(20), 0.2,
+                            shrinkage=None), "shrinkage=None"),
     (lambda: limit_gamma(1.0, polynomial_basis(1), make_eval_grid(5)), "covariance=1.0"),
     (lambda: basis_model([np.sin], density=1.0), "density=1.0"),
     (lambda: FunctionalSample(grid="g", values=np.ones((3, 5))), "grid='g'"),
@@ -384,6 +383,16 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
     (lambda: Bandwidth(("a",)), "h=('a',)"),
     (lambda: read_curves_csv(None), "path_or_file=None"),
     (lambda: write_curves_csv(3.5, gen_model1(10, 20)), "path_or_file=3.5"),
+    (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, paths=200).write_csv(3.5),
+     "path_or_file=3.5"),
+    (lambda: empirical_correlation("abc"), "curves='abc'"),
+    (lambda: plrt_pvalue("a", "b"), "quadratic form='a'"),
+    (lambda: shrink_correlation("a", np.ones((5, 3))), "correlation='a'"),
+    (lambda: bump_function("a"), "x='a'"),
+    (lambda: limit_gamma(lambda x, y: np.full(np.broadcast(x, y).shape, "a"),
+                         polynomial_basis(1), make_eval_grid(5)), "covariance must be an array"),
+    (lambda: sup_quantile("x"), "request='x'"),
+    (lambda: simulate_sup_norms("x"), "request='x'"),
 ], ids=["make_design_grid", "make_eval_grid", "polynomial_basis", "kernel_by_name",
         "Bandwidth.of", "normal_scb paths float", "normal_scb paths str",
         "SupQuantileRequest paths", "bootstrap_scb bootstraps", "ModelSpec n", "ModelSpec reps",
@@ -392,9 +401,8 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
         "cv_bandwidth kernel", "plrt_test kernel", "order_statistic_quantile nan",
         "order_statistic_quantile empty", "order_statistic_quantile 1.5",
         "default_path_count str", "schafer_strimmer_lambda nan", "empirical_variance 1-D",
-        "normal_scb shrinkage float", "prediction_band shrinkage float",
-        "two_sample_scb shrinkage float", "scb_gof_test shrinkage float",
-        "empirical_data_covariance shrinkage float", "ModelSpec shrinkage int",
+        "scb_gof_test shrinkage float", "empirical_data_covariance shrinkage float",
+        "gamma_n_plugin shrinkage None",
         "limit_gamma covariance float", "basis_model density float",
         "FunctionalSample grid str", "order_statistic_quantile str", "normal_scb eval str",
         "prediction_band eval None", "bootstrap_scb sample str", "two_sample_scb sample None",
@@ -411,7 +419,10 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
         "SupQuantileRequest correlation str", "empirical_variance str", "psd_repair str",
         "schafer_strimmer_lambda str", "schafer_strimmer_lambda 1-D",
         "cv_bandwidth sample str", "run_experiment spec str", "gen_model1 n str",
-        "Bandwidth values str", "read_curves_csv None", "write_curves_csv path float"])
+        "Bandwidth values str", "read_curves_csv None", "write_curves_csv path float",
+        "BandResult.write_csv path float", "empirical_correlation str", "plrt_pvalue str",
+        "shrink_correlation str", "bump_function str", "limit_gamma covariance str",
+        "sup_quantile str", "simulate_sup_norms str"])
 def test_mistyped_argument_raises_funcband_error(call, named):
     with pytest.raises(FuncbandError) as err:
         call()
@@ -423,13 +434,12 @@ def test_mistyped_argument_raises_funcband_error(call, named):
                          make_eval_grid(5, dim=2)), GridError, "supports d=1"),
     (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, gamma="0.05", paths=200),
      FuncbandError, "gamma='0.05'"),
-    (lambda: ShrinkageSpec(intensity="0.5"), FuncbandError, "intensity='0.5'"),
     (lambda: basis_model([1.0]), FuncbandError, "functions[0]=1.0"),
     (lambda: basis_model([np.sin, "cos"]), FuncbandError, "functions[1]='cos'"),
     (lambda: order_statistic_quantile([1.0, math.nan, 2.0], 0.05), FuncbandError,
      "non-finite values at point index 1"),
     (lambda: order_statistic_quantile(2.0, 0.05), FuncbandError, "got shape ()"),
-], ids=["limit_gamma 2-d", "normal_scb gamma str", "ShrinkageSpec intensity str",
+], ids=["limit_gamma 2-d", "normal_scb gamma str",
         "basis_model float", "basis_model str", "order_statistic_quantile nan value",
         "order_statistic_quantile scalar"])
 def test_malformed_input_raises_named_error(call, error, named):

@@ -9,7 +9,6 @@ from scipy.stats import kstest, norm
 from funcband import (
     FactorizationError,
     FuncbandError,
-    ShrinkageSpec,
     SupQuantileRequest,
     default_path_count,
     empirical_correlation,
@@ -17,7 +16,6 @@ from funcband import (
     make_eval_grid,
     polynomial_basis,
     scb_gof_test,
-    shrink_correlation,
     simulate_sup_norms,
     sup_quantile,
 )
@@ -94,6 +92,11 @@ def _curves(n, m, seed):
     return np.random.default_rng(seed).standard_normal((n, m)).cumsum(axis=1)
 
 
+def _shrunk(raw, lam):
+    """The oracle (1 - lam) R + lam I of a correlation table R."""
+    return (1.0 - lam) * raw + lam * np.eye(len(raw))
+
+
 class TestThinRoot:
     @pytest.mark.parametrize("n", [2, 8])
     @pytest.mark.parametrize("lam", [1e-6, 0.05, 0.5, 1.0])
@@ -103,7 +106,7 @@ class TestThinRoot:
         mean = curves.mean(axis=0)
         sd = curves.std(axis=0, ddof=1)
         raw = empirical_correlation(curves, mean, sd**2)
-        table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0]
+        table = _shrunk(raw, lam)
         thin = np.empty((m, m))
         _ThinRoot(curves, mean, sd, lam)(np.eye(m), thin)     # I L = L
         dense, mass = _psd_root(table, correlation=True)
@@ -121,7 +124,7 @@ class TestThinRoot:
         curves = _curves(n, m, seed=n + 10)
         mean, sd = curves.mean(axis=0), curves.std(axis=0, ddof=1)
         raw = empirical_correlation(curves, mean, sd**2)
-        dense = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0]
+        dense = _shrunk(raw, lam)
         request = SupQuantileRequest(_ThinRoot(curves, mean, sd, lam), 0.05, 1000, 0)
         np.testing.assert_allclose(request.table(), dense, rtol=0, atol=1e-14)
 
@@ -158,7 +161,7 @@ def _shrunk_request(n, m, lam, seed, paths, thin=True):
     mean = curves.mean(axis=0)
     sd = curves.std(axis=0, ddof=1)
     raw = empirical_correlation(curves, mean, sd**2)
-    table = shrink_correlation(raw, ShrinkageSpec(intensity=lam))[0]
+    table = _shrunk(raw, lam)
     return SupQuantileRequest(_ThinRoot(curves, mean, sd, lam) if thin else table, 0.05, paths,
                               seed)
 
@@ -310,7 +313,7 @@ def _thin_case(monkeypatch):
     curves = _curves(8, 40, seed=31)
     mean, sd = curves.mean(axis=0), curves.std(axis=0, ddof=1)
     raw = empirical_correlation(curves, mean, sd**2)
-    table = shrink_correlation(raw, ShrinkageSpec(intensity=0.2))[0]
+    table = _shrunk(raw, 0.2)
     return _curve_root(curves, mean, sd, 0.2), 0.0, table
 
 
@@ -322,9 +325,9 @@ class TestRootProtocol:
     @pytest.mark.parametrize("make, kind, width, size", [
         (_table_case, _MatrixRoot, 40, 40),
         # no shrinkage and n - 1 = 9 < p - L: a rank-9 factor that drops rounding mass
-        (lambda mp: _gof_case(mp, 10, 50, None), _MatrixRoot, 9, 100),
+        (lambda mp: _gof_case(mp, 10, 50, False), _MatrixRoot, 9, 100),
         # p - L = 148 > m: the m x m R of the factor's QR
-        (lambda mp: _gof_case(mp, 50, 150, ShrinkageSpec()), _MatrixRoot, 100, 100),
+        (lambda mp: _gof_case(mp, 50, 150, True), _MatrixRoot, 100, 100),
         (_thin_case, _ThinRoot, 40, 40),
     ], ids=["dense table", "gof r < m", "gof r > m", "thin"])
     def test_identity_gives_a_root_of_the_table(self, make, kind, width, size, monkeypatch):
