@@ -8,11 +8,20 @@ checkout's sources; run it against two checkouts and compare the lines to show
 that a change left every seeded output bit-identical:
 
     PYTHONPATH=src python scripts/output_digests.py
+
+With ``--pin PATH`` it writes instead, as JSON, a few scalars of every case and
+one small ``run_experiment`` row per method, which tests/test_seeded_values.py
+compares at rtol 1e-10 (byte digests depend on the BLAS build).  A change that
+moves a seeded output on purpose rewrites that table:
+
+    PYTHONPATH=src python scripts/output_digests.py --pin tests/seeded_values.json
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
 
@@ -39,7 +48,8 @@ from funcband import (
     write_curves_csv,
 )
 from funcband import cli
-from funcband.simlab import ModelSpec, analytic_covariance, gen_model1, gen_model3, run_experiment
+from funcband.simlab import (METHODS, ModelSpec, analytic_covariance, gen_model1, gen_model3,
+                             run_experiment)
 
 PATHS = 2000
 
@@ -52,11 +62,13 @@ def digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def band_parts(band) -> tuple:
-    return band.center, band.half_width, band.threshold
+def cases(built: list | None = None):
+    """(name, run) per case; ``built``, if given, gains each band that a run hashes."""
+    def band_parts(band) -> tuple:
+        if built is not None:
+            built.append(band)
+        return band.center, band.half_width, band.threshold
 
-
-def cases():
     eval50 = make_eval_grid(50)
     s1 = gen_model1(30, 40, seed_or_rng=1)
     s1b = gen_model1(25, 40, seed_or_rng=2)
@@ -95,13 +107,13 @@ def cases():
 
     def split_half():
         best, coverages = split_half_bandwidth(s1, [0.08, 0.1, 0.2], paths=PATHS, seed=10)
-        return best.values, sorted(coverages.items())
+        return best, sorted(coverages.items())
 
     yield "split-half", split_half
 
     def cv():
         best, scores = cv_bandwidth(s1, [0.06, 0.1, 0.2])
-        return best.values, sorted(scores.items())
+        return best, sorted(scores.items())
 
     yield "cv", cv
 
@@ -185,7 +197,63 @@ def cases():
     yield "simlab-gof-scb", simlab_row("m3-h0", "gof-scb", 19)
 
 
+def _pin(key: str, part, out: dict) -> None:
+    """Add the scalars that stand for ``part`` to ``out``, under names that
+    start with ``key``: a number itself, the extremes of an array or a list
+    of numbers, the entries of a tuple, of a mapping or of a list of (name,
+    value) pairs, and of a string the JSON object it holds, if any."""
+    if isinstance(part, str):
+        try:
+            part = json.loads(part)
+        except ValueError:
+            return
+    if isinstance(part, list):
+        part = (dict(part) if part and all(isinstance(v, tuple) for v in part)
+                else np.asarray(part, dtype=float))
+    if isinstance(part, (bool, int, float, np.number)):
+        out[key] = part.item() if isinstance(part, np.number) else part
+    elif isinstance(part, np.ndarray) and part.size:
+        out[f"{key}.min"], out[f"{key}.max"] = float(part.min()), float(part.max())
+    elif isinstance(part, dict):
+        for name, value in part.items():
+            _pin(f"{key}.{name}", value, out)
+    elif isinstance(part, tuple):
+        for i, value in enumerate(part):
+            _pin(f"{key}[{i}]", value, out)
+
+
+def pinned_values() -> dict:
+    """Per case, the scalars of its outputs (see ``_pin``) and of each band it
+    built the threshold's standard error, lambda and clipped mass; per method,
+    the rate, failures and median threshold of a three-replication row."""
+    table, built = {}, []
+    for name, run in cases(built):
+        built.clear()
+        row = {}
+        _pin("out", run(), row)
+        for i, band in enumerate(built):
+            for key in ("threshold_stderr", "shrinkage_lambda", "clipped_mass"):
+                _pin(f"band{i}.{key}", band.details.get(key), row)
+        table[name] = row
+    models = {"normal-scb": "m1", "bootstrap-scb": "m2", "gof-scb": "m3-h0"}
+    for method in METHODS:
+        spec = ModelSpec(model=models.get(method, "m3-hn"), n=20, p=20, h=0.1, reps=3, seed=21,
+                         grid_size=30, bootstraps=200)
+        result = run_experiment(spec, method)
+        table[f"row {method}"] = {"rate": result.rate, "failures": result.failures,
+                                  "median_threshold": result.median_threshold}
+    return table
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--pin", metavar="PATH", help="write the pinned scalars to PATH")
+    args = parser.parse_args()
+    if args.pin:
+        with open(args.pin, "w") as fh:
+            json.dump(pinned_values(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        return 0
     for name, run in cases():
         print(f"{name:<20} {digest(*run())}", flush=True)
     return 0

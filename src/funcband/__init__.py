@@ -21,17 +21,7 @@ from .grids import (
     uniform_design_grid,
     write_curves_csv,
 )
-from .smoothing import (
-    Bandwidth,
-    Kernel,
-    cv_bandwidth,
-    epanechnikov,
-    fit_mean,
-    kernel_by_name,
-    local_linear_weights,
-    truncated_gaussian,
-    weight_matrix,
-)
+from .smoothing import cv_bandwidth, fit_mean, local_linear_weights, weight_matrix
 from .moments import (
     empirical_correlation,
     empirical_data_covariance,

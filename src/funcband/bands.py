@@ -20,8 +20,7 @@ from .errors import (DegenerateVarianceError, FuncbandError, GridError, IllPosed
                      _check_type)
 from .grids import EvalGrid, FunctionalSample, _opened
 from .moments import _shrunk_table, _unit_correlation, empirical_variance, schafer_strimmer_lambda
-from .smoothing import (_BANDWIDTH_ERRORS, Bandwidth, Kernel, _bandwidth_candidates, epanechnikov,
-                        fit_mean)
+from .smoothing import _BANDWIDTH_ERRORS, _bandwidth, _bandwidth_candidates, fit_mean
 from .supnorm import (
     SupQuantileRequest,
     _MatrixRoot,
@@ -59,6 +58,9 @@ class BandResult:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_type("grid", self.grid, EvalGrid, GridError)
+        for name in ("center", "half_width"):
+            object.__setattr__(self, name, _as_float_array(name, getattr(self, name)))
         if self.center.shape != (self.grid.n_points,):
             raise FuncbandError("band center must match the grid size")
         if self.half_width.shape != self.center.shape:
@@ -142,11 +144,10 @@ def _curve_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: fl
 def _band(method, eval, center, sigma, divisor, sups, gamma, h, kernel, seed, **details):
     """The band center +/- c sigma / divisor, with c the order-statistic
     quantile of the sup-norm draws ``sups`` (sorted here in place); ``details``
-    gains the provenance and c's standard error."""
+    gains the provenance (``h`` as recorded by the caller, one ``_bandwidth``
+    tuple or a pair of them) and c's standard error."""
     c, se = _sorted_quantile(sups, gamma)
-    details = {"h": h.values if isinstance(h, Bandwidth) else (float(h),) if np.isscalar(h) else h,
-               "kernel": (kernel or epanechnikov()).name, "seed": seed, **details,
-               "threshold_stderr": se}
+    details = {"h": h, "kernel": kernel, "seed": seed, **details, "threshold_stderr": se}
     return BandResult(eval, center, c * sigma / divisor, c, 1.0 - gamma, method, details)
 
 
@@ -170,14 +171,15 @@ def _curve_part(sample, eval, h, kernel) -> tuple:
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma = np.sqrt(_checked_variance(mean_fit))
     lam = schafer_strimmer_lambda(mean_fit.curves)
-    return mean_fit.mean, sigma, _curve_root(mean_fit.curves, mean_fit.mean, sigma, lam), lam, h
+    root = _curve_root(mean_fit.curves, mean_fit.mean, sigma, lam)
+    return mean_fit.mean, sigma, root, lam, _bandwidth(h, eval.dim)
 
 
 def normal_scb(
     sample: FunctionalSample,
     eval: EvalGrid,
     h,
-    kernel: Kernel | None = None,
+    kernel: str = "epanechnikov",
     gamma: float = 0.05,
     paths: int | None = None,
     seed: int = 0,
@@ -258,7 +260,7 @@ def bootstrap_scb(
     sample: FunctionalSample,
     eval: EvalGrid,
     h,
-    kernel: Kernel | None = None,
+    kernel: str = "epanechnikov",
     gamma: float = 0.05,
     bootstraps: int = 2500,
     seed: int = 0,
@@ -281,7 +283,7 @@ def bootstrap_scb(
     sigma = np.sqrt(_checked_variance(mean_fit))
     z_star, redraws = _bootstrap_sup_stats(mean_fit.curves, mean_fit.mean, bootstraps, seed)
     return _band("bootstrap", eval, mean_fit.mean, sigma, sqrt(sample.n_curves), z_star, gamma,
-                 h, kernel, seed, bootstraps=bootstraps, redraws=redraws)
+                 _bandwidth(h, eval.dim), kernel, seed, bootstraps=bootstraps, redraws=redraws)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,13 +298,14 @@ def two_sample_scb(
     eval: EvalGrid,
     h_a,
     h_b=None,
-    kernel: Kernel | None = None,
+    kernel: str = "epanechnikov",
     alpha: float = 0.05,
     paths: int | None = None,
     seed: int = 0,
 ) -> TwoSampleResult:
     """Band for the difference of two mean curves; rejects equality iff the
-    zero line exits the band somewhere."""
+    zero line exits the band somewhere.  ``details`` records one h and one
+    lambda per sample."""
     _check_type("sample_a", sample_a, FunctionalSample, SampleValidationError)
     _check_type("sample_b", sample_b, FunctionalSample, SampleValidationError)
     if sample_a.grid.n_points != sample_b.grid.n_points or not np.allclose(
@@ -324,7 +327,8 @@ def two_sample_scb(
     diff_cov = covs[0] + covs[1]
     sd = np.sqrt(np.diag(diff_cov))
     center = fits[0].mean - fits[1].mean
-    part = (center, sd, _unit_correlation(diff_cov / np.outer(sd, sd)), tuple(lams), (h_a, h_b))
+    hs = tuple(_bandwidth(h, eval.dim) for h in (h_a, h_b))
+    part = (center, sd, _unit_correlation(diff_cov / np.outer(sd, sd)), tuple(lams), hs)
     band, = _gaussian_bands("two-sample", eval, [part], 1.0, alpha, paths, sample_a.n_points,
                             seed, kernel)
     reject = bool(np.any(np.abs(center) > band.half_width))
@@ -335,7 +339,7 @@ def prediction_band(
     sample: FunctionalSample,
     eval: EvalGrid,
     h,
-    kernel: Kernel | None = None,
+    kernel: str = "epanechnikov",
     gamma: float = 0.05,
     paths: int | None = None,
     seed: int = 0,
@@ -349,7 +353,7 @@ def split_half_bandwidth(
     sample: FunctionalSample,
     candidates: Sequence,
     gamma: float = 0.05,
-    kernel: Kernel | None = None,
+    kernel: str = "epanechnikov",
     paths: int | None = None,
     seed: int = 0,
 ):
@@ -384,4 +388,4 @@ def split_half_bandwidth(
                             seed, kernel)
     coverages = {part[4]: float(np.mean([band.covers(row) for row in holdout]))
                  for part, band in zip(parts, built)}
-    return Bandwidth(min(coverages, key=lambda b: abs(coverages[b] - (1.0 - gamma)))), coverages
+    return min(coverages, key=lambda b: abs(coverages[b] - (1.0 - gamma))), coverages

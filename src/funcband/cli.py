@@ -30,7 +30,7 @@ from .gof import basis_model, polynomial_basis, scb_gof_test
 from .grids import make_eval_grid, read_curves_csv
 from .plrt import plrt_test
 from .simlab import METHODS, ExperimentTable, ModelSpec, run_experiment
-from .smoothing import cv_bandwidth, kernel_by_name
+from .smoothing import _KERNELS, cv_bandwidth
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -82,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def shared(p):
         p.add_argument("--out", help="output path prefix (writes PREFIX.csv and PREFIX.json)")
-        p.add_argument("--kernel", default="epanechnikov",
-                       choices=["epanechnikov", "gauss"])
+        p.add_argument("--kernel", default="epanechnikov", choices=list(_KERNELS))
         p.add_argument("--grid-size", type=int, default=100)
         p.add_argument("--paths", type=int, help="Gaussian sample paths (default by p)")
         p.add_argument("--seed", type=int, required=True)
@@ -152,7 +151,7 @@ def _load_sample(path, label_column=False):
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from None
 
 
-def _resolve_h(args, sample, kernel):
+def _resolve_h(args, sample):
     """--h as a number, or the bandwidth that cv or split picks from
     --h-candidates (by default k/p for the steps k with k/p <= 0.5)."""
     if args.h not in ("cv", "split"):
@@ -164,18 +163,17 @@ def _resolve_h(args, sample, kernel):
     cands = (args.h_candidates
              or [k / p for k in _DEFAULT_CANDIDATE_STEPS if k / p <= 0.5] or [2.0 / p])
     if args.h == "cv":
-        best, _ = cv_bandwidth(sample, cands, kernel)
+        best, _ = cv_bandwidth(sample, cands, args.kernel)
     else:
-        best, _ = split_half_bandwidth(sample, cands, gamma=1.0 - args.level, kernel=kernel,
+        best, _ = split_half_bandwidth(sample, cands, gamma=1.0 - args.level, kernel=args.kernel,
                                        paths=args.paths, seed=args.seed)
-    return best.values[0]
+    return best[0]
 
 
 def _smoothing(args, *samples):
     """The kernel, one resolved bandwidth per sample, and the evaluation grid."""
-    kernel = kernel_by_name(args.kernel)
-    hs = [_resolve_h(args, sample, kernel) for sample in samples]
-    return kernel, hs, make_eval_grid(args.grid_size)
+    hs = [_resolve_h(args, sample) for sample in samples]
+    return args.kernel, hs, make_eval_grid(args.grid_size)
 
 
 def _write_out(path, write) -> None:

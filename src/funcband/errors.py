@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the integer-argument,
-type, numeric-array and finiteness checks that every entry point shares."""
+type, choice, numeric-array and finiteness checks that every entry point shares."""
 
 import reprlib
 
@@ -54,6 +54,15 @@ def _check_type(name: str, value, cls: type | tuple, error: type = FuncbandError
     if not isinstance(value, cls):
         what = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
         raise error(f"{name} must be a {what}, got {name}={value!r}")
+
+
+def _check_choice(name: str, value, choices, error: type = FuncbandError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is one of ``choices``
+    (strings, or integers for a dimension); a value of another type, an array
+    say, is rejected before it is compared."""
+    if not (isinstance(value, (str, int, np.integer)) and value in choices):
+        raise error(f"{name} must be one of {', '.join(map(repr, choices))}, "
+                    f"got {name}={value!r}")
 
 
 def _as_float_array(name: str, value, error: type = FuncbandError) -> np.ndarray:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (DegenerateVarianceError, FuncbandError, GridError, RankDefi
                      SampleValidationError, _check_int, _check_type)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 from .moments import _check_covariance, _kept_eigenvalues, empirical_data_covariance
-from .smoothing import Kernel, weight_matrix
+from .smoothing import _bandwidth, weight_matrix
 from .supnorm import _MatrixRoot
 
 __all__ = [
@@ -84,6 +85,7 @@ def _gram(model: BasisModel) -> np.ndarray:
 def basis_model(functions: Sequence[Callable], density: Callable | None = None) -> BasisModel:
     """Build a basis model, orthogonalizing (with a warning) if the supplied
     functions fail the weighted-orthogonality check."""
+    _check_type("functions", functions, Sequence)
     if not functions:
         raise FuncbandError("basis model needs at least one function")
     for i, f in enumerate(functions):
@@ -197,7 +199,7 @@ def residual_process(
     model: BasisModel,
     eval: EvalGrid,
     h,
-    kernel: Kernel | None = None,
+    kernel: str = "epanechnikov",
 ) -> np.ndarray:
     """Smoothed least-squares residuals r(x) = W(x)'(I - P) ybar on the grid."""
     return _residual_map(sample, model, eval, h, kernel)[0]
@@ -208,7 +210,7 @@ def gamma_n_plugin(
     model: BasisModel,
     eval: EvalGrid,
     h,
-    kernel: Kernel | None = None,
+    kernel: str = "epanechnikov",
     shrinkage: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Plug-in covariance table of sqrt(n) r: W(x)'(I-P) S_hat (I-P) W(x'), with
@@ -282,7 +284,7 @@ def scb_gof_test(
     model: BasisModel,
     eval: EvalGrid,
     h,
-    kernel: Kernel | None = None,
+    kernel: str = "epanechnikov",
     alpha: float = 0.05,
     paths: int | None = None,
     seed: int = 0,
@@ -308,7 +310,7 @@ def scb_gof_test(
         factor = np.linalg.qr(factor, mode="r")
     n = sample.n_curves
     t_stat = sqrt(n) * float(np.max(np.abs(r / sigma_gamma)))
-    part = (r, sigma_gamma, _MatrixRoot(factor, mass), lam, h)
+    part = (r, sigma_gamma, _MatrixRoot(factor, mass), lam, _bandwidth(h, eval.dim))
     band, = _gaussian_bands("gof-residual", eval, [part], sqrt(n), alpha, paths, sample.n_points,
                             seed, kernel)
     return GofReport(

@@ -19,7 +19,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import GridError, SampleValidationError, _as_float_array, _check_int, _check_type
+from .errors import (GridError, SampleValidationError, _as_float_array, _check_choice, _check_int,
+                     _check_type)
 
 __all__ = [
     "DesignGrid",
@@ -227,8 +228,7 @@ def uniform_design_grid(*sizes) -> DesignGrid:
 def make_eval_grid(size: int = 100, dim: int = 1) -> EvalGrid:
     """Equispaced evaluation grid on [0,1]^dim (default 100 points, d=1)."""
     _check_int("size", size, 1, GridError)
-    if dim not in (1, 2):
-        raise GridError("only dimensions 1 and 2 are supported")
+    _check_choice("dim", dim, (1, 2), GridError)
     return EvalGrid((np.linspace(0.0, 1.0, size),) * int(dim))
 
 

@@ -66,14 +66,22 @@ def _curve_array(curves) -> np.ndarray:
     return curves
 
 
+def _point_values(name: str, values, curves: np.ndarray) -> np.ndarray:
+    """A caller's per-point ``values`` (a mean or a variance) for ``curves``,
+    as an (m,) float array, or a FuncbandError naming it."""
+    values = _as_float_array(name, values)
+    if values.shape != curves.shape[1:]:
+        raise FuncbandError(f"{name} must have shape {curves.shape[1:]}, got shape {values.shape}")
+    return values
+
+
 def empirical_variance(curves: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
     """Pointwise sample variance of the rows of ``curves`` with divisor n-1."""
     curves = _curve_array(curves)
     n = curves.shape[0]
     if n < 2:
         raise DegenerateVarianceError("variance estimation needs n >= 2 curves")
-    if mean is None:
-        mean = curves.mean(axis=0)
+    mean = curves.mean(axis=0) if mean is None else _point_values("mean", mean, curves)
     dev = curves - mean[None, :]
     return (dev * dev).sum(axis=0) / (n - 1)
 
@@ -85,10 +93,9 @@ def empirical_correlation(
 ) -> np.ndarray:
     """Empirical correlation table of the rows of ``curves`` across grid points."""
     curves = _curve_array(curves)
-    if mean is None:
-        mean = curves.mean(axis=0)
-    if sigma2 is None:
-        sigma2 = empirical_variance(curves, mean)
+    mean = curves.mean(axis=0) if mean is None else _point_values("mean", mean, curves)
+    sigma2 = (empirical_variance(curves, mean) if sigma2 is None
+              else _point_values("sigma2", sigma2, curves))
     if np.any(sigma2 <= 0):
         j = int(np.argmin(sigma2))
         raise DegenerateVarianceError(f"zero variance at grid point index {j}")

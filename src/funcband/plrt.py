@@ -16,16 +16,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import isfinite, sqrt
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
 from .errors import (DegenerateVarianceError, FuncbandError, IntegrationError,
-                     SampleValidationError, _as_float_array, _check_type)
+                     SampleValidationError, _as_float_array, _check_choice, _check_type)
 from .gof import BasisModel, _design_matrix, _projector
 from .grids import DesignGrid, FunctionalSample
 from .moments import _centered_curves, _check_covariance, _check_symmetric, _psd_root
-from .smoothing import Kernel, weight_matrix
+from .smoothing import weight_matrix
 
 __all__ = [
     "PlrtReport",
@@ -53,7 +53,7 @@ class PlrtReport:
         return json.dumps(self.to_dict())
 
 
-def _design_plan(grid: DesignGrid, model: BasisModel, h, kernel: Kernel | None,
+def _design_plan(grid: DesignGrid, model: BasisModel, h, kernel: str,
                  known_factor: np.ndarray | None = None) -> tuple:
     """What a replication needs from the design alone: (grid, P, S, (I-P)'(I-P),
     (I-S)'(I-S), F) for the least-squares projector P and the local linear
@@ -65,7 +65,7 @@ def _design_plan(grid: DesignGrid, model: BasisModel, h, kernel: Kernel | None,
 
 
 def plrt_statistic(
-    sample: FunctionalSample, model: BasisModel, h, kernel: Kernel | None = None,
+    sample: FunctionalSample, model: BasisModel, h, kernel: str = "epanechnikov",
     _plan: tuple | None = None,
 ) -> tuple[float, np.ndarray, dict]:
     """F = RSS_0/RSS_1 - 1 and the quadratic-form matrix A for its p-value.
@@ -255,13 +255,14 @@ def plrt_test(
     sample: FunctionalSample,
     model: BasisModel,
     h,
-    kernel: Kernel | None = None,
+    kernel: str = "epanechnikov",
     covariance_mode: CovarianceMode = "nonparametric",
     known_covariance: np.ndarray | None = None,
     _plan: tuple | None = None,
 ) -> PlrtReport:
     """Full PLRT: statistic, covariance estimate per the chosen mode, p-value.
     ``_plan`` goes to ``plrt_statistic``; its factor, if any, stands for ``known_covariance``."""
+    _check_choice("covariance_mode", covariance_mode, get_args(CovarianceMode))
     f_stat, a_mat, info = plrt_statistic(sample, model, h, kernel, _plan)
     n = sample.n_curves
     if covariance_mode == "known":
@@ -275,10 +276,8 @@ def plrt_test(
     elif covariance_mode == "parametric-ar1":
         info["ar1_sigma2"], info["ar1_rho"], cov = ar1_covariance_fit(sample)
         p = _factor_pvalue(a_mat, _sigma_factor(cov / n), info)
-    elif covariance_mode == "nonparametric":
+    else:
         # X~'/sqrt(n(n-1)) factors Sigma_hat/n, whose rank <= n-1 defeats Cholesky
         p = _factor_pvalue(a_mat, _centered_curves(sample).T / sqrt(n * (n - 1)), info)
-    else:
-        raise FuncbandError(f"unknown covariance mode {covariance_mode!r}")
     return PlrtReport(statistic=f_stat, pvalue=p, covariance_mode=covariance_mode,
                       diagnostics=info)

@@ -20,12 +20,12 @@ from math import log, sqrt
 import numpy as np
 
 from .bands import band_covers, bootstrap_scb, normal_scb
-from .errors import FuncbandError, _as_float_array, _check_int, _check_type
+from .errors import FuncbandError, _as_float_array, _check_choice, _check_int, _check_type
 from .gof import polynomial_basis, scb_gof_test
 from .grids import DesignGrid, FunctionalSample, make_eval_grid, uniform_design_grid
 from .moments import _psd_root, correlation_from_covariance
 from .plrt import _design_plan, _sigma_factor, plrt_test
-from .smoothing import Bandwidth, kernel_by_name, weight_matrix
+from .smoothing import _KERNELS, _bandwidth, weight_matrix
 from .supnorm import (SupQuantileRequest, _check_draws, _check_level, default_path_count,
                       sup_quantile)
 
@@ -200,8 +200,7 @@ def gen_model2(n: int, p: int, seed_or_rng=0) -> FunctionalSample:
 def gen_model3(n: int, p: int, seed_or_rng=0, hypothesis: str = "h0") -> FunctionalSample:
     """Linear trend (optionally plus the scaled bump) with the same Gaussian
     curve process as model 1."""
-    if hypothesis not in ("h0", "hn"):
-        raise FuncbandError(f"unknown hypothesis {hypothesis!r}")
+    _check_choice("hypothesis", hypothesis, ("h0", "hn"))
     rng, grid = _rng_and_grid(n, p, seed_or_rng)
     values = _design_mean(f"m3-{hypothesis}", n, p)[None, :] + _ou_curves(n, p, rng)
     return FunctionalSample(grid=grid, values=values)
@@ -219,8 +218,7 @@ _MODELS = {
 
 
 def _model(name: str) -> tuple:
-    if name not in _MODELS:
-        raise FuncbandError(f"unknown model {name!r}")
+    _check_choice("model", name, _MODELS)
     return _MODELS[name]
 
 
@@ -253,9 +251,9 @@ class ModelSpec:
 
     def __post_init__(self):
         _model(self.model)
-        kernel_by_name(self.kernel)
+        _check_choice("kernel", self.kernel, _KERNELS)
         _check_level(self.level)
-        Bandwidth.of(self.h)
+        _bandwidth(self.h)
         for name, low in (("seed", 0), ("n", 2), ("p", 2), ("reps", 0), ("grid_size", 1)):
             _check_int(name, getattr(self, name), low)
         _check_draws("paths", self.paths if self.paths is not None else default_path_count(self.p),
@@ -312,9 +310,7 @@ def _rep_rngs(seed: int, reps: int):
 def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
     """Replication loop producing one coverage/size/power table row."""
     _check_type("spec", spec, ModelSpec)
-    if method not in METHODS:
-        raise FuncbandError(f"unknown method {method!r}")
-    kern = kernel_by_name(spec.kernel)
+    _check_choice("method", method, METHODS)
     eval = make_eval_grid(spec.grid_size)
     paths = spec.paths if spec.paths is not None else default_path_count(spec.p)
     start = time.perf_counter()
@@ -333,22 +329,23 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
         sample = generate(spec.model, spec.n, spec.p, rng)
         try:
             if method == "normal-scb":
-                band = normal_scb(sample, eval, spec.h, kern, spec.level, paths, sup_seed)
+                band = normal_scb(sample, eval, spec.h, spec.kernel, spec.level, paths, sup_seed)
                 hits += band_covers(band, truth)
                 thresholds.append(band.threshold)
             elif method == "bootstrap-scb":
-                band = bootstrap_scb(sample, eval, spec.h, kern, spec.level,
+                band = bootstrap_scb(sample, eval, spec.h, spec.kernel, spec.level,
                                      spec.bootstraps, sup_seed)
                 hits += band_covers(band, truth)
                 thresholds.append(band.threshold)
             elif method == "gof-scb":
-                report = scb_gof_test(sample, basis, eval, spec.h, kern, spec.level, paths,
+                report = scb_gof_test(sample, basis, eval, spec.h, spec.kernel, spec.level, paths,
                                       sup_seed)
                 hits += report.reject
                 thresholds.append(report.threshold)
             else:
-                plan = plan or _design_plan(sample.grid, basis, spec.h, kern, known)
-                report = plrt_test(sample, basis, spec.h, kern, _PLRT_MODES[method], _plan=plan)
+                plan = plan or _design_plan(sample.grid, basis, spec.h, spec.kernel, known)
+                report = plrt_test(sample, basis, spec.h, spec.kernel, _PLRT_MODES[method],
+                                   _plan=plan)
                 hits += report.pvalue < spec.level
                 thresholds.append(float("nan"))
         except FuncbandError:

@@ -1,5 +1,9 @@
 """Kernels, local linear weights, and curve smoothing.
 
+A kernel is one of the names "epanechnikov" and "gauss" (the standard normal
+density truncated to [-1, 1] and renormalized); a bandwidth h is a positive
+number for every axis, or one per axis.
+
 The local linear estimate at x is the intercept of a kernel-weighted least
 squares line (plane for d=2) fit through the data; it can be written as a
 weighted average sum_j W_j(x) y_j whose weights sum to one and reproduce
@@ -12,21 +16,15 @@ import math
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
-from numbers import Real
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (GridError, IllPosedBandwidthError, SampleValidationError, SingularDesignError,
-                     _as_float_array, _check_type)
+                     _as_float_array, _check_choice, _check_type)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 
 __all__ = [
-    "Kernel",
-    "epanechnikov",
-    "truncated_gaussian",
-    "kernel_by_name",
-    "Bandwidth",
     "WeightVector",
     "local_linear_weights",
     "weight_matrix",
@@ -38,21 +36,6 @@ __all__ = [
 
 _DET_RTOL = 1e-10
 _BANDWIDTH_ERRORS = (IllPosedBandwidthError, SingularDesignError)  # a search skips these
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """Nonnegative kernel with support [-1,1]; applied per axis for d=2."""
-
-    name: str
-    profile: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        inside = np.abs(u) < 1.0
-        out = np.zeros(u.shape)
-        out[inside] = self.profile(u[inside])  # outside, u*u may overflow
-        return out
 
 
 def _epa(u):
@@ -67,48 +50,22 @@ def _tgauss(u):
     return np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * _GAUSS_NORM)
 
 
-def epanechnikov() -> Kernel:
-    return Kernel("epanechnikov", _epa)
+# kernel name -> its profile on |u| < 1; every kernel is zero outside, per axis
+_KERNELS = {"epanechnikov": _epa, "gauss": _tgauss}
 
 
-def truncated_gaussian() -> Kernel:
-    return Kernel("gauss", _tgauss)
-
-
-def kernel_by_name(name: str) -> Kernel:
-    key = name.lower() if isinstance(name, str) else None
-    if key in ("epanechnikov", "epa"):
-        return epanechnikov()
-    if key in ("gauss", "gaussian", "truncated-gaussian"):
-        return truncated_gaussian()
-    raise GridError(f"unknown kernel {name!r}")
-
-
-@dataclass(frozen=True)
-class Bandwidth:
-    """Per-axis finite positive bandwidths."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        _check_type("values", self.values, tuple, GridError)
-        if not self.values or not all(isinstance(h, Real) and 0 < h < math.inf
-                                      for h in self.values):
-            raise GridError(f"bandwidths must be finite and positive, got h={self.values}")
-
-    @classmethod
-    def of(cls, h, dim: int = 1) -> "Bandwidth":
-        if isinstance(h, Bandwidth):
-            if len(h.values) != dim:
-                raise GridError(f"bandwidth has {len(h.values)} axes, expected {dim}")
-            return h
-        try:
-            vals = (float(h),) * dim if np.isscalar(h) else tuple(float(v) for v in h)
-        except (TypeError, ValueError):
-            raise GridError(f"bandwidth must be a number per axis, got h={h!r}") from None
-        if len(vals) != dim:
-            raise GridError(f"bandwidth has {len(vals)} axes, expected {dim}")
-        return cls(vals)
+def _bandwidth(h, dim: int = 1) -> tuple[float, ...]:
+    """``h`` as one finite positive float per axis: a number for every axis,
+    or one value per axis; GridError otherwise."""
+    try:
+        vals = (float(h),) * dim if np.isscalar(h) else tuple(float(v) for v in h)
+    except (TypeError, ValueError):
+        raise GridError(f"bandwidth must be a number per axis, got h={h!r}") from None
+    if len(vals) != dim:
+        raise GridError(f"bandwidth has {len(vals)} axes, expected {dim}")
+    if not all(0 < v < math.inf for v in vals):
+        raise GridError(f"bandwidths must be finite and positive, got h={vals}")
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +82,7 @@ class WeightVector:
 
 
 def weight_matrix(
-    grid: DesignGrid, eval: EvalGrid, h, kernel: Kernel | None = None
+    grid: DesignGrid, eval: EvalGrid, h, kernel: str = "epanechnikov"
 ) -> np.ndarray:
     """Dense (m x p) matrix of local linear weights, rows = evaluation points.
 
@@ -139,16 +96,18 @@ def weight_matrix(
     """
     _check_type("grid", grid, DesignGrid, GridError)
     _check_type("eval", eval, EvalGrid, GridError)
-    kernel = kernel or epanechnikov()
-    _check_type("kernel", kernel, Kernel)
+    _check_choice("kernel", kernel, _KERNELS, GridError)
     if grid.dim != eval.dim:
         raise GridError("design and evaluation grids must share the dimension")
-    h = Bandwidth.of(h, grid.dim)
+    h = _bandwidth(h, grid.dim)
     diff = np.ascontiguousarray(grid.coords().T) - eval.coords()[:, :, None]   # (m, d, p)
     with np.errstate(over="ignore"):    # a subnormal h sends far offsets to +-inf
-        u = diff / np.asarray(h.values)[None, :, None]
-    k = math.prod(kernel(u[:, a]) for a in range(grid.dim))    # (m, p)
-    del u
+        u = diff / np.asarray(h)[None, :, None]
+    inside = np.abs(u) < 1.0
+    u[inside] = _KERNELS[kernel](u[inside])     # outside, u*u may overflow
+    u[~inside] = 0.0
+    k = math.prod(u[:, a] for a in range(grid.dim))    # (m, p)
+    del u, inside
     active = (k > 0).sum(axis=1)
     need = grid.dim + 1
     if np.any(active < need):
@@ -173,7 +132,7 @@ def weight_matrix(
     return w
 
 
-def local_linear_weights(grid: DesignGrid, x, h, kernel: Kernel | None = None) -> WeightVector:
+def local_linear_weights(grid: DesignGrid, x, h, kernel: str = "epanechnikov") -> WeightVector:
     """Local linear weights at a single point, in sparse form."""
     _check_type("grid", grid, DesignGrid, GridError)
     x_arr = np.atleast_1d(_as_float_array("x", x, GridError))
@@ -191,7 +150,7 @@ class MeanFit:
 
 
 def fit_mean(
-    sample: FunctionalSample, eval: EvalGrid, h, kernel: Kernel | None = None
+    sample: FunctionalSample, eval: EvalGrid, h, kernel: str = "epanechnikov"
 ) -> MeanFit:
     """Smooth the sample mean; also returns the n per-curve smooths."""
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
@@ -200,7 +159,7 @@ def fit_mean(
     return MeanFit(mean=curves.mean(axis=0), curves=curves)
 
 
-def cv_score(sample: FunctionalSample, h, kernel: Kernel | None = None) -> float:
+def cv_score(sample: FunctionalSample, h, kernel: str = "epanechnikov") -> float:
     """Leave-one-curve-out cross validation score at the design points.
 
     CV(h) = sum_i sum_j (Y_ij - mu_hat^(-i)(x_j; h))^2 with mu_hat^(-i) the
@@ -225,22 +184,23 @@ def cv_score(sample: FunctionalSample, h, kernel: Kernel | None = None) -> float
 
 
 def _bandwidth_candidates(candidates, dim: int) -> list:
-    """The distinct candidate bandwidths as sorted value tuples; GridError if
-    ``candidates`` is not iterable or is empty."""
+    """The distinct candidate bandwidths as sorted ``_bandwidth`` tuples;
+    GridError if ``candidates`` is not iterable or is empty."""
     _check_type("candidates", candidates, Iterable, GridError)
-    cands = sorted({Bandwidth.of(c, dim).values for c in candidates})
+    cands = sorted({_bandwidth(c, dim) for c in candidates})
     if not cands:
         raise GridError("empty candidate bandwidth list")
     return cands
 
 
 def cv_bandwidth(
-    sample: FunctionalSample, candidates: Sequence, kernel: Kernel | None = None
+    sample: FunctionalSample, candidates: Sequence, kernel: str = "epanechnikov"
 ):
     """Pick the candidate bandwidth minimizing the leave-one-curve-out score.
 
     Ill-posed candidates are skipped with a warning and duplicates scored once;
-    ties break toward the smallest bandwidth.  Returns (Bandwidth, scores dict).
+    ties break toward the smallest bandwidth.  Returns (h, scores dict), h and
+    the keys one float per axis.
     """
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
     scores = {}
@@ -251,4 +211,4 @@ def cv_bandwidth(
             warnings.warn(f"skipping ill-posed candidate h={b}: {exc}")
     if not scores:
         raise IllPosedBandwidthError("all candidate bandwidths are ill-posed")
-    return Bandwidth(min(scores, key=scores.get)), scores
+    return min(scores, key=scores.get), scores

@@ -19,7 +19,9 @@ A chunk of at most 2048 paths sets the randomness: each has its own
 counter-based (Philox) substream, so a given seed gives bit-identical
 output.  A block sets the memory: the rows of a chunk that are filled,
 multiplied and reduced to their sups at once, in one normal buffer and one
-product buffer allocated per call.  A block has 2048 rows, halved until one
+product buffer allocated per call, and when several roots share the draw one
+scratch buffer of the normals' size, which a thin root writes instead of the
+normals that the next root reads.  A block has 2048 rows, halved until one
 buffer of rows x max(w, m) doubles is at most 8 MiB: grids of up to 512
 points draw a chunk in one block, wider ones in blocks of 4 to 8 MiB.  The
 blocks of a chunk fill in turn from its generator, so they draw the same
@@ -210,6 +212,8 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
         rows //= 2
     z = np.empty((min(rows, request.paths), width))
     y = np.empty(len(z) * columns)
+    # A thin root may overwrite the normals only when no other root reads them.
+    scratch = np.empty_like(z) if more else z
 
     def draw(rng, k):
         start = next(starts)
@@ -218,9 +222,7 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
             rng.standard_normal(out=zk)
             for root, v in zip(roots, values):
                 yk = y[:len(zk) * root.size].reshape(len(zk), root.size)
-                # A thin root may overwrite the normals only when no other root reads them.
-                np.abs(root(zk, yk, None if more else zk), out=yk).max(
-                    axis=1, out=v[at:at + len(zk)])
+                np.abs(root(zk, yk, scratch[:len(zk)]), out=yk).max(axis=1, out=v[at:at + len(zk)])
 
     map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
     pairs = [(v, root.mass) for v, root in zip(values, roots)]

@@ -18,7 +18,7 @@ settings.load_profile("funcband")
 
 
 def epa(u):
-    """Straight-line Epanechnikov, independent of the library's Kernel."""
+    """Straight-line Epanechnikov, independent of the library's kernel table."""
     u = np.asarray(u, dtype=float)
     return np.where(np.abs(u) < 1.0, 0.75 * np.maximum(1.0 - u * u, 0.0), 0.0)
 

@@ -1,5 +1,6 @@
 """Normal, bootstrap, two-sample, and prediction bands."""
 
+import json
 import re
 import warnings
 from math import sqrt
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 from funcband import (
-    Bandwidth,
     DegenerateVarianceError,
     FuncbandError,
     FunctionalSample,
@@ -417,12 +417,12 @@ def test_gaussian_bands_share_details_keys(sample50, eval_grid):
 
 @pytest.mark.parametrize("build", [normal_scb, bootstrap_scb])
 def test_bandwidth_object_gives_the_tuple_band(build):
-    # a 2-d Bandwidth once failed in the band's provenance, after the band was built
+    # a 2-d bandwidth object once failed in the band's provenance, after the band was built
     grid = uniform_design_grid(8, 8)
     values = grid.points[:, 0] + np.random.default_rng(27).standard_normal((15, 64))
     sample, eval = FunctionalSample(grid=grid, values=values), make_eval_grid(10, 2)
     kwargs = {"paths": 500} if build is normal_scb else {"bootstraps": 200}
-    a = build(sample, eval, Bandwidth((0.3, 0.3)), seed=1, **kwargs)
+    a = build(sample, eval, np.array([0.3, 0.3]), seed=1, **kwargs)
     b = build(sample, eval, (0.3, 0.3), seed=1, **kwargs)
     assert a.threshold == b.threshold and a.details["h"] == b.details["h"] == (0.3, 0.3)
     np.testing.assert_array_equal(a.center, b.center)
@@ -432,9 +432,32 @@ def test_bandwidth_object_gives_the_tuple_band(build):
 def test_cv_bandwidth_result_passed_back_as_h(sample50, eval_grid):
     best, _ = cv_bandwidth(sample50, [0.05, 0.1])
     band = normal_scb(sample50, eval_grid, best, paths=500, seed=1)
-    scalar = normal_scb(sample50, eval_grid, best.values[0], paths=500, seed=1)
-    assert band.details["h"] == scalar.details["h"] == best.values
+    scalar = normal_scb(sample50, eval_grid, best[0], paths=500, seed=1)
+    assert band.details["h"] == scalar.details["h"] == best
     np.testing.assert_array_equal(band.half_width, scalar.half_width)
+
+
+def test_details_are_json_ready(sample50, eval_grid):
+    # details["h"] is one float per axis whatever form h takes, one such tuple
+    # per sample for the two-sample band, and details["kernel"] is the name
+    best, _ = cv_bandwidth(sample50, [0.05, 0.1])
+    for h in (0.05, (0.05,), [0.05], np.array([0.05]), best):
+        band = normal_scb(sample50, eval_grid, h, "gauss", paths=200, seed=1)
+        assert json.loads(json.dumps(band.details))["h"] == [band.details["h"][0]]
+        assert type(band.details["h"][0]) is float and band.details["kernel"] == "gauss"
+    other = gen_model1(50, 50, seed_or_rng=13)
+    bands_ = [bootstrap_scb(sample50, eval_grid, np.array([0.05]), bootstraps=100, seed=1),
+              prediction_band(sample50, eval_grid, [0.05], paths=200, seed=1),
+              scb_gof_test(sample50, polynomial_basis(1), eval_grid, np.float64(0.05),
+                           paths=200, seed=1).band]
+    for band in bands_:
+        json.dumps(band.details)
+        assert band.details["h"] == (0.05,) and band.details["kernel"] == "epanechnikov"
+    pair = two_sample_scb(sample50, other, eval_grid, np.array([0.05]), [0.1], paths=200,
+                          seed=1).band
+    json.dumps(pair.details)
+    assert pair.details["h"] == ((0.05,), (0.1,))
+    assert len(pair.details["shrinkage_lambda"]) == 2
 
 
 def _recording(fn, draws):
@@ -468,7 +491,7 @@ class TestSplitHalfBandwidth:
     def test_single_candidate(self):
         sample = gen_model1(12, 30, seed_or_rng=500)
         best, _ = split_half_bandwidth(sample, [0.2], seed=15)
-        assert best.values[0] == 0.2
+        assert best == (0.2,)
 
     @pytest.mark.parametrize("kwargs, named", [
         (dict(paths=5), "paths=5"), (dict(gamma=1.5), "gamma=1.5"), (dict(gamma=0.0), "gamma=0.0")])
@@ -480,7 +503,7 @@ class TestSplitHalfBandwidth:
     def test_ill_posed_candidate_skipped(self):
         sample = gen_model1(12, 30, seed_or_rng=501)
         best, _ = split_half_bandwidth(sample, [0.01, 0.25], seed=16)
-        assert best.values[0] == 0.25
+        assert best == (0.25,)
 
     def test_duplicate_candidates_searched_once(self, monkeypatch):
         sample = gen_model1(12, 30, seed_or_rng=503)
@@ -501,7 +524,7 @@ def _split_half_by_loop(sample, candidates, seed, paths=None, gamma=0.05):
     best, best_gap, coverages = None, None, {}
     for h in sorted(set(candidates)):
         try:
-            band = prediction_band(build, sample.grid, h, None, gamma, paths, seed)
+            band = prediction_band(build, sample.grid, h, "epanechnikov", gamma, paths, seed)
         except FuncbandError:
             continue
         cov = float(np.mean([band.covers(row) for row in sample.values[half:]]))
@@ -524,8 +547,25 @@ class TestSplitHalfSharedDraw:
     def test_matches_separate_bands(self, n, p, candidates, paths, seed):
         sample = gen_model1(n, p, seed_or_rng=600 + seed)
         best, coverages = split_half_bandwidth(sample, candidates, seed=seed, paths=paths)
-        assert (best.values, coverages) == _split_half_by_loop(sample, candidates, seed, paths)
+        assert (best, coverages) == _split_half_by_loop(sample, candidates, seed, paths)
         assert len(coverages) >= 2
+
+    def test_shared_draw_has_one_scratch_block(self, monkeypatch):
+        # thin roots that share the normals write z a into one scratch block
+        # allocated per call, never into the normals and never a new array
+        sample = gen_model1(12, 30, seed_or_rng=602)
+        args = ([0.1, 0.15, 0.2, 0.3],)
+        kwargs = dict(seed=3, paths=2 * 2048 + 37)
+        alone = split_half_bandwidth(sample, *args, **kwargs)
+        calls = []
+        thin = supnorm._ThinRoot.__call__
+        monkeypatch.setattr(supnorm._ThinRoot, "__call__", lambda root, z, out, scratch=None:
+                            calls.append((z, scratch)) or thin(root, z, out, scratch))
+        assert split_half_bandwidth(sample, *args, **kwargs) == alone
+        assert len(calls) == 4 * 3
+        assert all(s is not None and s.shape == z.shape and not np.shares_memory(s, z)
+                   for z, s in calls)
+        assert len({s.__array_interface__["data"][0] for _, s in calls}) == 1
 
     def test_one_chunk_loop_for_all_candidates(self, monkeypatch):
         loops = []

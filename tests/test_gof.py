@@ -18,7 +18,6 @@ from funcband import (
     residual_process,
     scb_gof_test,
     sup_quantile,
-    truncated_gaussian,
     uniform_design_grid,
 )
 from funcband import bands, supnorm
@@ -237,7 +236,7 @@ class TestScbGofTest:
         # diagnostics as normal_scb: normalised h, kernel name, seed
         sample = gen_model3(10, 40, seed_or_rng=14)
         report = scb_gof_test(sample, polynomial_basis(1), make_eval_grid(30), 0.1,
-                              kernel=truncated_gaussian(), paths=2000, seed=15)
+                              kernel="gauss", paths=2000, seed=15)
         details = report.band.details
         assert details["h"] == (0.1,)
         assert details["kernel"] == "gauss"

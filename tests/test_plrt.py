@@ -143,7 +143,7 @@ class TestImhofIntegral:
         for seed in range(3):
             sample = gen_model3(50, 50, seed_or_rng=seed, hypothesis="hn")
             x = sample.grid.points
-            report = plrt_test(sample, polynomial_basis(1), 0.05, None, mode,
+            report = plrt_test(sample, polynomial_basis(1), 0.05, "epanechnikov", mode,
                                ou_covariance(x[:, None], x[None, :]))
             assert 0.0 <= report.pvalue <= 1.0
 
@@ -168,12 +168,11 @@ def test_runs_without_scipy():
     # library only; scipy is a test dependency
     code = (
         "import sys\n"
-        "from funcband import fit_mean, make_eval_grid, plrt_test, polynomial_basis, "
-        "truncated_gaussian\n"
+        "from funcband import fit_mean, make_eval_grid, plrt_test, polynomial_basis\n"
         "from funcband.simlab import gen_model3\n"
         "s = gen_model3(20, 30, seed_or_rng=1)\n"
         "r = plrt_test(s, polynomial_basis(1), 0.1)\n"
-        "fit_mean(s, make_eval_grid(40), 0.1, truncated_gaussian())\n"
+        "fit_mean(s, make_eval_grid(40), 0.1, 'gauss')\n"
         "assert 0.0 <= r.pvalue <= 1.0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
@@ -277,7 +276,7 @@ class TestDesignPlan:
         hits = 0
         for rng, _ in simlab._rep_rngs(spec.seed, spec.reps):
             sample = gen_model3(spec.n, spec.p, rng, "hn")
-            report = plrt_test(sample, basis, spec.h, None, mode, known)
+            report = plrt_test(sample, basis, spec.h, "epanechnikov", mode, known)
             _f, a_mat, _ = plrt_statistic(sample, basis, spec.h)
             sigma = {"known": known, "parametric-ar1": ar1_covariance_fit(sample)[2],
                      "nonparametric": empirical_data_covariance(sample, False)[0]}[mode]
@@ -294,9 +293,9 @@ class TestDesignPlan:
             x = sample.grid.points
             known = ou_covariance(x[:, None], x[None, :])
             factor = plrt_module._sigma_factor(known / 50) if mode == "known" else None
-            plan = plrt_module._design_plan(sample.grid, basis, 0.05, None, factor)
-            planned = plrt_test(sample, basis, 0.05, None, mode, _plan=plan)
-            plain = plrt_test(sample, basis, 0.05, None, mode, known)
+            plan = plrt_module._design_plan(sample.grid, basis, 0.05, "epanechnikov", factor)
+            planned = plrt_test(sample, basis, 0.05, "epanechnikov", mode, _plan=plan)
+            plain = plrt_test(sample, basis, 0.05, "epanechnikov", mode, known)
             assert (planned.statistic, planned.pvalue) == (plain.statistic, plain.pvalue)
             if mode != "nonparametric":
                 _f, a_mat, _ = plrt_statistic(sample, basis, 0.05)
@@ -307,14 +306,15 @@ class TestDesignPlan:
                                         np.linspace(0.01, 0.99, 40)])
     def test_plan_on_another_grid_rejected(self, points):
         plan = plrt_module._design_plan(DesignGrid((points,)),
-                                        polynomial_basis(1), 0.1, None)
+                                        polynomial_basis(1), 0.1, "epanechnikov")
         sample = gen_model3(20, 40, seed_or_rng=72)
         with pytest.raises(FuncbandError, match="another design grid"):
             plrt_test(sample, polynomial_basis(1), 0.1, _plan=plan)
 
     def test_plan_on_an_equal_grid_accepted(self):
         sample = gen_model3(20, 40, seed_or_rng=73)
-        plan = plrt_module._design_plan(uniform_design_grid(40), polynomial_basis(1), 0.1, None)
+        plan = plrt_module._design_plan(uniform_design_grid(40), polynomial_basis(1), 0.1,
+                                        "epanechnikov")
         assert plan[0] is not sample.grid
         assert (plrt_test(sample, polynomial_basis(1), 0.1, _plan=plan)
                 == plrt_test(sample, polynomial_basis(1), 0.1))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import oracle_weights_1d, oracle_weights_2d
 
 from funcband import (
-    Bandwidth,
+    BandResult,
     ar1_covariance_fit,
     FuncbandError,
     FunctionalSample,
@@ -27,10 +27,8 @@ from funcband import (
     empirical_correlation,
     empirical_data_covariance,
     empirical_variance,
-    epanechnikov,
     fit_mean,
     gamma_n_plugin,
-    kernel_by_name,
     limit_gamma,
     local_linear_weights,
     ls_fit,
@@ -52,38 +50,46 @@ from funcband import (
     simulate_sup_norms,
     split_half_bandwidth,
     sup_quantile,
-    truncated_gaussian,
     two_sample_scb,
     uniform_design_grid,
     weight_matrix,
     write_curves_csv,
 )
 from funcband import smoothing
-from funcband.grids import EvalGrid
-from funcband.simlab import ModelSpec, bump_function, gen_model1, run_experiment
+from funcband.grids import DesignGrid, EvalGrid
+from funcband.simlab import (ModelSpec, bump_function, gen_model1, gen_model3, known_R_threshold,
+                             run_experiment)
 from funcband.supnorm import order_statistic_quantile
+
+
+def _centre_weights(kernel):
+    """The local linear weights at x = 0.5 of the design j/8, h = 0.25: the
+    offsets u = (x_j - x)/h are -2, -1.5, ..., 2, exactly, and on a design
+    symmetric about x the weights are the kernel weights K(u_j) normalized."""
+    return weight_matrix(DesignGrid((np.arange(9) / 8,)), EvalGrid(([0.5],)), 0.25, kernel)[0]
 
 
 class TestKernels:
     def test_epanechnikov_values(self):
-        k = epanechnikov()
-        assert k(0.0) == 0.75
-        np.testing.assert_allclose(k(np.array([-0.5, 0.5])), 0.75 * 0.75)
-        assert k(1.0) == 0.0 and k(-1.5) == 0.0
+        assert smoothing._KERNELS["epanechnikov"](np.array([0.0])) == 0.75
+        # K = 0.75 (1 - u^2) on |u| < 1, zero at |u| = 1, 1.5 and 2
+        expected = np.array([0, 0, 0, 0.5625, 0.75, 0.5625, 0, 0, 0]) / 1.875
+        np.testing.assert_allclose(_centre_weights("epanechnikov"), expected, rtol=1e-14)
 
     def test_truncated_gaussian_support_and_positivity(self):
-        k = truncated_gaussian()
-        assert k(0.0) > 0
-        assert k(1.2) == 0.0
+        w = _centre_weights("gauss")
+        assert np.all(w[3:6] > 0) and not np.any(w[[0, 1, 2, 6, 7, 8]])
+        assert w[3] / w[4] == pytest.approx(math.exp(-0.125), rel=1e-14)
         # renormalized: integrates to ~1 over [-1, 1]
         u = np.linspace(-1, 1, 20001)
-        assert abs(np.trapezoid(k(u), u) - 1.0) < 1e-4
+        assert abs(np.trapezoid(smoothing._KERNELS["gauss"](u), u) - 1.0) < 1e-4
 
     def test_kernel_by_name(self):
-        assert kernel_by_name("epa").name == "epanechnikov"
-        assert kernel_by_name("gaussian").name == "gauss"
-        with pytest.raises(GridError):
-            kernel_by_name("boxcar")
+        # a kernel is one of two names, spelled exactly
+        assert sorted(smoothing._KERNELS) == ["epanechnikov", "gauss"]
+        for name in ("boxcar", "epa", "gaussian", "truncated-gaussian", "Gauss"):
+            with pytest.raises(GridError, match=f"kernel={name!r}"):
+                _centre_weights(name)
 
 
 class TestWeights1d:
@@ -117,7 +123,7 @@ class TestWeights1d:
             local_linear_weights(grid, 0.5, 0.01)
 
     @pytest.mark.parametrize("h", [1e-300, 1e-320])
-    @pytest.mark.parametrize("kernel", [epanechnikov(), truncated_gaussian()])
+    @pytest.mark.parametrize("kernel", ["epanechnikov", "gauss"], ids=["kernel0", "kernel1"])
     def test_tiny_bandwidth_is_error_without_warnings(self, h, kernel):
         # offsets / h reach 1e300 or overflow to inf; no numpy warning escapes
         with warnings.catch_warnings():
@@ -249,13 +255,13 @@ class TestCvBandwidth:
         row = np.sin(2 * np.pi * grid.points)
         sample = FunctionalSample(grid=grid, values=np.tile(row, (5, 1)))
         best, scores = cv_bandwidth(sample, [0.1, 0.2, 0.4])
-        assert best.values[0] == 0.1
+        assert best == (0.1,)
 
     def test_ill_posed_candidate_filtered_with_warning(self):
         sample = gen_model1(5, 10, seed_or_rng=0)
         with pytest.warns(UserWarning):
             best, _ = cv_bandwidth(sample, [0.01, 0.3])
-        assert best.values[0] == 0.3
+        assert best == (0.3,)
 
     def test_empty_candidates(self):
         sample = gen_model1(5, 10, seed_or_rng=0)
@@ -279,7 +285,7 @@ class TestCvBandwidth:
         for rep in range(100):
             sample = gen_model1(20, 20, seed_or_rng=2000 + rep)
             best, _ = cv_bandwidth(sample, cands)
-            hits += 0.05 <= best.values[0] <= 0.3
+            hits += 0.05 <= best[0] <= 0.3
         assert hits >= 90
 
 
@@ -289,7 +295,7 @@ def test_bandwidth_must_be_finite_and_positive(h):
     # "local linear" band was one global straight line
     sample = gen_model1(10, 20, seed_or_rng=4)
     with pytest.raises(GridError, match="finite and positive"):
-        Bandwidth.of(h, 1 if np.isscalar(h) else 2)
+        smoothing._bandwidth(h, 1 if np.isscalar(h) else 2)
     if np.isscalar(h):
         with pytest.raises(GridError, match=r"h=\("):
             normal_scb(sample, make_eval_grid(20), h, paths=200)
@@ -302,8 +308,7 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
     (lambda: make_design_grid(5, (4,)), "densities"),
     (lambda: make_eval_grid(2.5), "size=2.5"),
     (lambda: polynomial_basis(1.5), "degree=1.5"),
-    (lambda: kernel_by_name(3), "kernel 3"),
-    (lambda: Bandwidth.of("a"), "h='a'"),
+    (lambda: weight_matrix(uniform_design_grid(20), make_eval_grid(20), "a"), "h='a'"),
     (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, paths=1000.5),
      "paths=1000.5"),
     (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, paths="1000"),
@@ -315,15 +320,12 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
     (lambda: ModelSpec(**{**_SPEC, "reps": 1.5}), "reps=1.5"),
     (lambda: make_design_grid("uniform", 4), "sizes=4"),
     (lambda: make_design_grid("uniform", (4.5,)), "sizes[0]=4.5"),
-    (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, kernel="gauss"),
-     "kernel='gauss'"),
-    (lambda: bootstrap_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, kernel="gauss"),
-     "kernel='gauss'"),
-    (lambda: fit_mean(gen_model1(10, 20), make_eval_grid(20), 0.2, "gauss"), "kernel='gauss'"),
-    (lambda: weight_matrix(uniform_design_grid(20), make_eval_grid(20), 0.2, "gauss"),
-     "kernel='gauss'"),
-    (lambda: cv_bandwidth(gen_model1(10, 20), [0.2], "gauss"), "kernel='gauss'"),
-    (lambda: plrt_test(gen_model1(10, 20), polynomial_basis(1), 0.2, "gauss"), "kernel='gauss'"),
+    (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, kernel=3), "kernel=3"),
+    (lambda: bootstrap_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, kernel=3), "kernel=3"),
+    (lambda: fit_mean(gen_model1(10, 20), make_eval_grid(20), 0.2, 3), "kernel=3"),
+    (lambda: weight_matrix(uniform_design_grid(20), make_eval_grid(20), 0.2, 3), "kernel=3"),
+    (lambda: cv_bandwidth(gen_model1(10, 20), [0.2], 3), "kernel=3"),
+    (lambda: plrt_test(gen_model1(10, 20), polynomial_basis(1), 0.2, 3), "kernel=3"),
     (lambda: order_statistic_quantile(np.arange(5.0), math.nan), "gamma=nan"),
     (lambda: order_statistic_quantile([], 0.05), "values"),
     (lambda: order_statistic_quantile(np.arange(5.0), 1.5), "gamma=1.5"),
@@ -380,7 +382,6 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
     (lambda: cv_bandwidth("s", [0.1]), "sample='s'"),
     (lambda: run_experiment("s", "normal-scb"), "spec='s'"),
     (lambda: gen_model1("a", 10), "n='a'"),
-    (lambda: Bandwidth(("a",)), "h=('a',)"),
     (lambda: read_curves_csv(None), "path_or_file=None"),
     (lambda: write_curves_csv(3.5, gen_model1(10, 20)), "path_or_file=3.5"),
     (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2, paths=200).write_csv(3.5),
@@ -393,8 +394,25 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
                          polynomial_basis(1), make_eval_grid(5)), "covariance must be an array"),
     (lambda: sup_quantile("x"), "request='x'"),
     (lambda: simulate_sup_norms("x"), "request='x'"),
-], ids=["make_design_grid", "make_eval_grid", "polynomial_basis", "kernel_by_name",
-        "Bandwidth.of", "normal_scb paths float", "normal_scb paths str",
+    (lambda: ModelSpec(**{**_SPEC, "model": np.array(["m1"])}), "model=array"),
+    (lambda: known_R_threshold(np.array(["m1", "m2"])), "model=array"),
+    (lambda: gen_model3(10, 20, 0, np.array(["h0", "hn"])), "hypothesis=array"),
+    (lambda: make_eval_grid(10, np.array([1, 2])), "dim=array"),
+    (lambda: plrt_test(gen_model1(10, 20), polynomial_basis(1), 0.2,
+                       covariance_mode=np.array(["known", "known"])), "covariance_mode=array"),
+    (lambda: run_experiment(ModelSpec(**_SPEC), np.array(["normal-scb", "gof-scb"])),
+     "method=array"),
+    (lambda: normal_scb(gen_model1(10, 20), make_eval_grid(20), 0.2,
+                        kernel=np.array(["gauss", "gauss"])), "kernel=array"),
+    (lambda: basis_model(3.5), "functions=3.5"),
+    (lambda: basis_model(np.array([1.0, 2.0])), "functions=array"),
+    (lambda: BandResult(make_eval_grid(3), "x", np.zeros(3), 1.0, 0.95, "normal"), "center='x'"),
+    (lambda: BandResult("g", np.zeros(3), np.zeros(3), 1.0, 0.95, "normal"), "grid='g'"),
+    (lambda: empirical_variance(np.ones((3, 4)), "abc"), "mean='abc'"),
+    (lambda: empirical_variance(np.ones((3, 4)), np.zeros(3)), "mean must have shape (4,)"),
+    (lambda: empirical_correlation(np.ones((3, 4)), None, "abc"), "sigma2='abc'"),
+], ids=["make_design_grid", "make_eval_grid", "polynomial_basis",
+        "weight_matrix h str", "normal_scb paths float", "normal_scb paths str",
         "SupQuantileRequest paths", "bootstrap_scb bootstraps", "ModelSpec n", "ModelSpec reps",
         "make_design_grid scalar sizes", "make_design_grid float size",
         "normal_scb kernel", "bootstrap_scb kernel", "fit_mean kernel", "weight_matrix kernel",
@@ -419,10 +437,16 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
         "SupQuantileRequest correlation str", "empirical_variance str", "psd_repair str",
         "schafer_strimmer_lambda str", "schafer_strimmer_lambda 1-D",
         "cv_bandwidth sample str", "run_experiment spec str", "gen_model1 n str",
-        "Bandwidth values str", "read_curves_csv None", "write_curves_csv path float",
+        "read_curves_csv None", "write_curves_csv path float",
         "BandResult.write_csv path float", "empirical_correlation str", "plrt_pvalue str",
         "shrink_correlation str", "bump_function str", "limit_gamma covariance str",
-        "sup_quantile str", "simulate_sup_norms str"])
+        "sup_quantile str", "simulate_sup_norms str", "ModelSpec model array",
+        "known_R_threshold model array", "gen_model3 hypothesis array",
+        "make_eval_grid dim array", "plrt_test covariance_mode array",
+        "run_experiment method array", "normal_scb kernel array", "basis_model functions float",
+        "basis_model functions array", "BandResult center str", "BandResult grid str",
+        "empirical_variance mean str", "empirical_variance mean length",
+        "empirical_correlation sigma2 str"])
 def test_mistyped_argument_raises_funcband_error(call, named):
     with pytest.raises(FuncbandError) as err:
         call()
