@@ -151,28 +151,28 @@ def _band(method, eval, center, sigma, divisor, sups, gamma, h, kernel, seed, **
     return BandResult(eval, center, c * sigma / divisor, c, 1.0 - gamma, method, details)
 
 
-def _gaussian_bands(method, eval, parts, divisor, gamma, paths, p, seed, kernel) -> list:
-    """The band center +/- c sigma / divisor of each part (center, sigma, corr,
-    lam, h), c drawn for the Gaussian process with correlation ``corr`` (a table
-    or a root) in one ``simulate_sup_norms`` call.  ``divisor`` is sqrt(n) for
-    a mean band, 1.0 for a prediction band; ``paths`` defaults by design size p."""
+def _gaussian_bands(method, parts, divisor, gamma, paths, p, seed, kernel) -> list:
+    """The band center +/- c sigma / divisor on ``eval`` of each part (eval, center,
+    sigma, corr, lam, h), c drawn for the Gaussian process with correlation ``corr``
+    (a table or a root) in one ``simulate_sup_norms`` call.  ``divisor`` is sqrt(n)
+    for a mean band, 1.0 for a prediction band; ``paths`` defaults by design size p."""
     n_paths = paths if paths is not None else default_path_count(p)
     drawn = simulate_sup_norms(*(SupQuantileRequest(corr, gamma, n_paths, seed)
-                                 for _, _, corr, _, _ in parts))
+                                 for _, _, _, corr, _, _ in parts))
     return [_band(method, eval, center, sigma, divisor, sups, gamma, h, kernel, seed,
                   paths=n_paths, shrinkage_lambda=lam, clipped_mass=mass)
-            for (center, sigma, _, lam, h), (sups, mass)
+            for (eval, center, sigma, _, lam, h), (sups, mass)
             in zip(parts, drawn if len(parts) > 1 else [drawn])]
 
 
 def _curve_part(sample, eval, h, kernel) -> tuple:
-    """The ``_gaussian_bands`` part of mu_hat +/- c sigma_hat / divisor built
-    from the smoothed curves of ``sample``, drawn through their ``_curve_root``."""
+    """The ``_gaussian_bands`` part of mu_hat +/- c sigma_hat / divisor on ``eval``
+    built from the smoothed curves of ``sample``, drawn through their ``_curve_root``."""
     mean_fit = fit_mean(sample, eval, h, kernel)
     sigma = np.sqrt(_checked_variance(mean_fit))
     lam = schafer_strimmer_lambda(mean_fit.curves)
     root = _curve_root(mean_fit.curves, mean_fit.mean, sigma, lam)
-    return mean_fit.mean, sigma, root, lam, _bandwidth(h, eval.dim)
+    return eval, mean_fit.mean, sigma, root, lam, _bandwidth(h, eval.dim)
 
 
 def normal_scb(
@@ -185,7 +185,7 @@ def normal_scb(
     seed: int = 0,
 ) -> BandResult:
     """Gaussian-limit simultaneous band for the mean curve."""
-    return _gaussian_bands("normal", eval, [_curve_part(sample, eval, h, kernel)],
+    return _gaussian_bands("normal", [_curve_part(sample, eval, h, kernel)],
                            sqrt(sample.n_curves), gamma, paths, sample.n_points, seed, kernel)[0]
 
 
@@ -328,9 +328,9 @@ def two_sample_scb(
     sd = np.sqrt(np.diag(diff_cov))
     center = fits[0].mean - fits[1].mean
     hs = tuple(_bandwidth(h, eval.dim) for h in (h_a, h_b))
-    part = (center, sd, _unit_correlation(diff_cov / np.outer(sd, sd)), tuple(lams), hs)
-    band, = _gaussian_bands("two-sample", eval, [part], 1.0, alpha, paths, sample_a.n_points,
-                            seed, kernel)
+    part = (eval, center, sd, _unit_correlation(diff_cov / np.outer(sd, sd)), tuple(lams), hs)
+    band, = _gaussian_bands("two-sample", [part], 1.0, alpha, paths, sample_a.n_points, seed,
+                            kernel)
     reject = bool(np.any(np.abs(center) > band.half_width))
     return TwoSampleResult(band=band, reject=reject)
 
@@ -345,8 +345,15 @@ def prediction_band(
     seed: int = 0,
 ) -> BandResult:
     """Band intended to contain a new curve: mu_hat +/- c sigma_hat (no sqrt(n))."""
-    return _gaussian_bands("prediction", eval, [_curve_part(sample, eval, h, kernel)],
-                           1.0, gamma, paths, sample.n_points, seed, kernel)[0]
+    return _prediction_bands(sample, [eval], h, kernel, gamma, paths, seed)[0]
+
+
+def _prediction_bands(sample, grids, h, kernel, gamma, paths, seed) -> list:
+    """The ``prediction_band`` on each of ``grids``, from one draw of Gaussian
+    paths: the widest root's band is its own ``prediction_band``, and a narrower
+    root reads the first columns of the same normals (common random numbers)."""
+    return _gaussian_bands("prediction", [_curve_part(sample, g, h, kernel) for g in grids],
+                           1.0, gamma, paths, sample.n_points, seed, kernel)
 
 
 def split_half_bandwidth(
@@ -384,8 +391,7 @@ def split_half_bandwidth(
             continue
     if not parts:
         raise IllPosedBandwidthError("no candidate bandwidth was usable")
-    built = _gaussian_bands("prediction", sample.grid, parts, 1.0, gamma, paths, build.n_points,
-                            seed, kernel)
-    coverages = {part[4]: float(np.mean([band.covers(row) for row in holdout]))
+    built = _gaussian_bands("prediction", parts, 1.0, gamma, paths, build.n_points, seed, kernel)
+    coverages = {part[5]: float(np.mean([band.covers(row) for row in holdout]))
                  for part, band in zip(parts, built)}
     return min(coverages, key=lambda b: abs(coverages[b] - (1.0 - gamma))), coverages

@@ -17,7 +17,8 @@ import sys
 
 import numpy as np
 
-from .bands import bootstrap_scb, normal_scb, prediction_band, split_half_bandwidth, two_sample_scb
+from .bands import (_prediction_bands, bootstrap_scb, normal_scb, split_half_bandwidth,
+                    two_sample_scb)
 from .errors import (
     DegenerateVarianceError,
     FuncbandError,
@@ -265,16 +266,16 @@ def _run_compare(args) -> tuple[str, dict]:
 
 def _run_predict(args) -> tuple[str, dict]:
     sample = _load_sample(args.infile)
+    test = _load_sample(args.test) if args.test else None
     kernel, (h,), eval = _smoothing(args, sample)
-    gamma = 1.0 - args.level
-    band = prediction_band(sample, eval, h, kernel, gamma, args.paths, args.seed)
+    # the test curves are scored against the band at their design points, drawn
+    # with the evaluation band from one block of Gaussian paths
+    grids = [eval, test.grid] if test else [eval]
+    band, *design = _prediction_bands(sample, grids, h, kernel, 1.0 - args.level, args.paths,
+                                      args.seed)
     extra = {}
-    if args.test:
-        test = _load_sample(args.test)
-        # score raw test curves against the band evaluated at the design points
-        design_band = prediction_band(sample, test.grid, h, kernel, gamma,
-                                      args.paths, args.seed)
-        extra["test_coverage"] = float(np.mean([design_band.covers(row) for row in test.values]))
+    if design:
+        extra["test_coverage"] = float(np.mean([design[0].covers(row) for row in test.values]))
     tail = f" test_coverage={extra['test_coverage']:.4f}" if extra else ""
     return _band_summary("predict", sample, h, band, tail), _band_outputs(band, **extra)
 

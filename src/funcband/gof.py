@@ -310,9 +310,9 @@ def scb_gof_test(
         factor = np.linalg.qr(factor, mode="r")
     n = sample.n_curves
     t_stat = sqrt(n) * float(np.max(np.abs(r / sigma_gamma)))
-    part = (r, sigma_gamma, _MatrixRoot(factor, mass), lam, _bandwidth(h, eval.dim))
-    band, = _gaussian_bands("gof-residual", eval, [part], sqrt(n), alpha, paths, sample.n_points,
-                            seed, kernel)
+    part = (eval, r, sigma_gamma, _MatrixRoot(factor, mass), lam, _bandwidth(h, eval.dim))
+    band, = _gaussian_bands("gof-residual", [part], sqrt(n), alpha, paths, sample.n_points, seed,
+                            kernel)
     return GofReport(
         statistic=t_stat,
         threshold=band.threshold,

@@ -9,24 +9,28 @@ A root has a ``size`` m, a ``width`` w, the clipped eigenvalue ``mass``, a
 * matrix: a w x m array L, applied by one k x w x m product per chunk: the
   m x m symmetric root of a table from ``moments._psd_root`` (which also
   repairs a table that is not PSD), or the goodness-of-fit test's exact
-  factor of its rank-r correlation, w = min(r, m);
+  factor of its rank-r correlation, w = min(r, m).  The product is taken
+  point-major, as L'z', so the sups are a max over m rows of k paths;
 * thin: for a shrunk empirical correlation (1-lam) Xs'Xs/(n-1) + lam I of
   n < m/2 curves, sqrt(lam) I + V diag(d) V' from the thin SVD of the
   n x m standardized deviations Xs, applied by two k x m x n products;
-  w = m.  Only ``table()`` forms an m x m array, and the draw never calls it.
+  w = m; its row-major z L has long rows of m > 2n points.  Only ``table()``
+  forms an m x m array, and the draw never calls it.
 
 A chunk of at most 2048 paths sets the randomness: each has its own
 counter-based (Philox) substream, so a given seed gives bit-identical
-output.  A block sets the memory: the rows of a chunk that are filled,
-multiplied and reduced to their sups at once, in one normal buffer and one
-product buffer allocated per call, and when several roots share the draw one
-scratch buffer of the normals' size, which a thin root writes instead of the
-normals that the next root reads.  A block has 2048 rows, halved until one
-buffer of rows x max(w, m) doubles is at most 8 MiB: grids of up to 512
-points draw a chunk in one block, wider ones in blocks of 4 to 8 MiB.  The
-blocks of a chunk fill in turn from its generator, so they draw the same
-normals in the same order as one fill of the chunk.  Requests with the same
-seed, paths and width w can share one draw.
+output.  Requests with the same seed and paths share one draw, as wide as
+the widest root: a root of width w reads the first w columns of its
+normals, so the widest root's values are those of its own draw.  A block
+sets the memory: the rows of a chunk that are filled, multiplied and reduced
+to their sups at once, in one normal buffer and one product buffer
+allocated per call.  A thin root writes sqrt(lam) z in place of its normals
+z; only when it shares the draw does it write a scratch buffer of the
+normals' size instead.  A block has 2048 rows, halved until one buffer of
+rows x max(w, m) doubles is at most 8 MiB: grids of up to 512 points draw a
+chunk in one block, wider ones in blocks of 4 to 8 MiB.  The blocks of a
+chunk fill in turn from its generator, so they draw the same normals in the
+same order as one fill of the chunk.
 """
 
 from __future__ import annotations
@@ -105,9 +109,16 @@ class _MatrixRoot:
         """The m x m symmetric root of a correlation table, from ``_psd_root``."""
         return cls(*_psd_root(table, correlation=True), table)
 
-    def __call__(self, z, out, scratch=None):
+    def __call__(self, z, out):
         """Set and return out = z L."""
         return np.matmul(z, self.factor, out=out)
+
+    def sups(self, z, y, scratch, out):
+        """Set ``out`` to the sup |z L| of each row of z, with L'z' in the first
+        m k doubles of ``y``: point-major, so the sup is a max over contiguous
+        rows of k paths, not over each path's short row of m points."""
+        yk = np.matmul(self.factor.T, z.T, out=y[:self.size * len(z)].reshape(self.size, len(z)))
+        np.abs(yk, out=yk).max(axis=0, out=out)
 
     def table(self) -> np.ndarray:
         return self.factor.T @ self.factor if self._table is None else self._table
@@ -141,6 +152,11 @@ class _ThinRoot(_MatrixRoot):
         t *= self._d
         np.matmul(t, self._vt, out=out)
         return np.add(out, np.multiply(z, self._a, out=scratch), out=out)
+
+    def sups(self, z, y, scratch, out):
+        """As ``_MatrixRoot.sups``, row-major: a row of m > 2n points is long."""
+        yk = y[:len(z) * self.size].reshape(len(z), self.size)
+        np.abs(self(z, yk, scratch), out=yk).max(axis=1, out=out)
 
     def table(self) -> np.ndarray:
         return _shrunk_table(self._xs, self._lam)
@@ -199,11 +215,10 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     requests = (request, *more)
     for r in requests:
         _check_type("request", r, SupQuantileRequest)
+    if any((r.seed, r.paths) != (request.seed, request.paths) for r in requests):
+        raise FuncbandError("requests simulated together must share seed and paths")
     roots = [r.root for r in requests]
-    width = roots[0].width
-    if any((r.seed, r.paths, root.width) != (request.seed, request.paths, width)
-           for r, root in zip(requests, roots)):
-        raise FuncbandError("requests simulated together must share seed, paths and width")
+    width = max(root.width for root in roots)
     values = np.empty((len(roots), request.paths))
     starts = iter(range(0, request.paths, _CHUNK))      # map_philox_chunks goes in order
     columns = max(width, *(root.size for root in roots))
@@ -213,7 +228,7 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     z = np.empty((min(rows, request.paths), width))
     y = np.empty(len(z) * columns)
     # A thin root may overwrite the normals only when no other root reads them.
-    scratch = np.empty_like(z) if more else z
+    scratch = np.empty_like(z) if more and any(isinstance(r, _ThinRoot) for r in roots) else z
 
     def draw(rng, k):
         start = next(starts)
@@ -221,8 +236,8 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
             zk = z[:min(rows, start + k - at)]
             rng.standard_normal(out=zk)
             for root, v in zip(roots, values):
-                yk = y[:len(zk) * root.size].reshape(len(zk), root.size)
-                np.abs(root(zk, yk, scratch[:len(zk)]), out=yk).max(axis=1, out=v[at:at + len(zk)])
+                w = root.width          # a narrower root reads the first w columns
+                root.sups(zk[:, :w], y, scratch[:len(zk), :w], v[at:at + len(zk)])
 
     map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
     pairs = [(v, root.mass) for v, root in zip(values, roots)]

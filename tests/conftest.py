@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from funcband import make_eval_grid
+from funcband.supnorm import _MatrixRoot
 
 settings.register_profile(
     "funcband",
@@ -53,6 +54,26 @@ def oracle_weights_2d(pts, x, h, kern=epa):
     m = design.T @ (k[:, None] * design)
     row = np.linalg.solve(m, np.array([1.0, 0.0, 0.0])) @ (design.T * k[None, :])
     return row / np.sum(row)
+
+
+def chunk_normals(seed, paths, width):
+    """Each chunk's normals, redrawn at ``width`` from its own Philox substream."""
+    sizes = [min(2048, paths - start) for start in range(0, paths, 2048)]
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    return [np.random.Generator(np.random.Philox(s)).standard_normal((k, width))
+            for k, s in zip(sizes, streams)]
+
+
+def oracle_sups(root, chunks):
+    """sup |z L| of each path, z the first ``root.width`` columns of its chunk.
+    A matrix root's product is taken point-major, L'z', as the draw takes it:
+    BLAS may round a few of its entries one ulp away from z L's."""
+    if type(root) is _MatrixRoot:
+        sups = [np.abs(root.factor.T @ z[:, :root.width].T).max(axis=0) for z in chunks]
+    else:
+        sups = [np.abs(root(z[:, :root.width], np.empty((len(z), root.size)))).max(axis=1)
+                for z in chunks]
+    return np.concatenate(sups)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from conftest import chunk_normals, oracle_sups
 
 from funcband import (
     DegenerateVarianceError,
@@ -286,6 +287,24 @@ class TestPredictionBand:
         clones = FunctionalSample(grid=grid, values=np.tile(row, (6, 1)))
         with pytest.raises(DegenerateVarianceError):
             prediction_band(clones, eval_grid, 0.15, seed=14)
+
+    def test_bands_on_two_grids_share_one_draw(self, sample50, monkeypatch):
+        # the 100-point band is its own prediction_band; the 50-point band's
+        # root reads the first 50 columns of the same normals
+        eval, paths = make_eval_grid(100), 2 * 2048 + 37
+        calls, run = [], bands.simulate_sup_norms
+        monkeypatch.setattr(bands, "simulate_sup_norms", lambda *r: calls.append(r) or run(*r))
+        wide, narrow = bands._prediction_bands(sample50, [eval, sample50.grid], 0.05,
+                                               "epanechnikov", 0.1, paths, 7)
+        assert [[r.root.width for r in requests] for requests in calls] == [[100, 50]]
+        alone = prediction_band(sample50, eval, 0.05, "epanechnikov", 0.1, paths, 7)
+        for name in ("center", "half_width", "lower", "upper"):
+            np.testing.assert_array_equal(getattr(wide, name), getattr(alone, name))
+        assert (wide.threshold, wide.details) == (alone.threshold, alone.details)
+        sups = oracle_sups(calls[0][1].root, chunk_normals(7, paths, 100))
+        assert (narrow.threshold, narrow.details["threshold_stderr"]) == \
+            supnorm._sorted_quantile(sups, 0.1)
+        assert narrow.grid is sample50.grid and narrow.method == "prediction"
 
 
 def _refuse_dense_root(table, correlation=False):

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from funcband import FunctionalSample, cli, uniform_design_grid, write_curves_csv
+from funcband import (FunctionalSample, bands, cli, make_eval_grid, read_curves_csv,
+                      uniform_design_grid, write_curves_csv)
 from funcband.cli import EXIT_DEGENERATE, EXIT_ILL_POSED, EXIT_OK, EXIT_PARSE, main
 from funcband.simlab import gen_model1
 
@@ -292,6 +293,31 @@ class TestPredict:
         assert "test_coverage=" in stdout
         payload = json.loads(open(out + ".json").read())
         assert 0.0 <= payload["test_coverage"] <= 1.0
+
+    def test_test_coverage_is_the_design_band_of_the_shared_draw(self, curves_csv, curves_csv_b,
+                                                                   tmp_path, capsys):
+        out = str(tmp_path / "pred")
+        code, _, _ = run(capsys, "predict", "--in", curves_csv, "--test", curves_csv_b,
+                         "--out", out, "--h", "0.15", "--grid-size", "40", "--paths", "2000",
+                         "--seed", "18")
+        assert code == EXIT_OK
+        sample, test = read_curves_csv(curves_csv), read_curves_csv(curves_csv_b)
+        band, design = bands._prediction_bands(sample, [make_eval_grid(40), test.grid], 0.15,
+                                               "epanechnikov", 0.05, 2000, 18)
+        payload = json.loads(open(out + ".json").read())
+        assert payload["threshold"] == band.threshold
+        assert payload["test_coverage"] == np.mean([design.covers(row) for row in test.values])
+
+    def test_missing_test_file_exits_before_any_draw(self, curves_csv, tmp_path, capsys,
+                                                     monkeypatch):
+        def refuse_draw(*requests):
+            raise AssertionError("Gaussian paths drawn")
+
+        monkeypatch.setattr(bands, "simulate_sup_norms", refuse_draw)
+        code, stdout, stderr = run(capsys, "predict", "--in", curves_csv, "--h", "split",
+                                   "--test", str(tmp_path / "missing.csv"), "--seed", "0")
+        assert code == EXIT_PARSE and stdout == ""
+        assert "missing.csv" in stderr
 
     def test_split_bandwidth(self, curves_csv, capsys):
         code, stdout, _ = run(

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import chunk_normals, oracle_sups
 from scipy.stats import kstest, norm
 
 from funcband import (
@@ -167,7 +168,8 @@ def _shrunk_request(n, m, lam, seed, paths, thin=True):
 
 
 class TestSharedDraw:
-    """Requests that share seed, paths and m are simulated from one draw."""
+    """Requests that share seed and paths are simulated from one draw, as wide
+    as the widest root; a root of width w reads its first w columns."""
 
     # 2048 k + r paths: two full chunks and a partial one
     PATHS = 2 * 2048 + 37
@@ -186,12 +188,50 @@ class TestSharedDraw:
 
     @pytest.mark.parametrize("change", [dict(seed=4), dict(paths=PATHS + 1), dict(m=41)])
     def test_requests_must_share_seed_paths_and_grid(self, change):
+        # a request on another grid shares the draw; another seed or path count raises
         base = dict(seed=3, paths=self.PATHS, m=40)
         first = _shrunk_request(5, 40, 0.3, 3, self.PATHS)
         other = {**base, **change}
         second = _shrunk_request(5, other["m"], 0.3, other["seed"], other["paths"])
-        with pytest.raises(FuncbandError, match="must share seed, paths and width"):
-            simulate_sup_norms(first, second)
+        if "m" not in change:
+            with pytest.raises(FuncbandError, match="must share seed and paths"):
+                simulate_sup_norms(first, second)
+            return
+        (narrow, _), (wide, _) = simulate_sup_norms(first, second)
+        assert np.array_equal(wide, simulate_sup_norms(second)[0])
+        chunks = chunk_normals(3, self.PATHS, 41)
+        assert np.array_equal(narrow, oracle_sups(first.root, chunks))
+
+    def test_narrower_roots_read_the_first_columns(self):
+        # the oracle redraws each chunk at the widest width, 100, and applies
+        # each root to its first w columns
+        requests = [_shrunk_request(30, 50, 0.2, 3, self.PATHS, thin=False),   # dense, w = 50
+                    _factor_request(20, 60, 3, self.PATHS),                    # factor, w = 20
+                    _shrunk_request(30, 100, 0.2, 3, self.PATHS, thin=False),  # dense, w = 100
+                    _thin_request(5, 40, 3, self.PATHS)]                       # thin, w = 40
+        shared = simulate_sup_norms(*requests)
+        chunks = chunk_normals(3, self.PATHS, 100)
+        for request, (values, _) in zip(requests, shared):
+            assert np.array_equal(values, oracle_sups(request.root, chunks))
+        assert np.array_equal(shared[2][0], simulate_sup_norms(requests[2])[0])
+
+    @pytest.mark.parametrize("sizes", [(100, 50), (100, 100)])
+    def test_dense_roots_share_the_draw_without_a_scratch_block(self, sizes):
+        # only a thin root writes scratch: two dense roots take no more memory
+        # than the wider one's own draw and a second row of sups
+        paths = 13000
+        wide, narrow = (_shrunk_request(30, m, 0.2, 3, paths, thin=False) for m in sizes)
+
+        def peak(*requests):
+            simulate_sup_norms(*requests)           # numpy's first-call allocations
+            tracemalloc.start()
+            try:
+                simulate_sup_norms(*requests)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(wide, narrow) <= peak(wide) + 8 * paths
 
 
 def _factor_request(r, m, seed, paths, mass=0.0):
@@ -222,8 +262,11 @@ class TestFactorRoot:
         for request, (values, mass) in zip(requests, simulate_sup_norms(*requests)):
             alone, alone_mass = simulate_sup_norms(request)
             assert np.array_equal(values, alone) and mass == alone_mass
-        with pytest.raises(FuncbandError, match="must share seed, paths and width"):
-            simulate_sup_norms(_factor_request(39, 60, 3, self.PATHS), requests[1])
+        # a width-39 factor reads the first 39 of the dense root's 40 columns
+        narrow = _factor_request(39, 60, 3, self.PATHS)
+        (values, _), (wide, _) = simulate_sup_norms(narrow, requests[1])
+        assert np.array_equal(wide, simulate_sup_norms(requests[1])[0])
+        assert np.array_equal(values, oracle_sups(narrow.root, chunk_normals(3, self.PATHS, 40)))
 
 
 def _thin_request(n, m, seed, paths):
