@@ -13,10 +13,15 @@ pair's end-to-end figures, then for every end-to-end metric of the change's
 ``--trace-seconds`` adds one traced run per side (``--trace 1``) and records
 its per-layer figures.  ``--claim METRIC`` tests the rule for a claimed gain:
 the change wins at least 9 pairs in 10 and the medians differ by more than the
-parent's interquartile range.  ``--out`` writes the result as JSON, or merges
-this workload into the file if it exists, so that one file can collect every
-workload of a change.  Only the standard library is used, and nothing in
-either checkout is edited.
+parent's interquartile range.  Each metric's console line ends with its
+bound verdict: ``within bound`` or ``OUTSIDE bound`` by where the change's
+median lies against the metric's bound around the parent's, or
+``unresolved`` when the parent's interquartile range over its median exceeds
+the bound, so that the runs spread too widely to tell.  The script exits 1
+when the claim is not met or a metric is outside its bound.  ``--out`` writes
+the result as JSON, or merges this workload into the file if it exists, so
+that one file can collect every workload of a change.  Only the standard
+library is used, and nothing in either checkout is edited.
 """
 
 from __future__ import annotations
@@ -66,6 +71,10 @@ def summarize(runs: list, metrics: list) -> dict:
         bq1, bmed, bq3 = quartiles(before)
         aq1, amed, aq3 = quartiles(after)
         limit = bmed * (1 + spec["bound"]) if lower else bmed * (1 - spec["bound"])
+        within = amed <= limit if lower else amed >= limit
+        spread = (bq3 - bq1) / abs(bmed) if bmed else 0.0
+        verdict = ("unresolved" if spread > spec["bound"]
+                   else "within bound" if within else "OUTSIDE bound")
         out[name] = {
             "unit": spec["unit"], "better": spec["better"],
             "before_median": round(bmed, 4), "before_q1": round(bq1, 4),
@@ -75,7 +84,8 @@ def summarize(runs: list, metrics: list) -> dict:
             "ratio_after_over_before": round(amed / bmed, 4) if bmed else None,
             "pairs_won_by_after": f"{wins}/{len(runs)}",
             "bound": spec["bound"],
-            "within_bound": amed <= limit if lower else amed >= limit,
+            "within_bound": within,
+            "bound_verdict": verdict,
         }
     return out
 
@@ -133,7 +143,7 @@ def main(argv=None) -> int:
         print(f"{name:16} after won {s['pairs_won_by_after']:>5}  "
               f"parent {s['before_median']:.4g} [{s['before_q1']:.4g}, {s['before_q3']:.4g}]  "
               f"change {s['after_median']:.4g} [{s['after_q1']:.4g}, {s['after_q3']:.4g}]  "
-              f"ratio {s['ratio_after_over_before']}")
+              f"ratio {s['ratio_after_over_before']}  {s['bound_verdict']}")
     entry = {"seconds": args.seconds, "seed": args.seed, "runs": runs, "metrics": summary,
              "failed_ops": {side: sum(r[side]["failed"] for r in runs) for side in sides},
              "all_correct": all(r[side]["correct"] for r in runs for side in sides)}
@@ -154,7 +164,8 @@ def main(argv=None) -> int:
             "host": host(), "workloads": {}}
         doc["workloads"][args.workload] = entry
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    outside = any(s["bound_verdict"] == "OUTSIDE bound" for s in summary.values())
+    return 1 if outside or (args.claim and not entry["claim"]["met"]) else 0
 
 
 if __name__ == "__main__":

@@ -201,25 +201,31 @@ _BOOT_VAR_RTOL = 1e-2
 def _resample_z(curves, mean, powers, idx, buffers):
     """z* of each resample (row of ``idx``) and a mask of the degenerate ones,
     where every resampled curve has the same value at some point, computed in
-    the first rows of ``buffers`` (sums, dev, ss, scratch, flag)."""
+    the first rows of ``buffers`` (sums, ratio).
+
+    With S1 = C X, S2 = C X^2 and q = S2 / S1^2 at each point,
+    (mu* - mu_hat)^2 / var* = (n-1) / (n (n q - 1)), so
+    z* = sqrt((n-1) / (n r - 1)) for r = min q.  The flag
+    (n-1) var* <= rtol S2 reads r <= 1 / ((1 - rtol) n); a NaN r
+    (S1 = S2 = 0 at some point) is flagged too."""
     k, n = idx.shape
     counts = np.bincount((idx + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
-    sums, dev, ss, scratch, flag = (b[:k] for b in buffers)
+    sums, ratio = (b[:k] for b in buffers)
     np.matmul(counts.reshape(k, n).astype(float), powers, out=sums)
     m = mean.size
-    np.divide(sums[:, :m], n, out=dev)               # mu* - mu_hat
-    np.subtract(sums[:, m:], np.multiply(sums[:, :m], dev, out=scratch), out=ss)  # (n-1) var*
-    np.less_equal(ss, np.multiply(_BOOT_VAR_RTOL, sums[:, m:], out=scratch), out=flag)
-    near = np.flatnonzero(np.any(flag, axis=1))
+    np.square(sums[:, :m], out=ratio)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.divide(sums[:, m:], ratio, out=ratio).min(axis=1)
+    flagged = ~(r > 1.0 / ((1.0 - _BOOT_VAR_RTOL) * n))
+    z = np.sqrt((n - 1) / (n * np.where(flagged, 1.0, r) - 1))
+    near = np.flatnonzero(flagged)
     degenerate = np.zeros(k, dtype=bool)
     if near.size:
         boot = curves[idx[near]]
-        degenerate[near] = np.any(np.all(boot == boot[:, :1], axis=1), axis=1)
-        dev[near] = boot.mean(axis=1) - mean
-        ss[near] = boot.var(axis=1, ddof=1) * (n - 1)
-        ss[degenerate] = np.inf
-    np.sqrt(np.divide(ss, n - 1, out=scratch), out=scratch)
-    z = sqrt(n) * np.max(np.divide(np.abs(dev, out=dev), scratch, out=dev), axis=1)
+        degenerate[near] = dead = np.any(np.all(boot == boot[:, :1], axis=1), axis=1)
+        boot = boot[~dead]
+        z[near[~dead]] = sqrt(n) * np.max(
+            np.abs(boot.mean(axis=1) - mean) / boot.std(axis=1, ddof=1), axis=1)
     return z, degenerate
 
 
@@ -233,8 +239,7 @@ def _bootstrap_sup_stats(curves, mean, bootstraps, seed):
     dev = curves - mean[None, :]
     powers = np.hstack([dev, dev * dev])           # [X, X^2], X centred at mu_hat
     shape = (min(_BOOT_CHUNK, bootstraps), m)      # one set of buffers for every chunk
-    buffers = (np.empty((shape[0], 2 * m)), np.empty(shape), np.empty(shape), np.empty(shape),
-               np.empty(shape, bool))
+    buffers = (np.empty((shape[0], 2 * m)), np.empty(shape))
 
     def draw(rng, k):
         z, bad = _resample_z(curves, mean, powers, rng.integers(0, n, size=(k, n)), buffers)
@@ -270,9 +275,12 @@ def bootstrap_scb(
 
     Resamples are drawn in chunks of at most 512 on per-chunk Philox
     substreams.  A chunk of k resamples becomes a k x n count matrix C, and
-    with X = curves - mu_hat, mu* - mu_hat = (C X)/n and
-    (n-1) var* = C X^2 - (C X)^2/n.  Resamples close to zero variance are
-    recomputed directly; those with an exactly constant point are redrawn.
+    with X = curves - mu_hat, S1 = C X and S2 = C X^2, one GEMM fills the
+    k x 2m buffer [S1, S2]; a second k x m buffer holds r = S2 / S1^2 per
+    point, and z* = sqrt((n-1) / (n min r - 1)), since
+    mu* - mu_hat = S1/n and (n-1) var* = S2 - S1^2/n.  Resamples close to
+    zero variance are recomputed directly; those with an exactly constant
+    point are redrawn.
     ``details`` reports the threshold's standard error and the redraw count.
     """
     _check_type("sample", sample, FunctionalSample, SampleValidationError)

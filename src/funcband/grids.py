@@ -33,9 +33,6 @@ __all__ = [
     "write_curves_csv",
 ]
 
-_BISECT_TOL = 1e-12
-
-
 def _readonly(a, name: str, error: type) -> np.ndarray:
     """A read-only C-contiguous float copy of ``a``, or ``error`` naming ``name``
     if ``a`` holds a non-number; the caller's array stays writeable."""
@@ -141,8 +138,11 @@ class FunctionalSample:
         return self.values.mean(axis=0)
 
 
-def _tabulated_cdf(grid: np.ndarray, values: np.ndarray):
-    """Renormalized CDF of a piecewise-linear tabulated density on [0,1]."""
+def _tabulated_quantiles(grid: np.ndarray, values: np.ndarray, targets: np.ndarray):
+    """Quantiles at ``targets`` of the renormalized piecewise-linear density
+    tabulated by ``values`` on ``grid`` (spanning [0,1]).  Each target finds
+    its cell on the cumulative trapezoid, then takes the stable root of that
+    cell's quadratic CDF, f0 t + (slope/2) t^2 = c."""
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise GridError("tabulated density grid must be strictly increasing with >= 2 points")
     if grid[0] != 0.0 or grid[-1] != 1.0:
@@ -151,34 +151,13 @@ def _tabulated_cdf(grid: np.ndarray, values: np.ndarray):
         raise GridError("tabulated density values must match its grid")
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
         raise GridError("density values must be positive and finite")
-    # cumulative trapezoid; piecewise-quadratic CDF of the interpolated density
-    seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-
-    def cdf(x: float) -> float:
-        x = min(max(x, 0.0), 1.0)
-        k = int(np.searchsorted(grid, x, side="right")) - 1
-        k = min(max(k, 0), grid.size - 2)
-        t = x - grid[k]
-        w = grid[k + 1] - grid[k]
-        f0, f1 = values[k], values[k + 1]
-        part = f0 * t + 0.5 * (f1 - f0) * t * t / w
-        return (cum[k] + part) / total
-
-    return cdf
-
-
-def _invert_monotone(cdf, target: float) -> float:
-    """Bisection on [0,1]; F is continuous and strictly increasing."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    width = np.diff(grid)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * width)])
+    mass = targets * cum[-1]
+    k = np.clip(np.searchsorted(cum, mass, side="right") - 1, 0, grid.size - 2)
+    f0, c = values[k], mass - cum[k]
+    slope = (values[k + 1] - f0) / width[k]
+    return grid[k] + 2.0 * c / (f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * c, 0.0)))
 
 
 def _axis_points(density, size: int) -> np.ndarray:
@@ -192,8 +171,7 @@ def _axis_points(density, size: int) -> np.ndarray:
     except (TypeError, ValueError):
         raise GridError("a density spec must be 'uniform' or a (grid, values) pair "
                         f"of numbers, got a {type(density).__name__}") from None
-    cdf = _tabulated_cdf(grid, values)
-    return np.array([_invert_monotone(cdf, t) for t in targets])
+    return _tabulated_quantiles(grid, values, targets)
 
 
 def make_design_grid(densities, sizes) -> DesignGrid:

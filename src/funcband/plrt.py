@@ -123,13 +123,24 @@ _IMHOF_ROUNDS = 60       # spectra at the 1e-12 eigenvalue filter take about 36
 _IMHOF_MAX_PANELS = 1000
 
 
+def _gk_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The G7/K15 nodes of the panels [lo, hi], panel by panel, and each panel's half width."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * _GK_NODES).ravel(), half
+
+
+# the first round's panels and nodes, the same for every spectrum
+_IMHOF_EDGES = np.linspace(0.0, 1.0, _IMHOF_PANELS + 1)
+_IMHOF_NODES, _IMHOF_HALF = _gk_nodes(_IMHOF_EDGES[:-1], _IMHOF_EDGES[1:])
+
+
 def _imhof_integrand(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Imhof's integrand at u = (1-t)/t, times the Jacobian 1/t^2.  Large u
     lies near t = 0, where doubles are dense, so the integrand's last feature
     at u ~ 1/min|lambda_i| stays resolved down to min|lambda_i| ~ 1e-17."""
     x = ((1.0 - t) / t)[:, None] * lam[None, :]
     theta = 0.5 * np.arctan(x).sum(axis=1)
-    log_rho = 0.25 * np.log1p(x * x).sum(axis=1)
+    log_rho = 0.25 * np.log1p(np.square(x, out=x), out=x).sum(axis=1)
     return np.sin(theta) * np.exp(-log_rho) / (t * (1.0 - t))
 
 
@@ -143,40 +154,41 @@ def _imhof_positive_tail(lambdas: np.ndarray) -> tuple[float, float]:
     rho(u) = prod (1 + lambda_i^2 u^2)^(1/4).
 
     The integral is taken over t = 1/(1+u) in (0, 1] by adaptive G7/K15
-    Gauss-Kronrod quadrature.  Each round evaluates the rule on every new
-    panel at once, as one (panels*15) x k array, and estimates each panel's
-    error by |K15 - G7|.  While the summed error is above tolerance, the
-    panels with the largest errors are bisected, as many as it takes for the
-    others to sum to at most half the tolerance.  Raises IntegrationError if
-    the tolerance is not met within the refinement budget of rounds and
-    panels.
+    Gauss-Kronrod quadrature.  The first round takes 16 equal panels, whose
+    nodes are fixed.  Each round evaluates the rule on every new panel at
+    once, as one (panels*15) x k array, and estimates each panel's error by
+    |K15 - G7|.  While the summed error is above tolerance, the panels with
+    the largest errors are bisected, as many as it takes for the others to
+    sum to at most half the tolerance.  Raises IntegrationError if the
+    tolerance is not met within the refinement budget of rounds and panels.
     """
     lam = np.asarray(lambdas, dtype=float)
     lam = lam / np.abs(lam).max()            # {Q > 0} is scale-invariant: to max 1, which
     lam = lam / np.sqrt(np.mean(lam * lam))  # cannot overflow, then to RMS 1 (fewer rounds)
-    edges = np.linspace(0.0, 1.0, _IMHOF_PANELS + 1)
-    new_lo, new_hi = edges[:-1], edges[1:]
-    lo = hi = val = err = np.empty(0)  # the panels kept so far
+    lo, hi = _IMHOF_EDGES[:-1], _IMHOF_EDGES[1:]  # every panel: the kept ones, then the new
+    nodes, half = _IMHOF_NODES, _IMHOF_HALF       # the new panels' nodes and half widths
     for rounds in range(1, _IMHOF_ROUNDS + 1):
-        mid, half = 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo)
-        f = _imhof_integrand((mid[:, None] + half[:, None] * _GK_NODES).ravel(), lam)
-        f = f.reshape(-1, _GK_NODES.size)
+        f = _imhof_integrand(nodes, lam).reshape(-1, _GK_NODES.size)
         rules = half[:, None] * (f @ _GK_RULES) / np.pi  # in units of the p-value
-        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-        val = np.concatenate([val, rules[:, 0]])
-        err = np.concatenate([err, np.abs(rules[:, 1])])
+        if rounds == 1:
+            val, err = rules[:, 0], np.abs(rules[:, 1])
+        else:
+            val = np.concatenate([val, rules[:, 0]])
+            err = np.concatenate([err, np.abs(rules[:, 1])])
         abserr = err.sum()
         if abserr <= _IMHOF_TOL:
             return float(min(max(0.5 + val.sum(), 0.0), 1.0)), float(abserr)
         order = np.argsort(err)
         split = np.zeros(err.size, dtype=bool)
         split[order[np.cumsum(err[order]) > 0.5 * _IMHOF_TOL]] = True
-        if lo.size + split.sum() > _IMHOF_MAX_PANELS:
+        if err.size + split.sum() > _IMHOF_MAX_PANELS:
             break
         a, b = lo[split], hi[split]
         new_lo, new_hi = np.concatenate([a, 0.5 * (a + b)]), np.concatenate([0.5 * (a + b), b])
+        nodes, half = _gk_nodes(new_lo, new_hi)
         keep = ~split
-        lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        val, err = val[keep], err[keep]
     raise IntegrationError(
         f"Imhof p-value error estimate {abserr:.2e} is above the tolerance "
         f"{_IMHOF_TOL:.0e} after {rounds} refinement rounds on {lo.size} panels")
@@ -248,7 +260,7 @@ def ar1_covariance_fit(sample: FunctionalSample) -> tuple[float, float, np.ndarr
     rho = (num / den) * p / (p - 1) if den > 0 else 0.0
     rho = min(max(rho, -0.999), 0.999)
     lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-    return sigma2, rho, sigma2 * rho**lags
+    return sigma2, rho, sigma2 * (rho ** np.arange(p))[lags]
 
 
 def plrt_test(

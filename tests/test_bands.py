@@ -8,6 +8,8 @@ from math import sqrt
 import numpy as np
 import pytest
 from conftest import chunk_normals, oracle_sups
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcband import (
     DegenerateVarianceError,
@@ -29,7 +31,7 @@ from funcband import (
     uniform_design_grid,
 )
 from funcband import bands, moments, supnorm
-from funcband.bands import _bootstrap_sup_stats
+from funcband.bands import _BOOT_VAR_RTOL, _bootstrap_sup_stats, _resample_z
 from funcband.simlab import gen_model1, m1_mean
 from funcband.smoothing import fit_mean
 from funcband.supnorm import order_statistic_quantile
@@ -243,6 +245,69 @@ class TestBootstrapOracle:
         curves = np.tile(np.sin(2 * np.pi * eval_grid.points), (2, 1))
         with pytest.raises(DegenerateVarianceError, match="100 times"):
             _bootstrap_sup_stats(curves, curves[0], 50, seed=3)
+
+
+def _direct_z(curves, mean, idx):
+    """z* = sqrt(n) max |mu* - mu_hat| / sigma* of each index row, one resample
+    at a time, and the mask of rows with a point where every resampled curve
+    is equal (their z* is left NaN)."""
+    n = curves.shape[0]
+    z, degenerate = np.full(len(idx), np.nan), np.zeros(len(idx), dtype=bool)
+    for b, row in enumerate(idx):
+        boot = curves[row]
+        degenerate[b] = np.any(np.all(boot == boot[0], axis=0))
+        if not degenerate[b]:
+            z[b] = sqrt(n) * np.max(np.abs(boot.mean(axis=0) - mean) / boot.std(axis=0, ddof=1))
+    return z, degenerate
+
+
+def _check_resample_z(curves, mean, idx):
+    k, m = idx.shape[0], curves.shape[1]
+    powers = np.hstack([curves - mean, (curves - mean) ** 2])
+    buffers = (np.empty((k, 2 * m)), np.empty((k, m)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, degenerate = _resample_z(curves, mean, powers, idx, buffers)
+    z_ref, degenerate_ref = _direct_z(curves, mean, idx)
+    np.testing.assert_array_equal(degenerate, degenerate_ref)
+    np.testing.assert_allclose(z[~degenerate], z_ref[~degenerate], rtol=1e-13, atol=0)
+
+
+class TestResampleZ:
+    """The three-pass z* of a chunk against z* taken one resample at a time."""
+
+    # integer-valued curves and centres keep S1 and S2 exact, so a resample
+    # whose mean equals the centre has S1 = 0 exactly on both sides
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 5), st.data())
+    def test_matches_direct_z(self, n, m, data):
+        values = st.integers(-3, 3).map(float)
+        curves = np.array(data.draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                                             min_size=n, max_size=n)))
+        mean = np.array(data.draw(st.lists(values, min_size=m, max_size=m)))
+        idx = np.array(data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n,
+                                                   max_size=n), min_size=1, max_size=12)))
+        _check_resample_z(curves, mean, idx)
+
+    def test_zero_mean_shift_and_constant_point(self):
+        curves = np.random.default_rng(7).normal(size=(4, 6))
+        curves[:, 0] = (1.0, -1.0, -1.0, 1.0)   # row [0, 0, 1, 2]: S1 = 0, S2 = 4
+        curves[:, 1] = (0.0, 1.0, -1.0, 0.0)    # row [0, 3, 0, 3]: S1 = S2 = 0
+        idx = np.array([[0, 0, 1, 2], [0, 3, 0, 3]])
+        assert _direct_z(curves, np.zeros(6), idx)[1].tolist() == [False, True]
+        _check_resample_z(curves, np.zeros(6), idx)
+
+    @pytest.mark.parametrize("side", [0.999, 1.001])
+    def test_rows_either_side_of_the_flag(self, side):
+        # row [0, 0, 0, 1] at deviations (1, 1, 1, b): (n-1) var* / S2 is
+        # 3 (1 - b)^2 / (4 (3 + b^2)); b puts it at side * rtol
+        rho = side * _BOOT_VAR_RTOL
+        b = 1.0 + (8 * rho + np.sqrt(64 * rho * rho + 64 * rho * (3 - 4 * rho))) / (6 - 8 * rho)
+        curves = np.array([[1.0, 4.0], [b, -4.0], [5.0, 0.0], [-5.0, 0.0]])
+        boot = curves[[0, 0, 0, 1], 0]
+        ss = ((boot - boot.mean()) ** 2).sum()
+        assert (ss <= _BOOT_VAR_RTOL * (boot * boot).sum()) == (side < 1)
+        _check_resample_z(curves, np.zeros(2), np.array([[0, 0, 0, 1]]))
 
 
 class TestTwoSampleScb:

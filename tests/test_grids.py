@@ -22,7 +22,22 @@ from funcband import (
     weight_matrix,
     write_curves_csv,
 )
-from funcband.grids import _tabulated_cdf
+
+
+def _tabulated_cdf(grid, values):
+    """Forward CDF of the renormalized piecewise-linear density tabulated by
+    ``values`` on ``grid``: the cumulative trapezoid up to x's cell, plus the
+    cell's quadratic part."""
+    seg = 0.5 * (values[1:] + values[:-1]) * np.diff(grid)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+
+    def cdf(x):
+        k = min(max(int(np.searchsorted(grid, x, side="right")) - 1, 0), grid.size - 2)
+        t, w = x - grid[k], grid[k + 1] - grid[k]
+        f0, f1 = values[k], values[k + 1]
+        return (cum[k] + f0 * t + 0.5 * (f1 - f0) * t * t / w) / cum[-1]
+
+    return cdf
 
 
 class TestMakeDesignGrid:

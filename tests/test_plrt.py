@@ -108,6 +108,47 @@ def _quad_positive_tail(lam):
     return 0.5 + val / np.pi
 
 
+def _oracle_integrand(t, lam):
+    """The integrand as first written: four (nodes x k) arrays."""
+    x = ((1.0 - t) / t)[:, None] * lam[None, :]
+    theta = 0.5 * np.arctan(x).sum(axis=1)
+    log_rho = 0.25 * np.log1p(x * x).sum(axis=1)
+    return np.sin(theta) * np.exp(-log_rho) / (t * (1.0 - t))
+
+
+def _oracle_positive_tail(lambdas):
+    """The adaptive G7/K15 loop as first written, every round's nodes built
+    from its panels: the bit-for-bit oracle of ``_imhof_positive_tail``."""
+    m = plrt_module
+    lam = np.asarray(lambdas, dtype=float)
+    lam = lam / np.abs(lam).max()
+    lam = lam / np.sqrt(np.mean(lam * lam))
+    edges = np.linspace(0.0, 1.0, m._IMHOF_PANELS + 1)
+    new_lo, new_hi = edges[:-1], edges[1:]
+    lo = hi = val = err = np.empty(0)
+    for rounds in range(1, m._IMHOF_ROUNDS + 1):
+        mid, half = 0.5 * (new_lo + new_hi), 0.5 * (new_hi - new_lo)
+        f = _oracle_integrand((mid[:, None] + half[:, None] * m._GK_NODES).ravel(), lam)
+        f = f.reshape(-1, m._GK_NODES.size)
+        rules = half[:, None] * (f @ m._GK_RULES) / np.pi
+        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        val = np.concatenate([val, rules[:, 0]])
+        err = np.concatenate([err, np.abs(rules[:, 1])])
+        abserr = err.sum()
+        if abserr <= m._IMHOF_TOL:
+            return float(min(max(0.5 + val.sum(), 0.0), 1.0)), float(abserr), rounds
+        order = np.argsort(err)
+        split = np.zeros(err.size, dtype=bool)
+        split[order[np.cumsum(err[order]) > 0.5 * m._IMHOF_TOL]] = True
+        if lo.size + split.sum() > m._IMHOF_MAX_PANELS:
+            break
+        a, b = lo[split], hi[split]
+        new_lo, new_hi = np.concatenate([a, 0.5 * (a + b)]), np.concatenate([0.5 * (a + b), b])
+        keep = ~split
+        lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
+    raise AssertionError("the oracle did not converge")
+
+
 class TestImhofIntegral:
     def test_matches_quadpack(self):
         # random mixed-sign spectra, magnitudes spread over e^-6
@@ -129,6 +170,31 @@ class TestImhofIntegral:
         assert p == pytest.approx(exact, abs=1e-11)
         q, _ = plrt_module._imhof_positive_tail(np.array([-1.0, ratio]))
         assert q == pytest.approx(1.0 - exact, abs=1e-11)
+
+    def test_equals_the_oracle_loop(self, monkeypatch):
+        # the spectra of m3-hn samples in all three covariance modes, and two
+        # two-term spectra whose far feature at u = 1/r needs refinement
+        spectra = [np.array([1.0, -1e-6]), np.array([-1.0, 1e-11])]
+        imhof = plrt_module._imhof_positive_tail
+
+        def record(lam):
+            spectra.append(lam.copy())
+            return imhof(lam)
+
+        monkeypatch.setattr(plrt_module, "_imhof_positive_tail", record)
+        for seed in range(20):
+            sample = gen_model3(50, 50, seed_or_rng=seed, hypothesis="hn")
+            x = sample.grid.points
+            for mode in ("known", "nonparametric", "parametric-ar1"):
+                plrt_test(sample, polynomial_basis(1), 0.05, "epanechnikov", mode,
+                          ou_covariance(x[:, None], x[None, :]))
+        assert len(spectra) == 62
+        rounds = []
+        for lam in spectra:
+            p, abserr, n_rounds = _oracle_positive_tail(lam)
+            assert imhof(lam) == (p, abserr)
+            rounds.append(n_rounds)
+        assert rounds[0] > 1 and rounds[1] > 1
 
     def test_refinement_budget_exhausted_errors(self, monkeypatch):
         monkeypatch.setattr(plrt_module, "_IMHOF_ROUNDS", 1)
@@ -342,6 +408,19 @@ class TestAr1Fit:
         sample = gen_model3(400, 50, seed_or_rng=4)
         _s2, rho, _ = ar1_covariance_fit(sample)
         assert abs(rho - 0.9 ** (20.0 / 50.0)) < 0.02
+
+    @pytest.mark.parametrize("p", [2, 50, 201])
+    @pytest.mark.parametrize("target", [-0.999, -0.3, 0.0, 0.5, 0.999])
+    def test_table_is_the_power_of_each_lag(self, target, p):
+        # residual rows +-target^j fit rho near target; rows of +-1 and of
+        # +-(-1)^j fit +-1, clipped to +-0.999, and rows +-e_0 fit exactly 0
+        base = (np.sign(target) if abs(target) == 0.999 else target) ** np.arange(p)
+        sample = FunctionalSample(grid=uniform_design_grid(p), values=np.vstack([base, -base]))
+        s2, rho, cov = ar1_covariance_fit(sample)
+        if target in (-0.999, 0.0, 0.999):
+            assert rho == target
+        lags = np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        assert np.array_equal(cov, s2 * rho**lags)
 
     def test_constant_rows_error(self):
         grid = uniform_design_grid(10)
