@@ -165,10 +165,11 @@ def _gaussian_bands(method, parts, divisor, gamma, paths, p, seed, kernel) -> li
             in zip(parts, drawn if len(parts) > 1 else [drawn])]
 
 
-def _curve_part(sample, eval, h, kernel) -> tuple:
+def _curve_part(sample, eval, h, kernel, plan=None) -> tuple:
     """The ``_gaussian_bands`` part of mu_hat +/- c sigma_hat / divisor on ``eval``
-    built from the smoothed curves of ``sample``, drawn through their ``_curve_root``."""
-    mean_fit = fit_mean(sample, eval, h, kernel)
+    built from the smoothed curves of ``sample``, drawn through their ``_curve_root``;
+    the smoother is read from ``plan`` when one is given."""
+    mean_fit = fit_mean(sample, eval, h, kernel, plan)
     sigma = np.sqrt(_checked_variance(mean_fit))
     lam = schafer_strimmer_lambda(mean_fit.curves)
     root = _curve_root(mean_fit.curves, mean_fit.mean, sigma, lam)
@@ -183,9 +184,12 @@ def normal_scb(
     gamma: float = 0.05,
     paths: int | None = None,
     seed: int = 0,
+    _plan=None,
 ) -> BandResult:
-    """Gaussian-limit simultaneous band for the mean curve."""
-    return _gaussian_bands("normal", [_curve_part(sample, eval, h, kernel)],
+    """Gaussian-limit simultaneous band for the mean curve.  ``_plan``, a
+    ``smoothing._Plan`` of the sample's design grid, ``eval``, h and kernel,
+    supplies the smoother instead of building it here."""
+    return _gaussian_bands("normal", [_curve_part(sample, eval, h, kernel, _plan)],
                            sqrt(sample.n_curves), gamma, paths, sample.n_points, seed, kernel)[0]
 
 
@@ -269,6 +273,7 @@ def bootstrap_scb(
     gamma: float = 0.05,
     bootstraps: int = 2500,
     seed: int = 0,
+    _plan=None,
 ) -> BandResult:
     """Naive bootstrap band: resample the smoothed curves with replacement,
     take the order-statistic quantile of z* = sqrt(n) || (mu* - mu_hat) / sigma* ||_inf.
@@ -280,14 +285,20 @@ def bootstrap_scb(
     point, and z* = sqrt((n-1) / (n min r - 1)), since
     mu* - mu_hat = S1/n and (n-1) var* = S2 - S1^2/n.  Resamples close to
     zero variance are recomputed directly; those with an exactly constant
-    point are redrawn.
-    ``details`` reports the threshold's standard error and the redraw count.
+    point are redrawn.  It needs n >= 3 curves: a resample of two curves
+    either repeats one of them, and is redrawn, or permutes them, so z* = 0.
+    ``details`` reports the threshold's standard error and the redraw count;
+    ``_plan`` supplies the smoother, as in ``normal_scb``.
     """
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
     _check_level(gamma)
     _check_int("seed", seed)
     _check_draws("bootstraps", bootstraps, sample.n_curves)
-    mean_fit = fit_mean(sample, eval, h, kernel)
+    if sample.n_curves < 3:
+        raise DegenerateVarianceError(f"the bootstrap band needs n >= 3 curves, got "
+                                      f"n={sample.n_curves}: a resample of fewer curves either "
+                                      f"repeats one of them or permutes them")
+    mean_fit = fit_mean(sample, eval, h, kernel, _plan)
     sigma = np.sqrt(_checked_variance(mean_fit))
     z_star, redraws = _bootstrap_sup_stats(mean_fit.curves, mean_fit.mean, bootstraps, seed)
     return _band("bootstrap", eval, mean_fit.mean, sigma, sqrt(sample.n_curves), z_star, gamma,

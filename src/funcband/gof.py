@@ -174,17 +174,26 @@ def _projector(phi: np.ndarray) -> np.ndarray:
     return q @ q.T
 
 
-def _residual_map(sample, model, eval, h, kernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, W Q, Q): the residuals r = W Q Q' ybar smoothed by the (m, p)
-    smoother W, with Q the (p, p - L) orthonormal complement of the basis
-    columns at the design points, so that I - P = Q Q'."""
-    _check_type("sample", sample, FunctionalSample, SampleValidationError)
-    phi = _design_matrix(model, sample.grid)
+def _complement(model: BasisModel, grid: DesignGrid) -> np.ndarray:
+    """Q, the (p, p - L) orthonormal complement of the basis columns at the
+    design points, so that I - P = Q Q'."""
+    phi = _design_matrix(model, grid)
     if phi.shape[1] >= phi.shape[0]:
         raise DegenerateVarianceError(f"a basis of L={phi.shape[1]} functions leaves no residual "
                                       f"at p={phi.shape[0]} design points (needs L < p)")
-    q = np.linalg.qr(phi, mode="complete")[0][:, phi.shape[1]:]
-    wq = weight_matrix(sample.grid, eval, h, kernel) @ q
+    return np.linalg.qr(phi, mode="complete")[0][:, phi.shape[1]:]
+
+
+def _residual_map(sample, model, eval, h, kernel, plan=None) -> tuple:
+    """(r, W Q, Q): the residuals r = W Q Q' ybar smoothed by the (m, p)
+    smoother W, with Q the ``_complement`` of the basis columns; Q and W Q
+    are read from ``plan`` when one is given."""
+    _check_type("sample", sample, FunctionalSample, SampleValidationError)
+    if plan is None:
+        q = _complement(model, sample.grid)
+        wq = weight_matrix(sample.grid, eval, h, kernel) @ q
+    else:
+        q, wq = plan.check(sample.grid, eval).q, plan.wq
     return wq @ (q.T @ sample.column_means()), wq, q
 
 
@@ -289,14 +298,16 @@ def scb_gof_test(
     paths: int | None = None,
     seed: int = 0,
     shrinkage: bool = True,
+    _plan=None,
 ) -> GofReport:
     """Sup-norm test of the parametric model; T = sqrt(n) || r / sigma_Gamma ||_inf.
 
     Gamma_hat = A A' with A = W Q C, C C' = Q' S_hat Q less the eigenvalues that
     moments._kept_eigenvalues drops (their share is the clipped mass).  Paths draw
     through its correlation's root F = (A / sigma_Gamma)', r x m, or if r > m the
-    m x m R of F = Q R (R'R = F'F)."""
-    r, wq, q = _residual_map(sample, model, eval, h, kernel)
+    m x m R of F = Q R (R'R = F'F).  ``_plan``, a ``smoothing._Plan`` of the
+    sample's design grid, ``eval``, h, kernel and ``model``, supplies Q and W Q."""
+    r, wq, q = _residual_map(sample, model, eval, h, kernel, _plan)
     g, lam = _projected_covariance(sample, q, shrinkage)
     vals, vecs = np.linalg.eigh(g)
     keep, mass = _kept_eigenvalues(vals)

@@ -8,7 +8,8 @@ characteristic-function inversion (Imhof's method) of the weighted
 chi-square representation, integrated by vectorised adaptive Gauss-Kronrod
 quadrature in numpy, with weights from a factor of Sigma/n (Cholesky, or
 in nonparametric mode the centred curves).  What the statistic needs from
-the design alone is a private plan that replication loops build once.
+the design alone is a private ``smoothing._Plan``, which a replication loop
+builds once per design, h and kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (DegenerateVarianceError, FuncbandError, IntegrationError,
 from .gof import BasisModel, _design_matrix, _projector
 from .grids import DesignGrid, FunctionalSample
 from .moments import _centered_curves, _check_covariance, _check_symmetric, _psd_root
-from .smoothing import weight_matrix
+from .smoothing import _Plan, weight_matrix
 
 __all__ = [
     "PlrtReport",
@@ -53,20 +54,19 @@ class PlrtReport:
         return json.dumps(self.to_dict())
 
 
-def _design_plan(grid: DesignGrid, model: BasisModel, h, kernel: str,
-                 known_factor: np.ndarray | None = None) -> tuple:
-    """What a replication needs from the design alone: (grid, P, S, (I-P)'(I-P),
-    (I-S)'(I-S), F) for the least-squares projector P and the local linear
-    smoother S at the design points, and F the known mode's factor of Sigma/n."""
+def _design_plan(grid: DesignGrid, model: BasisModel, h, kernel: str) -> _Plan:
+    """What a replication needs from the design alone: the least-squares
+    projector P and the local linear smoother S at the design points, and
+    their Gram products (I-P)'(I-P) and (I-S)'(I-S)."""
     p_mat = _projector(_design_matrix(model, grid))
     s_mat = weight_matrix(grid, grid, h, kernel)
     m0, m1 = np.eye(grid.n_points) - p_mat, np.eye(grid.n_points) - s_mat
-    return grid, p_mat, s_mat, m0.T @ m0, m1.T @ m1, known_factor
+    return _Plan(grid, p_mat=p_mat, s_mat=s_mat, g0=m0.T @ m0, g1=m1.T @ m1)
 
 
 def plrt_statistic(
     sample: FunctionalSample, model: BasisModel, h, kernel: str = "epanechnikov",
-    _plan: tuple | None = None,
+    _plan: _Plan | None = None,
 ) -> tuple[float, np.ndarray, dict]:
     """F = RSS_0/RSS_1 - 1 and the quadratic-form matrix A for its p-value.
 
@@ -77,12 +77,13 @@ def plrt_statistic(
     here when not given.
     """
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
-    grid, p_mat, s_mat, g0, g1, _ = _plan or _design_plan(sample.grid, model, h, kernel)
-    if sample.grid is not grid and not np.array_equal(sample.grid.points, grid.points):
-        raise FuncbandError("the PLRT design plan was built on another design grid")
+    if _plan is None:
+        plan = _design_plan(sample.grid, model, h, kernel)
+    else:
+        plan = _plan.check(sample.grid)
     ybar = sample.column_means()
-    res0 = ybar - p_mat @ ybar
-    res1 = ybar - s_mat @ ybar
+    res0 = ybar - plan.p_mat @ ybar
+    res1 = ybar - plan.s_mat @ ybar
     with np.errstate(over="ignore", invalid="ignore"):
         rss0 = float(res0 @ res0)
         rss1 = float(res1 @ res1)
@@ -94,7 +95,7 @@ def plrt_statistic(
     if rss1 <= 1e-24 * max(float(ybar @ ybar), 1e-300):
         raise DegenerateVarianceError("perfect smooth fit: RSS_1 = 0")
     f_stat = rss0 / rss1 - 1.0
-    a_mat = g0 - (1.0 + f_stat) * g1
+    a_mat = plan.g0 - (1.0 + f_stat) * plan.g1
     a_mat = 0.5 * (a_mat + a_mat.T)
     return f_stat, a_mat, {"rss0": rss0, "rss1": rss1}
 
@@ -270,15 +271,16 @@ def plrt_test(
     kernel: str = "epanechnikov",
     covariance_mode: CovarianceMode = "nonparametric",
     known_covariance: np.ndarray | None = None,
-    _plan: tuple | None = None,
+    _plan: _Plan | None = None,
 ) -> PlrtReport:
     """Full PLRT: statistic, covariance estimate per the chosen mode, p-value.
-    ``_plan`` goes to ``plrt_statistic``; its factor, if any, stands for ``known_covariance``."""
+    ``_plan`` goes to ``plrt_statistic``; its ``known`` factor, if any, stands
+    for ``known_covariance``."""
     _check_choice("covariance_mode", covariance_mode, get_args(CovarianceMode))
     f_stat, a_mat, info = plrt_statistic(sample, model, h, kernel, _plan)
     n = sample.n_curves
     if covariance_mode == "known":
-        factor = _plan[-1] if _plan else None
+        factor = None if _plan is None else _plan.known
         if factor is None:
             if known_covariance is None:
                 raise FuncbandError("covariance_mode='known' requires known_covariance")

@@ -13,19 +13,20 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import log, sqrt
 
 import numpy as np
 
 from .bands import band_covers, bootstrap_scb, normal_scb
-from .errors import FuncbandError, _as_float_array, _check_choice, _check_int, _check_type
-from .gof import polynomial_basis, scb_gof_test
-from .grids import DesignGrid, FunctionalSample, make_eval_grid, uniform_design_grid
+from .errors import (FuncbandError, GridError, _as_float_array, _check_choice, _check_int,
+                     _check_type)
+from .gof import BasisModel, _complement, polynomial_basis, scb_gof_test
+from .grids import DesignGrid, EvalGrid, FunctionalSample, make_eval_grid, uniform_design_grid
 from .moments import _psd_root, correlation_from_covariance
 from .plrt import _design_plan, _sigma_factor, plrt_test
-from .smoothing import _KERNELS, _bandwidth, weight_matrix
+from .smoothing import _KERNELS, _bandwidth, _Plan, weight_matrix
 from .supnorm import (SupQuantileRequest, _check_draws, _check_level, default_path_count,
                       sup_quantile)
 
@@ -299,6 +300,74 @@ class ExperimentTable:
         return buf.getvalue()
 
 
+# The design-only pieces of an experiment, each built at most once per process
+# and configuration: (p, grid_size, the _bandwidth tuple of h, kernel) for the
+# smoothers and projectors, (model, p, n) for the known factor and
+# (model, grid_size, n) for the true mean.  A piece holds m x p or p x p
+# tables, so each cache keeps only a few configurations: enough for the three
+# bandwidths that a simulation table sweeps.  A piece that raises is not
+# cached, so each replication that needs it fails again.
+_PLAN_CONFIGS = 3
+
+
+@lru_cache(maxsize=1)
+def _line() -> BasisModel:
+    """The straight-line null model of the gof and PLRT methods."""
+    return polynomial_basis(1)
+
+
+@lru_cache(maxsize=_PLAN_CONFIGS)
+def _eval_grid(grid_size: int) -> EvalGrid:
+    return make_eval_grid(grid_size)
+
+
+@lru_cache(maxsize=_PLAN_CONFIGS)
+def _eval_mean(model: str, grid_size: int, n: int) -> np.ndarray:
+    """The mean of ``model`` on the evaluation grid of size grid_size, read-only."""
+    mean = true_mean(model, _eval_grid(grid_size).points, n)
+    mean.setflags(write=False)
+    return mean
+
+
+@lru_cache(maxsize=_PLAN_CONFIGS)
+def _band_plan(p: int, grid_size: int, h: tuple, kernel: str) -> _Plan:
+    """The smoother W from the uniform design of size p to the evaluation grid."""
+    design, eval = _uniform_grid(p), _eval_grid(grid_size)
+    return _Plan(design, eval, w=weight_matrix(design, eval, h, kernel))
+
+
+@lru_cache(maxsize=_PLAN_CONFIGS)
+def _gof_plan(p: int, grid_size: int, h: tuple, kernel: str) -> _Plan:
+    """The band plan plus the line's complement Q and W Q."""
+    q = _complement(_line(), _uniform_grid(p))
+    plan = _band_plan(p, grid_size, h, kernel)
+    return replace(plan, q=q, wq=plan.w @ q)
+
+
+@lru_cache(maxsize=_PLAN_CONFIGS)
+def _plrt_plan(p: int, h: tuple, kernel: str) -> _Plan:
+    return _design_plan(_uniform_grid(p), _line(), h, kernel)
+
+
+@lru_cache(maxsize=_PLAN_CONFIGS)
+def _known_factor(model: str, p: int, n: int) -> np.ndarray:
+    """The factor of the model's covariance over n on the uniform design of size p."""
+    x = _uniform_grid(p).points
+    return _sigma_factor(analytic_covariance(model)(x[:, None], x[None, :]) / n)
+
+
+def _experiment_plan(spec: ModelSpec, method: str) -> _Plan:
+    """The cached plan of what ``method`` reads from the design alone."""
+    h = _bandwidth(spec.h)
+    if method in _PLRT_MODES:
+        plan = _plrt_plan(spec.p, h, spec.kernel)
+        if method == "plrt-known":
+            plan = replace(plan, known=_known_factor(spec.model, spec.p, spec.n))
+        return plan
+    build = _gof_plan if method == "gof-scb" else _band_plan
+    return build(spec.p, spec.grid_size, h, spec.kernel)
+
+
 def _rep_rngs(seed: int, reps: int):
     for child in np.random.SeedSequence(seed).spawn(reps):
         data_ss, sup_ss = child.spawn(2)
@@ -311,40 +380,35 @@ def run_experiment(spec: ModelSpec, method: str) -> ExperimentRow:
     """Replication loop producing one coverage/size/power table row."""
     _check_type("spec", spec, ModelSpec)
     _check_choice("method", method, METHODS)
-    eval = make_eval_grid(spec.grid_size)
     paths = spec.paths if spec.paths is not None else default_path_count(spec.p)
     start = time.perf_counter()
     hits = 0
     failures = 0
     thresholds = []
-    if method == "gof-scb" or method.startswith("plrt"):
-        basis = polynomial_basis(1)
-    known = plan = None     # the PLRT design plan: built by replication 1, again while it raises
-    if method == "plrt-known":
-        x = _uniform_grid(spec.p).points
-        known = _sigma_factor(analytic_covariance(spec.model)(x[:, None], x[None, :]) / spec.n)
-    truth = true_mean(spec.model, eval.points, spec.n)
+    eval, truth = _eval_grid(spec.grid_size), _eval_mean(spec.model, spec.grid_size, spec.n)
+    plan = None     # built by replication 1, again while it raises
 
     for rng, sup_seed in _rep_rngs(spec.seed, spec.reps):
         sample = generate(spec.model, spec.n, spec.p, rng)
         try:
+            plan = plan or _experiment_plan(spec, method)
             if method == "normal-scb":
-                band = normal_scb(sample, eval, spec.h, spec.kernel, spec.level, paths, sup_seed)
+                band = normal_scb(sample, eval, spec.h, spec.kernel, spec.level, paths, sup_seed,
+                                  _plan=plan)
                 hits += band_covers(band, truth)
                 thresholds.append(band.threshold)
             elif method == "bootstrap-scb":
                 band = bootstrap_scb(sample, eval, spec.h, spec.kernel, spec.level,
-                                     spec.bootstraps, sup_seed)
+                                     spec.bootstraps, sup_seed, _plan=plan)
                 hits += band_covers(band, truth)
                 thresholds.append(band.threshold)
             elif method == "gof-scb":
-                report = scb_gof_test(sample, basis, eval, spec.h, spec.kernel, spec.level, paths,
-                                      sup_seed)
+                report = scb_gof_test(sample, _line(), eval, spec.h, spec.kernel, spec.level,
+                                      paths, sup_seed, _plan=plan)
                 hits += report.reject
                 thresholds.append(report.threshold)
             else:
-                plan = plan or _design_plan(sample.grid, basis, spec.h, spec.kernel, known)
-                report = plrt_test(sample, basis, spec.h, spec.kernel, _PLRT_MODES[method],
+                report = plrt_test(sample, _line(), spec.h, spec.kernel, _PLRT_MODES[method],
                                    _plan=plan)
                 hits += report.pvalue < spec.level
                 thresholds.append(float("nan"))
@@ -386,9 +450,9 @@ def known_R_threshold(
     if (p is None) != (h is None):
         raise FuncbandError("p and h must be given together")
     if p is not None:
-        design = uniform_design_grid(p)
-        xd = design.points
-        w = weight_matrix(design, eval, h)
+        _check_int("p", p, 2, GridError)
+        w = _band_plan(p, grid_size, _bandwidth(h), "epanechnikov").w
+        xd = _uniform_grid(p).points
         r = w @ cov_fn(xd[:, None], xd[None, :]) @ w.T
     else:
         x = eval.points

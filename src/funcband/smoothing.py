@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (GridError, IllPosedBandwidthError, SampleValidationError, SingularDesignError,
-                     _as_float_array, _check_choice, _check_type)
+from .errors import (FuncbandError, GridError, IllPosedBandwidthError, SampleValidationError,
+                     SingularDesignError, _as_float_array, _check_choice, _check_type)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 
 __all__ = [
@@ -149,12 +149,54 @@ class MeanFit:
     curves: np.ndarray      # (n, m), row i = smooth of curve i
 
 
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What calls on one design grid, evaluation grid, h and kernel share,
+    built once and read-only: the (m, p) smoother ``w`` on ``eval``; gof's
+    complement ``q`` of the basis columns at the design points (I - P = Q Q')
+    and ``wq`` = W Q; PLRT's least-squares projector ``p_mat`` and smoother
+    ``s_mat`` at the design points, with ``g0`` = (I-P)'(I-P) and
+    ``g1`` = (I-S)'(I-S); and the known mode's factor ``known`` of Sigma/n.
+    A piece that no caller of the plan reads is None."""
+
+    design: DesignGrid
+    eval: EvalGrid | None = None
+    w: np.ndarray | None = None
+    q: np.ndarray | None = None
+    wq: np.ndarray | None = None
+    p_mat: np.ndarray | None = None
+    s_mat: np.ndarray | None = None
+    g0: np.ndarray | None = None
+    g1: np.ndarray | None = None
+    known: np.ndarray | None = None
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def check(self, grid: DesignGrid, eval: EvalGrid | None = None) -> "_Plan":
+        """This plan, once ``grid`` (and ``eval``, if given) are shown to be the
+        grids it was built on; FuncbandError otherwise."""
+        for what, given, built in (("design", grid, self.design), ("evaluation", eval, self.eval)):
+            if given is None or given is built:
+                continue
+            if built is None or not np.array_equal(given.points, built.points):
+                raise FuncbandError(f"the design plan was built on another {what} grid")
+        return self
+
+
 def fit_mean(
-    sample: FunctionalSample, eval: EvalGrid, h, kernel: str = "epanechnikov"
+    sample: FunctionalSample, eval: EvalGrid, h, kernel: str = "epanechnikov",
+    _plan: _Plan | None = None,
 ) -> MeanFit:
-    """Smooth the sample mean; also returns the n per-curve smooths."""
+    """Smooth the sample mean; also returns the n per-curve smooths.  The
+    smoother is read from ``_plan`` when one is given."""
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
-    w = weight_matrix(sample.grid, eval, h, kernel)
+    if _plan is None:
+        w = weight_matrix(sample.grid, eval, h, kernel)
+    else:
+        w = _plan.check(sample.grid, eval).w
     curves = sample.values @ w.T
     return MeanFit(mean=curves.mean(axis=0), curves=curves)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from funcband import make_eval_grid
+from funcband import make_eval_grid, simlab
 from funcband.supnorm import _MatrixRoot
 
 settings.register_profile(
@@ -79,3 +79,16 @@ def oracle_sups(root, chunks):
 @pytest.fixture(scope="session")
 def eval100():
     return make_eval_grid(100)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every per-process cache of ``funcband.simlab`` now and whenever
+    the returned function is called, so the next experiment builds its plan."""
+    def clear():
+        for value in vars(simlab).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    clear()
+    return clear

@@ -176,6 +176,12 @@ class TestBootstrapScb:
         band = bootstrap_scb(sample, eval_grid, 0.1, seed=1)
         assert 0.0 < band.details["threshold_stderr"] < band.threshold
 
+    def test_two_curves_rejected(self, eval_grid):
+        # every resample of two curves that varies everywhere permutes them: z* = 0
+        sample = gen_model1(2, 30, seed_or_rng=5)
+        with pytest.raises(DegenerateVarianceError, match="n >= 3 curves, got n=2"):
+            bootstrap_scb(sample, eval_grid, 0.1, bootstraps=300, seed=1)
+
     def test_nan_sample_rejected(self, eval_grid):
         sample = gen_model1(12, 30, seed_or_rng=1)
         values = sample.values.copy()

@@ -65,6 +65,15 @@ class TestScb:
         assert code == EXIT_OK
         assert stdout.startswith("scb[bootstrap]")
 
+    def test_bootstrap_on_two_curves_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "two_curves.csv"
+        write_curves_csv(path, gen_model1(2, 30, seed_or_rng=0))
+        code, stdout, stderr = run(
+            capsys, "scb", "--in", str(path), "--method", "bootstrap", "--B", "200",
+            "--h", "0.15", "--grid-size", "30", "--seed", "3")
+        assert code == EXIT_DEGENERATE and stdout == ""
+        assert "n=2" in stderr and "Traceback" not in stderr
+
     def test_bootstrap_level_out_of_range(self, curves_csv, capsys):
         code, _, stderr = run(
             capsys, "scb", "--in", curves_csv, "--method", "bootstrap", "--level", "1.5",

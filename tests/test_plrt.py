@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -328,13 +329,16 @@ class TestFactorRoutes:
 
 class TestDesignPlan:
     @pytest.mark.parametrize("method", ["plrt-known", "plrt-np", "plrt-ar1"])
-    def test_experiment_matches_plain_loop(self, method, monkeypatch):
+    def test_experiment_matches_plain_loop(self, method, monkeypatch, cold_caches):
         spec = ModelSpec(model="m3-hn", n=30, p=40, h=0.06, reps=25, seed=71, level=0.2)
         builds = []
         plan = simlab._design_plan
         monkeypatch.setattr(simlab, "_design_plan", lambda *a: builds.append(a) or plan(*a))
         row = simlab.run_experiment(spec, method)
         assert len(builds) == 1 and row.failures == 0
+        # the plan is cached per configuration: another PLRT method on the spec builds none
+        other = next(m for m in simlab._PLRT_MODES if m != method)
+        assert simlab.run_experiment(spec, other).failures == 0 and len(builds) == 1
         mode = simlab._PLRT_MODES[method]
         x = uniform_design_grid(spec.p).points
         known = ou_covariance(x[:, None], x[None, :]) if mode == "known" else None
@@ -359,7 +363,8 @@ class TestDesignPlan:
             x = sample.grid.points
             known = ou_covariance(x[:, None], x[None, :])
             factor = plrt_module._sigma_factor(known / 50) if mode == "known" else None
-            plan = plrt_module._design_plan(sample.grid, basis, 0.05, "epanechnikov", factor)
+            plan = replace(plrt_module._design_plan(sample.grid, basis, 0.05, "epanechnikov"),
+                           known=factor)
             planned = plrt_test(sample, basis, 0.05, "epanechnikov", mode, _plan=plan)
             plain = plrt_test(sample, basis, 0.05, "epanechnikov", mode, known)
             assert (planned.statistic, planned.pvalue) == (plain.statistic, plain.pvalue)
@@ -381,7 +386,7 @@ class TestDesignPlan:
         sample = gen_model3(20, 40, seed_or_rng=73)
         plan = plrt_module._design_plan(uniform_design_grid(40), polynomial_basis(1), 0.1,
                                         "epanechnikov")
-        assert plan[0] is not sample.grid
+        assert plan.design is not sample.grid
         assert (plrt_test(sample, polynomial_basis(1), 0.1, _plan=plan)
                 == plrt_test(sample, polynomial_basis(1), 0.1))
 

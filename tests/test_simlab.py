@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from funcband import FuncbandError, uniform_design_grid
+from funcband import (FuncbandError, FunctionalSample, bootstrap_scb, make_eval_grid, normal_scb,
+                      polynomial_basis, scb_gof_test, simlab, uniform_design_grid, weight_matrix)
+from funcband.moments import correlation_from_covariance
 from funcband.simlab import (
+    METHODS,
     ExperimentRow,
     ExperimentTable,
     ModelSpec,
@@ -29,6 +32,7 @@ from funcband.simlab import (
     run_experiment,
     true_mean,
 )
+from funcband.supnorm import SupQuantileRequest, sup_quantile
 
 
 class TestBumpFunction:
@@ -204,7 +208,86 @@ class TestRunExperiment:
         assert header == list(ExperimentRow.__dataclass_fields__)
 
 
+def _row(spec, method) -> str:
+    """The row without its wall time, as JSON, where NaN equals NaN."""
+    row = run_experiment(spec, method).to_dict()
+    del row["wall_time"]
+    return json.dumps(row, sort_keys=True)
+
+
+class TestExperimentPlan:
+    """``run_experiment`` reads its design-only work from plans cached per
+    configuration; a cold and a warm cache give the same rows."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_cold_and_warm_cache_rows_identical(self, method, cold_caches):
+        for model in ("m1", "m3-hn"):
+            spec = ModelSpec(model=model, n=15, p=25, h=0.1, reps=3, seed=5, grid_size=40,
+                             paths=500, bootstraps=200)
+            cold_caches()
+            cold = _row(spec, method)
+            assert cold == _row(spec, method) and '"failures": 0' in cold
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_cached_arrays_are_read_only(self, method, cold_caches):
+        spec = ModelSpec(model="m3-hn", n=15, p=25, h=0.1, grid_size=40)
+        plan = simlab._experiment_plan(spec, method)
+        arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        arrays.append(simlab._eval_mean(spec.model, spec.grid_size, spec.n))
+        assert len(arrays) >= 2
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert simlab._experiment_plan(spec, method).design is plan.design
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return simlab._gof_plan(25, 40, (0.1,), "epanechnikov")
+
+    @staticmethod
+    def _calls(sample, eval, plan):
+        line = polynomial_basis(1)
+        return {
+            "normal": lambda: normal_scb(sample, eval, 0.1, paths=500, seed=3, _plan=plan),
+            "bootstrap": lambda: bootstrap_scb(sample, eval, 0.1, bootstraps=200, seed=3,
+                                               _plan=plan),
+            "gof": lambda: scb_gof_test(sample, line, eval, 0.1, paths=500, seed=3,
+                                        _plan=plan).band,
+        }
+
+    @pytest.mark.parametrize("entry", ["normal", "bootstrap", "gof"])
+    @pytest.mark.parametrize("other", ["design", "evaluation"])
+    def test_plan_for_another_grid_rejected(self, plan, entry, other):
+        p, m = (26, 40) if other == "design" else (25, 41)
+        sample = gen_model3(15, p, seed_or_rng=8, hypothesis="hn")
+        with pytest.raises(FuncbandError, match=f"another {other} grid"):
+            self._calls(sample, make_eval_grid(m), plan)[entry]()
+
+    @pytest.mark.parametrize("entry", ["normal", "bootstrap", "gof"])
+    def test_plan_on_equal_grids_is_bit_identical(self, plan, entry):
+        # grids equal to the plan's but built apart pass, and change nothing
+        sample = gen_model3(15, 25, seed_or_rng=9, hypothesis="hn")
+        sample = FunctionalSample(grid=uniform_design_grid(25), values=sample.values)
+        eval = make_eval_grid(40)
+        assert sample.grid is not plan.design and eval is not plan.eval
+        planned = self._calls(sample, eval, plan)[entry]()
+        plain = self._calls(sample, eval, None)[entry]()
+        for part in ("center", "half_width"):
+            np.testing.assert_array_equal(getattr(planned, part), getattr(plain, part))
+        assert planned.threshold == plain.threshold
+
+
 class TestKnownThreshold:
+    def test_smoothed_threshold_reads_the_cached_smoother(self, cold_caches):
+        c = known_R_threshold("m2", grid_size=60, paths=2000, seed=3, p=30, h=0.1)
+        assert simlab._band_plan.cache_info().currsize == 1
+        design, eval = uniform_design_grid(30), make_eval_grid(60)
+        w = weight_matrix(design, eval, 0.1)
+        x = design.points
+        r = w @ m2_covariance(x[:, None], x[None, :]) @ w.T
+        request = SupQuantileRequest(correlation_from_covariance(r), 0.05, 2000, 3)
+        assert c == sup_quantile(request).threshold
+
     def test_smoothed_threshold_in_expected_range(self):
         # [DERIVED] model-1 covariance pushed through the p=50, h=0.05 smoother
         c = known_R_threshold("m1", grid_size=100, paths=20000, seed=0, p=50, h=0.05)
