@@ -237,12 +237,12 @@ def _run_gof(args) -> tuple[str, dict]:
     report = scb_gof_test(sample, basis, eval, h, kernel, args.level, args.paths, args.seed)
     text = (f"gof  T={report.statistic:.4f} c_alpha={report.threshold:.4f} "
             f"alpha={report.alpha:g} reject={report.reject}\n")
-    outputs = {".json": lambda fh: fh.write(report.to_json()), ".csv": report.band.write_csv}
+    outputs = {".json": lambda fh: json.dump(report.to_dict(), fh), ".csv": report.band.write_csv}
     if args.also_plrt:
         plrt = plrt_test(sample, basis, h, kernel, "nonparametric")
         text += (f"plrt F={plrt.statistic:.4f} p={plrt.pvalue:.4g} "
                  f"reject={plrt.pvalue < args.level}\n")
-        outputs[".plrt.json"] = lambda fh: fh.write(plrt.to_json())
+        outputs[".plrt.json"] = lambda fh: json.dump(plrt.to_dict(), fh)
     return text, outputs
 
 

@@ -8,10 +8,9 @@ and its sup-norm compared to a Monte-Carlo Gaussian threshold.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import sqrt
 from typing import Callable
 
@@ -22,7 +21,7 @@ from .errors import (DegenerateVarianceError, FuncbandError, GridError, RankDefi
                      SampleValidationError, _check_int, _check_type)
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 from .moments import _check_covariance, _kept_eigenvalues, empirical_data_covariance
-from .smoothing import _bandwidth, weight_matrix
+from .smoothing import _bandwidth, _Plan
 from .supnorm import _MatrixRoot
 
 __all__ = [
@@ -169,11 +168,6 @@ def ls_fit(sample: FunctionalSample, model: BasisModel) -> LsFit:
     return LsFit(theta=theta, fitted_design=phi @ theta)
 
 
-def _projector(phi: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(phi)
-    return q @ q.T
-
-
 def _complement(model: BasisModel, grid: DesignGrid) -> np.ndarray:
     """Q, the (p, p - L) orthonormal complement of the basis columns at the
     design points, so that I - P = Q Q'."""
@@ -184,17 +178,22 @@ def _complement(model: BasisModel, grid: DesignGrid) -> np.ndarray:
     return np.linalg.qr(phi, mode="complete")[0][:, phi.shape[1]:]
 
 
+def _gof_plan(model: BasisModel, design: DesignGrid, eval: EvalGrid, h, kernel: str) -> _Plan:
+    """The band plan ``_Plan.of`` plus the model's ``_complement`` Q and W Q."""
+    q = _complement(model, design)
+    plan = _Plan.of(design, eval, h, kernel)
+    return replace(plan, model=model, q=q, wq=plan.w @ q)
+
+
 def _residual_map(sample, model, eval, h, kernel, plan=None) -> tuple:
     """(r, W Q, Q): the residuals r = W Q Q' ybar smoothed by the (m, p)
     smoother W, with Q the ``_complement`` of the basis columns; Q and W Q
-    are read from ``plan`` when one is given."""
+    are read from ``plan``, the ``_gof_plan`` built here when not given."""
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
-    if plan is None:
-        q = _complement(model, sample.grid)
-        wq = weight_matrix(sample.grid, eval, h, kernel) @ q
-    else:
-        q, wq = plan.check(sample.grid, eval).q, plan.wq
-    return wq @ (q.T @ sample.column_means()), wq, q
+    _check_type("model", model, BasisModel)
+    plan = (plan or _gof_plan(model, sample.grid, eval, h, kernel)).check(
+        sample.grid, eval, h, kernel, model)
+    return plan.wq @ (plan.q.T @ sample.column_means()), plan.wq, plan.q
 
 
 def _projected_covariance(sample, q, shrinkage) -> tuple[np.ndarray, float]:
@@ -284,9 +283,6 @@ class GofReport:
             "diagnostics": self.diagnostics,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def scb_gof_test(
     sample: FunctionalSample,
@@ -305,8 +301,8 @@ def scb_gof_test(
     Gamma_hat = A A' with A = W Q C, C C' = Q' S_hat Q less the eigenvalues that
     moments._kept_eigenvalues drops (their share is the clipped mass).  Paths draw
     through its correlation's root F = (A / sigma_Gamma)', r x m, or if r > m the
-    m x m R of F = Q R (R'R = F'F).  ``_plan``, a ``smoothing._Plan`` of the
-    sample's design grid, ``eval``, h, kernel and ``model``, supplies Q and W Q."""
+    m x m R of F = Q R (R'R = F'F).  ``_plan``, the ``_gof_plan`` of ``model``,
+    the sample's design grid, ``eval``, h and kernel, supplies Q and W Q."""
     r, wq, q = _residual_map(sample, model, eval, h, kernel, _plan)
     g, lam = _projected_covariance(sample, q, shrinkage)
     vals, vecs = np.linalg.eigh(g)

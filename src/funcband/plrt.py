@@ -8,14 +8,15 @@ characteristic-function inversion (Imhof's method) of the weighted
 chi-square representation, integrated by vectorised adaptive Gauss-Kronrod
 quadrature in numpy, with weights from a factor of Sigma/n (Cholesky, or
 in nonparametric mode the centred curves).  What the statistic needs from
-the design alone is a private ``smoothing._Plan``, which a replication loop
-builds once per design, h and kernel.
+the design alone is a private ``smoothing._Plan``: gof's plan on the design
+itself, whose smoother W is S and whose complement Q gives I - P = Q Q', plus
+the two Gram products.  A replication loop builds it once per design, model,
+h and kernel.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite, sqrt
 from typing import Literal, get_args
 
@@ -23,10 +24,10 @@ import numpy as np
 
 from .errors import (DegenerateVarianceError, FuncbandError, IntegrationError,
                      SampleValidationError, _as_float_array, _check_choice, _check_type)
-from .gof import BasisModel, _design_matrix, _projector
+from .gof import BasisModel, _gof_plan
 from .grids import DesignGrid, FunctionalSample
 from .moments import _centered_curves, _check_covariance, _check_symmetric, _psd_root
-from .smoothing import _Plan, weight_matrix
+from .smoothing import _Plan
 
 __all__ = [
     "PlrtReport",
@@ -50,18 +51,14 @@ class PlrtReport:
         return {"F": self.statistic, "p_value": self.pvalue,
                 "covariance_mode": self.covariance_mode, "diagnostics": self.diagnostics}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
-
-def _design_plan(grid: DesignGrid, model: BasisModel, h, kernel: str) -> _Plan:
-    """What a replication needs from the design alone: the least-squares
-    projector P and the local linear smoother S at the design points, and
-    their Gram products (I-P)'(I-P) and (I-S)'(I-S)."""
-    p_mat = _projector(_design_matrix(model, grid))
-    s_mat = weight_matrix(grid, grid, h, kernel)
-    m0, m1 = np.eye(grid.n_points) - p_mat, np.eye(grid.n_points) - s_mat
-    return _Plan(grid, p_mat=p_mat, s_mat=s_mat, g0=m0.T @ m0, g1=m1.T @ m1)
+def _plrt_plan(model: BasisModel, grid: DesignGrid, h, kernel: str) -> _Plan:
+    """What a replication needs from the design alone: the ``_gof_plan`` on
+    the design itself, whose W is the smoother S at the design points, plus
+    the Gram products (I-P)'(I-P) = Q Q' and (I-S)'(I-S)."""
+    plan = _gof_plan(model, grid, grid, h, kernel)
+    m1 = np.eye(grid.n_points) - plan.w
+    return replace(plan, g0=plan.q @ plan.q.T, g1=m1.T @ m1)
 
 
 def plrt_statistic(
@@ -73,17 +70,16 @@ def plrt_statistic(
     A = (I-P)'(I-P) - (1+F)(I-S)'(I-S); valid because the local linear
     smoother reproduces the null span exactly for linear null models, so the
     form is free of the regression function under the null.  ``_plan`` is
-    the ``_design_plan`` of the sample's grid, model, h and kernel, built
-    here when not given.
+    the ``_plrt_plan`` of model, the sample's grid, h and kernel, built here
+    when not given.
     """
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
-    if _plan is None:
-        plan = _design_plan(sample.grid, model, h, kernel)
-    else:
-        plan = _plan.check(sample.grid)
+    _check_type("model", model, BasisModel)
+    plan = (_plan or _plrt_plan(model, sample.grid, h, kernel)).check(
+        sample.grid, sample.grid, h, kernel, model)
     ybar = sample.column_means()
-    res0 = ybar - plan.p_mat @ ybar
-    res1 = ybar - plan.s_mat @ ybar
+    res0 = plan.g0 @ ybar
+    res1 = ybar - plan.w @ ybar
     with np.errstate(over="ignore", invalid="ignore"):
         rss0 = float(res0 @ res0)
         rss1 = float(res1 @ res1)
@@ -274,18 +270,21 @@ def plrt_test(
     _plan: _Plan | None = None,
 ) -> PlrtReport:
     """Full PLRT: statistic, covariance estimate per the chosen mode, p-value.
-    ``_plan`` goes to ``plrt_statistic``; its ``known`` factor, if any, stands
-    for ``known_covariance``."""
+    ``known_covariance``, if given, is checked in every mode and read in known
+    mode.  ``_plan`` goes to ``plrt_statistic``; its ``known`` factor, if any,
+    stands for ``known_covariance``."""
     _check_choice("covariance_mode", covariance_mode, get_args(CovarianceMode))
     f_stat, a_mat, info = plrt_statistic(sample, model, h, kernel, _plan)
     n = sample.n_curves
+    if known_covariance is not None:
+        table = _check_covariance(_as_float_array("known_covariance", known_covariance),
+                                  sample.n_points, "known_covariance")
     if covariance_mode == "known":
-        factor = None if _plan is None else _plan.known
+        factor = getattr(_plan, "known", None)
         if factor is None:
             if known_covariance is None:
                 raise FuncbandError("covariance_mode='known' requires known_covariance")
-            table = _as_float_array("known_covariance", known_covariance)
-            factor = _sigma_factor(_check_covariance(table, sample.n_points) / n)
+            factor = _sigma_factor(table / n)
         p = _factor_pvalue(a_mat, factor, info)
     elif covariance_mode == "parametric-ar1":
         info["ar1_sigma2"], info["ar1_rho"], cov = ar1_covariance_fit(sample)

@@ -22,11 +22,11 @@ import numpy as np
 from .bands import band_covers, bootstrap_scb, normal_scb
 from .errors import (FuncbandError, GridError, _as_float_array, _check_choice, _check_int,
                      _check_type)
-from .gof import BasisModel, _complement, polynomial_basis, scb_gof_test
+from .gof import BasisModel, _gof_plan, polynomial_basis, scb_gof_test
 from .grids import DesignGrid, EvalGrid, FunctionalSample, make_eval_grid, uniform_design_grid
 from .moments import _psd_root, correlation_from_covariance
-from .plrt import _design_plan, _sigma_factor, plrt_test
-from .smoothing import _KERNELS, _bandwidth, _Plan, weight_matrix
+from .plrt import _plrt_plan, _sigma_factor, plrt_test
+from .smoothing import _KERNELS, _bandwidth, _Plan
 from .supnorm import (SupQuantileRequest, _check_draws, _check_level, default_path_count,
                       sup_quantile)
 
@@ -301,11 +301,13 @@ class ExperimentTable:
 
 
 # The design-only pieces of an experiment, each built at most once per process
-# and configuration: (p, grid_size, the _bandwidth tuple of h, kernel) for the
-# smoothers and projectors, (model, p, n) for the known factor and
-# (model, grid_size, n) for the true mean.  A piece holds m x p or p x p
-# tables, so each cache keeps only a few configurations: enough for the three
-# bandwidths that a simulation table sweeps.  A piece that raises is not
+# and configuration: a plan by (kind, p, grid_size, the _bandwidth tuple of h,
+# kernel), the known factor by (model, p, n) and the true mean by (model,
+# grid_size, n).  A plan holds m x p or p x p tables, so each cache keeps only
+# a few configurations.  Three is enough for what the package runs: the
+# sim-gauss and sim-boot-plrt method lists read two plans each, and a Table 3
+# or 4 sweep (bandwidths outer, the four tests inner) two at a time
+# (tests/test_simlab.py counts the builds).  A piece that raises is not
 # cached, so each replication that needs it fails again.
 _PLAN_CONFIGS = 3
 
@@ -330,23 +332,15 @@ def _eval_mean(model: str, grid_size: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_PLAN_CONFIGS)
-def _band_plan(p: int, grid_size: int, h: tuple, kernel: str) -> _Plan:
-    """The smoother W from the uniform design of size p to the evaluation grid."""
+def _cached_plan(kind: str, p: int, grid_size: int, h: tuple, kernel: str) -> _Plan:
+    """The ``kind`` of plan (band, gof or plrt) on the uniform design of size p,
+    with the line as the null model of gof and PLRT."""
     design, eval = _uniform_grid(p), _eval_grid(grid_size)
-    return _Plan(design, eval, w=weight_matrix(design, eval, h, kernel))
-
-
-@lru_cache(maxsize=_PLAN_CONFIGS)
-def _gof_plan(p: int, grid_size: int, h: tuple, kernel: str) -> _Plan:
-    """The band plan plus the line's complement Q and W Q."""
-    q = _complement(_line(), _uniform_grid(p))
-    plan = _band_plan(p, grid_size, h, kernel)
-    return replace(plan, q=q, wq=plan.w @ q)
-
-
-@lru_cache(maxsize=_PLAN_CONFIGS)
-def _plrt_plan(p: int, h: tuple, kernel: str) -> _Plan:
-    return _design_plan(_uniform_grid(p), _line(), h, kernel)
+    if kind == "band":
+        return _Plan.of(design, eval, h, kernel)
+    if kind == "gof":
+        return _gof_plan(_line(), design, eval, h, kernel)
+    return _plrt_plan(_line(), design, h, kernel)
 
 
 @lru_cache(maxsize=_PLAN_CONFIGS)
@@ -358,14 +352,11 @@ def _known_factor(model: str, p: int, n: int) -> np.ndarray:
 
 def _experiment_plan(spec: ModelSpec, method: str) -> _Plan:
     """The cached plan of what ``method`` reads from the design alone."""
-    h = _bandwidth(spec.h)
-    if method in _PLRT_MODES:
-        plan = _plrt_plan(spec.p, h, spec.kernel)
-        if method == "plrt-known":
-            plan = replace(plan, known=_known_factor(spec.model, spec.p, spec.n))
-        return plan
-    build = _gof_plan if method == "gof-scb" else _band_plan
-    return build(spec.p, spec.grid_size, h, spec.kernel)
+    kind = "plrt" if method in _PLRT_MODES else "gof" if method == "gof-scb" else "band"
+    plan = _cached_plan(kind, spec.p, spec.grid_size, _bandwidth(spec.h), spec.kernel)
+    if method == "plrt-known":
+        plan = replace(plan, known=_known_factor(spec.model, spec.p, spec.n))
+    return plan
 
 
 def _rep_rngs(seed: int, reps: int):
@@ -451,7 +442,7 @@ def known_R_threshold(
         raise FuncbandError("p and h must be given together")
     if p is not None:
         _check_int("p", p, 2, GridError)
-        w = _band_plan(p, grid_size, _bandwidth(h), "epanechnikov").w
+        w = _cached_plan("band", p, grid_size, _bandwidth(h), "epanechnikov").w
         xd = _uniform_grid(p).points
         r = w @ cov_fn(xd[:, None], xd[None, :]) @ w.T
     else:

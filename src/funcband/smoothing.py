@@ -152,20 +152,22 @@ class MeanFit:
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """What calls on one design grid, evaluation grid, h and kernel share,
-    built once and read-only: the (m, p) smoother ``w`` on ``eval``; gof's
-    complement ``q`` of the basis columns at the design points (I - P = Q Q')
-    and ``wq`` = W Q; PLRT's least-squares projector ``p_mat`` and smoother
-    ``s_mat`` at the design points, with ``g0`` = (I-P)'(I-P) and
-    ``g1`` = (I-S)'(I-S); and the known mode's factor ``known`` of Sigma/n.
-    A piece that no caller of the plan reads is None."""
+    built once and read-only: the (m, p) smoother ``w`` on ``eval``
+    (``_Plan.of``); for the candidate ``model``, gof's complement ``q`` of its
+    basis columns at the design points (I - P = Q Q') and ``wq`` = W Q
+    (``gof._gof_plan``); on the design itself, PLRT's ``g0`` = (I-P)'(I-P) =
+    Q Q' and ``g1`` = (I-S)'(I-S) with S = W (``plrt._plrt_plan``); and the
+    known mode's factor ``known`` of Sigma/n.  A piece that no caller of the
+    plan reads is None."""
 
     design: DesignGrid
-    eval: EvalGrid | None = None
-    w: np.ndarray | None = None
+    eval: EvalGrid
+    h: tuple[float, ...]    # the _bandwidth tuple W was built for
+    kernel: str
+    w: np.ndarray
+    model: object = None    # the BasisModel of q, compared by identity
     q: np.ndarray | None = None
     wq: np.ndarray | None = None
-    p_mat: np.ndarray | None = None
-    s_mat: np.ndarray | None = None
     g0: np.ndarray | None = None
     g1: np.ndarray | None = None
     known: np.ndarray | None = None
@@ -175,14 +177,25 @@ class _Plan:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    def check(self, grid: DesignGrid, eval: EvalGrid | None = None) -> "_Plan":
-        """This plan, once ``grid`` (and ``eval``, if given) are shown to be the
-        grids it was built on; FuncbandError otherwise."""
+    @classmethod
+    def of(cls, design: DesignGrid, eval: EvalGrid, h, kernel: str) -> "_Plan":
+        """The band plan: the smoother W from ``design`` to ``eval``."""
+        w = weight_matrix(design, eval, h, kernel)
+        return cls(design, eval, _bandwidth(h, design.dim), kernel, w)
+
+    def check(self, grid: DesignGrid, eval: EvalGrid, h, kernel: str, model=None) -> "_Plan":
+        """This plan, once it is shown to be built on ``grid`` and ``eval``, for
+        ``h`` and ``kernel`` and, if given, ``model``; FuncbandError otherwise."""
         for what, given, built in (("design", grid, self.design), ("evaluation", eval, self.eval)):
-            if given is None or given is built:
-                continue
-            if built is None or not np.array_equal(given.points, built.points):
+            if given is not built and not np.array_equal(getattr(given, "points", None),
+                                                         built.points):
                 raise FuncbandError(f"the design plan was built on another {what} grid")
+        h = _bandwidth(h, self.design.dim)
+        if h != self.h or not (isinstance(kernel, str) and kernel == self.kernel):
+            raise FuncbandError(f"the design plan was built for h={self.h} and kernel="
+                                f"{self.kernel!r}, not h={h} and kernel={kernel!r}")
+        if model is not None and model is not self.model:
+            raise FuncbandError("the design plan was built for another model")
         return self
 
 
@@ -191,13 +204,10 @@ def fit_mean(
     _plan: _Plan | None = None,
 ) -> MeanFit:
     """Smooth the sample mean; also returns the n per-curve smooths.  The
-    smoother is read from ``_plan`` when one is given."""
+    smoother is read from ``_plan``, built here when not given."""
     _check_type("sample", sample, FunctionalSample, SampleValidationError)
-    if _plan is None:
-        w = weight_matrix(sample.grid, eval, h, kernel)
-    else:
-        w = _plan.check(sample.grid, eval).w
-    curves = sample.values @ w.T
+    plan = (_plan or _Plan.of(sample.grid, eval, h, kernel)).check(sample.grid, eval, h, kernel)
+    curves = sample.values @ plan.w.T
     return MeanFit(mean=curves.mean(axis=0), curves=curves)
 
 

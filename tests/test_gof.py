@@ -227,7 +227,7 @@ class TestScbGofTest:
         import json
         sample = gen_model3(10, 40, seed_or_rng=12)
         report = scb_gof_test(sample, polynomial_basis(1), make_eval_grid(30), 0.1, seed=13)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert set(payload) >= {"T", "c_alpha", "alpha", "reject", "band", "diagnostics"}
         assert set(payload["diagnostics"]) >= {"lambda", "clipped_mass"}
 

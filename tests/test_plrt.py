@@ -219,7 +219,7 @@ class TestImhofIntegral:
         report = plrt_test(sample, polynomial_basis(1), 0.05)
         assert 0.0 < report.pvalue < 1.0
         assert 0.0 < report.diagnostics["imhof_abserr"] <= 1e-12
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["diagnostics"]["imhof_abserr"] == report.diagnostics["imhof_abserr"]
 
     def test_same_sign_spectrum_is_exact(self):
@@ -332,8 +332,8 @@ class TestDesignPlan:
     def test_experiment_matches_plain_loop(self, method, monkeypatch, cold_caches):
         spec = ModelSpec(model="m3-hn", n=30, p=40, h=0.06, reps=25, seed=71, level=0.2)
         builds = []
-        plan = simlab._design_plan
-        monkeypatch.setattr(simlab, "_design_plan", lambda *a: builds.append(a) or plan(*a))
+        plan = simlab._plrt_plan
+        monkeypatch.setattr(simlab, "_plrt_plan", lambda *a: builds.append(a) or plan(*a))
         row = simlab.run_experiment(spec, method)
         assert len(builds) == 1 and row.failures == 0
         # the plan is cached per configuration: another PLRT method on the spec builds none
@@ -363,7 +363,7 @@ class TestDesignPlan:
             x = sample.grid.points
             known = ou_covariance(x[:, None], x[None, :])
             factor = plrt_module._sigma_factor(known / 50) if mode == "known" else None
-            plan = replace(plrt_module._design_plan(sample.grid, basis, 0.05, "epanechnikov"),
+            plan = replace(plrt_module._plrt_plan(basis, sample.grid, 0.05, "epanechnikov"),
                            known=factor)
             planned = plrt_test(sample, basis, 0.05, "epanechnikov", mode, _plan=plan)
             plain = plrt_test(sample, basis, 0.05, "epanechnikov", mode, known)
@@ -376,19 +376,18 @@ class TestDesignPlan:
     @pytest.mark.parametrize("points", [uniform_design_grid(30).points,
                                         np.linspace(0.01, 0.99, 40)])
     def test_plan_on_another_grid_rejected(self, points):
-        plan = plrt_module._design_plan(DesignGrid((points,)),
-                                        polynomial_basis(1), 0.1, "epanechnikov")
+        line = polynomial_basis(1)
+        plan = plrt_module._plrt_plan(line, DesignGrid((points,)), 0.1, "epanechnikov")
         sample = gen_model3(20, 40, seed_or_rng=72)
         with pytest.raises(FuncbandError, match="another design grid"):
-            plrt_test(sample, polynomial_basis(1), 0.1, _plan=plan)
+            plrt_test(sample, line, 0.1, _plan=plan)
 
     def test_plan_on_an_equal_grid_accepted(self):
-        sample = gen_model3(20, 40, seed_or_rng=73)
-        plan = plrt_module._design_plan(uniform_design_grid(40), polynomial_basis(1), 0.1,
-                                        "epanechnikov")
+        # the plan's model is compared by identity, so both calls take one basis
+        sample, line = gen_model3(20, 40, seed_or_rng=73), polynomial_basis(1)
+        plan = plrt_module._plrt_plan(line, uniform_design_grid(40), 0.1, "epanechnikov")
         assert plan.design is not sample.grid
-        assert (plrt_test(sample, polynomial_basis(1), 0.1, _plan=plan)
-                == plrt_test(sample, polynomial_basis(1), 0.1))
+        assert plrt_test(sample, line, 0.1, _plan=plan) == plrt_test(sample, line, 0.1)
 
     @pytest.mark.parametrize("method", ["plrt-known", "plrt-np", "plrt-ar1"])
     def test_ill_posed_bandwidth_fails_every_replication(self, method):
@@ -432,6 +431,16 @@ class TestAr1Fit:
         sample = FunctionalSample(grid=grid, values=np.ones((5, 10)))
         with pytest.raises(DegenerateVarianceError):
             ar1_covariance_fit(sample)
+
+
+def test_interpolating_model_rejected():
+    # L = p basis functions leave no residual: RSS_0 = 0, so F = -1 carries nothing
+    grid = uniform_design_grid(4)
+    sample = FunctionalSample(grid=grid, values=np.random.default_rng(0).normal(size=(10, 4)))
+    with pytest.warns(UserWarning, match="not orthogonal"):
+        model = polynomial_basis(3)
+    with pytest.raises(DegenerateVarianceError, match="L=4 .* p=4"):
+        plrt_test(sample, model, 0.6)
 
 
 def test_nan_sample_rejected():

@@ -7,8 +7,12 @@ import math
 import numpy as np
 import pytest
 
+import funcband.gof as gof_module
+import funcband.plrt as plrt_module
+import funcband.smoothing as smoothing_module
 from funcband import (FuncbandError, FunctionalSample, bootstrap_scb, make_eval_grid, normal_scb,
-                      polynomial_basis, scb_gof_test, simlab, uniform_design_grid, weight_matrix)
+                      plrt_test, polynomial_basis, scb_gof_test, simlab, uniform_design_grid,
+                      weight_matrix)
 from funcband.moments import correlation_from_covariance
 from funcband.simlab import (
     METHODS,
@@ -242,11 +246,13 @@ class TestExperimentPlan:
 
     @pytest.fixture(scope="class")
     def plan(self):
-        return simlab._gof_plan(25, 40, (0.1,), "epanechnikov")
+        return gof_module._gof_plan(polynomial_basis(1), uniform_design_grid(25),
+                                    make_eval_grid(40), 0.1, "epanechnikov")
 
     @staticmethod
     def _calls(sample, eval, plan):
-        line = polynomial_basis(1)
+        # the plan's model is compared by identity: the planned call passes it
+        line = plan.model if plan is not None else polynomial_basis(1)
         return {
             "normal": lambda: normal_scb(sample, eval, 0.1, paths=500, seed=3, _plan=plan),
             "bootstrap": lambda: bootstrap_scb(sample, eval, 0.1, bootstraps=200, seed=3,
@@ -276,11 +282,90 @@ class TestExperimentPlan:
             np.testing.assert_array_equal(getattr(planned, part), getattr(plain, part))
         assert planned.threshold == plain.threshold
 
+    @pytest.mark.parametrize("entry, other", [
+        ("normal", "h"), ("normal", "kernel"), ("bootstrap", "h"), ("bootstrap", "kernel"),
+        ("gof", "h"), ("gof", "kernel"), ("gof", "model"),
+        ("plrt", "h"), ("plrt", "kernel"), ("plrt", "model")])
+    def test_plan_for_another_setting_rejected(self, entry, other):
+        # a band reads only W, so it compares no model; gof and PLRT compare it
+        line, design, eval = polynomial_basis(1), uniform_design_grid(25), make_eval_grid(40)
+        built = {"h": 0.1, "kernel": "epanechnikov", "model": line}
+        built[other] = {"h": 0.12, "kernel": "gauss", "model": polynomial_basis(0)}[other]
+        if entry == "plrt":
+            plan = plrt_module._plrt_plan(built["model"], design, built["h"], built["kernel"])
+        else:
+            plan = gof_module._gof_plan(built["model"], design, eval, built["h"],
+                                        built["kernel"])
+        sample = gen_model3(15, 25, seed_or_rng=8, hypothesis="hn")
+        calls = {**self._calls(sample, eval, plan),
+                 "gof": lambda: scb_gof_test(sample, line, eval, 0.1, paths=500, _plan=plan),
+                 "plrt": lambda: plrt_test(sample, line, 0.1, _plan=plan)}
+        with pytest.raises(FuncbandError, match="the design plan was built for"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["gof", "plrt"])
+    def test_plan_without_the_model_rejected(self, plan, entry):
+        # a missing model must not let the plan's own model stand in for it
+        sample, eval = gen_model3(15, 25, seed_or_rng=8, hypothesis="hn"), make_eval_grid(40)
+        plrt_plan = plrt_module._plrt_plan(plan.model, plan.design, 0.1, "epanechnikov")
+        with pytest.raises(FuncbandError, match="model=None"):
+            if entry == "gof":
+                scb_gof_test(sample, None, eval, 0.1, paths=500, _plan=plan)
+            else:
+                plrt_test(sample, None, 0.1, _plan=plrt_plan)
+
+
+# The method lists of the simlab benchmark workloads, at their sizes; the
+# replication and resample counts do not change what a run builds.
+_SIM_GAUSS = [("normal-scb", dict(model="m1", n=50, p=50, h=0.05, reps=1)),
+              ("gof-scb", dict(model="m3-h0", n=50, p=50, h=0.035, reps=1))]
+_SIM_BOOT_PLRT = [("bootstrap-scb", dict(model="m2", n=20, p=50, h=0.05, bootstraps=200,
+                                         reps=1)),
+                  ("plrt-known", dict(model="m3-hn", n=50, p=50, h=0.05, reps=2)),
+                  ("plrt-np", dict(model="m3-hn", n=50, p=50, h=0.05, reps=2)),
+                  ("plrt-ar1", dict(model="m3-hn", n=50, p=50, h=0.05, reps=2))]
+
+
+class TestPlanCache:
+    """The plan cache holds what the package's simlab runs read: each design-only
+    piece is built once, however many rounds run."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch, cold_caches):
+        """Calls so far to each builder of a design-only piece."""
+        counts = {}
+        for module, name in ((smoothing_module, "weight_matrix"), (gof_module, "_complement"),
+                             (simlab, "_sigma_factor")):
+            def counted(*args, _f=getattr(module, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _f(*args)
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("methods, first", [
+        (_SIM_GAUSS, {"weight_matrix": 2, "_complement": 1}),
+        (_SIM_BOOT_PLRT, {"weight_matrix": 2, "_complement": 1, "_sigma_factor": 1}),
+    ], ids=["sim-gauss", "sim-boot-plrt"])
+    def test_second_round_builds_nothing(self, builds, methods, first):
+        for seed in (1, 2):
+            for method, spec in methods:
+                assert run_experiment(ModelSpec(seed=seed, **spec), method).failures == 0
+            assert builds == first
+
+    def test_table_sweep_builds_each_plan_once(self, builds):
+        # scripts/reproduce_tables.py --table 3: bandwidths outer, the four tests inner
+        for h in (0.035, 0.05, 0.1):
+            for method in ("gof-scb", "plrt-known", "plrt-np", "plrt-ar1"):
+                spec = ModelSpec(model="m3-h0", n=50, p=50, h=h, reps=1, paths=2000)
+                assert run_experiment(spec, method).failures == 0
+        assert builds == {"weight_matrix": 6, "_complement": 6, "_sigma_factor": 1}
+        assert simlab._cached_plan.cache_info().misses == 6
+
 
 class TestKnownThreshold:
     def test_smoothed_threshold_reads_the_cached_smoother(self, cold_caches):
         c = known_R_threshold("m2", grid_size=60, paths=2000, seed=3, p=30, h=0.1)
-        assert simlab._band_plan.cache_info().currsize == 1
+        assert simlab._cached_plan.cache_info().currsize == 1
         design, eval = uniform_design_grid(30), make_eval_grid(60)
         w = weight_matrix(design, eval, 0.1)
         x = design.points

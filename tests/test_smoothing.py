@@ -374,6 +374,9 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
                          "abc"), "values='abc'"),
     (lambda: plrt_test(gen_model1(10, 20), polynomial_basis(1), 0.2, covariance_mode="known",
                        known_covariance="x"), "known_covariance='x'"),
+    (lambda: plrt_test(gen_model1(10, 20), polynomial_basis(1), 0.2,
+                       covariance_mode="parametric-ar1", known_covariance="garbage"),
+     "known_covariance='garbage'"),
     (lambda: SupQuantileRequest("abc", 0.05, 1000, 0), "correlation='abc'"),
     (lambda: empirical_variance("abc"), "curves='abc'"),
     (lambda: psd_repair("abc"), "table='abc'"),
@@ -434,6 +437,7 @@ _SPEC = dict(model="m1", n=5, p=10, h=0.2, reps=1)
         "residual_process sample str", "cv_score sample str", "ar1_covariance_fit sample str",
         "FunctionalSample values str", "FunctionalSample values mixed", "EvalGrid axis str",
         "local_linear_weights x str", "band_covers values str", "plrt_test known_covariance str",
+        "plrt_test known_covariance outside known mode",
         "SupQuantileRequest correlation str", "empirical_variance str", "psd_repair str",
         "schafer_strimmer_lambda str", "schafer_strimmer_lambda 1-D",
         "cv_bandwidth sample str", "run_experiment spec str", "gen_model1 n str",
