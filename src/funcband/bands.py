@@ -23,7 +23,6 @@ from .moments import _shrunk_table, _unit_correlation, empirical_variance, schaf
 from .smoothing import _BANDWIDTH_ERRORS, _bandwidth, _bandwidth_candidates, fit_mean
 from .supnorm import (
     SupQuantileRequest,
-    _MatrixRoot,
     _ThinRoot,
     _check_draws,
     _check_level,
@@ -125,20 +124,19 @@ def _checked_variance(mean_fit) -> np.ndarray:
     return sigma2
 
 
-# The thin root is taken only for shrinkage intensities at or above this:
-# every eigenvalue of the shrunk table is then at least lambda, far above
-# moments._EIG_RTOL and eigh's rounding, so the dense root would drop nothing.
+# The thin draw divides by sqrt(lambda), so it is taken only for shrinkage
+# intensities at or above this floor; below it the same root is applied dense.
 _THIN_MIN_LAMBDA = 1e-6
 
 
 def _curve_root(curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):
     """The root of the correlation of n ``curves`` on m points shrunk with
-    intensity ``lam``: thin for 2n < m and lam >= _THIN_MIN_LAMBDA, else the
-    dense root, as two k x m x n products would save little over one k x m x m."""
+    intensity ``lam``, from one thin SVD: drawn thin for 2n < m and
+    lam >= _THIN_MIN_LAMBDA, else as its ``dense()`` matrix root, as two
+    k x m x n products would save little over one k x m x m."""
+    root = _ThinRoot(curves, mean, sigma, lam)
     n, m = curves.shape
-    if 2 * n < m and lam >= _THIN_MIN_LAMBDA:
-        return _ThinRoot(curves, mean, sigma, lam)
-    return _MatrixRoot.of(_shrunk_table((curves - mean) / sigma, lam))
+    return root if 2 * n < m and lam >= _THIN_MIN_LAMBDA else root.dense()
 
 
 def _band(method, eval, center, sigma, divisor, sups, gamma, h, kernel, seed, **details):

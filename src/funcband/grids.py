@@ -228,6 +228,7 @@ def read_curves_csv(path_or_file, label_column: bool = False):
     Returns a FunctionalSample, or a dict label -> FunctionalSample when
     ``label_column`` is set (first field of each curve row is the label).
     """
+    _check_type("label_column", label_column, bool, SampleValidationError)
     with _opened(path_or_file, "r") as fh:
         reader = csv.reader(fh)
         try:

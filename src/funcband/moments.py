@@ -1,6 +1,6 @@
 """Empirical variance/correlation of smoothed curves, covariance shrinkage,
-and the one symmetric square root that every band, test and generator draws
-through, which also repairs tables that are not positive semidefinite."""
+and the one symmetric square root of a table, which also repairs tables that
+are not positive semidefinite."""
 
 from __future__ import annotations
 
@@ -51,9 +51,11 @@ def _check_covariance(table: np.ndarray, size: int | None = None,
     return table
 
 
-def _unit_correlation(table: np.ndarray) -> np.ndarray:
-    """A copy of the table with entries clipped to [-1,1] and a unit diagonal."""
+def _unit_correlation(table: np.ndarray, lam: float = 0.0) -> np.ndarray:
+    """A copy of (1-lam) R + lam I, R the table with entries clipped to [-1,1]
+    and a unit diagonal."""
     table = np.clip(table, -1.0, 1.0)
+    table *= 1.0 - lam
     np.fill_diagonal(table, 1.0)
     return table
 
@@ -143,21 +145,18 @@ def schafer_strimmer_lambda(curves: np.ndarray) -> float:
 
 
 def _shrunk_table(xs: np.ndarray, lam: float) -> np.ndarray:
-    """(1-lam) R + lam I for the correlation R = Xs'Xs/(n-1) of the n x m standardized
-    deviations Xs, entries clipped to [-1,1] and unit diagonal as in ``_unit_correlation``."""
-    table = np.clip(xs.T @ xs / (len(xs) - 1), -1.0, 1.0)
-    table *= 1.0 - lam
-    np.fill_diagonal(table, 1.0)
-    return table
+    """``_unit_correlation`` (1-lam) R + lam I for the correlation R = Xs'Xs/(n-1)
+    of the n x m standardized deviations Xs."""
+    return _unit_correlation(xs.T @ xs / (len(xs) - 1), lam)
 
 
 def shrink_correlation(raw: np.ndarray, curves: np.ndarray) -> tuple[np.ndarray, float]:
     """Convex combination (1-lambda) raw + lambda I of the correlation table
     ``raw`` (clipped to [-1,1], unit diagonal), with lambda the analytic
     intensity of ``curves``; returns (table, lambda)."""
-    raw = _unit_correlation(_check_covariance(raw, what="correlation"))
+    raw = _check_covariance(raw, what="correlation")
     lam = schafer_strimmer_lambda(curves)
-    return _unit_correlation((1.0 - lam) * raw + lam * np.eye(len(raw))), lam
+    return _unit_correlation(raw, lam), lam
 
 
 def correlation_from_covariance(table: np.ndarray) -> np.ndarray:
@@ -200,9 +199,8 @@ def empirical_data_covariance(
     # a correlation of a checked table: shrinking it needs no second check
     corr = correlation_from_covariance(table)
     lam = schafer_strimmer_lambda(y)
-    shrunk = _unit_correlation((1.0 - lam) * corr + lam * np.eye(len(corr)))
     sd = np.sqrt(np.diag(table))
-    return shrunk * np.outer(sd, sd), lam
+    return _unit_correlation(corr, lam) * np.outer(sd, sd), lam
 
 
 def psd_repair(table: np.ndarray, correlation: bool = False) -> tuple[np.ndarray, float]:
@@ -211,6 +209,7 @@ def psd_repair(table: np.ndarray, correlation: bool = False) -> tuple[np.ndarray
     Returns (L'L, mass) for the root L and the dropped mass of ``_psd_root``;
     for a correlation table the diagonal is one up to rounding.
     """
+    _check_type("correlation", correlation, bool)
     root, mass = _psd_root(_as_float_array("table", table), correlation)
     return root.T @ root, mass
 

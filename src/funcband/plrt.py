@@ -204,6 +204,8 @@ def plrt_pvalue(a_mat: np.ndarray, sigma_over_n: np.ndarray,
     when Sigma/n has a negative diagonal entry, when their sizes differ, or
     when every lambda_i is zero (a degenerate form).
     """
+    if diagnostics is not None:
+        _check_type("diagnostics", diagnostics, dict)
     a_mat = _check_symmetric(a_mat, "quadratic form")
     sigma_over_n = _check_covariance(sigma_over_n, what="Sigma/n")
     if a_mat.shape != sigma_over_n.shape:

@@ -4,7 +4,7 @@ Sample paths are z L with z a row of w standard normals and L a w x m
 root of the m x m correlation table (L'L = table); the threshold is the
 ceil((1-gamma) N)-th order statistic of the simulated sup-absolute values.
 A root has a ``size`` m, a ``width`` w, the clipped eigenvalue ``mass``, a
-``table()`` and the product z L.  It is one of two kinds:
+``table()`` and the ``sups`` of z L.  It is one of two kinds:
 
 * matrix: a w x m array L, applied by one k x w x m product per chunk: the
   m x m symmetric root of a table from ``moments._psd_root`` (which also
@@ -12,10 +12,10 @@ A root has a ``size`` m, a ``width`` w, the clipped eigenvalue ``mass``, a
   factor of its rank-r correlation, w = min(r, m).  The product is taken
   point-major, as L'z', so the sups are a max over m rows of k paths;
 * thin: for a shrunk empirical correlation (1-lam) Xs'Xs/(n-1) + lam I of
-  n < m/2 curves, sqrt(lam) I + V diag(d) V' from the thin SVD of the
-  n x m standardized deviations Xs, applied by two k x m x n products;
-  w = m; its row-major z L has long rows of m > 2n points.  Only ``table()``
-  forms an m x m array, and the draw never calls it.
+  n curves, a I + V diag(d) V' from the thin SVD of the n x m standardized
+  deviations Xs, a = sqrt(lam).  For n < m/2 it is applied as a (z + (z V)
+  diag(d/a) V') by two k x m x n products that only read z, w = m; else its
+  ``dense()`` matrix root is drawn.
 
 A chunk of at most 2048 paths sets the randomness: each has its own
 counter-based (Philox) substream, so a given seed gives bit-identical
@@ -24,13 +24,11 @@ the widest root: a root of width w reads the first w columns of its
 normals, so the widest root's values are those of its own draw.  A block
 sets the memory: the rows of a chunk that are filled, multiplied and reduced
 to their sups at once, in one normal buffer and one product buffer
-allocated per call.  A thin root writes sqrt(lam) z in place of its normals
-z; only when it shares the draw does it write a scratch buffer of the
-normals' size instead.  A block has 2048 rows, halved until one buffer of
-rows x max(w, m) doubles is at most 8 MiB: grids of up to 512 points draw a
-chunk in one block, wider ones in blocks of 4 to 8 MiB.  The blocks of a
-chunk fill in turn from its generator, so they draw the same normals in the
-same order as one fill of the chunk.
+allocated per call; no root writes its normals.  A block has 2048 rows,
+halved until one buffer of rows x max(w, m) doubles is at most 8 MiB: grids
+of up to 512 points draw a chunk in one block, wider ones in blocks of 4 to
+8 MiB.  The blocks of a chunk fill in turn from its generator, so they draw
+the same normals in the same order as one fill of the chunk.
 """
 
 from __future__ import annotations
@@ -109,11 +107,7 @@ class _MatrixRoot:
         """The m x m symmetric root of a correlation table, from ``_psd_root``."""
         return cls(*_psd_root(table, correlation=True), table)
 
-    def __call__(self, z, out):
-        """Set and return out = z L."""
-        return np.matmul(z, self.factor, out=out)
-
-    def sups(self, z, y, scratch, out):
+    def sups(self, z, y, out):
         """Set ``out`` to the sup |z L| of each row of z, with L'z' in the first
         m k doubles of ``y``: point-major, so the sup is a max over contiguous
         rows of k paths, not over each path's short row of m points."""
@@ -129,7 +123,7 @@ class _ThinRoot(_MatrixRoot):
     correlation (1-lam) Xs'Xs/(n-1) + lam I of n curves on m points,
     Xs = (curves - mean) / sigma, from the thin SVD Xs = U diag(s) V', with
     a = sqrt(lam) and d = sqrt((1-lam) s^2/(n-1) + lam) - a.  Nothing is
-    clipped; no m x m array is formed unless ``table`` is called."""
+    clipped; no m x m array is formed unless ``dense`` or ``table`` is called."""
 
     def __init__(self, curves: np.ndarray, mean: np.ndarray, sigma: np.ndarray, lam: float):
         self.width = self.size = curves.shape[1]
@@ -145,18 +139,21 @@ class _ThinRoot(_MatrixRoot):
         if not all(np.all(np.isfinite(v)) for v in (self._d, self._vt, sigma)):
             raise FactorizationError("thin square root contains non-finite entries")
 
-    def __call__(self, z, out, scratch=None):
-        """Set and return out = z L; a z goes to ``scratch``, a new array if
-        None (z itself if z is not read again)."""
-        t = z @ self._vt.T
-        t *= self._d
-        np.matmul(t, self._vt, out=out)
-        return np.add(out, np.multiply(z, self._a, out=scratch), out=out)
+    def dense(self) -> _MatrixRoot:
+        """L as an m x m matrix root."""
+        factor = (self._vt.T * self._d) @ self._vt
+        factor[np.diag_indices(self.size)] += self._a
+        return _MatrixRoot(factor)
 
-    def sups(self, z, y, scratch, out):
-        """As ``_MatrixRoot.sups``, row-major: a row of m > 2n points is long."""
+    def sups(self, z, y, out):
+        """As ``_MatrixRoot.sups``, with z L / a in ``y`` row-major: a row of
+        m > 2n points is long.  Needs a > 0."""
         yk = y[:len(z) * self.size].reshape(len(z), self.size)
-        np.abs(self(z, yk, scratch), out=yk).max(axis=1, out=out)
+        t = z @ self._vt.T
+        t *= self._d / self._a
+        np.add(np.matmul(t, self._vt, out=yk), z, out=yk)
+        np.abs(yk, out=yk).max(axis=1, out=out)
+        out *= self._a
 
     def table(self) -> np.ndarray:
         return _shrunk_table(self._xs, self._lam)
@@ -227,8 +224,6 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
         rows //= 2
     z = np.empty((min(rows, request.paths), width))
     y = np.empty(len(z) * columns)
-    # A thin root may overwrite the normals only when no other root reads them.
-    scratch = np.empty_like(z) if more and any(isinstance(r, _ThinRoot) for r in roots) else z
 
     def draw(rng, k):
         start = next(starts)
@@ -237,7 +232,7 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
             rng.standard_normal(out=zk)
             for root, v in zip(roots, values):
                 w = root.width          # a narrower root reads the first w columns
-                root.sups(zk[:, :w], y, scratch[:len(zk), :w], v[at:at + len(zk)])
+                root.sups(zk[:, :w], y, v[at:at + len(zk)])
 
     map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
     pairs = [(v, root.mass) for v, root in zip(values, roots)]

@@ -67,12 +67,15 @@ def chunk_normals(seed, paths, width):
 def oracle_sups(root, chunks):
     """sup |z L| of each path, z the first ``root.width`` columns of its chunk.
     A matrix root's product is taken point-major, L'z', as the draw takes it:
-    BLAS may round a few of its entries one ulp away from z L's."""
+    BLAS may round a few of its entries one ulp away from z L's.  A thin root
+    L = a I + V diag(d) V' is applied as the draw applies it, as
+    a (z + (z V) diag(d/a) V')."""
     if type(root) is _MatrixRoot:
         sups = [np.abs(root.factor.T @ z[:, :root.width].T).max(axis=0) for z in chunks]
     else:
-        sups = [np.abs(root(z[:, :root.width], np.empty((len(z), root.size)))).max(axis=1)
-                for z in chunks]
+        vt, a = root._vt, root._a
+        sups = [a * np.abs(z + (z @ vt.T * (root._d / a)) @ vt).max(axis=1)
+                for z in (z[:, :root.width] for z in chunks)]
     return np.concatenate(sups)
 
 

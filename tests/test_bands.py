@@ -389,8 +389,9 @@ def _refuse_table(*args, **kwargs):
 class TestSquareRootChoice:
     """Mean and prediction bands of n < m/2 curves draw through the thin root
     of the shrunk correlation, and the goodness-of-fit band through its
-    factor (or that factor's QR when p - L > m); every other Gaussian band
-    takes the dense root."""
+    factor (or that factor's QR when p - L > m); other mean and prediction
+    bands take the same root as a dense matrix, from the same thin SVD, and
+    the two-sample band the dense root of its table from ``_psd_root``."""
 
     def test_thin_root_for_few_curves(self, monkeypatch):
         grid = uniform_design_grid(15, 15)
@@ -490,8 +491,9 @@ class TestSquareRootChoice:
                             taken.append(table.shape) or dense_root(table, correlation))
         monkeypatch.setattr(bands, "simulate_sup_norms", lambda *r: requests.extend(r) or run(*r))
         build()
-        assert taken == ([] if case == "gof" else [(100, 100)])
+        assert taken == ([(100, 100)] if case == "two-sample" else [])
         assert [(r.root.width, r.root.size) for r in requests] == [(100, 100)]
+        assert all(type(r.root) is supnorm._MatrixRoot for r in requests)
 
 
 def test_gaussian_bands_share_details_keys(sample50, eval_grid):
@@ -640,22 +642,34 @@ class TestSplitHalfSharedDraw:
         assert (best, coverages) == _split_half_by_loop(sample, candidates, seed, paths)
         assert len(coverages) >= 2
 
-    def test_shared_draw_has_one_scratch_block(self, monkeypatch):
-        # thin roots that share the normals write z a into one scratch block
-        # allocated per call, never into the normals and never a new array
+    def test_shared_draw_leaves_the_normals_unwritten(self, monkeypatch):
+        # thin roots that share the normals only read them: every block's
+        # normals are unchanged by each root's sups, and each root gets the
+        # values it gets drawn alone
         sample = gen_model1(12, 30, seed_or_rng=602)
-        args = ([0.1, 0.15, 0.2, 0.3],)
-        kwargs = dict(seed=3, paths=2 * 2048 + 37)
-        alone = split_half_bandwidth(sample, *args, **kwargs)
-        calls = []
-        thin = supnorm._ThinRoot.__call__
-        monkeypatch.setattr(supnorm._ThinRoot, "__call__", lambda root, z, out, scratch=None:
-                            calls.append((z, scratch)) or thin(root, z, out, scratch))
-        assert split_half_bandwidth(sample, *args, **kwargs) == alone
-        assert len(calls) == 4 * 3
-        assert all(s is not None and s.shape == z.shape and not np.shares_memory(s, z)
-                   for z, s in calls)
-        assert len({s.__array_interface__["data"][0] for _, s in calls}) == 1
+        requests, drawn, run = [], [], bands.simulate_sup_norms
+
+        def record(*r):
+            requests.extend(r)
+            pairs = run(*r)
+            drawn.extend((values.copy(), mass) for values, mass in pairs)   # bands sort them
+            return pairs
+
+        monkeypatch.setattr(bands, "simulate_sup_norms", record)
+        unchanged, sups = [], supnorm._ThinRoot.sups
+
+        def read_only(root, z, y, out):
+            before = z.copy()
+            sups(root, z, y, out)
+            unchanged.append(np.array_equal(z, before))
+
+        monkeypatch.setattr(supnorm._ThinRoot, "sups", read_only)
+        split_half_bandwidth(sample, [0.1, 0.15, 0.2, 0.3], seed=3, paths=2 * 2048 + 37)
+        assert len(requests) == 4 and all(type(r.root) is supnorm._ThinRoot for r in requests)
+        assert len(unchanged) == 4 * 3 and all(unchanged)
+        for request, (values, mass) in zip(requests, drawn):
+            alone, alone_mass = run(request)
+            assert np.array_equal(values, alone) and mass == alone_mass
 
     def test_one_chunk_loop_for_all_candidates(self, monkeypatch):
         loops = []

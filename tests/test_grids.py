@@ -248,3 +248,10 @@ class TestCurvesCsv:
         assert groups["a"].n_curves == 2
         assert groups["b"].n_curves == 1
         np.testing.assert_array_equal(groups["a"].values, [[1, 2], [5, 6]])
+
+    @pytest.mark.parametrize("bad", [np.array([True, False]), "yes", 1, None])
+    def test_label_column_must_be_a_bool(self, bad):
+        # an array raised numpy's ambiguous-truth ValueError; "yes" read as true
+        text = "0.25,0.75\n" + "a,1.0,2.0\n"
+        with pytest.raises(SampleValidationError, match="label_column"):
+            read_curves_csv(io.StringIO(text), label_column=bad)

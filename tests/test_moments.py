@@ -212,6 +212,12 @@ class TestEmpiricalDataCovariance:
 
 
 class TestPsdRepair:
+    @pytest.mark.parametrize("bad", [np.array([True, False]), "yes", 1, None])
+    def test_correlation_must_be_a_bool(self, bad):
+        # an array raised numpy's ambiguous-truth ValueError; "yes" read as true
+        with pytest.raises(FuncbandError, match="correlation"):
+            psd_repair(np.eye(2), correlation=bad)
+
     def test_hand_example_2x2(self):
         # [DERIVED] eigenvalues of [[1, 1.2], [1.2, 1]] are 2.2 and -0.2;
         # clipping the negative one gives the constant matrix 1.1.

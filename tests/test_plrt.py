@@ -229,6 +229,12 @@ class TestImhofIntegral:
         # [DERIVED] A = Sigma/n = I_3: z'z > 0 almost surely
         assert plrt_pvalue(np.eye(3), np.eye(3)) == 1.0
 
+    @pytest.mark.parametrize("bad", ["x", [1], np.zeros(3), 0, ()])
+    def test_diagnostics_must_be_a_dict(self, bad):
+        # a string or list raised TypeError, an array IndexError
+        with pytest.raises(FuncbandError, match="diagnostics"):
+            plrt_pvalue(-np.eye(4), np.eye(4), diagnostics=bad)
+
 
 def test_runs_without_scipy():
     # PLRT and the truncated-Gaussian kernel use numpy and the standard

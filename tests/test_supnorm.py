@@ -20,7 +20,7 @@ from funcband import (
     simulate_sup_norms,
     sup_quantile,
 )
-from funcband import bands, supnorm
+from funcband import bands, moments, supnorm
 from funcband.bands import _curve_root
 from funcband.moments import _psd_root, correlation_from_covariance
 from funcband.simlab import gen_model3
@@ -108,16 +108,21 @@ class TestThinRoot:
         sd = curves.std(axis=0, ddof=1)
         raw = empirical_correlation(curves, mean, sd**2)
         table = _shrunk(raw, lam)
-        thin = np.empty((m, m))
-        _ThinRoot(curves, mean, sd, lam)(np.eye(m), thin)     # I L = L
+        root = _ThinRoot(curves, mean, sd, lam)
+        thin = root.dense()
+        assert type(thin) is _MatrixRoot and thin.mass == 0.0
         dense, mass = _psd_root(table, correlation=True)
         assert mass == 0.0
-        np.testing.assert_allclose(thin @ thin, table, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(thin.factor @ thin.factor, table, rtol=0, atol=1e-12)
         # A root of the float table is uncertain by its rounding (about m eps)
         # over 2 sqrt(lam); at lam = 1e-6 that exceeds 1e-12, for both roots.
         eps = np.finfo(float).eps
         tol = max(1e-12, 8 * eps * m / (2 * np.sqrt(lam)))
-        np.testing.assert_allclose(thin, dense, rtol=0, atol=tol)
+        np.testing.assert_allclose(thin.factor, dense, rtol=0, atol=tol)
+        # the thin draw of the identity's rows: row i of L, as its sup
+        sups = np.empty(m)
+        root.sups(np.eye(m), np.empty(m * m), sups)
+        np.testing.assert_allclose(sups, np.abs(dense).max(axis=1), rtol=0, atol=tol)
 
     @pytest.mark.parametrize("n", [2, 8])
     def test_table_built_from_the_root(self, n):
@@ -153,6 +158,29 @@ class TestThinRoot:
         curves = _curves(n, 40, seed=3)
         root = _curve_root(curves, curves.mean(axis=0), curves.std(axis=0, ddof=1), lam)
         assert type(root) is _MatrixRoot and root.factor.shape == (40, 40)
+
+    @pytest.mark.parametrize("n, lam", [(5, 0.2), (20, 0.5), (50, 0.5), (5, 0.0)],
+                             ids=["thin", "2n = m", "n > m", "lambda 0"])
+    def test_curve_root_forms_no_table(self, n, lam, monkeypatch):
+        # thin or dense, a curve root comes from one thin SVD: no m x m
+        # correlation, no eigh; its dense root squares to the shrunk table
+        curves = _curves(n, 40, seed=5)
+        mean, sd = curves.mean(axis=0), curves.std(axis=0, ddof=1)
+        table = _shrunk(empirical_correlation(curves, mean, sd**2), lam)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("m x m correlation or its eigh taken")
+
+        with monkeypatch.context() as patch:
+            for module, name in [(supnorm, "_psd_root"), (moments, "_psd_root"),
+                                 (supnorm, "_shrunk_table"), (bands, "_shrunk_table"),
+                                 (moments, "_shrunk_table"), (np.linalg, "eigh")]:
+                patch.setattr(module, name, refuse)
+            root = _curve_root(curves, mean, sd, lam)
+            simulate_sup_norms(SupQuantileRequest(root, 0.05, 500, 1))
+        factor = root.dense().factor if isinstance(root, _ThinRoot) else root.factor
+        assert root.mass == 0.0
+        np.testing.assert_allclose(factor.T @ factor, table, rtol=0, atol=1e-12)
 
 
 def _shrunk_request(n, m, lam, seed, paths, thin=True):
@@ -217,21 +245,31 @@ class TestSharedDraw:
 
     @pytest.mark.parametrize("sizes", [(100, 50), (100, 100)])
     def test_dense_roots_share_the_draw_without_a_scratch_block(self, sizes):
-        # only a thin root writes scratch: two dense roots take no more memory
-        # than the wider one's own draw and a second row of sups
+        # two dense roots take no more memory than the wider one's own draw
+        # and a second row of sups
         paths = 13000
         wide, narrow = (_shrunk_request(30, m, 0.2, 3, paths, thin=False) for m in sizes)
+        assert _peak(wide, narrow) <= _peak(wide) + 8 * paths
 
-        def peak(*requests):
-            simulate_sup_norms(*requests)           # numpy's first-call allocations
-            tracemalloc.start()
-            try:
-                simulate_sup_norms(*requests)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @pytest.mark.parametrize("sizes", [(100, 80), (100, 100)])
+    def test_thin_roots_share_the_draw_in_two_buffers(self, sizes):
+        # a thin root only reads the normals, so two thin roots, like two
+        # dense ones, hold no block beside the normal and product buffers
+        paths = 13000
+        wide, narrow = (_thin_request(30, m, 3, paths) for m in sizes)
+        assert isinstance(wide.root, _ThinRoot) and isinstance(narrow.root, _ThinRoot)
+        assert _peak(wide, narrow) <= _peak(wide) + 8 * paths
 
-        assert peak(wide, narrow) <= peak(wide) + 8 * paths
+
+def _peak(*requests):
+    """The peak traced memory of one ``simulate_sup_norms`` call on the requests."""
+    simulate_sup_norms(*requests)           # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        simulate_sup_norms(*requests)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _factor_request(r, m, seed, paths, mass=0.0):
@@ -311,14 +349,10 @@ class TestBlockedDraw:
         # the oracle fills each chunk's normals at once from its own substream;
         # 1500 paths in the last chunk are one full block and a partial one
         request = request_()
-        root = request.root
-        streams = np.random.SeedSequence(request.seed).spawn(2)
-        oracle = []
-        for k, stream in zip((2048, 1500), streams):
-            z = np.random.Generator(np.random.Philox(stream)).standard_normal((k, root.width))
-            oracle.append(np.abs(root(z, np.empty((k, root.size)))).max(axis=1))
+        oracle = oracle_sups(request.root, chunk_normals(request.seed, 2048 + 1500,
+                                                         request.root.width))
         values, _ = simulate_sup_norms(request)
-        np.testing.assert_allclose(values, np.concatenate(oracle), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(values, oracle, rtol=1e-13, atol=0)
 
     def test_buffers_stay_under_8_mib_each(self):
         # unblocked, the normal and product buffers of 2048 x 2000 doubles
@@ -361,9 +395,10 @@ def _thin_case(monkeypatch):
 
 
 class TestRootProtocol:
-    """Every root is a width x size array L, applied as z L, with L'L its
-    table(): the given table, the gof factor's correlation or the shrunk
-    correlation, each checked against a table built without the root."""
+    """Every root is a width x size array L, whose sups are those of z L, with
+    L'L its table(): the given table, the gof factor's correlation or the
+    shrunk correlation, each checked against a table built without the root.
+    A thin root's array is its ``dense()`` factor."""
 
     @pytest.mark.parametrize("make, kind, width, size", [
         (_table_case, _MatrixRoot, 40, 40),
@@ -378,7 +413,11 @@ class TestRootProtocol:
         assert type(root) is kind
         assert (root.width, root.size, root.mass) == (width, size, mass)
         assert (mass > 0.0) == (width == 9)
-        factor = root(np.eye(width), np.empty((width, size)))      # I L = L
+        factor = root.dense().factor if kind is _ThinRoot else root.factor
+        assert factor.shape == (width, size)
+        sups = np.empty(width)
+        root.sups(np.eye(width), np.empty(width * size), sups)    # the sup of row i of L
+        np.testing.assert_allclose(sups, np.abs(factor).max(axis=1), rtol=0, atol=1e-12)
         np.testing.assert_allclose(factor.T @ factor, root.table(), rtol=0, atol=1e-12)
         np.testing.assert_allclose(root.table(), oracle, rtol=0, atol=1e-12)
 
