@@ -24,6 +24,7 @@ from .smoothing import _BANDWIDTH_ERRORS, _bandwidth, _bandwidth_candidates, fit
 from .supnorm import (
     SupQuantileRequest,
     _ThinRoot,
+    _blas_held,
     _check_draws,
     _check_level,
     _sorted_quantile,
@@ -174,6 +175,7 @@ def _curve_part(sample, eval, h, kernel, plan=None) -> tuple:
     return eval, mean_fit.mean, sigma, root, lam, _bandwidth(h, eval.dim)
 
 
+@_blas_held
 def normal_scb(
     sample: FunctionalSample,
     eval: EvalGrid,
@@ -243,7 +245,7 @@ def _bootstrap_sup_stats(curves, mean, bootstraps, seed):
     shape = (min(_BOOT_CHUNK, bootstraps), m)      # one set of buffers for every chunk
     buffers = (np.empty((shape[0], 2 * m)), np.empty(shape))
 
-    def draw(rng, k):
+    def draw(rng, k, _start):
         z, bad = _resample_z(curves, mean, powers, rng.integers(0, n, size=(k, n)), buffers)
         rows = np.flatnonzero(bad)
         redraws = 0
@@ -309,6 +311,7 @@ class TwoSampleResult:
     reject: bool
 
 
+@_blas_held
 def two_sample_scb(
     sample_a: FunctionalSample,
     sample_b: FunctionalSample,
@@ -365,6 +368,7 @@ def prediction_band(
     return _prediction_bands(sample, [eval], h, kernel, gamma, paths, seed)[0]
 
 
+@_blas_held
 def _prediction_bands(sample, grids, h, kernel, gamma, paths, seed) -> list:
     """The ``prediction_band`` on each of ``grids``, from one draw of Gaussian
     paths: the widest root's band is its own ``prediction_band``, and a narrower
@@ -373,6 +377,7 @@ def _prediction_bands(sample, grids, h, kernel, gamma, paths, seed) -> list:
                            1.0, gamma, paths, sample.n_points, seed, kernel)
 
 
+@_blas_held
 def split_half_bandwidth(
     sample: FunctionalSample,
     candidates: Sequence,

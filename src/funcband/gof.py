@@ -22,7 +22,7 @@ from .errors import (DegenerateVarianceError, FuncbandError, GridError, RankDefi
 from .grids import DesignGrid, EvalGrid, FunctionalSample
 from .moments import _check_covariance, _kept_eigenvalues, empirical_data_covariance
 from .smoothing import _bandwidth, _Plan
-from .supnorm import _MatrixRoot
+from .supnorm import _MatrixRoot, _blas_held
 
 __all__ = [
     "BasisModel",
@@ -284,6 +284,7 @@ class GofReport:
         }
 
 
+@_blas_held
 def scb_gof_test(
     sample: FunctionalSample,
     model: BasisModel,

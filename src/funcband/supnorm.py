@@ -23,17 +23,34 @@ output.  Requests with the same seed and paths share one draw, as wide as
 the widest root: a root of width w reads the first w columns of its
 normals, so the widest root's values are those of its own draw.  A block
 sets the memory: the rows of a chunk that are filled, multiplied and reduced
-to their sups at once, in one normal buffer and one product buffer
-allocated per call; no root writes its normals.  A block has 2048 rows,
-halved until one buffer of rows x max(w, m) doubles is at most 8 MiB: grids
-of up to 512 points draw a chunk in one block, wider ones in blocks of 4 to
-8 MiB.  The blocks of a chunk fill in turn from its generator, so they draw
-the same normals in the same order as one fill of the chunk.
+to their sups at once, in one normal buffer and one product buffer; no root
+writes its normals.  A block has 2048 rows, halved until one buffer of rows
+x max(w, columns) doubles is at most 8 MiB, where a root's ``columns`` are m,
+or m + n for a thin root, whose z V shares the product buffer: grids of up
+to 512 points draw a chunk in one block, wider ones in blocks of 4 to 8 MiB.
+The blocks of a chunk fill in turn from its generator, so they draw the same
+normals in the same order as one fill of the chunk.
+
+W workers, one per CPU this process may run on and at most one per chunk,
+each take whole chunks and draw them in blocks of 1/W of those rows (W
+rounded up to a power of two), so that together they hold the buffers of
+one; the caller makes every buffer.  numpy releases the interpreter lock in
+the fill and the products.  The draw holds OpenBLAS at one thread while it
+runs, so a product's bits depend neither on W nor on the BLAS thread count:
+a seed gives the same values on any number of CPUs.  The Gaussian bands and
+tests hold it from their first product (``_blas_held``), since OpenBLAS's
+pool thread spins on another CPU for a while after a threaded product.
+Where numpy's OpenBLAS or its ``openblas_set_num_threads_local`` is not
+found, W is 1 and BLAS keeps its own count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
 from dataclasses import dataclass, field
+from functools import cache, wraps
 from math import ceil, sqrt
 from numbers import Real
 
@@ -99,6 +116,7 @@ class _MatrixRoot:
     def __init__(self, factor: np.ndarray, mass: float = 0.0, table: np.ndarray | None = None):
         self.factor = factor
         self.width, self.size = factor.shape
+        self.columns = self.size        # doubles of the product buffer per path
         self.mass = mass
         self._table = table
 
@@ -109,8 +127,9 @@ class _MatrixRoot:
 
     def sups(self, z, y, out):
         """Set ``out`` to the sup |z L| of each row of z, with L'z' in the first
-        m k doubles of ``y``: point-major, so the sup is a max over contiguous
-        rows of k paths, not over each path's short row of m points."""
+        m k doubles of ``y`` (k ``columns`` doubles): point-major, so the sup is
+        a max over contiguous rows of k paths, not over each path's short row
+        of m points.  Allocates no array."""
         yk = np.matmul(self.factor.T, z.T, out=y[:self.size * len(z)].reshape(self.size, len(z)))
         np.abs(yk, out=yk).max(axis=0, out=out)
 
@@ -138,6 +157,7 @@ class _ThinRoot(_MatrixRoot):
         self._d = np.sqrt((1.0 - lam) * s * s / (len(curves) - 1) + lam) - self._a
         if not all(np.all(np.isfinite(v)) for v in (self._d, self._vt, sigma)):
             raise FactorizationError("thin square root contains non-finite entries")
+        self.columns = self.size + len(self._d)
 
     def dense(self) -> _MatrixRoot:
         """L as an m x m matrix root."""
@@ -146,10 +166,12 @@ class _ThinRoot(_MatrixRoot):
         return _MatrixRoot(factor)
 
     def sups(self, z, y, out):
-        """As ``_MatrixRoot.sups``, with z L / a in ``y`` row-major: a row of
-        m > 2n points is long.  Needs a > 0."""
-        yk = y[:len(z) * self.size].reshape(len(z), self.size)
-        t = z @ self._vt.T
+        """As ``_MatrixRoot.sups``, with z L / a in ``y`` row-major (a row of
+        m > 2n points is long) and z V in the k n doubles after it.  Needs
+        a > 0."""
+        k, n = len(z), len(self._d)
+        yk = y[:k * self.size].reshape(k, self.size)
+        t = np.matmul(z, self._vt.T, out=y[k * self.size:k * self.columns].reshape(k, n))
         t *= self._d / self._a
         np.add(np.matmul(t, self._vt, out=yk), z, out=yk)
         np.abs(yk, out=yk).max(axis=1, out=out)
@@ -192,13 +214,118 @@ class SupQuantileResult:
     clipped_mass: float
 
 
-def map_philox_chunks(total: int, chunk: int, seed: int, draw) -> list:
-    """Apply ``draw(rng, k)`` to consecutive chunks of at most ``chunk`` of
-    ``total`` draws, each chunk with its own Philox substream spawned from
-    ``seed``.  Returns the per-chunk results in chunk order."""
-    sizes = [min(chunk, total - start) for start in range(0, total, chunk)]
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    return [draw(np.random.Generator(np.random.Philox(s)), k) for k, s in zip(sizes, streams)]
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+@cache
+def _openblas_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` (int -> int, the count
+    before) in the library that numpy's wheel bundles, or None.  Looked up
+    once, at the first draw."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
+    except OSError:             # no numpy.libs: a numpy not from a wheel
+        return None
+    for name in names:
+        try:            # RTLD_NOLOAD: the copy numpy loaded, never a second one
+            setter = ctypes.CDLL(os.path.join(libs, name),
+                                 mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+        except (AttributeError, OSError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+class _OneBlasThread:
+    """Holds OpenBLAS at one thread while any draw or held call runs, then
+    sets back the count it found.  In the pthreads build that numpy wheels
+    bundle, ``openblas_set_num_threads_local`` sets the count of the whole
+    process (it is thread-local only inside OpenMP regions), so the draw
+    holds it, not each worker, and holds that overlap share one, which the
+    last to end gives back."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holds = self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            setter = _openblas_setter()
+            if setter and not self._holds:
+                self._saved = setter(1)
+            self._holds += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._holds -= 1
+            setter = _openblas_setter()
+            if setter and not self._holds:
+                setter(self._saved)
+
+
+_BLAS = _OneBlasThread()
+
+
+def _blas_held(function):
+    """``function`` run with OpenBLAS held at one thread: a Gaussian band or
+    test holds it from its first product to the end of its draw.  After a
+    product on two threads, OpenBLAS's pool thread spins for about 0.15 s on
+    the other CPU, where it slowed a draw's second worker by 1.7x."""
+    @wraps(function)
+    def held(*args, **kwargs):
+        with _BLAS:
+            return function(*args, **kwargs)
+    return held
+
+
+def map_philox_chunks(total: int, chunk: int, seed: int, *draws) -> list:
+    """Apply a ``draw(rng, k, start)`` to each chunk [start, start + k) of at
+    most ``chunk`` of ``total`` draws, each chunk with its own Philox
+    substream spawned from ``seed``.  Each of the ``draws`` is one worker that
+    takes the next chunk until none is left: the first on the calling thread,
+    each other on a thread of its own that ends before this returns.  An
+    exception in a worker stops every worker taking a chunk and is raised
+    here.  Returns the per-chunk results in chunk order."""
+    starts = range(0, total, chunk)
+    streams = np.random.SeedSequence(seed).spawn(len(starts))
+    results = [None] * len(starts)
+    todo = iter(range(len(starts)))
+    lock, stop, errors = threading.Lock(), threading.Event(), []
+
+    def work(draw):
+        try:
+            while not stop.is_set():
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                rng = np.random.Generator(np.random.Philox(streams[i]))
+                results[i] = draw(rng, min(chunk, total - starts[i]), starts[i])
+        except BaseException as exc:        # raised again below, on the calling thread
+            errors.append(exc)
+            stop.set()
+
+    threads = []
+    try:
+        for draw in draws[1:]:
+            thread = threading.Thread(target=work, args=(draw,))
+            thread.start()
+            threads.append(thread)
+        work(draws[0])
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
@@ -206,9 +333,11 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
     request's root; deterministic given the seed.  Returns (values, clipped
     mass), or with ``more`` requests a list of such pairs, one each.
 
-    Each chunk of at most 2048 paths (one Philox substream) is filled,
-    multiplied and reduced to its sups in blocks of rows: 2048, halved until
-    a normal or product buffer of rows x max(w, m) doubles is at most 8 MiB."""
+    W workers, one per CPU and at most one per chunk, each take whole chunks
+    of at most 2048 paths (one Philox substream) and fill, multiply and
+    reduce them to their sups in blocks of rows: 2048, halved until a normal
+    or product buffer of rows x max(w, ``columns``) doubles is at most 8 MiB,
+    then divided by W rounded up to a power of two."""
     requests = (request, *more)
     for r in requests:
         _check_type("request", r, SupQuantileRequest)
@@ -216,25 +345,28 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
         raise FuncbandError("requests simulated together must share seed and paths")
     roots = [r.root for r in requests]
     width = max(root.width for root in roots)
-    values = np.empty((len(roots), request.paths))
-    starts = iter(range(0, request.paths, _CHUNK))      # map_philox_chunks goes in order
-    columns = max(width, *(root.size for root in roots))
+    columns = max(width, *(root.columns for root in roots))
     rows = _CHUNK
     while rows > 1 and rows * columns * 8 > _BLOCK_BYTES:
         rows //= 2
-    z = np.empty((min(rows, request.paths), width))
-    y = np.empty(len(z) * columns)
+    workers = min(_cpus(), ceil(request.paths / _CHUNK)) if _openblas_setter() else 1
+    rows = min(max(rows >> (workers - 1).bit_length(), 1), request.paths)
+    values = np.empty((len(roots), request.paths))
+    z = np.empty((workers, rows, width))            # every worker's buffers, made here
+    y = np.empty((workers, rows * columns))
 
-    def draw(rng, k):
-        start = next(starts)
-        for at in range(start, start + k, rows):
-            zk = z[:min(rows, start + k - at)]
-            rng.standard_normal(out=zk)
-            for root, v in zip(roots, values):
-                w = root.width          # a narrower root reads the first w columns
-                root.sups(zk[:, :w], y, v[at:at + len(zk)])
+    def worker(z, y):
+        def draw(rng, k, start):
+            for at in range(start, start + k, rows):
+                zk = z[:min(rows, start + k - at)]
+                rng.standard_normal(out=zk)
+                for root, v in zip(roots, values):
+                    w = root.width          # a narrower root reads the first w columns
+                    root.sups(zk[:, :w], y, v[at:at + len(zk)])
+        return draw
 
-    map_philox_chunks(request.paths, _CHUNK, request.seed, draw)
+    with _BLAS:
+        map_philox_chunks(request.paths, _CHUNK, request.seed, *map(worker, z, y))
     pairs = [(v, root.mass) for v, root in zip(values, roots)]
     return pairs if more else pairs[0]
 

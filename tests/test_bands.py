@@ -626,6 +626,35 @@ def _split_half_by_loop(sample, candidates, seed, paths=None, gamma=0.05):
     return best, coverages
 
 
+class TestOneBlasThread:
+    """A Gaussian band holds OpenBLAS at one thread from its first product to
+    the end of its draw, and then sets back the caller's count."""
+
+    @pytest.mark.parametrize("band", [
+        lambda s, e: normal_scb(s, e, 0.1, paths=500),
+        lambda s, e: prediction_band(s, e, 0.1, paths=500),
+        lambda s, e: split_half_bandwidth(s, [0.1, 0.2], paths=500),
+    ], ids=["normal", "prediction", "split-half"])
+    def test_products_run_on_one_thread(self, band, monkeypatch):
+        setter = supnorm._openblas_setter()
+        if setter is None:
+            pytest.skip("OpenBLAS's openblas_set_num_threads_local was not found")
+        counts, fit = [], bands.fit_mean
+
+        def counted(*args):
+            counts.append(setter(1))        # the count held at the smoother's product
+            return fit(*args)
+
+        monkeypatch.setattr(bands, "fit_mean", counted)
+        saved = setter(2)
+        try:
+            band(gen_model1(20, 20, seed_or_rng=5), make_eval_grid(50))
+            assert counts and set(counts) == {1}
+            assert setter(2) == 2
+        finally:
+            setter(saved)
+
+
 class TestSplitHalfSharedDraw:
     """The candidates share one draw of the Gaussian paths, and the search
     equals a loop of separately drawn prediction bands."""
@@ -645,31 +674,34 @@ class TestSplitHalfSharedDraw:
     def test_shared_draw_leaves_the_normals_unwritten(self, monkeypatch):
         # thin roots that share the normals only read them: every block's
         # normals are unchanged by each root's sups, and each root gets the
-        # values it gets drawn alone
+        # values it gets drawn alone.  One worker draws each of the 3 chunks
+        # in one block of 2048 rows, each of 2 workers in blocks of 1024
         sample = gen_model1(12, 30, seed_or_rng=602)
-        requests, drawn, run = [], [], bands.simulate_sup_norms
+        run, sups = bands.simulate_sup_norms, supnorm._ThinRoot.sups
+        workers = [1, 2] if supnorm._openblas_setter() else [1]     # else one worker
+        for count, blocks in zip(workers, [3, 5]):
+            monkeypatch.setattr(supnorm, "_cpus", lambda: count)
+            requests, drawn, unchanged = [], [], []
 
-        def record(*r):
-            requests.extend(r)
-            pairs = run(*r)
-            drawn.extend((values.copy(), mass) for values, mass in pairs)   # bands sort them
-            return pairs
+            def record(*r):
+                requests.extend(r)
+                pairs = run(*r)
+                drawn.extend((values.copy(), mass) for values, mass in pairs)   # bands sort them
+                return pairs
 
-        monkeypatch.setattr(bands, "simulate_sup_norms", record)
-        unchanged, sups = [], supnorm._ThinRoot.sups
+            def read_only(root, z, y, out):
+                before = z.copy()
+                sups(root, z, y, out)
+                unchanged.append(np.array_equal(z, before))
 
-        def read_only(root, z, y, out):
-            before = z.copy()
-            sups(root, z, y, out)
-            unchanged.append(np.array_equal(z, before))
-
-        monkeypatch.setattr(supnorm._ThinRoot, "sups", read_only)
-        split_half_bandwidth(sample, [0.1, 0.15, 0.2, 0.3], seed=3, paths=2 * 2048 + 37)
-        assert len(requests) == 4 and all(type(r.root) is supnorm._ThinRoot for r in requests)
-        assert len(unchanged) == 4 * 3 and all(unchanged)
-        for request, (values, mass) in zip(requests, drawn):
-            alone, alone_mass = run(request)
-            assert np.array_equal(values, alone) and mass == alone_mass
+            monkeypatch.setattr(bands, "simulate_sup_norms", record)
+            monkeypatch.setattr(supnorm._ThinRoot, "sups", read_only)
+            split_half_bandwidth(sample, [0.1, 0.15, 0.2, 0.3], seed=3, paths=2 * 2048 + 37)
+            assert len(requests) == 4 and all(type(r.root) is supnorm._ThinRoot for r in requests)
+            assert len(unchanged) == 4 * blocks and all(unchanged)
+            for request, (values, mass) in zip(requests, drawn):
+                alone, alone_mass = run(request)
+                assert np.array_equal(values, alone) and mass == alone_mass
 
     def test_one_chunk_loop_for_all_candidates(self, monkeypatch):
         loops = []

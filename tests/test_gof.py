@@ -284,8 +284,11 @@ def _record_draws(monkeypatch):
             widths.append(out.shape[1])
             return self.rng.standard_normal(out=out)
 
-    monkeypatch.setattr(supnorm, "map_philox_chunks", lambda total, chunk, seed, draw: chunks(
-        total, chunk, seed, lambda rng, k: draw(Rng(rng), k)))
+    def recorded(draw):
+        return lambda rng, k, start: draw(Rng(rng), k, start)
+
+    monkeypatch.setattr(supnorm, "map_philox_chunks", lambda total, chunk, seed, *draws: chunks(
+        total, chunk, seed, *map(recorded, draws)))
     monkeypatch.setattr(bands, "simulate_sup_norms",
                         lambda *r: requests.extend(r) or simulate(*r))
     return widths, requests
@@ -315,6 +318,7 @@ class TestLowRankFactor:
         sample = gen_model3(50, 50, seed_or_rng=21, hypothesis="h0")
         widths, _ = _record_draws(monkeypatch)
         monkeypatch.setattr(supnorm, "_psd_root", _refuse_dense_root)
+        monkeypatch.setattr(supnorm, "_cpus", lambda: 1)      # one block per chunk
         report = scb_gof_test(sample, self.MODEL, make_eval_grid(100), 0.035, seed=2)
         assert widths == [48] * 7       # 13000 paths in chunks of 2048
         assert report.diagnostics["clipped_mass"] == 0.0

@@ -1,12 +1,18 @@
 """Gaussian sup-norm simulation and order-statistic quantiles."""
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import chunk_normals, oracle_sups
 from scipy.stats import kstest, norm
 
+import funcband
 from funcband import (
     FactorizationError,
     FuncbandError,
@@ -121,7 +127,7 @@ class TestThinRoot:
         np.testing.assert_allclose(thin.factor, dense, rtol=0, atol=tol)
         # the thin draw of the identity's rows: row i of L, as its sup
         sups = np.empty(m)
-        root.sups(np.eye(m), np.empty(m * m), sups)
+        root.sups(np.eye(m), np.empty(m * root.columns), sups)
         np.testing.assert_allclose(sups, np.abs(dense).max(axis=1), rtol=0, atol=tol)
 
     @pytest.mark.parametrize("n", [2, 8])
@@ -262,14 +268,22 @@ class TestSharedDraw:
 
 
 def _peak(*requests):
-    """The peak traced memory of one ``simulate_sup_norms`` call on the requests."""
-    simulate_sup_norms(*requests)           # numpy's first-call allocations
-    tracemalloc.start()
-    try:
-        simulate_sup_norms(*requests)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """The peak traced memory of one ``simulate_sup_norms`` call on the
+    requests, drawn by one worker.  With two, the peak also holds numpy's
+    per-call bookkeeping (views, the iterators of products and reductions, a
+    broadcast multiply's 64 KiB buffer) of both workers where their threads
+    happen to overlap, so it moves by up to 2 KB, or 66 KB for thin roots,
+    between identical calls.  ``TestWorkers`` bounds the buffers of W
+    workers by those of one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(supnorm, "_cpus", lambda: 1)
+        simulate_sup_norms(*requests)           # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            simulate_sup_norms(*requests)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def _factor_request(r, m, seed, paths, mass=0.0):
@@ -319,13 +333,18 @@ class TestBlockedDraw:
     most 8 MiB each; the blocks give the values of one unblocked chunk."""
 
     @pytest.mark.parametrize("request_, rows", [
-        (lambda: _shrunk_request(5, 512, 0.2, 1, 2500), [2048, 452]),
-        (lambda: _shrunk_request(5, 513, 0.2, 1, 2500), [1024, 1024, 452]),
-        (lambda: _thin_request(40, 625, 1, 2500), [1024, 1024, 452]),
-        (lambda: _factor_request(20, 1100, 1, 2500), [512] * 4 + [452]),
+        (lambda: _shrunk_request(5, 512, 0.2, 1, 2500, thin=False),
+         {1: [2048, 452], 2: [1024] * 2 + [452]}),
+        (lambda: _shrunk_request(5, 513, 0.2, 1, 2500, thin=False),
+         {1: [1024] * 2 + [452], 2: [512] * 4 + [452]}),
+        (lambda: _thin_request(40, 625, 1, 2500), {1: [1024] * 2 + [452], 2: [512] * 4 + [452]}),
+        (lambda: _factor_request(20, 1100, 1, 2500), {1: [512] * 4 + [452],
+                                                      2: [256] * 9 + [196]}),
     ], ids=["dense m=512", "dense m=513", "thin m=625", "factor w=20 m=1100"])
     def test_block_rows_bound_the_buffers(self, request_, rows, monkeypatch):
-        # 2048 rows of at most 512 doubles fill 8 MiB; wider grids halve the block
+        # 2048 rows of at most 512 doubles fill 8 MiB; wider grids halve the
+        # block (a thin root's rows also hold its n = 40 doubles of z V), and
+        # W workers each take 1/W of it, so that they hold the buffers of one
         fills, chunks = [], supnorm.map_philox_chunks
 
         class Rng:
@@ -336,10 +355,16 @@ class TestBlockedDraw:
                 fills.append(len(out))
                 return self.rng.standard_normal(out=out)
 
-        monkeypatch.setattr(supnorm, "map_philox_chunks", lambda total, chunk, seed, draw: chunks(
-            total, chunk, seed, lambda rng, k: draw(Rng(rng), k)))
-        simulate_sup_norms(request_())
-        assert fills == rows
+        def counted(draw):
+            return lambda rng, k, start: draw(Rng(rng), k, start)
+
+        monkeypatch.setattr(supnorm, "map_philox_chunks", lambda total, chunk, seed, *draws:
+                            chunks(total, chunk, seed, *map(counted, draws)))
+        for workers in [1, 2] if supnorm._openblas_setter() else [1]:     # else one worker
+            monkeypatch.setattr(supnorm, "_cpus", lambda: workers)
+            fills.clear()
+            simulate_sup_norms(request_())
+            assert sorted(fills, reverse=True) == rows[workers]     # the workers' fills interleave
 
     @pytest.mark.parametrize("request_", [
         lambda: _shrunk_request(5, 600, 0.2, 2, 2048 + 1500, thin=False),
@@ -394,6 +419,184 @@ def _thin_case(monkeypatch):
     return _curve_root(curves, mean, sd, 0.2), 0.0, table
 
 
+class TestWorkers:
+    """W workers, one per CPU, draw whole chunks at once; the values do not
+    depend on W, the caller gets a worker's exception, and no thread or BLAS
+    setting outlives the call."""
+
+    # three chunks, the last of 37 paths
+    PATHS = 2 * 2048 + 37
+
+    @pytest.mark.parametrize("make", [
+        lambda paths: [_shrunk_request(30, 100, 0.2, 4, paths, thin=False)],
+        lambda paths: [_thin_request(40, 625, 4, paths)],
+        lambda paths: [_factor_request(20, 1100, 4, paths)],
+        lambda paths: [_shrunk_request(30, 50, 0.2, 4, paths, thin=False),
+                       _factor_request(20, 60, 4, paths), _thin_request(5, 40, 4, paths)],
+    ], ids=["dense", "thin", "factor", "shared widths"])
+    def test_values_do_not_depend_on_the_workers(self, make, monkeypatch):
+        requests = make(self.PATHS)
+        drawn = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(supnorm, "_cpus", lambda: workers)
+            pairs = simulate_sup_norms(*requests)
+            drawn[workers] = [values for values, _ in (pairs if len(requests) > 1 else [pairs])]
+        for workers in (2, 3):
+            for values, one in zip(drawn[workers], drawn[1]):
+                assert np.array_equal(values, one)
+
+    @pytest.mark.parametrize("make", [
+        lambda: [_shrunk_request(30, 100, 0.2, 4, 13000, thin=False)],
+        lambda: [_thin_request(40, 625, 4, 13000), _thin_request(5, 40, 4, 13000)],
+    ], ids=["dense", "thin"])
+    def test_workers_hold_the_buffers_of_one(self, make, monkeypatch):
+        # every array is made on the calling thread before the chunks are
+        # mapped: the values and W workers' buffers, which together take no
+        # more than one worker's
+        requests, chunks, made = make(), supnorm.map_philox_chunks, {}
+        arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+        def measured(*args):
+            traces = tracemalloc.take_snapshot().filter_traces([arrays]).traces
+            made[workers] = sum(trace.size for trace in traces)
+            return chunks(*args)
+
+        monkeypatch.setattr(supnorm, "map_philox_chunks", measured)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(supnorm, "_cpus", lambda: workers)
+            tracemalloc.start()
+            try:
+                simulate_sup_norms(*requests)
+            finally:
+                tracemalloc.stop()
+        assert made[1] >= 2 * 2048 * 100 * 8         # at least one worker's two buffers
+        assert made[2] <= made[1] and made[3] <= made[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_exception_in_a_chunk_is_raised(self, workers, monkeypatch):
+        if workers > 1 and not supnorm._openblas_setter():
+            pytest.skip("OpenBLAS's openblas_set_num_threads_local was not found: one worker")
+        monkeypatch.setattr(supnorm, "_cpus", lambda: workers)
+        request = _shrunk_request(5, 40, 0.3, 3, 2048 + 37, thin=False)
+        sups = _MatrixRoot.sups
+
+        def second_chunk_fails(root, z, y, out):
+            if len(out) == 37:
+                raise ValueError("the second chunk failed")
+            sups(root, z, y, out)
+
+        monkeypatch.setattr(_MatrixRoot, "sups", second_chunk_fails)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="the second chunk failed"):
+            simulate_sup_norms(request)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(_MatrixRoot, "sups", sups)
+        simulate_sup_norms(request)
+        assert threading.active_count() == threads
+
+    def test_an_exception_on_a_worker_thread_is_raised_by_the_caller(self):
+        # the first draw works on the calling thread, the second on a thread
+        # of its own; the caller's chunk waits until the thread has failed
+        failed = threading.Event()
+
+        def caller(rng, k, start):
+            assert failed.wait(timeout=60)
+
+        def thread(rng, k, start):
+            failed.set()
+            raise KeyError("thread")
+
+        threads = threading.active_count()
+        with pytest.raises(KeyError, match="thread"):
+            supnorm.map_philox_chunks(1000, 100, 0, caller, thread)
+        assert threading.active_count() == threads
+
+    def test_more_workers_than_cpus_take_each_chunk_once(self):
+        # 8 workers on short thread switches: each of 40 chunks is drawn once,
+        # from its own substream, and the results come back in chunk order
+        taken, lock = [], threading.Lock()
+
+        def draw(rng, k, start):
+            with lock:
+                taken.append(start)
+            return start, k, rng.standard_normal(3)
+
+        serial = supnorm.map_philox_chunks(1000, 25, 9, draw)
+        taken.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = supnorm.map_philox_chunks(1000, 25, 9, *[draw] * 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(0, 1000, 25))
+        assert [r[:2] for r in results] == [r[:2] for r in serial]
+        assert all(np.array_equal(r[2], s[2]) for r, s in zip(results, serial))
+
+    def test_concurrent_draws_give_back_the_blas_count(self, monkeypatch):
+        # 8 callers of 2 workers each overlap their holds of one BLAS thread;
+        # the last to end sets back the count found by the first
+        setter = supnorm._openblas_setter()
+        if setter is None:
+            pytest.skip("OpenBLAS's openblas_set_num_threads_local was not found")
+        monkeypatch.setattr(supnorm, "_cpus", lambda: 2)
+        request = _shrunk_request(5, 40, 0.3, 3, 2048 + 37, thin=False)
+        alone, drawn = simulate_sup_norms(request)[0], [None] * 8
+        callers = [threading.Thread(target=lambda i=i: drawn.__setitem__(
+            i, simulate_sup_norms(request)[0])) for i in range(8)]
+        interval, saved = sys.getswitchinterval(), setter(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            assert not any(caller.is_alive() for caller in callers)
+            assert setter(2) == 2
+        finally:
+            sys.setswitchinterval(interval)
+            setter(saved)
+        assert all(np.array_equal(values, alone) for values in drawn)
+
+    def test_caller_blas_count_is_unchanged(self, monkeypatch):
+        setter = supnorm._openblas_setter()
+        if setter is None:
+            pytest.skip("OpenBLAS's openblas_set_num_threads_local was not found")
+        monkeypatch.setattr(supnorm, "_cpus", lambda: 2)
+        request = _thin_request(40, 625, 5, self.PATHS)
+        saved = setter(2)
+        try:
+            simulate_sup_norms(request)
+            assert setter(2) == 2
+            monkeypatch.setattr(_ThinRoot, "sups", lambda *args: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                simulate_sup_norms(request)
+            assert setter(2) == 2
+        finally:
+            setter(saved)
+
+    def test_thin_draw_does_not_depend_on_blas_threads(self):
+        # at a single-threaded draw, z V' of m = 625 points took other bits
+        # under OpenBLAS's 2 threads than under 1
+        if not supnorm._openblas_setter():
+            pytest.skip("OpenBLAS's openblas_set_num_threads_local was not found")
+        code = ("import hashlib, numpy as np\n"
+                "from funcband.supnorm import SupQuantileRequest, _ThinRoot, simulate_sup_norms\n"
+                "c = np.random.default_rng(7).standard_normal((40, 625)).cumsum(axis=1)\n"
+                "root = _ThinRoot(c, c.mean(axis=0), c.std(axis=0, ddof=1), 0.2)\n"
+                "v, _ = simulate_sup_norms(SupQuantileRequest(root, 0.05, 13000, 3))\n"
+                "print(hashlib.sha256(v.tobytes()).hexdigest())\n")
+        src = str(Path(funcband.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = src
+        digests = [subprocess.run([sys.executable, "-c", code], env={**env, **extra},
+                                  capture_output=True, text=True, timeout=120,
+                                  check=True).stdout
+                   for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+
 class TestRootProtocol:
     """Every root is a width x size array L, whose sups are those of z L, with
     L'L its table(): the given table, the gof factor's correlation or the
@@ -416,7 +619,7 @@ class TestRootProtocol:
         factor = root.dense().factor if kind is _ThinRoot else root.factor
         assert factor.shape == (width, size)
         sups = np.empty(width)
-        root.sups(np.eye(width), np.empty(width * size), sups)    # the sup of row i of L
+        root.sups(np.eye(width), np.empty(width * root.columns), sups)    # the sup of row i of L
         np.testing.assert_allclose(sups, np.abs(factor).max(axis=1), rtol=0, atol=1e-12)
         np.testing.assert_allclose(factor.T @ factor, root.table(), rtol=0, atol=1e-12)
         np.testing.assert_allclose(root.table(), oracle, rtol=0, atol=1e-12)
