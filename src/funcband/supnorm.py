@@ -34,10 +34,11 @@ normals in the same order as one fill of the chunk.
 W workers, one per CPU this process may run on and at most one per chunk,
 each take whole chunks and draw them in blocks of 1/W of those rows (W
 rounded up to a power of two), so that together they hold the buffers of
-one; the caller makes every buffer.  numpy releases the interpreter lock in
-the fill and the products.  The draw holds OpenBLAS at one thread while it
-runs, so a product's bits depend neither on W nor on the BLAS thread count:
-a seed gives the same values on any number of CPUs.  The Gaussian bands and
+one; the caller makes every buffer, and numpy's per-call buffer is kept
+small (``_UFUNC_BUFFER``).  numpy releases the interpreter lock in the fill
+and the products.  The draw holds OpenBLAS at one thread while it runs, so
+a product's bits depend neither on W nor on the BLAS thread count: a seed
+gives the same values on any number of CPUs.  The Gaussian bands and
 tests hold it from their first product (``_blas_held``), since OpenBLAS's
 pool thread spins on another CPU for a while after a threaded product.
 Where numpy's OpenBLAS or its ``openblas_set_num_threads_local`` is not
@@ -79,6 +80,12 @@ _TIE_RTOL = 1e-8
 # Largest number of random numbers one call may draw: standard normals
 # (paths x grid points) or bootstrap indices (resamples x curves).
 _MAX_DRAWS = 10**8
+# Elements of numpy's buffer for a strided or broadcast ufunc operand, set in
+# each draw worker: a thin root's scaling of z V, and its sum with a narrower
+# root's normals, each take one per call.  numpy's default, 8192 doubles, put
+# 64 KiB per worker into the draw's peak memory whenever the calls of two
+# workers happened to overlap.
+_UFUNC_BUFFER = 256
 
 
 def _check_level(gamma: float) -> None:
@@ -157,6 +164,7 @@ class _ThinRoot(_MatrixRoot):
         self._d = np.sqrt((1.0 - lam) * s * s / (len(curves) - 1) + lam) - self._a
         if not all(np.all(np.isfinite(v)) for v in (self._d, self._vt, sigma)):
             raise FactorizationError("thin square root contains non-finite entries")
+        self._scale = self._d / self._a if lam > 0.0 else None     # the draw needs a > 0
         self.columns = self.size + len(self._d)
 
     def dense(self) -> _MatrixRoot:
@@ -172,7 +180,7 @@ class _ThinRoot(_MatrixRoot):
         k, n = len(z), len(self._d)
         yk = y[:k * self.size].reshape(k, self.size)
         t = np.matmul(z, self._vt.T, out=y[k * self.size:k * self.columns].reshape(k, n))
-        t *= self._d / self._a
+        t *= self._scale
         np.add(np.matmul(t, self._vt, out=yk), z, out=yk)
         np.abs(yk, out=yk).max(axis=1, out=out)
         out *= self._a
@@ -249,7 +257,11 @@ class _OneBlasThread:
     bundle, ``openblas_set_num_threads_local`` sets the count of the whole
     process (it is thread-local only inside OpenMP regions), so the draw
     holds it, not each worker, and holds that overlap share one, which the
-    last to end gives back."""
+    last to end gives back.  Being process-wide, a hold also puts BLAS calls
+    of other threads on one thread meanwhile, so an unheld routine running
+    beside a held one can take other bits; a count another thread sets
+    during a hold is overwritten at its end; and a child forked during a
+    hold keeps one thread."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -357,12 +369,14 @@ def simulate_sup_norms(request: SupQuantileRequest, *more: SupQuantileRequest):
 
     def worker(z, y):
         def draw(rng, k, start):
-            for at in range(start, start + k, rows):
-                zk = z[:min(rows, start + k - at)]
-                rng.standard_normal(out=zk)
-                for root, v in zip(roots, values):
-                    w = root.width          # a narrower root reads the first w columns
-                    root.sups(zk[:, :w], y, v[at:at + len(zk)])
+            with np.errstate():         # gives back numpy's buffer size on exit
+                np.setbufsize(_UFUNC_BUFFER)
+                for at in range(start, start + k, rows):
+                    zk = z[:min(rows, start + k - at)]
+                    rng.standard_normal(out=zk)
+                    for root, v in zip(roots, values):
+                        w = root.width          # a narrower root reads the first w columns
+                        root.sups(zk[:, :w], y, v[at:at + len(zk)])
         return draw
 
     with _BLAS:
